@@ -8,7 +8,6 @@ the family of inequalities that controls the small-data theory.
 
 from .dynamics import (
     CauchyData,
-    HalfWavePair,
     InstabilityError,
     PicardReport,
     ScatteringResult,
@@ -19,11 +18,9 @@ from .dynamics import (
     free_trajectory,
     initial_pair,
     linear_exact,
-    measure_amplitude_threshold,
     picard_iterate,
     reconstruct,
     scattering_state,
-    step_exponential,
 )
 from .grid import (
     DyadicIndex,
@@ -68,16 +65,12 @@ from .harness import (
 from .system import (
     MassSystem,
     Monomial,
-    ResonanceProbe,
     check_nonresonance,
     evaluate_nonlinearity,
     free_system,
-    probe_resonance,
     resonance_function,
     scalar_system,
     smallest_bracket,
-    system_from_text,
-    system_to_text,
 )
 from .variation import (
     ModulationReport,

@@ -20,9 +20,9 @@ import configparser
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
+import zipfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +31,6 @@ import numpy as np
 
 from .dynamics import (
     CauchyData,
-    HalfWavePair,
     InstabilityError,
     Trajectory,
     conserved_energy,
@@ -46,7 +45,7 @@ from .grid import (
     GridSpec,
     SpectralField,
     gaussian_bump,
-    sobolev_norm,
+    sobolev_norm,  # noqa: F401  (a span target of the benchmark's traced run)
 )
 from .harness import (
     BilinearCase,
@@ -97,7 +96,6 @@ class RunConfig:
     sobolev: float = 0.5
     seed: int = None
     out_dir: str = ""
-    threads: int = None
     options: dict = field(default_factory=dict)
     sweeps: dict = field(default_factory=dict)
 
@@ -162,11 +160,10 @@ _FIELD_CASTS = {
     "stride": int,
     "sobolev": float,
     "seed": int,
-    "threads": int,
 }
 
 
-def load_config(command, config_path=None, seed=None, out_dir=None, threads=None):
+def load_config(command, config_path=None, seed=None, out_dir=None):
     """Build a RunConfig from an optional INI file plus flag overrides."""
     values = {}
     options = {}
@@ -213,13 +210,14 @@ def load_config(command, config_path=None, seed=None, out_dir=None, threads=None
         values["seed"] = int(seed)
     if out_dir is not None:
         values["out_dir"] = str(out_dir)
-    if threads is not None:
-        values["threads"] = int(threads)
     if not values.get("out_dir"):
         values["out_dir"] = str(Path("runs") / command)
 
     config = RunConfig(command=command, options=options, sweeps=sweeps, **values)
 
+    for key, cast in _FIELD_CASTS.items():
+        if cast is float and not math.isfinite(getattr(config, key)):
+            raise ConfigError(f"key {key!r} must be finite, got {getattr(config, key)}")
     if config.command in _STOCHASTIC and config.seed is None:
         raise ConfigError(f"{config.command} is stochastic: a seed is required")
     if config.horizon <= 0 or config.dt <= 0 or config.stride < 1:
@@ -286,50 +284,46 @@ def _write_json(path: Path, payload):
 # trajectory storage
 
 
+_TRAJECTORY_KEYS = ("times", "halves", "masses", "dim", "box_length", "points_per_axis")
+
+
 def save_trajectory(traj: Trajectory, path):
-    """Store a sampled trajectory as a flat array archive."""
+    """Store a sampled trajectory: its (n_times, K, 2, *grid) halves and the grid."""
     spec = traj.lattice.spec
-    n_times = traj.times.size
-    k = traj.n_components
-    plus = np.empty((n_times, k) + spec.shape, dtype=complex)
-    minus = np.empty_like(plus)
-    for j, state in enumerate(traj.states):
-        for i, pair in enumerate(state):
-            plus[j, i] = pair.plus.coeffs
-            minus[j, i] = pair.minus.coeffs
     np.savez(
         path,
         times=traj.times,
-        plus=plus,
-        minus=minus,
+        halves=traj.halves,
         masses=np.array(traj.masses, dtype=float),
         dim=np.array(spec.dim),
         box_length=np.array(spec.box_length),
         points_per_axis=np.array(spec.points_per_axis),
-        step_size=np.array(traj.step_size),
     )
 
 
 def load_trajectory(path) -> Trajectory:
-    """Rebuild a trajectory stored by save_trajectory."""
-    with np.load(path) as data:
+    """Rebuild a trajectory stored by save_trajectory; a bad file is a ConfigError."""
+    try:
+        with np.load(path) as data:
+            missing = [key for key in _TRAJECTORY_KEYS if key not in data.files]
+            if missing:
+                raise ConfigError(f"trajectory file {path} lacks {', '.join(missing)}")
+            stored = {key: data[key] for key in _TRAJECTORY_KEYS}
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read trajectory file {path}: {exc}") from exc
+    halves = stored["halves"]
+    if not np.iscomplexobj(halves) or not np.all(np.isfinite(halves)):
+        raise ConfigError(f"trajectory file {path}: halves must be finite and complex")
+    try:
         spec = GridSpec(
-            int(data["dim"]), float(data["box_length"]), int(data["points_per_axis"])
+            int(stored["dim"]),
+            float(stored["box_length"]),
+            int(stored["points_per_axis"]),
         )
-        lattice = FrequencyLattice(spec)
-        masses = [float(m) for m in data["masses"]]
-        states = []
-        for j in range(data["times"].size):
-            state = tuple(
-                HalfWavePair(
-                    SpectralField(lattice, data["plus"][j, i]),
-                    SpectralField(lattice, data["minus"][j, i]),
-                    mass,
-                )
-                for i, mass in enumerate(masses)
-            )
-            states.append(state)
-        return Trajectory(data["times"], tuple(states), float(data["step_size"]))
+        masses = tuple(stored["masses"])
+        return Trajectory(stored["times"], masses, FrequencyLattice(spec), halves)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"trajectory file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +339,6 @@ def _initial_data(config: RunConfig) -> CauchyData:
     return CauchyData((bump,), (zero,))
 
 
-def _linear_match_error(traj: Trajectory, data: CauchyData, s: float) -> float:
-    pairs = initial_pair(data, traj.masses)
-    exact = free_trajectory(pairs, traj.times)
-    worst = 0.0
-    for got, want in zip(traj.states, exact.states):
-        sq = 0.0
-        for pa, pb in zip(got, want):
-            sq += sobolev_norm(pa.plus - pb.plus, s, pa.mass) ** 2
-            sq += sobolev_norm(pa.minus - pb.minus, s, pa.mass) ** 2
-        worst = max(worst, math.sqrt(sq))
-    return worst
-
-
 def _run_simulate(config: RunConfig) -> RunResult:
     data = _initial_data(config)
     system = scalar_system(config.mass, config.coupling)
@@ -366,26 +347,25 @@ def _run_simulate(config: RunConfig) -> RunResult:
     )
     norms = traj.norm_series(config.sobolev)
     scattering = scattering_state(traj, config.sobolev)
+    energies = [conserved_energy(traj.lattice, state, system) for state in traj.halves]
     rows = []
     for j, t in enumerate(traj.times):
-        energy = conserved_energy(traj.states[j], system)
         increment = float(scattering.increments[j - 1]) if j > 0 else 0.0
         for i in range(traj.n_components):
-            rows.append((float(t), i, float(norms[j, i]), energy, increment))
+            rows.append((float(t), i, float(norms[j, i]), energies[j], increment))
     summary = {
         "samples": int(traj.times.size),
         "initial_norm": float(norms[0].sum()),
         "final_norm": float(norms[-1].sum()),
         "max_norm": float(norms.sum(axis=1).max()),
-        "energy_drift": float(
-            abs(conserved_energy(traj.states[-1], system) - conserved_energy(traj.states[0], system))
-        ),
+        "energy_drift": float(abs(energies[-1] - energies[0])),
         "scattering_total": float(scattering.increments.sum()),
     }
     if config.coupling == 0:
-        summary["linear_match_error"] = _linear_match_error(
-            traj, data, config.sobolev
+        exact = free_trajectory(
+            traj.lattice, initial_pair(data, traj.masses), traj.masses, traj.times
         )
+        summary["linear_match_error"] = traj.distance(exact, config.sobolev)
     arrays = {}
     if config.option("save_trajectory", _parse_bool, False):
         arrays["trajectory"] = traj
@@ -409,7 +389,7 @@ def _run_picard(config: RunConfig) -> RunResult:
         previous = distance
     passed = (not report.diverged) and report.contraction_factor < 1.0
     summary = {
-        "iterations": len(report.iterates),
+        "iterations": len(report.successive_distances) + 1,
         "contraction_factor": float(report.contraction_factor),
         "diverged": bool(report.diverged),
         "final_distance": float(report.successive_distances[-1]),
@@ -685,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--seed", type=int, help="override the configured seed")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--threads", type=int, help="linear-algebra thread cap")
     return parser
 
 
@@ -697,14 +676,10 @@ def main(argv=None) -> int:
             config_path=args.config,
             seed=args.seed,
             out_dir=args.out,
-            threads=args.threads,
         )
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if config.threads is not None:
-        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[name] = str(config.threads)
     start = time.monotonic()
     try:
         result = _COMMANDS[config.command](config)

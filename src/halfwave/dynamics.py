@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .grid import (
     FrequencyLattice,
     SpectralField,
-    free_propagate,
+    free_propagate,  # noqa: F401  (a span target of the benchmark's traced run)
     sobolev_norm,
+    uniform_times,
 )
 from .system import MassSystem, evaluate_nonlinearity
 
@@ -66,31 +67,8 @@ class CauchyData:
         return len(self.positions)
 
 
-@dataclass(frozen=True, eq=False)
-class HalfWavePair:
-    """The (u^+, u^-) spectral pair of one component, with its mass."""
-
-    plus: SpectralField
-    minus: SpectralField
-    mass: float
-
-    def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-        if self.plus.lattice != self.minus.lattice:
-            raise ValueError("halves must share one lattice")
-
-    @property
-    def lattice(self) -> FrequencyLattice:
-        return self.plus.lattice
-
-    def field(self) -> SpectralField:
-        """The physical component u = u^+ + u^-."""
-        return self.plus + self.minus
-
-
-def decompose(u: SpectralField, u_t: SpectralField, mass: float) -> HalfWavePair:
-    """Split (u, u_t) into half-waves: u^± = (u ∓ i u_t/<D>) / 2."""
+def decompose(u: SpectralField, u_t: SpectralField, mass: float) -> np.ndarray:
+    """Split (u, u_t) into the pair [u^+, u^-] with u^± = (u ∓ i u_t/<D>) / 2."""
     if u.lattice != u_t.lattice:
         raise ValueError("position and velocity must share one lattice")
     lat = u.lattice
@@ -99,28 +77,27 @@ def decompose(u: SpectralField, u_t: SpectralField, mass: float) -> HalfWavePair
     half = u.coeffs * 0.5
     half = np.where(lat.nyquist_mask, 0.0, half)
     shift = 1j * u_t.coeffs * inv
-    plus = SpectralField(lat, half - shift)
-    minus = SpectralField(lat, half + shift)
-    return HalfWavePair(plus, minus, float(mass))
+    return np.stack([half - shift, half + shift])
 
 
-def reconstruct(pair: HalfWavePair):
+def reconstruct(lattice: FrequencyLattice, pair: np.ndarray, mass: float):
     """Inverse of decompose: returns (u, u_t) with u_t = i<D>(u^+ - u^-)."""
-    lat = pair.lattice
-    br = lat.bracket(pair.mass)
-    br[lat.nyquist_mask] = 0.0
-    u = pair.plus + pair.minus
-    u_t = SpectralField(lat, 1j * br * (pair.plus.coeffs - pair.minus.coeffs))
+    br = lattice.bracket(mass)
+    br[lattice.nyquist_mask] = 0.0
+    u = SpectralField(lattice, pair[0] + pair[1])
+    u_t = SpectralField(lattice, 1j * br * (pair[0] - pair[1]))
     return u, u_t
 
 
-def initial_pair(data: CauchyData, masses: Sequence[float]):
-    """Half-wave pairs of all components: u^±(0) = (f ∓ i g/<D>) / 2."""
+def initial_pair(data: CauchyData, masses: Sequence[float]) -> np.ndarray:
+    """The (K, 2, *grid) half-wave state of the data: u^±(0) = (f ∓ i g/<D>) / 2."""
     if len(masses) != data.size:
         raise ValueError("one mass per component required")
-    return tuple(
-        decompose(f, g, m)
-        for f, g, m in zip(data.positions, data.velocities, masses)
+    return np.stack(
+        [
+            decompose(f, g, m)
+            for f, g, m in zip(data.positions, data.velocities, masses)
+        ]
     )
 
 
@@ -143,69 +120,100 @@ def linear_exact(data: CauchyData, masses: Sequence[float], t: float) -> CauchyD
     return CauchyData(tuple(pos), tuple(vel))
 
 
+def _brackets(lattice: FrequencyLattice, masses) -> np.ndarray:
+    """<D>_m of every component, shape (K, 1, *grid) to broadcast over a state."""
+    return np.stack([lattice.bracket(m) for m in masses])[:, None]
+
+
+def _inverse_twice_bracket(lattice: FrequencyLattice, masses) -> np.ndarray:
+    """1 / (2<D>_m) of every component, shape (K, 1, *grid), zero on Nyquist modes."""
+    return ~lattice.nyquist_mask / (2.0 * _brackets(lattice, masses))
+
+
+def _signs(dim: int) -> np.ndarray:
+    """+1 for u^+ and -1 for u^- along axis 1 of a state: the sign in e^{±it<D>}."""
+    return np.array([1.0, -1.0]).reshape((1, 2) + (1,) * dim)
+
+
+def _rotation(lattice: FrequencyLattice, masses, t: float) -> np.ndarray:
+    """Free flow e^{±it<D>} over a (K, 2, *grid) state, zero on Nyquist modes."""
+    phase = np.exp(1j * _signs(lattice.spec.dim) * t * _brackets(lattice, masses))
+    phase[:, :, lattice.nyquist_mask] = 0.0
+    return phase
+
+
+def _field_norms(lattice: FrequencyLattice, state: np.ndarray, masses, s: float):
+    """H^s norms of the physical fields u_i = u_i^+ + u_i^- of one state."""
+    return [
+        sobolev_norm(SpectralField(lattice, pair[0] + pair[1]), s, m)
+        for pair, m in zip(state, masses)
+    ]
+
+
+def _state_distance(lattice: FrequencyLattice, masses, a, b, s: float) -> float:
+    """H^s distance of two states, square-summed over components and halves."""
+    sq = 0.0
+    for pa, pb, m in zip(a, b, masses):
+        for half in range(2):
+            sq += sobolev_norm(SpectralField(lattice, pa[half] - pb[half]), s, m) ** 2
+    return math.sqrt(sq)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled evolution: states[j][i] is component i at times[j]."""
+    """Uniformly sampled evolution: halves[j, i] is [u_i^+, u_i^-] at times[j]."""
 
     times: np.ndarray
-    states: tuple
-    step_size: float
+    masses: tuple
+    lattice: FrequencyLattice
+    halves: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("need at least two sample times")
-        dt = np.diff(times)
-        if np.any(dt <= 0) or np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
-            raise ValueError("times must be strictly increasing and uniform")
-        if len(self.states) != times.size:
-            raise ValueError("one state tuple per sample time required")
-        k = len(self.states[0])
-        if any(len(s) != k for s in self.states):
-            raise ValueError("component count varies along the trajectory")
+        object.__setattr__(self, "times", uniform_times(self.times))
+        masses = tuple(float(m) for m in self.masses)
+        object.__setattr__(self, "masses", masses)
+        if not masses or not all(0 < m < math.inf for m in masses):
+            raise ValueError("masses must be positive and finite")
+        shape = (self.times.size, len(masses), 2) + self.lattice.spec.shape
+        if self.halves.shape != shape:
+            raise ValueError(
+                f"halves have shape {self.halves.shape}, expected {shape}"
+            )
 
     @property
     def n_components(self) -> int:
-        return len(self.states[0])
-
-    @property
-    def masses(self) -> tuple:
-        return tuple(p.mass for p in self.states[0])
-
-    @property
-    def lattice(self) -> FrequencyLattice:
-        return self.states[0][0].lattice
-
-    def component(self, i: int) -> tuple:
-        """All snapshots of one component, time-ordered."""
-        return tuple(state[i] for state in self.states)
+        return len(self.masses)
 
     def norm_series(self, s: float) -> np.ndarray:
         """H^s norms of the physical fields, shape (n_times, n_components)."""
-        out = np.empty((self.times.size, self.n_components))
-        for j, state in enumerate(self.states):
-            for i, pair in enumerate(state):
-                out[j, i] = sobolev_norm(pair.field(), s, pair.mass)
-        return out
-
-
-def free_trajectory(pairs: Sequence[HalfWavePair], times) -> Trajectory:
-    """Trajectory of exact free half-wave flow from the given pairs at t=0."""
-    times = np.asarray(times, dtype=float)
-    states = []
-    for t in times:
-        states.append(
-            tuple(
-                HalfWavePair(
-                    free_propagate(p.plus, t, p.mass, +1),
-                    free_propagate(p.minus, t, p.mass, -1),
-                    p.mass,
-                )
-                for p in pairs
-            )
+        return np.array(
+            [_field_norms(self.lattice, state, self.masses, s) for state in self.halves]
         )
-    return Trajectory(times, tuple(states), float(times[1] - times[0]))
+
+    def half(self, component: int, sign: int) -> np.ndarray:
+        """All samples of u^+ (sign +1) or u^- (sign -1) of one component."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        return self.halves[:, component, (1 - sign) // 2]
+
+    def unrotated(self, j: int) -> np.ndarray:
+        """Profiles e^{∓it<D>} u^±(t) at sample j; constant for a free wave."""
+        return self.halves[j] * _rotation(self.lattice, self.masses, -self.times[j])
+
+    def distance(self, other: "Trajectory", s: float) -> float:
+        """sup over time of the H^s distance between the two trajectories' states."""
+        return max(
+            _state_distance(self.lattice, self.masses, a, b, s)
+            for a, b in zip(self.halves, other.halves)
+        )
+
+
+def free_trajectory(
+    lattice: FrequencyLattice, state: np.ndarray, masses, times
+) -> Trajectory:
+    """Trajectory of exact free half-wave flow from the given state at t=0."""
+    halves = np.stack([state * _rotation(lattice, masses, t) for t in times])
+    return Trajectory(times, masses, lattice, halves)
 
 
 # ---------------------------------------------------------------------------
@@ -219,86 +227,29 @@ class _Stepper:
         self.lattice = lattice
         self.system = system
         self.dt = dt
-        live = ~lattice.nyquist_mask
-        self.half_phase = []
-        self.full_phase = []
-        self.inv2br = []
-        for m in system.masses:
-            br = lattice.bracket(m)
-            self.half_phase.append(np.exp(0.5j * dt * br) * live)
-            self.full_phase.append(np.exp(1j * dt * br) * live)
-            self.inv2br.append(live / (2.0 * br))
+        self.half_phase = _rotation(lattice, system.masses, 0.5 * dt)
+        self.full_phase = _rotation(lattice, system.masses, dt)
+        self.inv2br = _inverse_twice_bracket(lattice, system.masses)
 
     def slope(self, y):
         """Unrotated nonlinear slope: ∓ i N_i(u) / (2<D>)."""
-        fields = tuple(
-            SpectralField(self.lattice, p + q) for p, q in y
-        )
+        fields = tuple(SpectralField(self.lattice, p + q) for p, q in y)
         nonlin = evaluate_nonlinearity(self.system, fields)
-        return [
-            (-1j * n.coeffs * w, 1j * n.coeffs * w)
-            for n, w in zip(nonlin, self.inv2br)
-        ]
-
-    def rotate(self, y, phases, direction):
-        out = []
-        for (p, q), ph in zip(y, phases):
-            if direction > 0:
-                out.append((p * ph, q * np.conj(ph)))
-            else:
-                out.append((p * np.conj(ph), q * ph))
-        return out
+        n = np.stack([f.coeffs for f in nonlin])[:, None]
+        return -1j * _signs(self.lattice.spec.dim) * n * self.inv2br
 
     def step(self, y):
+        """One step; the stage slopes g1 + 2 g2 + 2 g3 + g4 are summed as they come."""
         h = self.dt
-        g1 = self.slope(y)
-        mid = [(p + 0.5 * h * a, q + 0.5 * h * b) for (p, q), (a, b) in zip(y, g1)]
-        g2 = self.rotate(self.slope(self.rotate(mid, self.half_phase, +1)),
-                         self.half_phase, -1)
-        mid = [(p + 0.5 * h * a, q + 0.5 * h * b) for (p, q), (a, b) in zip(y, g2)]
-        g3 = self.rotate(self.slope(self.rotate(mid, self.half_phase, +1)),
-                         self.half_phase, -1)
-        end = [(p + h * a, q + h * b) for (p, q), (a, b) in zip(y, g3)]
-        g4 = self.rotate(self.slope(self.rotate(end, self.full_phase, +1)),
-                         self.full_phase, -1)
-        combined = [
-            (
-                p + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4),
-                q + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4),
-            )
-            for (p, q), (a1, b1), (a2, b2), (a3, b3), (a4, b4) in zip(
-                y, g1, g2, g3, g4
-            )
-        ]
-        return self.rotate(combined, self.full_phase, +1)
-
-
-def _pairs_to_raw(state):
-    return [(p.plus.coeffs, p.minus.coeffs) for p in state]
-
-
-def _raw_to_pairs(lattice, y, masses):
-    return tuple(
-        HalfWavePair(SpectralField(lattice, p), SpectralField(lattice, q), m)
-        for (p, q), m in zip(y, masses)
-    )
-
-
-def step_exponential(state, system: MassSystem, dt: float):
-    """One Lawson-RK4 step of the half-wave system.
-
-    The linear phase is applied exactly; the rotated nonlinearity is advanced
-    with classical RK4, giving local error O(dt^5) on smooth data.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    lattice = state[0].lattice
-    stepper = _Stepper(lattice, system, dt)
-    y = stepper.step(_pairs_to_raw(state))
-    for p, q in y:
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise InstabilityError("non-finite values after step", norm=math.inf)
-    return _raw_to_pairs(lattice, y, system.masses)
+        half, full = self.half_phase, self.full_phase
+        g = self.slope(y)
+        total = g
+        g = self.slope((y + 0.5 * h * g) * half) * np.conj(half)
+        total = total + 2 * g
+        g = self.slope((y + 0.5 * h * g) * half) * np.conj(half)
+        total = total + 2 * g
+        g = self.slope((y + h * g) * full) * np.conj(full)
+        return (y + (h / 6.0) * (total + g)) * full
 
 
 def evolve(
@@ -324,27 +275,21 @@ def evolve(
     stepper = _Stepper(lattice, system, dt)
     masses = system.masses
 
-    y = _pairs_to_raw(initial_pair(data, masses))
+    y = initial_pair(data, masses)
 
-    def total_norm(raw):
-        sq = 0.0
-        for (p, q), m in zip(raw, masses):
-            f = SpectralField(lattice, p + q)
-            sq += sobolev_norm(f, s, m) ** 2
-        return math.sqrt(sq)
+    def total_norm(state):
+        return math.sqrt(sum(n**2 for n in _field_norms(lattice, state, masses, s)))
 
     base = total_norm(y)
     limit = growth_abort * base if base > 0 else math.inf
 
-    times = [0.0]
-    states = [_raw_to_pairs(lattice, y, masses)]
+    sampled = np.arange(0, steps + 1, sample_every)
+    halves = np.empty((sampled.size,) + y.shape, dtype=complex)
+    halves[0] = y
     for j in range(1, steps + 1):
         y = stepper.step(y)
         t = j * dt
-        finite = all(
-            np.all(np.isfinite(p)) and np.all(np.isfinite(q)) for p, q in y
-        )
-        if not finite:
+        if not np.all(np.isfinite(y)):
             raise InstabilityError(
                 f"non-finite state at t={t:.6g}", time=t, norm=math.inf
             )
@@ -357,9 +302,8 @@ def evolve(
                 norm=norm,
             )
         if j % sample_every == 0:
-            times.append(t)
-            states.append(_raw_to_pairs(lattice, y, masses))
-    return Trajectory(np.array(times), tuple(states), dt * sample_every)
+            halves[j // sample_every] = y
+    return Trajectory(sampled * dt, masses, lattice, halves)
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +312,12 @@ def evolve(
 
 @dataclass(frozen=True, eq=False)
 class PicardReport:
-    """Fixed-point iteration record: iterates and contraction diagnostics."""
+    """Fixed-point iteration record: the last iterate and contraction diagnostics."""
 
-    iterates: tuple
+    final: Trajectory
     successive_distances: tuple
     contraction_factor: float
     diverged: bool
-
-    @property
-    def final(self) -> Trajectory:
-        return self.iterates[-1]
-
-
-def _trajectory_distance(a: Trajectory, b: Trajectory, s: float) -> float:
-    """sup over time of the summed-component H^s distance of the pairs."""
-    worst = 0.0
-    for sa, sb in zip(a.states, b.states):
-        sq = 0.0
-        for pa, pb in zip(sa, sb):
-            dp = pa.plus - pb.plus
-            dm = pa.minus - pb.minus
-            sq += sobolev_norm(dp, s, pa.mass) ** 2
-            sq += sobolev_norm(dm, s, pa.mass) ** 2
-        worst = max(worst, math.sqrt(sq))
-    return worst
 
 
 def picard_iterate(
@@ -406,9 +332,10 @@ def picard_iterate(
 
     The time integral uses composite trapezoid on the unrotated integrand
     e^{∓i s <D>} N(u(s))/(2<D>), then rotates the running sum forward.  The
-    report carries every iterate, the sup-in-time H^s distances between
+    report carries the last iterate, the sup-in-time H^s distances between
     consecutive iterates, and their worst ratio; three consecutive distance
-    increases set the diverged flag and stop the iteration.
+    increases set the diverged flag and stop the iteration.  A sweep that
+    produces non-finite values raises InstabilityError.
     """
     if iters < 2:
         raise ValueError("need at least two iterations to report a contraction")
@@ -418,71 +345,36 @@ def picard_iterate(
     masses = system.masses
     n_steps = max(1, int(round(T / dt)))
     times = np.arange(n_steps + 1) * dt
-    live = ~lattice.nyquist_mask
+    signs = _signs(lattice.spec.dim)
+    inv2br = _inverse_twice_bracket(lattice, masses)
+    rotations = np.stack([_rotation(lattice, masses, t) for t in times])
 
-    brackets = [lattice.bracket(m) for m in masses]
-    inv2br = [live / (2.0 * br) for br in brackets]
-    # phases[i][j] = e^{+ i t_j <D>_mi}
-    phases = [
-        [np.exp(1j * t * br) * live for t in times] for br in brackets
-    ]
-
-    pairs0 = initial_pair(data, masses)
-    base = [(p.plus.coeffs, p.minus.coeffs) for p in pairs0]
-
-    def free_states():
-        return [
-            [
-                (base[i][0] * phases[i][j], base[i][1] * np.conj(phases[i][j]))
-                for i in range(len(masses))
-            ]
-            for j in range(times.size)
-        ]
-
-    def to_trajectory(raw_states):
-        return Trajectory(
-            times,
-            tuple(_raw_to_pairs(lattice, st, masses) for st in raw_states),
-            float(dt),
-        )
-
-    current = free_states()
-    iterates = [to_trajectory(current)]
+    base = initial_pair(data, masses)
+    current = base * rotations
+    previous = Trajectory(times, masses, lattice, current)
     distances = []
     diverged = False
-    k = len(masses)
 
-    for _ in range(iters):
-        # scaled nonlinearity N(u(s))/(2<D>) along the current trajectory
-        scaled = []
+    for sweep in range(1, iters + 1):
+        # cumulative trapezoid of the unrotated integrands e^{∓is<D>} N/(2<D>)
+        # of the scaled nonlinearity N(u(s))/(2<D>) along the current iterate
+        nxt = np.empty_like(current)
+        acc = np.zeros_like(base)
+        prev = None
         for j in range(times.size):
             fields = tuple(SpectralField(lattice, p + q) for p, q in current[j])
             nonlin = evaluate_nonlinearity(system, fields)
-            scaled.append([nonlin[i].coeffs * inv2br[i] for i in range(k)])
-        # cumulative trapezoid of the unrotated integrands e^{∓is<D>} N/(2<D>)
-        acc_p = [np.zeros_like(base[i][0]) for i in range(k)]
-        acc_m = [np.zeros_like(base[i][0]) for i in range(k)]
-        nxt = []
-        prev_p = prev_m = None
-        for j in range(times.size):
-            cur_p = [np.conj(phases[i][j]) * scaled[j][i] for i in range(k)]
-            cur_m = [phases[i][j] * scaled[j][i] for i in range(k)]
+            scaled = np.stack([f.coeffs for f in nonlin])[:, None] * inv2br
+            cur = np.conj(rotations[j]) * scaled
             if j > 0:
-                for i in range(k):
-                    acc_p[i] = acc_p[i] + 0.5 * dt * (prev_p[i] + cur_p[i])
-                    acc_m[i] = acc_m[i] + 0.5 * dt * (prev_m[i] + cur_m[i])
-            prev_p, prev_m = cur_p, cur_m
-            state = []
-            for i in range(k):
-                ph = phases[i][j]
-                plus = ph * (base[i][0] - 1j * acc_p[i])
-                minus = np.conj(ph) * (base[i][1] + 1j * acc_m[i])
-                state.append((plus, minus))
-            nxt.append(state)
-        candidate = to_trajectory(nxt)
-        distances.append(_trajectory_distance(candidate, iterates[-1], s))
-        iterates.append(candidate)
-        current = nxt
+                acc = acc + 0.5 * dt * (prev + cur)
+            prev = cur
+            nxt[j] = rotations[j] * (base - 1j * signs * acc)
+        if not np.all(np.isfinite(nxt)):
+            raise InstabilityError(f"non-finite iterate in Picard sweep {sweep}")
+        candidate = Trajectory(times, masses, lattice, nxt)
+        distances.append(candidate.distance(previous, s))
+        previous, current = candidate, nxt
         streak = 0
         for a, b in zip(distances, distances[1:]):
             streak = streak + 1 if b > a else 0
@@ -496,7 +388,7 @@ def picard_iterate(
         if distances[i] > 0
     ]
     factor = max(ratios) if ratios else 0.0
-    return PicardReport(tuple(iterates), tuple(distances), factor, diverged)
+    return PicardReport(previous, tuple(distances), factor, diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +400,7 @@ class ScatteringResult:
     """Unrotated final state and the Cauchy increments along the trajectory."""
 
     times: np.ndarray
-    final: tuple
+    final: np.ndarray
     increments: np.ndarray
 
     def tail_ratio(self, split_time: float) -> float:
@@ -525,32 +417,22 @@ def scattering_state(traj: Trajectory, s: float = 0.5) -> ScatteringResult:
     """Pull back the flow: w^±(t) = e^{∓it<D>} u^±(t).
 
     For a free wave w is constant; for a scattering solution it is Cauchy in
-    t.  Returns w^±(T_final) per component and the summed-component H^s
-    increments ||w(t_{j+1}) - w(t_j)|| as a vector over sample gaps.
+    t.  Returns the (K, 2, *grid) state w(T_final) and the summed-component
+    H^s increments ||w(t_{j+1}) - w(t_j)|| as a vector over sample gaps.
     """
-    times = traj.times
-    k = traj.n_components
-    unrotated = []
-    for j, t in enumerate(times):
-        state = []
-        for pair in traj.states[j]:
-            wp = free_propagate(pair.plus, t, pair.mass, -1)
-            wm = free_propagate(pair.minus, t, pair.mass, +1)
-            state.append(HalfWavePair(wp, wm, pair.mass))
-        unrotated.append(tuple(state))
-    inc = np.zeros(times.size - 1)
-    for j in range(times.size - 1):
-        sq = 0.0
-        for i in range(k):
-            a, b = unrotated[j][i], unrotated[j + 1][i]
-            sq += sobolev_norm(b.plus - a.plus, s, a.mass) ** 2
-            sq += sobolev_norm(b.minus - a.minus, s, a.mass) ** 2
-        inc[j] = math.sqrt(sq)
-    return ScatteringResult(times, unrotated[-1], inc)
+    inc = np.zeros(traj.times.size - 1)
+    w = traj.unrotated(0)
+    for j in range(inc.size):
+        later = traj.unrotated(j + 1)
+        inc[j] = _state_distance(traj.lattice, traj.masses, later, w, s)
+        w = later
+    return ScatteringResult(traj.times, w, inc)
 
 
-def conserved_energy(state, system: MassSystem) -> float:
-    """Energy of a half-wave state under a gradient-type quadratic coupling.
+def conserved_energy(
+    lattice: FrequencyLattice, state: np.ndarray, system: MassSystem
+) -> float:
+    """Energy of a (K, 2, *grid) half-wave state under a gradient-type coupling.
 
     E = sum_i ( ||u_t||^2 + ||grad u||^2 + m^2 ||u||^2 ) / 2
         - (1/3) sum_i Re <N_i(u), u_i>.
@@ -559,17 +441,16 @@ def conserved_energy(state, system: MassSystem) -> float:
     truncated flow actually conserves.  Meaningful when the polynomials derive
     from a potential (e.g. the scalar N(u) = c u^2).
     """
-    lattice = state[0].lattice
     vol = lattice.cell_volume
     fields = []
     quad = 0.0
-    for pair in state:
-        u, u_t = reconstruct(pair)
+    for pair, m in zip(state, system.masses):
+        u, u_t = reconstruct(lattice, pair, m)
         fields.append(u)
         quad += 0.5 * vol * (
             np.sum(np.abs(u_t.coeffs) ** 2)
             + np.sum(lattice.k2 * np.abs(u.coeffs) ** 2)
-            + pair.mass**2 * np.sum(np.abs(u.coeffs) ** 2)
+            + m**2 * np.sum(np.abs(u.coeffs) ** 2)
         )
     nonlin = evaluate_nonlinearity(system, tuple(fields))
     cubic = sum(
@@ -577,50 +458,3 @@ def conserved_energy(state, system: MassSystem) -> float:
         for n, u in zip(nonlin, fields)
     )
     return float(quad - cubic / 3.0)
-
-
-def measure_amplitude_threshold(
-    make_data: Callable[[float], CauchyData],
-    system: MassSystem,
-    T: float,
-    dt: float,
-    lo: float,
-    hi: float,
-    rounds: int = 8,
-    s: float = 0.5,
-    growth_cap: float = 4.0,
-):
-    """Bisect the empirical stability threshold between amplitudes lo and hi.
-
-    An amplitude counts as stable when evolve completes with sup-in-time H^s
-    norm at most growth_cap times the initial one.  Returns the bracket
-    midpoint and the probe table [(amplitude, stable, observed_ratio)].
-    lo must probe stable and hi unstable, otherwise ValueError.
-    """
-
-    def probe(amp):
-        data = make_data(amp)
-        try:
-            traj = evolve(data, system, T, dt, s=s)
-        except InstabilityError as err:
-            return False, math.inf if err.norm is None else err.norm
-        series = np.sqrt((traj.norm_series(s) ** 2).sum(axis=1))
-        ratio = float(series.max() / series[0]) if series[0] > 0 else 0.0
-        return ratio <= growth_cap, ratio
-
-    table = []
-    ok_lo, r_lo = probe(lo)
-    ok_hi, r_hi = probe(hi)
-    table.append((lo, ok_lo, r_lo))
-    table.append((hi, ok_hi, r_hi))
-    if not ok_lo or ok_hi:
-        raise ValueError("bisection bracket must run stable at lo, unstable at hi")
-    for _ in range(rounds):
-        mid = math.sqrt(lo * hi)
-        ok, ratio = probe(mid)
-        table.append((mid, ok, ratio))
-        if ok:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi), table

@@ -19,8 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,8 +120,6 @@ class SpectralField:
                 f"coefficient shape {self.coeffs.shape} does not match "
                 f"grid shape {self.lattice.spec.shape}"
             )
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coefficients must be finite")
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.lattice, np.asarray(coeffs, dtype=complex))
@@ -306,39 +303,36 @@ def random_field(
 # space-time fields and modulation projectors
 
 
+def uniform_times(times) -> np.ndarray:
+    """Sample times as a float array, checked: at least two, increasing, uniform."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError("need at least two sample times")
+    dt = np.diff(times)
+    if not np.all(dt > 0):
+        raise ValueError("times must be strictly increasing")
+    if not np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0]:
+        raise ValueError("times must be uniformly spaced")
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
-    """Uniformly sampled trajectory of spectral snapshots on one lattice."""
+    """Uniformly sampled spectral snapshots: coeffs[j] is the field at times[j]."""
 
     times: np.ndarray
-    snapshots: tuple
+    lattice: FrequencyLattice
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = uniform_times(self.times)
         object.__setattr__(self, "times", times)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("need at least two sample times")
-        dt = np.diff(times)
-        if np.any(dt <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.max(np.abs(dt - dt[0])) > 1e-9 * max(abs(dt[0]), 1e-300):
-            raise ValueError("times must be uniformly spaced")
-        if len(self.snapshots) != times.size:
-            raise ValueError("one snapshot per sample time required")
-        lat = self.snapshots[0].lattice
-        if any(s.lattice != lat for s in self.snapshots):
-            raise ValueError("snapshots must share one lattice")
-
-    @property
-    def lattice(self) -> FrequencyLattice:
-        return self.snapshots[0].lattice
+        if self.coeffs.shape != (times.size,) + self.lattice.spec.shape:
+            raise ValueError("one snapshot on the lattice per sample time required")
 
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def stack(self) -> np.ndarray:
-        return np.stack([s.coeffs for s in self.snapshots])
 
 
 def _tau_grid(n_times: int, dt: float) -> np.ndarray:
@@ -382,11 +376,8 @@ def modulation_project(
     control for measurements lives in modulation_energy instead.
     """
     w = modulation_weights(u, index, sign, mass, mode)
-    hat = np.fft.fft(u.stack(), axis=0)
-    out = np.fft.ifft(w * hat, axis=0)
-    lat = u.lattice
-    snaps = tuple(SpectralField(lat, out[j]) for j in range(u.times.size))
-    return SpaceTimeField(u.times, snaps)
+    hat = np.fft.fft(u.coeffs, axis=0)
+    return SpaceTimeField(u.times, u.lattice, np.fft.ifft(w * hat, axis=0))
 
 
 def modulation_energy(
@@ -418,7 +409,7 @@ def modulation_energy(
         win = np.ones(J)
     else:
         raise ValueError(f"unknown window {window!r}")
-    data = u.stack() * win.reshape((-1,) + (1,) * u.lattice.spec.dim)
+    data = u.coeffs * win.reshape((-1,) + (1,) * u.lattice.spec.dim)
     hat = np.fft.fft(data, axis=0, norm="ortho")
     w = modulation_weights(u, index, sign, mass, mode)
     total = np.sum(np.abs(w * hat) ** 2)

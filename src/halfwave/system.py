@@ -119,12 +119,8 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
 # resonance analysis
 
 
-def resonance_function(triple: Sequence[float], xi, eta):
-    """<xi>_m + <eta>_n - <xi+eta>_o for a mass triple (m, n, o).
-
-    xi and eta are arrays whose last axis is the space dimension; broadcasting
-    applies.  Symmetric in its first two slots.
-    """
+def _brackets(triple: Sequence[float], xi, eta):
+    """<xi>_m, <eta>_n and <xi+eta>_o for a mass triple (m, n, o)."""
     m, n, o = triple
     if not (m > 0 and n > 0 and o > 0):
         raise ValueError("masses must be positive")
@@ -133,96 +129,20 @@ def resonance_function(triple: Sequence[float], xi, eta):
     a = np.sqrt(m * m + np.sum(xi * xi, axis=-1))
     b = np.sqrt(n * n + np.sum(eta * eta, axis=-1))
     c = np.sqrt(o * o + np.sum((xi + eta) ** 2, axis=-1))
+    return a, b, c
+
+
+def resonance_function(triple: Sequence[float], xi, eta):
+    """<xi>_m + <eta>_n - <xi+eta>_o for a mass triple (m, n, o).
+
+    xi and eta are arrays whose last axis is the space dimension; broadcasting
+    applies.  Symmetric in its first two slots.
+    """
+    a, b, c = _brackets(triple, xi, eta)
     return a + b - c
 
 
 def smallest_bracket(triple: Sequence[float], xi, eta):
     """min(<xi>_m, <eta>_n, <xi+eta>_o), the weight in the lower-bound probe."""
-    m, n, o = triple
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    a = np.sqrt(m * m + np.sum(xi * xi, axis=-1))
-    b = np.sqrt(n * n + np.sum(eta * eta, axis=-1))
-    c = np.sqrt(o * o + np.sum((xi + eta) ** 2, axis=-1))
+    a, b, c = _brackets(triple, xi, eta)
     return np.minimum(np.minimum(a, b), c)
-
-
-@dataclass(frozen=True)
-class ResonanceProbe:
-    """Bundle of resonance-function evaluations at chosen frequency pairs."""
-
-    triple: tuple
-    samples: tuple
-    values: np.ndarray
-
-    @property
-    def weighted_minimum(self) -> float:
-        """min over samples of value * smallest bracket."""
-        xi = np.array([s[0] for s in self.samples], dtype=float)
-        eta = np.array([s[1] for s in self.samples], dtype=float)
-        w = smallest_bracket(self.triple, xi, eta)
-        return float(np.min(self.values * w))
-
-
-def probe_resonance(triple: Sequence[float], samples) -> ResonanceProbe:
-    samples = tuple(
-        (tuple(float(x) for x in xi), tuple(float(y) for y in eta))
-        for xi, eta in samples
-    )
-    xi = np.array([s[0] for s in samples], dtype=float)
-    eta = np.array([s[1] for s in samples], dtype=float)
-    values = resonance_function(triple, xi, eta)
-    return ResonanceProbe(tuple(float(m) for m in triple), samples, values)
-
-
-# ---------------------------------------------------------------------------
-# definition files
-
-
-def system_to_text(system: MassSystem) -> str:
-    """Serialize a system definition; floats use shortest round-trip repr."""
-    lines = [f"components = {system.size}"]
-    lines.append("masses = " + " ".join(repr(float(m)) for m in system.masses))
-    for i, poly in enumerate(system.polynomials):
-        for mono in poly:
-            (j, cj), (k, ck) = mono.factors
-            c = complex(mono.coefficient)
-            lines.append(
-                f"monomial = {i} {c.real!r} {c.imag!r} "
-                f"{j} {int(cj)} {k} {int(ck)}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def system_from_text(text: str) -> MassSystem:
-    """Parse the definition format written by system_to_text."""
-    masses = None
-    count = None
-    monos = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition("=")
-        key = key.strip()
-        parts = rest.split()
-        if key == "components":
-            count = int(parts[0])
-        elif key == "masses":
-            masses = tuple(float(p) for p in parts)
-        elif key == "monomial":
-            i = int(parts[0])
-            coeff = complex(float(parts[1]), float(parts[2]))
-            factors = (
-                (int(parts[3]), bool(int(parts[4]))),
-                (int(parts[5]), bool(int(parts[6]))),
-            )
-            monos.setdefault(i, []).append(Monomial(coeff, factors))
-        else:
-            raise ValueError(f"unknown key in system definition: {key!r}")
-    if masses is None or count is None:
-        raise ValueError("system definition needs components and masses lines")
-    if len(masses) != count:
-        raise ValueError("component count does not match mass list")
-    polys = tuple(tuple(monos.get(i, ())) for i in range(count))
-    return MassSystem(masses, polys)

@@ -117,14 +117,26 @@ def increment_table(path: SampledPath) -> np.ndarray:
     return path.weight * dist
 
 
-def _best_sums(table: np.ndarray, p: float) -> np.ndarray:
-    """best[j] = largest sum of p-th powers over chains ending at sample j."""
-    k = table.shape[0]
-    powered = table**p
+def _best_sums(path: SampledPath, p: float):
+    """Dynamic program over chain ends of the path's effective samples.
+
+    best[j] is the largest sum of p-th powers of increments over chains ending
+    at sample j, and parent[j] the sample before j on the first such chain
+    (-1 for sample 0).
+    """
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    if path.effective_count < 2:
+        raise ValueError("need at least two effective samples")
+    powered = increment_table(path) ** p
+    k = powered.shape[0]
     best = np.zeros(k)
+    parent = np.full(k, -1)
     for j in range(1, k):
-        best[j] = np.max(best[:j] + powered[:j, j])
-    return best
+        scores = best[:j] + powered[:j, j]
+        parent[j] = np.argmax(scores)
+        best[j] = scores[parent[j]]
+    return best, parent
 
 
 def p_variation(path: SampledPath, p: float) -> float:
@@ -134,51 +146,25 @@ def p_variation(path: SampledPath, p: float) -> float:
     supremum is attained by a partition containing both endpoints, since
     extending a chain only adds nonnegative terms.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if path.effective_count < 2:
-        raise ValueError("need at least two effective samples")
-    best = _best_sums(increment_table(path), p)
+    best, _ = _best_sums(path, p)
     return float(best[-1] ** (1.0 / p))
 
 
 def best_partition(path: SampledPath, p: float) -> Partition:
     """A partition witnessing the p-variation supremum (ties broken low)."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if path.effective_count < 2:
-        raise ValueError("need at least two effective samples")
-    table = increment_table(path) ** p
-    k = table.shape[0]
-    best = np.zeros(k)
-    parent = np.full(k, -1)
-    for j in range(1, k):
-        scores = best[:j] + table[:j, j]
-        i = int(np.argmax(scores))
-        best[j] = scores[i]
-        parent[j] = i
-    chain = [k - 1]
+    _, parent = _best_sums(path, p)
+    chain = [len(parent) - 1]
     while parent[chain[-1]] >= 0:
         chain.append(int(parent[chain[-1]]))
     return Partition(tuple(reversed(chain)))
 
 
-def _unrotated_stack(traj: Trajectory, component: int, sign: int):
+def _unrotated_stack(traj: Trajectory, component: int, sign: int) -> np.ndarray:
     """One component's chosen half with the free rotation factored out."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    pairs = traj.component(component)
-    mass = pairs[0].mass
-    lattice = traj.lattice
-    bracket = lattice.bracket(mass)
-    stack = np.stack(
-        [
-            (p.plus if sign == 1 else p.minus).coeffs
-            * np.exp(-sign * 1j * t * bracket)
-            for p, t in zip(pairs, traj.times)
-        ]
-    )
-    return stack, lattice, mass
+    half = traj.half(component, sign)
+    times = traj.times.reshape((-1,) + (1,) * traj.lattice.spec.dim)
+    bracket = traj.lattice.bracket(traj.masses[component])
+    return half * np.exp(-sign * 1j * times * bracket)
 
 
 def v2_pm_norm(traj: Trajectory, component: int, sign: int) -> float:
@@ -188,12 +174,11 @@ def v2_pm_norm(traj: Trajectory, component: int, sign: int) -> float:
     spatial L2 norm of its profile (one jump) and anything beyond that is
     genuine Duhamel output.
     """
-    stack, lattice, _ = _unrotated_stack(traj, component, sign)
     path = SampledPath(
         traj.times,
-        stack,
+        _unrotated_stack(traj, component, sign),
         lead_zero=True,
-        weight=math.sqrt(lattice.cell_volume),
+        weight=math.sqrt(traj.lattice.cell_volume),
     )
     return p_variation(path, 2.0)
 
@@ -205,7 +190,8 @@ def xs_proxy_norm(traj: Trajectory, component: int, s: float, sign: int = 1) -> 
     2-variation of the block-projected unrotated path; the zero block carries
     unit weight.
     """
-    stack, lattice, _ = _unrotated_stack(traj, component, sign)
+    stack = _unrotated_stack(traj, component, sign)
+    lattice = traj.lattice
     weight = math.sqrt(lattice.cell_volume)
     total = 0.0
     for n in dyadic_scales(lattice):
@@ -240,12 +226,8 @@ def check_mod_projection_bound(
     bound; sampling too coarse for the requested modulation raises.
     """
     index = DyadicIndex(index)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    pairs = traj.component(component)
-    mass = pairs[0].mass
-    halves = tuple((p.plus if sign == 1 else p.minus) for p in pairs)
-    field = SpaceTimeField(traj.times, halves)
+    field = SpaceTimeField(traj.times, traj.lattice, traj.half(component, sign))
+    mass = traj.masses[component]
     band = modulation_energy(field, index, sign, mass, mode="band")
     v2 = v2_pm_norm(traj, component, sign)
     scaled = band * math.sqrt(max(int(index), 1))

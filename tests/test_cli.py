@@ -117,6 +117,34 @@ def test_exit_code_numerical_abort(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("simulate", "amplitude = 1e200\n"),
+        ("picard", "amplitude = 1e60\n"),
+    ],
+)
+def test_blow_up_exits_3_and_writes_nothing(tmp_path, command, settings):
+    path = write_config(tmp_path, "[run]\n" + settings)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    ["amplitude = inf\n", "amplitude = nan\n", "coupling = nan\n", "dt = nan\n"],
+)
+def test_non_finite_config_number_exits_2(tmp_path, settings):
+    path = write_config(tmp_path, "[run]\n" + settings)
+    with pytest.raises(ConfigError):
+        load_config("simulate", config_path=path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_exit_code_verification_failure(tmp_path):
     path = write_config(
         tmp_path,
@@ -256,11 +284,77 @@ def test_trajectory_roundtrip(tmp_path):
     loaded = load_trajectory(store)
     assert np.array_equal(loaded.times, traj.times)
     assert loaded.n_components == traj.n_components
-    for sa, sb in zip(loaded.states, traj.states):
-        for pa, pb in zip(sa, sb):
-            assert np.array_equal(pa.plus.coeffs, pb.plus.coeffs)
-            assert np.array_equal(pa.minus.coeffs, pb.minus.coeffs)
-            assert pa.mass == pb.mass
+    assert np.array_equal(loaded.halves, traj.halves)
+    assert loaded.masses == traj.masses
+
+
+def write_trajectory_file(path, **changes):
+    """A valid two-sample 1D trajectory archive, with some entries replaced.
+
+    An entry set to None is left out of the archive.
+    """
+    stored = {
+        "times": np.array([0.0, 0.5]),
+        "halves": np.zeros((2, 1, 2, 8), dtype=complex),
+        "masses": np.array([1.0]),
+        "dim": np.array(1),
+        "box_length": np.array(4.0),
+        "points_per_axis": np.array(8),
+    }
+    stored.update(changes)
+    np.savez(path, **{k: v for k, v in stored.items() if v is not None})
+    return path
+
+
+def test_load_trajectory_accepts_valid_file(tmp_path):
+    traj = load_trajectory(write_trajectory_file(tmp_path / "ok.npz"))
+    assert traj.halves.shape == (2, 1, 2, 8)
+    assert traj.masses == (1.0,)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        pytest.param({"halves": None}, id="missing-halves"),
+        pytest.param({"points_per_axis": None}, id="missing-grid"),
+        pytest.param({"halves": np.zeros((2, 1, 2, 16), complex)}, id="grid-shape"),
+        pytest.param({"halves": np.zeros((2, 2, 2, 8), complex)}, id="component-count"),
+        pytest.param({"halves": np.zeros((3, 1, 2, 8), complex)}, id="time-count"),
+        pytest.param({"halves": np.zeros((2, 1, 8), complex)}, id="no-half-axis"),
+        pytest.param({"dim": np.array(2)}, id="dim-mismatch"),
+        pytest.param({"halves": np.zeros((2, 1, 2, 8))}, id="real-values"),
+        pytest.param({"halves": np.full((2, 1, 2, 8), np.nan + 0j)}, id="nan-values"),
+        pytest.param({"halves": np.full((2, 1, 2, 8), np.inf + 0j)}, id="inf-values"),
+        pytest.param({"masses": np.array([0.0])}, id="zero-mass"),
+        pytest.param({"masses": np.array([-1.0])}, id="negative-mass"),
+        pytest.param({"times": np.array([0.5, 0.0])}, id="decreasing-times"),
+        pytest.param({"times": np.array([0.0, np.nan])}, id="nan-times"),
+        pytest.param(
+            {"times": np.array([0.0, 0.5, 1.5]), "halves": np.zeros((3, 1, 2, 8), complex)},
+            id="nonuniform-times",
+        ),
+    ],
+)
+def test_load_trajectory_rejects_malformed_file(tmp_path, changes):
+    with pytest.raises(ConfigError):
+        load_trajectory(write_trajectory_file(tmp_path / "bad.npz", **changes))
+
+
+def test_load_trajectory_rejects_non_archive(tmp_path):
+    junk = tmp_path / "junk.npz"
+    junk.write_text("not an archive\n")
+    with pytest.raises(ConfigError):
+        load_trajectory(junk)
+
+
+def test_variation_on_malformed_file_exits_2(tmp_path):
+    # a missing array is a configuration problem, not a crash
+    store = tmp_path / "times_only.npz"
+    np.savez(store, times=np.array([0.0, 0.5]))
+    cfg = write_config(tmp_path, f"[run]\ntrajectory = {store}\n")
+    out = tmp_path / "out"
+    assert main(["variation", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_simulate_then_variation(tmp_path):

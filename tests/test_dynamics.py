@@ -5,7 +5,6 @@ import pytest
 
 from halfwave.dynamics import (
     CauchyData,
-    HalfWavePair,
     InstabilityError,
     Trajectory,
     conserved_energy,
@@ -14,16 +13,15 @@ from halfwave.dynamics import (
     free_trajectory,
     initial_pair,
     linear_exact,
-    measure_amplitude_threshold,
     picard_iterate,
     reconstruct,
     scattering_state,
-    step_exponential,
 )
 from halfwave.grid import (
     FrequencyLattice,
     GridSpec,
     SpectralField,
+    free_propagate,
     gaussian_bump,
     inverse_transform,
     random_field,
@@ -44,11 +42,11 @@ def bump_data(lat, amp, width=1.0):
     return CauchyData((gaussian_bump(lat, amp, width),), (zero_field(lat),))
 
 
-def pair_distance(sa, sb, s=0.5):
+def pair_distance(lat, sa, sb, masses=(1.0,), s=0.5):
     sq = 0.0
-    for pa, pb in zip(sa, sb):
-        sq += sobolev_norm(pa.plus - pb.plus, s, pa.mass) ** 2
-        sq += sobolev_norm(pa.minus - pb.minus, s, pa.mass) ** 2
+    for pa, pb, m in zip(sa, sb, masses):
+        for half in range(2):
+            sq += sobolev_norm(SpectralField(lat, pa[half] - pb[half]), s, m) ** 2
     return math.sqrt(sq)
 
 
@@ -58,7 +56,7 @@ def test_decompose_reconstruct_roundtrip():
     u = random_field(lat, rng, decay=1.0)
     u_t = random_field(lat, rng, decay=1.0)
     pair = decompose(u, u_t, mass=1.7)
-    back_u, back_ut = reconstruct(pair)
+    back_u, back_ut = reconstruct(lat, pair, 1.7)
     assert np.max(np.abs(back_u.coeffs - u.coeffs)) < 1e-12
     assert np.max(np.abs(back_ut.coeffs - u_t.coeffs)) < 1e-12
 
@@ -66,9 +64,9 @@ def test_decompose_reconstruct_roundtrip():
 def test_decompose_zero_velocity_splits_evenly():
     lat = make_lattice()
     u = random_field(lat, np.random.default_rng(2))
-    pair = decompose(u, zero_field(lat), mass=1.0)
-    assert np.max(np.abs(pair.plus.coeffs - u.coeffs / 2)) < 1e-14
-    assert np.max(np.abs(pair.minus.coeffs - u.coeffs / 2)) < 1e-14
+    plus, minus = decompose(u, zero_field(lat), mass=1.0)
+    assert np.max(np.abs(plus - u.coeffs / 2)) < 1e-14
+    assert np.max(np.abs(minus - u.coeffs / 2)) < 1e-14
 
 
 def test_decompose_forward_mode_oracle():
@@ -80,9 +78,9 @@ def test_decompose_forward_mode_oracle():
     u[idx] = 1.0
     ut = zero_field(lat).coeffs.copy()
     ut[idx] = 1j * br
-    pair = decompose(SpectralField(lat, u), SpectralField(lat, ut), mass=1.0)
-    assert pair.plus.coeffs[idx] == pytest.approx(1.0, abs=1e-14)
-    assert abs(pair.minus.coeffs[idx]) < 1e-14
+    plus, minus = decompose(SpectralField(lat, u), SpectralField(lat, ut), mass=1.0)
+    assert plus[idx] == pytest.approx(1.0, abs=1e-14)
+    assert abs(minus[idx]) < 1e-14
 
 
 def test_initial_pair_matches_decompose():
@@ -92,11 +90,11 @@ def test_initial_pair_matches_decompose():
         (random_field(lat, rng), random_field(lat, rng)),
         (random_field(lat, rng), random_field(lat, rng)),
     )
-    pairs = initial_pair(data, (1.0, 2.5))
+    state = initial_pair(data, (1.0, 2.5))
+    assert state.shape == (2, 2) + lat.spec.shape
     for i, m in enumerate((1.0, 2.5)):
         ref = decompose(data.positions[i], data.velocities[i], m)
-        assert np.max(np.abs(pairs[i].plus.coeffs - ref.plus.coeffs)) < 1e-14
-        assert np.max(np.abs(pairs[i].minus.coeffs - ref.minus.coeffs)) < 1e-14
+        assert np.max(np.abs(state[i] - ref)) < 1e-14
 
 
 def test_linear_exact_identity_and_free_propagate_route():
@@ -107,12 +105,10 @@ def test_linear_exact_identity_and_free_propagate_route():
     assert np.max(np.abs(at0.positions[0].coeffs - data.positions[0].coeffs)) < 1e-14
     t = 3.7
     moved = linear_exact(data, (1.3,), t)
-    pair = initial_pair(data, (1.3,))[0]
-    from halfwave.grid import free_propagate
-
-    plus_t = free_propagate(pair.plus, t, 1.3, +1)
-    minus_t = free_propagate(pair.minus, t, 1.3, -1)
-    u, u_t = reconstruct(HalfWavePair(plus_t, minus_t, 1.3))
+    plus, minus = initial_pair(data, (1.3,))[0]
+    plus_t = free_propagate(SpectralField(lat, plus), t, 1.3, +1)
+    minus_t = free_propagate(SpectralField(lat, minus), t, 1.3, -1)
+    u, u_t = reconstruct(lat, np.stack([plus_t.coeffs, minus_t.coeffs]), 1.3)
     assert np.max(np.abs(u.coeffs - moved.positions[0].coeffs)) < 1e-12
     assert np.max(np.abs(u_t.coeffs - moved.velocities[0].coeffs)) < 1e-12
 
@@ -124,7 +120,7 @@ def test_linear_exact_conserves_quadratic_energy():
     system = free_system((2.0,))
 
     def energy(d):
-        return conserved_energy(initial_pair(d, (2.0,)), system)
+        return conserved_energy(lat, initial_pair(d, (2.0,)), system)
 
     e0 = energy(data)
     for t in (0.9, 4.4, 17.0):
@@ -134,18 +130,17 @@ def test_linear_exact_conserves_quadratic_energy():
 
 def test_step_free_system_is_exact_rotation():
     lat = make_lattice()
-    pair = decompose(
-        random_field(lat, np.random.default_rng(6)),
-        random_field(lat, np.random.default_rng(7)),
-        mass=1.0,
+    data = CauchyData(
+        (random_field(lat, np.random.default_rng(6)),),
+        (random_field(lat, np.random.default_rng(7)),),
     )
-    stepped = step_exponential((pair,), free_system((1.0,)), dt=0.3)[0]
-    from halfwave.grid import free_propagate
-
-    ref_p = free_propagate(pair.plus, 0.3, 1.0, +1)
-    ref_m = free_propagate(pair.minus, 0.3, 1.0, -1)
-    assert np.max(np.abs(stepped.plus.coeffs - ref_p.coeffs)) < 1e-14
-    assert np.max(np.abs(stepped.minus.coeffs - ref_m.coeffs)) < 1e-14
+    traj = evolve(data, free_system((1.0,)), T=0.3, dt=0.3)
+    assert traj.times.tolist() == [0.0, 0.3]
+    plus, minus = traj.halves[0, 0]
+    ref_p = free_propagate(SpectralField(lat, plus), 0.3, 1.0, +1)
+    ref_m = free_propagate(SpectralField(lat, minus), 0.3, 1.0, -1)
+    assert np.max(np.abs(traj.halves[1, 0, 0] - ref_p.coeffs)) < 1e-14
+    assert np.max(np.abs(traj.halves[1, 0, 1] - ref_m.coeffs)) < 1e-14
 
 
 def test_richardson_fourth_order():
@@ -153,11 +148,11 @@ def test_richardson_fourth_order():
     data = bump_data(lat, amp=0.5)
     system = scalar_system()
     T = 0.5
-    ref = evolve(data, system, T, dt=T / 128).states[-1]
-    coarse = evolve(data, system, T, dt=T / 8).states[-1]
-    fine = evolve(data, system, T, dt=T / 16).states[-1]
-    e1 = pair_distance(coarse, ref)
-    e2 = pair_distance(fine, ref)
+    ref = evolve(data, system, T, dt=T / 128).halves[-1]
+    coarse = evolve(data, system, T, dt=T / 8).halves[-1]
+    fine = evolve(data, system, T, dt=T / 16).halves[-1]
+    e1 = pair_distance(lat, coarse, ref)
+    e2 = pair_distance(lat, fine, ref)
     assert 8.0 < e1 / e2 < 32.0
 
 
@@ -165,7 +160,7 @@ def test_real_data_stays_real():
     lat = make_lattice(n=32)
     data = bump_data(lat, amp=0.3)
     traj = evolve(data, scalar_system(), T=1.0, dt=0.02)
-    u = traj.states[-1][0].field()
+    u = SpectralField(lat, traj.halves[-1, 0].sum(axis=0))
     vals = inverse_transform(u)
     assert np.max(np.abs(vals.imag)) < 1e-10 * max(1.0, np.max(np.abs(vals.real)))
 
@@ -174,9 +169,7 @@ def test_evolve_zero_data_stays_zero():
     lat = make_lattice()
     data = CauchyData((zero_field(lat),), (zero_field(lat),))
     traj = evolve(data, scalar_system(), T=1.0, dt=0.1)
-    assert all(
-        np.max(np.abs(st[0].plus.coeffs)) == 0 for st in traj.states
-    )
+    assert np.max(np.abs(traj.halves)) == 0
 
 
 def test_evolve_free_matches_linear_exact():
@@ -190,7 +183,7 @@ def test_evolve_free_matches_linear_exact():
     traj = evolve(data, system, T=5.0, dt=0.05, sample_every=20)
     for j, t in enumerate(traj.times):
         ref = linear_exact(data, (1.0,), t)
-        u = traj.states[j][0].field()
+        u = SpectralField(lat, traj.halves[j, 0].sum(axis=0))
         err = sobolev_norm(u - ref.positions[0], 1.0, 1.0)
         assert err < 1e-9
 
@@ -208,11 +201,10 @@ def test_energy_conservation_short_run():
     lat = make_lattice(n=32, box=16.0)
     data = bump_data(lat, amp=0.5)
     system = scalar_system()
-    pairs0 = initial_pair(data, system.masses)
-    e0 = conserved_energy(pairs0, system)
+    e0 = conserved_energy(lat, initial_pair(data, system.masses), system)
     traj = evolve(data, system, T=1.0, dt=0.01, sample_every=25)
-    for state in traj.states:
-        assert conserved_energy(state, system) == pytest.approx(e0, rel=1e-6)
+    for state in traj.halves:
+        assert conserved_energy(lat, state, system) == pytest.approx(e0, rel=1e-6)
 
 
 def test_picard_free_system_immediate_fixed_point():
@@ -244,10 +236,7 @@ def test_picard_matches_evolve():
     traj = evolve(data, system, T, dt=0.01, sample_every=5)
     final = report.final
     assert np.max(np.abs(final.times - traj.times)) < 1e-12
-    worst = max(
-        pair_distance(sa, sb) for sa, sb in zip(final.states, traj.states)
-    )
-    assert worst < 1e-4
+    assert final.distance(traj, 0.5) < 1e-4
 
 
 def test_picard_divergence_flag():
@@ -261,12 +250,11 @@ def test_picard_divergence_flag():
 def test_scattering_free_wave_constant():
     lat = make_lattice()
     rng = np.random.default_rng(10)
-    pair = decompose(random_field(lat, rng), random_field(lat, rng), 1.0)
-    traj = free_trajectory((pair,), np.arange(11) * 0.5)
+    state = decompose(random_field(lat, rng), random_field(lat, rng), 1.0)[None]
+    traj = free_trajectory(lat, state, (1.0,), np.arange(11) * 0.5)
     result = scattering_state(traj)
     assert np.max(result.increments) < 1e-10
-    final = result.final[0]
-    assert np.max(np.abs(final.plus.coeffs - pair.plus.coeffs)) < 1e-10
+    assert np.max(np.abs(result.final - state)) < 1e-10
 
 
 def test_scattering_increments_decay():
@@ -279,32 +267,19 @@ def test_scattering_increments_decay():
     assert result.increments.sum() < 1.0
 
 
-def test_amplitude_threshold_bisection():
-    lat = make_lattice(dim=1, box=16.0, n=32)
-
-    def make_data(amp):
-        return bump_data(lat, amp)
-
-    system = scalar_system(coefficient=10.0)
-    threshold, table = measure_amplitude_threshold(
-        make_data, system, T=10.0, dt=0.05, lo=1e-3, hi=2.0, rounds=4
-    )
-    assert 1e-3 < threshold < 2.0
-    stable_amps = [a for a, ok, _ in table if ok]
-    unstable_amps = [a for a, ok, _ in table if not ok]
-    assert max(stable_amps) < min(unstable_amps)
-
-
 def test_trajectory_validation():
     lat = make_lattice()
     pair = decompose(
         random_field(lat, np.random.default_rng(11)), zero_field(lat), 1.0
     )
+    three = np.stack([pair[None]] * 3)
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.1, 0.3]), ((pair,), (pair,), (pair,)), 0.1)
+        Trajectory(np.array([0.0, 0.1, 0.3]), (1.0,), lat, three)
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.1]), ((pair,),), 0.1)
-    traj = Trajectory(np.array([0.0, 0.1]), ((pair,), (pair,)), 0.1)
+        Trajectory(np.array([0.0, 0.1]), (1.0,), lat, three)
+    with pytest.raises(ValueError):
+        Trajectory(np.array([0.0, 0.1, 0.2]), (0.0,), lat, three)
+    traj = Trajectory(np.array([0.0, 0.1]), (1.0,), lat, three[:2])
     assert traj.n_components == 1
     assert traj.masses == (1.0,)
     assert traj.norm_series(0.5).shape == (2, 1)

@@ -8,12 +8,9 @@ from halfwave.system import (
     check_nonresonance,
     evaluate_nonlinearity,
     free_system,
-    probe_resonance,
     resonance_function,
     scalar_system,
     smallest_bracket,
-    system_from_text,
-    system_to_text,
 )
 
 
@@ -147,41 +144,6 @@ def test_resonance_identity_on_equal_diagonal():
     xs = np.linspace(-30, 30, 13).reshape(-1, 1)
     vals = resonance_function((1.0, 1.0, 2.0), xs, xs)
     assert np.max(np.abs(vals)) < 1e-12
-
-
-def test_probe_resonance_weighted_minimum():
-    samples = [((0.0, 0.0), (0.0, 0.0)), ((1.0, 0.0), (1.0, 0.0))]
-    probe = probe_resonance((1.0, 1.0, 1.0), samples)
-    assert probe.values[0] == pytest.approx(1.0)
-    # weighted minimum: min(1*1, 0.59236*sqrt(2)) = 0.83774
-    assert probe.weighted_minimum == pytest.approx(
-        0.5923591472464005 * np.sqrt(2.0), abs=1e-12
-    )
-    w = smallest_bracket((1.0, 1.0, 1.0), [1.0, 0.0], [1.0, 0.0])
-    assert w == pytest.approx(np.sqrt(2.0))
-
-
-def test_definition_roundtrip_bit_exact():
-    masses = (0.1 + 0.2, 1.0 / 3.0, 1.9)
-    monos1 = (
-        Monomial(complex(np.pi, -1.0 / 7.0), ((0, False), (1, True))),
-        Monomial(complex(-2.0, 0.0), ((2, False), (2, False))),
-    )
-    monos2 = (Monomial(complex(0.0, 1.0), ((1, True), (1, True))),)
-    system = MassSystem(masses, (monos1, monos2, ()))
-    text = system_to_text(system)
-    back = system_from_text(text)
-    assert back == system
-    assert system_to_text(back) == text
-
-
-def test_definition_parse_errors():
-    with pytest.raises(ValueError):
-        system_from_text("masses = 1.0\n")
-    with pytest.raises(ValueError):
-        system_from_text("components = 2\nmasses = 1.0\n")
-    with pytest.raises(ValueError):
-        system_from_text("components = 1\nmasses = 1.0\njunk = 3\n")
 
 
 def test_free_system_evaluates_to_zero():

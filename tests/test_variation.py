@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from halfwave.dynamics import (
-    HalfWavePair,
     Trajectory,
     decompose,
     evolve,
@@ -67,20 +66,18 @@ def single_mode(lat, index, amplitude=1.0):
     return SpectralField(lat, c)
 
 
+def plus_only_trajectory(lat, times, plus):
+    """One component of mass 1 whose u^+ samples are given and whose u^- is zero."""
+    halves = np.zeros((len(times), 1, 2) + lat.spec.shape, dtype=complex)
+    halves[:, 0, 0] = plus
+    return Trajectory(times, (1.0,), lat, halves)
+
+
 def jump_trajectory(lat, phi, T, dt, t_jump):
-    zero = zero_field(lat)
     times = np.arange(round(T / dt) + 1) * dt
-    states = tuple(
-        (
-            HalfWavePair(
-                free_propagate(phi, t, 1.0, +1) if t >= t_jump else zero,
-                zero,
-                1.0,
-            ),
-        )
-        for t in times
-    )
-    return Trajectory(times, states, dt)
+    zero = zero_field(lat)
+    plus = [(free_propagate(phi, t, 1.0, +1) if t >= t_jump else zero).coeffs for t in times]
+    return plus_only_trajectory(lat, times, plus)
 
 
 def test_path_validation():
@@ -180,15 +177,16 @@ def test_v2_free_wave_is_profile_norm():
     lat = make_lattice()
     phi = gaussian_bump(lat, amplitude=1.0, width=1.5)
     pair = decompose(phi, zero_field(lat), 1.0)
-    traj = free_trajectory((pair,), np.arange(201) * 0.05)
-    assert v2_pm_norm(traj, 0, +1) == pytest.approx(l2_norm(pair.plus), rel=1e-9)
-    assert v2_pm_norm(traj, 0, -1) == pytest.approx(l2_norm(pair.minus), rel=1e-9)
+    traj = free_trajectory(lat, pair[None], (1.0,), np.arange(201) * 0.05)
+    for sign, half in ((+1, pair[0]), (-1, pair[1])):
+        expected = l2_norm(SpectralField(lat, half))
+        assert v2_pm_norm(traj, 0, sign) == pytest.approx(expected, rel=1e-9)
 
 
 def test_v2_zero_trajectory():
     lat = make_lattice()
-    pair = HalfWavePair(zero_field(lat), zero_field(lat), 1.0)
-    traj = free_trajectory((pair,), np.arange(5) * 0.1)
+    state = np.zeros((1, 2) + lat.spec.shape, dtype=complex)
+    traj = free_trajectory(lat, state, (1.0,), np.arange(5) * 0.1)
     assert v2_pm_norm(traj, 0, +1) == 0.0
     assert xs_proxy_norm(traj, 0, 1.0) == 0.0
 
@@ -199,7 +197,7 @@ def test_v2_time_shift_invariance():
 
     data = CauchyData((gaussian_bump(lat, 0.3),), (zero_field(lat),))
     traj = evolve(data, scalar_system(), T=2.0, dt=0.05, sample_every=4)
-    shifted = Trajectory(traj.times + 5.0, traj.states, traj.step_size)
+    shifted = Trajectory(traj.times + 5.0, traj.masses, traj.lattice, traj.halves)
     for sign in (+1, -1):
         a = v2_pm_norm(traj, 0, sign)
         b = v2_pm_norm(shifted, 0, sign)
@@ -210,18 +208,17 @@ def test_v2_two_emissions_bracketed():
     lat = make_lattice(dim=1, box=2 * math.pi, n=16)
     phi1 = single_mode(lat, (2,), 1.0)
     phi2 = single_mode(lat, (5,), 0.5)
-    zero = zero_field(lat)
     dt, T = 0.1, 8.0
     times = np.arange(round(T / dt) + 1) * dt
-    states = []
+    plus = []
     for t in times:
         coeffs = np.zeros(lat.spec.shape, dtype=complex)
         if t >= 2.0:
             coeffs = coeffs + free_propagate(phi1, t, 1.0, +1).coeffs
         if t >= 6.0:
             coeffs = coeffs + free_propagate(phi2, t, 1.0, +1).coeffs
-        states.append((HalfWavePair(SpectralField(lat, coeffs), zero, 1.0),))
-    traj = Trajectory(times, tuple(states), dt)
+        plus.append(coeffs)
+    traj = plus_only_trajectory(lat, times, plus)
     v2 = v2_pm_norm(traj, 0, +1)
     n1, n2 = l2_norm(phi1), l2_norm(phi2)
     assert max(n1, n2) <= v2 <= n1 + n2
@@ -232,8 +229,9 @@ def test_v2_two_emissions_bracketed():
 def test_xs_proxy_single_band():
     lat = make_lattice(dim=1, box=2 * math.pi, n=16)
     phi = single_mode(lat, (4,), 1.0)
-    pair = HalfWavePair(phi, zero_field(lat), 1.0)
-    traj = free_trajectory((pair,), np.arange(21) * 0.1)
+    state = np.zeros((1, 2) + lat.spec.shape, dtype=complex)
+    state[0, 0] = phi.coeffs
+    traj = free_trajectory(lat, state, (1.0,), np.arange(21) * 0.1)
     expected = 4.0 * l2_norm(phi)
     assert xs_proxy_norm(traj, 0, 1.0) == pytest.approx(expected, rel=1e-9)
     # weights grow with s on a high-frequency trajectory
@@ -244,7 +242,7 @@ def test_mod_projection_free_wave_leakage_only():
     lat = make_lattice()
     phi = gaussian_bump(lat, amplitude=1.0, width=1.5)
     pair = decompose(phi, zero_field(lat), 1.0)
-    traj = free_trajectory((pair,), np.arange(801) * 0.05)
+    traj = free_trajectory(lat, pair[None], (1.0,), np.arange(801) * 0.05)
     for index in (1, 2, 4, 8):
         report = check_mod_projection_bound(traj, 0, index, +1)
         assert report.ratio < 0.05
