@@ -29,7 +29,6 @@ from .grid import (
     SpaceTimeField,
     SpectralField,
     annulus_profile,
-    bracket_multiplier,
     bump_profile,
     dyadic_scales,
     forward_transform,
@@ -37,7 +36,6 @@ from .grid import (
     gaussian_bump,
     inverse_transform,
     l2_norm,
-    lp_project,
     lp_weights,
     modulation_energy,
     modulation_project,
@@ -52,7 +50,6 @@ from .harness import (
     ball_mode_set,
     bilinear_sweep,
     cap_mode_set,
-    convolution_support_constant,
     shell_intersection_volume,
     strauss_exponent,
     strichartz_admissible,
@@ -65,6 +62,7 @@ from .harness import (
 from .system import (
     MassSystem,
     Monomial,
+    bracket,
     check_nonresonance,
     evaluate_nonlinearity,
     free_system,
@@ -74,9 +72,6 @@ from .system import (
 )
 from .variation import (
     ModulationReport,
-    Partition,
-    SampledPath,
-    best_partition,
     check_mod_projection_bound,
     increment_table,
     p_variation,

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification sweep failed, 2 configuration error,
 import argparse
 import configparser
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -103,16 +104,25 @@ class RunConfig:
         raw = self.options.get(key)
         if raw is None:
             return default
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"option {key!r}: {exc}") from exc
+        return _cast(f"option {key!r}", cast, raw)
 
     def sweep(self, key, cast, default):
         raw = self.sweeps.get(key)
         if raw is None:
             return tuple(default)
-        return tuple(cast(v) for v in raw)
+        return tuple(_cast(f"sweep key {key!r}", cast, v) for v in raw)
+
+
+def _cast(label, cast, raw):
+    """cast(raw), with a failed cast or a non-finite float as a ConfigError."""
+    try:
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+    values = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise ConfigError(f"{label} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -136,6 +146,10 @@ class RunResult:
     summary: dict
     passed: bool
     arrays: dict = field(default_factory=dict)  # extra .npz payloads by stem
+
+
+def _parse_floats(text):
+    return tuple(float(t) for t in text.split(","))
 
 
 def _parse_bool(text):
@@ -164,7 +178,14 @@ _FIELD_CASTS = {
 
 
 def load_config(command, config_path=None, seed=None, out_dir=None):
-    """Build a RunConfig from an optional INI file plus flag overrides."""
+    """Build a RunConfig from an optional INI file plus flag overrides.
+
+    Besides the RunConfig fields, a command accepts only the option and sweep
+    keys it declares in _COMMANDS; any other key is a ConfigError.
+    """
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    option_keys, sweep_keys = (keys.split() for keys in _COMMANDS[command][1:])
     values = {}
     options = {}
     sweeps = {}
@@ -190,14 +211,15 @@ def load_config(command, config_path=None, seed=None, out_dir=None):
                 elif key == "out":
                     values["out_dir"] = raw
                 elif key in _FIELD_CASTS:
-                    try:
-                        values[key] = _FIELD_CASTS[key](raw)
-                    except ValueError as exc:
-                        raise ConfigError(f"key {key!r}: {exc}") from exc
-                else:
+                    values[key] = _cast(f"key {key!r}", _FIELD_CASTS[key], raw)
+                elif key in option_keys:
                     options[key] = raw
+                else:
+                    raise ConfigError(f"{command} reads no [run] key {key!r}")
         if parser.has_section("sweep"):
             for key, raw in parser.items("sweep"):
+                if key not in sweep_keys:
+                    raise ConfigError(f"{command} reads no [sweep] key {key!r}")
                 tokens = [t.strip() for t in raw.split(",") if t.strip()]
                 if not tokens:
                     raise ConfigError(f"sweep key {key!r} has no values")
@@ -215,9 +237,6 @@ def load_config(command, config_path=None, seed=None, out_dir=None):
 
     config = RunConfig(command=command, options=options, sweeps=sweeps, **values)
 
-    for key, cast in _FIELD_CASTS.items():
-        if cast is float and not math.isfinite(getattr(config, key)):
-            raise ConfigError(f"key {key!r} must be finite, got {getattr(config, key)}")
     if config.command in _STOCHASTIC and config.seed is None:
         raise ConfigError(f"{config.command} is stochastic: a seed is required")
     if config.horizon <= 0 or config.dt <= 0 or config.stride < 1:
@@ -418,13 +437,8 @@ def _run_verify_modulation(config: RunConfig) -> RunResult:
 
 
 def _run_verify_nonresonance(config: RunConfig) -> RunResult:
-    raw = config.options.get("masses", "1.0,1.0,1.0")
-    try:
-        masses = tuple(float(t) for t in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"masses: {exc}") from exc
     record = verify_nonresonance_bound(
-        masses,
+        config.option("masses", _parse_floats, (1.0, 1.0, 1.0)),
         config.dim,
         max_radius=config.option("max_radius", float, 64.0),
         directions=config.option("directions", int, 32),
@@ -442,26 +456,26 @@ def _run_verify_nonresonance(config: RunConfig) -> RunResult:
 def _run_verify_shell(config: RunConfig) -> RunResult:
     samples = config.option("samples", int, 200_000)
     records = []
-    for radius in config.sweep("radius", float, (32.0,)):
-        for width in config.sweep("width", float, (0.05,)):
-            for tube in config.sweep("tube", float, (8.0,)):
-                for factor in config.sweep("offset_factor", float, (2.0,)):
-                    offset = [0.0] * config.dim
-                    offset[0] = factor * radius
-                    spec = ShellSpec(
-                        dim=config.dim,
-                        radius_a=radius,
-                        radius_b=radius,
-                        width_a=width,
-                        width_b=width,
-                        tube_radius=tube,
-                        offset=tuple(offset),
-                    )
-                    records.append(
-                        shell_intersection_volume(
-                            spec, samples=samples, seed=config.seed
-                        )
-                    )
+    for radius, width, tube, factor in itertools.product(
+        config.sweep("radius", float, (32.0,)),
+        config.sweep("width", float, (0.05,)),
+        config.sweep("tube", float, (8.0,)),
+        config.sweep("offset_factor", float, (2.0,)),
+    ):
+        offset = [0.0] * config.dim
+        offset[0] = factor * radius
+        spec = ShellSpec(
+            dim=config.dim,
+            radius_a=radius,
+            radius_b=radius,
+            width_a=width,
+            width_b=width,
+            tube_radius=tube,
+            offset=tuple(offset),
+        )
+        records.append(
+            shell_intersection_volume(spec, samples=samples, seed=config.seed)
+        )
     ratios = [r.ratios[0] for r in records]
     live = [r for r in ratios if r > 0]
     uniform = sweep_uniformity(ratios)
@@ -487,9 +501,8 @@ def _run_verify_bilinear(config: RunConfig) -> RunResult:
     trials = config.option("trials", int, 2)
     high = config.option("high_scale", int, 256)
     records = []
+    scales = config.sweep("scales", int, ()) or None
     for m in modes:
-        scales = config.sweeps.get("scales")
-        scales = tuple(int(v) for v in scales) if scales else None
         records.append(
             bilinear_sweep(
                 dim=config.dim,
@@ -609,17 +622,27 @@ def _run_variation(config: RunConfig) -> RunResult:
     return RunResult("records", tuple(records), summary, True)
 
 
+# command -> (runner, the [run] option keys it reads, the [sweep] keys it
+# reads); every command also accepts the RunConfig fields
 _COMMANDS = {
-    "simulate": _run_simulate,
-    "picard": _run_picard,
-    "verify-modulation": _run_verify_modulation,
-    "verify-nonresonance": _run_verify_nonresonance,
-    "verify-shell": _run_verify_shell,
-    "verify-bilinear": _run_verify_bilinear,
-    "verify-trilinear": _run_verify_trilinear,
-    "strichartz": _run_strichartz,
-    "strauss": _run_strauss,
-    "variation": _run_variation,
+    "simulate": (_run_simulate, "save_trajectory", ""),
+    "picard": (_run_picard, "iterations", ""),
+    "verify-modulation": (
+        _run_verify_modulation, "max_radius directions floor", "dimension"
+    ),
+    "verify-nonresonance": (
+        _run_verify_nonresonance, "masses max_radius directions floor", ""
+    ),
+    "verify-shell": (_run_verify_shell, "samples", "radius width tube offset_factor"),
+    "verify-bilinear": (_run_verify_bilinear, "mode trials high_scale", "scales"),
+    "verify-trilinear": (
+        _run_verify_trilinear,
+        "high_scale mate_scale trials interaction_horizon",
+        "low_scale",
+    ),
+    "strichartz": (_run_strichartz, "family", "q r"),
+    "strauss": (_run_strauss, "max_dimension", ""),
+    "variation": (_run_variation, "trajectory", ""),
 }
 
 
@@ -682,7 +705,7 @@ def main(argv=None) -> int:
         return 2
     start = time.monotonic()
     try:
-        result = _COMMANDS[config.command](config)
+        result = _COMMANDS[config.command][0](config)
     except (ConfigError, ValueError) as exc:
         # Library constructors signal bad parameters with ValueError; at this
         # boundary that is a configuration problem, not a numerical one.

@@ -333,9 +333,9 @@ def picard_iterate(
     The time integral uses composite trapezoid on the unrotated integrand
     e^{∓i s <D>} N(u(s))/(2<D>), then rotates the running sum forward.  The
     report carries the last iterate, the sup-in-time H^s distances between
-    consecutive iterates, and their worst ratio; three consecutive distance
-    increases set the diverged flag and stop the iteration.  A sweep that
-    produces non-finite values raises InstabilityError.
+    consecutive iterates, and the contraction factor and divergence flag of
+    _contraction; divergence stops the iteration.  A sweep that produces
+    non-finite values raises InstabilityError.
     """
     if iters < 2:
         raise ValueError("need at least two iterations to report a contraction")
@@ -353,7 +353,6 @@ def picard_iterate(
     current = base * rotations
     previous = Trajectory(times, masses, lattice, current)
     distances = []
-    diverged = False
 
     for sweep in range(1, iters + 1):
         # cumulative trapezoid of the unrotated integrands e^{∓is<D>} N/(2<D>)
@@ -375,20 +374,29 @@ def picard_iterate(
         candidate = Trajectory(times, masses, lattice, nxt)
         distances.append(candidate.distance(previous, s))
         previous, current = candidate, nxt
-        streak = 0
-        for a, b in zip(distances, distances[1:]):
-            streak = streak + 1 if b > a else 0
-        if streak >= 3:
-            diverged = True
+        factor, diverged = _contraction(distances)
+        if diverged:
             break
-
-    ratios = [
-        distances[i + 1] / distances[i]
-        for i in range(len(distances) - 1)
-        if distances[i] > 0
-    ]
-    factor = max(ratios) if ratios else 0.0
     return PicardReport(previous, tuple(distances), factor, diverged)
+
+
+def _contraction(distances):
+    """Worst ratio of successive Picard distances, and whether they diverge.
+
+    The first distance is the size of the Duhamel term and sets the rounding
+    scale of every later sweep: a distance at or below 1e-12 times it has
+    converged, and a step touching one enters neither the worst ratio nor the
+    streak of increases.  Three increases in a row are divergence.
+    """
+    floor = 1e-12 * distances[0]
+    factor, streak, diverged = 0.0, 0, False
+    for a, b in zip(distances, distances[1:]):
+        live = a > floor and b > floor
+        if live:
+            factor = max(factor, b / a)
+        streak = streak + 1 if live and b > a else 0
+        diverged = diverged or streak >= 3
+    return factor, diverged
 
 
 # ---------------------------------------------------------------------------

@@ -124,20 +124,6 @@ class SpectralField:
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.lattice, np.asarray(coeffs, dtype=complex))
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.lattice, self.coeffs.copy())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        return self.with_coeffs(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return self.with_coeffs(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "SpectralField":
-        return self.with_coeffs(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
 
 def physical_coordinates(spec: GridSpec) -> list:
     """Meshgrid of physical node coordinates in [0, box_length)."""
@@ -214,19 +200,8 @@ def lp_weights(lattice: FrequencyLattice, index) -> np.ndarray:
     return w
 
 
-def lp_project(f: SpectralField, index) -> SpectralField:
-    return f.with_coeffs(f.coeffs * lp_weights(f.lattice, index))
-
-
 # ---------------------------------------------------------------------------
 # multipliers
-
-
-def bracket_multiplier(f: SpectralField, mass: float, power: float) -> SpectralField:
-    """Apply (m**2 + |xi|**2)**(power/2), zeroing Nyquist modes."""
-    w = f.lattice.bracket(mass) ** power
-    w[f.lattice.nyquist_mask] = 0.0
-    return f.with_coeffs(f.coeffs * w)
 
 
 def free_propagate(f: SpectralField, t: float, mass: float, sign: int) -> SpectralField:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import DyadicIndex, annulus_profile
-from .system import check_nonresonance, resonance_function, smallest_bracket
+from .system import bracket, check_nonresonance, resonance_function, smallest_bracket
 
 __all__ = [
     "VerificationRecord",
@@ -26,7 +26,6 @@ __all__ = [
     "verify_modulation_bound",
     "verify_nonresonance_bound",
     "shell_intersection_volume",
-    "convolution_support_constant",
     "verify_bilinear",
     "bilinear_sweep",
     "strichartz_admissible",
@@ -135,6 +134,19 @@ def _defect_statistic(masses, xi, eta) -> np.ndarray:
     return resonance_function(masses, xi, eta) * smallest_bracket(masses, xi, eta)
 
 
+def _swept_minimum(triple, dim: int, max_radius: float, directions: int, seed: int):
+    """Smallest weighted defect over the frequency-pair sweep.
+
+    Returns the minimum, the first (xi, eta) pair attaining it as float
+    lists, and the number of pairs swept.
+    """
+    rng = np.random.default_rng(seed)
+    xi, eta = _frequency_pairs(dim, max_radius, directions, rng)
+    values = _defect_statistic(triple, xi, eta)
+    worst = int(np.argmin(values))
+    return float(values[worst]), xi[worst].tolist(), eta[worst].tolist(), values.size
+
+
 def verify_modulation_bound(
     mass: float,
     dim: int,
@@ -151,19 +163,12 @@ def verify_modulation_bound(
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
-    rng = np.random.default_rng(seed)
     triple = (float(mass),) * 3
-    xi, eta = _frequency_pairs(dim, max_radius, directions, rng)
-    values = _defect_statistic(triple, xi, eta)
-    worst = int(np.argmin(values))
-    minimum = float(values[worst])
-    tail = float(
-        _defect_statistic(
-            triple,
-            max_radius * _unit_vector(dim),
-            max_radius * _unit_vector(dim),
-        )
+    minimum, worst_xi, worst_eta, samples = _swept_minimum(
+        triple, dim, max_radius, directions, seed
     )
+    ray = max_radius * _unit_vector(dim)
+    tail = float(_defect_statistic(triple, ray, ray))
     return VerificationRecord(
         name="modulation_bound",
         parameters={
@@ -179,10 +184,10 @@ def verify_modulation_bound(
         seed=seed,
         details={
             "minimum": minimum,
-            "argmin_xi": [float(x) for x in xi[worst]],
-            "argmin_eta": [float(x) for x in eta[worst]],
+            "argmin_xi": worst_xi,
+            "argmin_eta": worst_eta,
             "collinear_tail": tail,
-            "samples": int(values.size),
+            "samples": samples,
         },
     )
 
@@ -229,7 +234,6 @@ def verify_nonresonance_bound(
     if len(triple) != 3 or any(m <= 0 for m in triple):
         raise ValueError("need three positive masses")
     holds, margin = check_nonresonance(triple)
-    rng = np.random.default_rng(seed)
     params = {
         "masses": list(triple),
         "dim": int(dim),
@@ -239,10 +243,9 @@ def verify_nonresonance_bound(
         "condition_margin": margin,
     }
     if holds:
-        xi, eta = _frequency_pairs(dim, max_radius, directions, rng)
-        values = _defect_statistic(triple, xi, eta)
-        worst = int(np.argmin(values))
-        minimum = float(values[worst])
+        minimum, worst_xi, worst_eta, _ = _swept_minimum(
+            triple, dim, max_radius, directions, seed
+        )
         return VerificationRecord(
             name="nonresonance_bound",
             parameters=params,
@@ -253,33 +256,26 @@ def verify_nonresonance_bound(
             details={
                 "condition_holds": True,
                 "minimum": minimum,
-                "argmin_xi": [float(x) for x in xi[worst]],
-                "argmin_eta": [float(x) for x in eta[worst]],
+                "argmin_xi": worst_xi,
+                "argmin_eta": worst_eta,
             },
         )
 
-    # failure side: look for the defect's near-zeros, starting at the origin
+    # failure side: look for the defect's near-zeros on a polar grid of
+    # (|xi|, |eta|, angle), visited by increasing |xi|^2 + |eta|^2 from the
+    # origin (a stable sort keeps ties in grid order); the first minimum wins
     steps = np.linspace(0.0, max_radius, 33)
     angles = np.linspace(0.0, math.pi, 17)
-    grid = []
-    for a in steps:
-        for b in steps:
-            for theta in angles:
-                xi = np.zeros(dim)
-                eta = np.zeros(dim)
-                xi[0] = a
-                eta[0] = b * math.cos(theta)
-                if dim >= 2:
-                    eta[1] = b * math.sin(theta)
-                grid.append((a * a + b * b, xi, eta))
-    grid.sort(key=lambda row: row[0])
-    xi_arr = np.array([row[1] for row in grid])
-    eta_arr = np.array([row[2] for row in grid])
-    values = resonance_function(triple, xi_arr, eta_arr)
-    best_idx = 0
-    for i in range(1, values.size):
-        if values[i] < values[best_idx]:
-            best_idx = i
+    a, b, theta = (g.ravel() for g in np.meshgrid(steps, steps, angles, indexing="ij"))
+    order = np.argsort(a * a + b * b, kind="stable")
+    xi_arr = np.zeros((a.size, dim))
+    eta_arr = np.zeros((a.size, dim))
+    xi_arr[:, 0] = a
+    eta_arr[:, 0] = b * np.cos(theta)
+    if dim >= 2:
+        eta_arr[:, 1] = b * np.sin(theta)
+    xi_arr, eta_arr = xi_arr[order], eta_arr[order]
+    best_idx = int(np.argmin(resonance_function(triple, xi_arr, eta_arr)))
 
     def objective(vec):
         return resonance_function(triple, vec[:dim], vec[dim:])
@@ -462,73 +458,6 @@ def shell_intersection_volume(
 
 
 # ---------------------------------------------------------------------------
-# convolution support counting
-
-
-def _pack_codes(points: np.ndarray, mins: np.ndarray, spans: np.ndarray):
-    """Injective int64 code for integer points inside the given box."""
-    weights = np.cumprod(np.concatenate([[1], spans[:-1]]))
-    return (points - mins) @ weights.astype(np.int64)
-
-
-def convolution_support_constant(
-    a_points, b_points, trials: int = 100, seed: int = 0
-) -> VerificationRecord:
-    """Sharp support-counting constant for products of lattice-supported data.
-
-    Computes C = max over shifts z of |A intersect (z - B)| by exact counting,
-    then stress-tests the inequality |conv(u, v)|_2 <= sqrt(C) |u|_2 |v|_2 on
-    random coefficient draws.
-    """
-    a = np.asarray(a_points, dtype=np.int64)
-    b = np.asarray(b_points, dtype=np.int64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError("point sets must be (count, dim) with matching dim")
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("point sets must be nonempty")
-    if len(a) > 10_000 or len(b) > 10_000:
-        raise ValueError("point sets capped at 10^4 points")
-    if len(a) * len(b) > 2**24:
-        raise ValueError("pair count too large for exact counting")
-
-    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
-    mins = sums.min(axis=0)
-    spans = sums.max(axis=0) - mins + 1
-    codes = _pack_codes(sums, mins, spans)
-    uniq, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
-    constant = int(counts.max())
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    smallest = math.inf
-    for _ in range(max(trials, 1)):
-        u = (rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))) / math.sqrt(2)
-        v = (rng.standard_normal(len(b)) + 1j * rng.standard_normal(len(b))) / math.sqrt(2)
-        weights = np.outer(u, v).ravel()
-        conv_re = np.bincount(inverse, weights.real, minlength=len(uniq))
-        conv_im = np.bincount(inverse, weights.imag, minlength=len(uniq))
-        conv_norm = math.sqrt(float(np.sum(conv_re**2 + conv_im**2)))
-        rhs = math.sqrt(constant) * np.linalg.norm(u) * np.linalg.norm(v)
-        ratio = conv_norm / rhs
-        worst = max(worst, ratio)
-        smallest = min(smallest, ratio)
-    return VerificationRecord(
-        name="convolution_support",
-        parameters={
-            "a_size": int(len(a)),
-            "b_size": int(len(b)),
-            "dim": int(a.shape[1]),
-            "trials": int(trials),
-        },
-        ratios=(worst,),
-        bound="sqrt(max shift-overlap count) * |u|_2 * |v|_2",
-        passed=worst <= 1.0 + 1e-9,
-        seed=seed,
-        details={"constant": constant, "min_ratio": smallest},
-    )
-
-
-# ---------------------------------------------------------------------------
 # bilinear free-wave products on mode sets
 
 
@@ -572,6 +501,9 @@ def cap_mode_set(
     return pts[keep]
 
 
+_MAX_TIME_SAMPLES = 4000
+
+
 def _bilinear_space_time_l2(
     modes_a,
     amps_a,
@@ -589,8 +521,21 @@ def _bilinear_space_time_l2(
     convolution of the phased envelopes, computed by FFT on a padded joint
     box; the output annulus weight is applied on the shifted frequencies and
     the time integral uses the trapezoid rule, sampled finely enough for the
-    phase spread that survives after removing the mean rotation.
+    phase spread that survives after removing the mean rotation. A spread
+    that needs more than _MAX_TIME_SAMPLES samples raises ValueError.
     """
+    osc_a = omega_a - omega_a.mean()
+    osc_b = omega_b - omega_b.mean()
+    spread = (osc_a.max() - osc_a.min()) + (osc_b.max() - osc_b.min())
+    nt = max(9, int(math.ceil(horizon * spread / (2.0 * math.pi) * oversample)) + 1)
+    if nt > _MAX_TIME_SAMPLES:
+        raise ValueError(
+            f"the time quadrature needs {nt} samples, at most "
+            f"{_MAX_TIME_SAMPLES} are allowed (lower the horizon or the scales)"
+        )
+    times = np.linspace(0.0, horizon, nt)
+    dt = times[1] - times[0]
+
     corner_a = modes_a.min(axis=0)
     corner_b = modes_b.min(axis=0)
     local_a = modes_a - corner_a
@@ -608,14 +553,6 @@ def _bilinear_space_time_l2(
     weight_sq = annulus_profile(np.sqrt(sq) / float(output_scale)).astype(
         np.float32
     ) ** 2
-
-    osc_a = omega_a - omega_a.mean()
-    osc_b = omega_b - omega_b.mean()
-    spread = (osc_a.max() - osc_a.min()) + (osc_b.max() - osc_b.min())
-    nt = max(9, int(math.ceil(horizon * spread / (2.0 * math.pi) * oversample)) + 1)
-    nt = min(nt, 4000)
-    times = np.linspace(0.0, horizon, nt)
-    dt = times[1] - times[0]
 
     idx_a = tuple(local_a.T)
     idx_b = tuple(local_b.T)
@@ -689,10 +626,6 @@ def _orthonormal_pair(dim: int, rng):
     return u, v
 
 
-def _bracket_of(modes: np.ndarray, mass: float) -> np.ndarray:
-    return np.sqrt(mass * mass + np.sum(modes.astype(float) ** 2, axis=1))
-
-
 def verify_bilinear(case: BilinearCase) -> VerificationRecord:
     """Ratio of the projected free-wave product to its dyadic budget.
 
@@ -734,8 +667,8 @@ def verify_bilinear(case: BilinearCase) -> VerificationRecord:
             continue
         amps_a = rng.uniform(0.5, 1.0, len(modes_a))
         amps_b = rng.uniform(0.5, 1.0, len(modes_b))
-        omega_a = case.sign_a * _bracket_of(modes_a, case.mass_a)
-        omega_b = case.sign_b * _bracket_of(modes_b, case.mass_b)
+        omega_a = case.sign_a * bracket(case.mass_a, modes_a)
+        omega_b = case.sign_b * bracket(case.mass_b, modes_b)
         value = _bilinear_space_time_l2(
             modes_a,
             amps_a,
@@ -770,6 +703,13 @@ def verify_bilinear(case: BilinearCase) -> VerificationRecord:
     )
 
 
+# sweep mode -> (default sweep scales, (high, output) scales for sweep scale s)
+_SWEEP_MODES = {
+    "separated": ((2, 4, 8, 16, 32, 64), lambda s, high: (high, high)),
+    "matched": ((8, 16, 32, 64, 128), lambda s, high: (s, max(s // 4, 1))),
+}
+
+
 def bilinear_sweep(
     dim: int = 3,
     mode: str = "separated",
@@ -784,34 +724,14 @@ def bilinear_sweep(
     sweeps comparable scales with the output annulus locked to a quarter of
     the scale, so both sides of the sharp budget move together.
     """
-    if mode == "separated":
-        scales = tuple(scales) if scales is not None else (2, 4, 8, 16, 32, 64)
-        cases = [
-            BilinearCase(
-                dim,
-                DyadicIndex(s),
-                DyadicIndex(high_scale),
-                DyadicIndex(high_scale),
-                trials=trials,
-                seed=seed + i,
-            )
-            for i, s in enumerate(scales)
-        ]
-    elif mode == "matched":
-        scales = tuple(scales) if scales is not None else (8, 16, 32, 64, 128)
-        cases = [
-            BilinearCase(
-                dim,
-                DyadicIndex(s),
-                DyadicIndex(s),
-                DyadicIndex(max(s // 4, 1)),
-                trials=trials,
-                seed=seed + i,
-            )
-            for i, s in enumerate(scales)
-        ]
-    else:
+    if mode not in _SWEEP_MODES:
         raise ValueError("mode must be 'separated' or 'matched'")
+    default_scales, partners = _SWEEP_MODES[mode]
+    scales = tuple(scales) if scales is not None else default_scales
+    cases = [
+        BilinearCase(dim, s, *partners(s, high_scale), trials=trials, seed=seed + i)
+        for i, s in enumerate(scales)
+    ]
     per_scale = []
     all_records = []
     for case in cases:
@@ -881,6 +801,12 @@ def strichartz_admissible(n: int, q, r, family: str):
 
 # ---------------------------------------------------------------------------
 # trilinear space-time integral
+
+
+def _pack_codes(points: np.ndarray, mins: np.ndarray, spans: np.ndarray):
+    """Injective int64 code for integer points inside the given box."""
+    weights = np.cumprod(np.concatenate([[1], spans[:-1]]))
+    return (points - mins) @ weights.astype(np.int64)
 
 
 def _subsample(modes: np.ndarray, cap: int, rng) -> np.ndarray:
@@ -988,9 +914,9 @@ def verify_trilinear(
         i_mate = flat_idx % len(mate_modes)
 
         omega = (
-            signs[0] * _bracket_of(low_modes[i_low], ms[0])
-            + signs[1] * _bracket_of(mate_modes[i_mate], ms[1])
-            + signs[2] * _bracket_of(high_modes[third], ms[2])
+            signs[0] * bracket(ms[0], low_modes[i_low])
+            + signs[1] * bracket(ms[1], mate_modes[i_mate])
+            + signs[2] * bracket(ms[2], high_modes[third])
         )
         phase = np.where(
             np.abs(omega) < 1e-12,

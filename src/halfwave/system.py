@@ -119,6 +119,12 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
 # resonance analysis
 
 
+def bracket(mass: float, points):
+    """<xi>_m = sqrt(m^2 + |xi|^2) for frequencies along the last axis of points."""
+    points = np.asarray(points, dtype=float)
+    return np.sqrt(mass * mass + np.sum(points * points, axis=-1))
+
+
 def _brackets(triple: Sequence[float], xi, eta):
     """<xi>_m, <eta>_n and <xi+eta>_o for a mass triple (m, n, o)."""
     m, n, o = triple
@@ -126,10 +132,7 @@ def _brackets(triple: Sequence[float], xi, eta):
         raise ValueError("masses must be positive")
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    a = np.sqrt(m * m + np.sum(xi * xi, axis=-1))
-    b = np.sqrt(n * n + np.sum(eta * eta, axis=-1))
-    c = np.sqrt(o * o + np.sum((xi + eta) ** 2, axis=-1))
-    return a, b, c
+    return bracket(m, xi), bracket(n, eta), bracket(o, xi + eta)
 
 
 def resonance_function(triple: Sequence[float], xi, eta):

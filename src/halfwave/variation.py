@@ -22,88 +22,26 @@ from .grid import (
 )
 
 __all__ = [
-    "SampledPath",
-    "Partition",
     "ModulationReport",
-    "effective_values",
     "increment_table",
     "p_variation",
-    "best_partition",
     "v2_pm_norm",
     "xs_proxy_norm",
     "check_mod_projection_bound",
 ]
 
 
-@dataclass(frozen=True)
-class SampledPath:
-    """Values sampled at increasing times, with an optional leading zero.
+def increment_table(values, weight: float = 1.0) -> np.ndarray:
+    """Weighted Euclidean distances between every pair of samples.
 
-    `values` is any array whose leading axis runs over `times`; entries may be
-    scalars or full coefficient arrays. `weight` scales the Euclidean
-    increment norm (use the square root of the cell volume to make increments
-    of spectral snapshots read as spatial L2 distances). When `lead_zero` is
-    set, a zero sample is logically prepended, encoding a path that starts
-    from rest before the first recorded time.
+    `values` holds one sample per entry of its leading axis; samples may be
+    scalars or full coefficient arrays. `weight` scales the Euclidean norm
+    (the square root of the cell volume makes increments of spectral
+    snapshots read as spatial L2 distances). Large snapshots go through a
+    Gram-matrix expansion so the table costs one matrix product instead of a
+    quadratic number of array differences.
     """
-
-    times: np.ndarray
-    values: np.ndarray
-    lead_zero: bool = False
-    weight: float = 1.0
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a nonempty 1-d array")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if values.shape[0] != times.size:
-            raise ValueError("one value per sample time required")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-
-    @property
-    def effective_count(self) -> int:
-        return self.values.shape[0] + (1 if self.lead_zero else 0)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Strictly increasing positions into a path's effective sample list."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if not idx:
-            raise ValueError("partition must be nonempty")
-        if idx[0] < 0:
-            raise ValueError("partition indices must be nonnegative")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("partition indices must strictly increase")
-
-
-def effective_values(path: SampledPath) -> np.ndarray:
-    """Sample values with the logical leading zero materialized."""
-    vals = np.asarray(path.values)
-    if not path.lead_zero:
-        return vals
-    zero = np.zeros((1,) + vals.shape[1:], dtype=vals.dtype)
-    return np.concatenate([zero, vals], axis=0)
-
-
-def increment_table(path: SampledPath) -> np.ndarray:
-    """Weighted Euclidean distances between every pair of effective samples.
-
-    Large snapshots go through a Gram-matrix expansion so the table costs one
-    matrix product instead of a quadratic number of array differences.
-    """
-    vals = effective_values(path)
+    vals = np.asarray(values)
     k = vals.shape[0]
     flat = np.ascontiguousarray(vals.reshape(k, -1))
     if flat.shape[1] == 1:
@@ -114,57 +52,43 @@ def increment_table(path: SampledPath) -> np.ndarray:
         gram = flat @ flat.conj().T
         d2 = sq[None, :] + sq[:, None] - 2.0 * gram.real
         dist = np.sqrt(np.clip(d2, 0.0, None))
-    return path.weight * dist
+    return weight * dist
 
 
-def _best_sums(path: SampledPath, p: float):
-    """Dynamic program over chain ends of the path's effective samples.
+def p_variation(values, p: float, weight: float = 1.0) -> float:
+    """Exact p-variation of the sampled path over all partitions of its samples.
 
-    best[j] is the largest sum of p-th powers of increments over chains ending
-    at sample j, and parent[j] the sample before j on the first such chain
-    (-1 for sample 0).
+    Dynamic programming over chain ends on the increment table: best[j] is
+    the largest sum of p-th powers of increments over chains ending at
+    sample j; O(K^2) increment evaluations. The supremum is attained by a
+    partition containing both endpoints, since extending a chain only adds
+    nonnegative terms.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    if path.effective_count < 2:
-        raise ValueError("need at least two effective samples")
-    powered = increment_table(path) ** p
-    k = powered.shape[0]
-    best = np.zeros(k)
-    parent = np.full(k, -1)
-    for j in range(1, k):
-        scores = best[:j] + powered[:j, j]
-        parent[j] = np.argmax(scores)
-        best[j] = scores[parent[j]]
-    return best, parent
-
-
-def p_variation(path: SampledPath, p: float) -> float:
-    """Exact p-variation of the sampled path over all grid partitions.
-
-    Dynamic programming over chain ends; O(K^2) increment evaluations. The
-    supremum is attained by a partition containing both endpoints, since
-    extending a chain only adds nonnegative terms.
-    """
-    best, _ = _best_sums(path, p)
+    if np.shape(values)[0] < 2:
+        raise ValueError("need at least two samples")
+    if not weight > 0:
+        raise ValueError("weight must be positive")
+    powered = increment_table(values, weight) ** p
+    best = np.zeros(powered.shape[0])
+    for j in range(1, best.size):
+        best[j] = np.max(best[:j] + powered[:j, j])
     return float(best[-1] ** (1.0 / p))
 
 
-def best_partition(path: SampledPath, p: float) -> Partition:
-    """A partition witnessing the p-variation supremum (ties broken low)."""
-    _, parent = _best_sums(path, p)
-    chain = [len(parent) - 1]
-    while parent[chain[-1]] >= 0:
-        chain.append(int(parent[chain[-1]]))
-    return Partition(tuple(reversed(chain)))
+def _unrotated_from_rest(traj: Trajectory, component: int, sign: int) -> np.ndarray:
+    """One component's chosen half with the free rotation factored out.
 
-
-def _unrotated_stack(traj: Trajectory, component: int, sign: int) -> np.ndarray:
-    """One component's chosen half with the free rotation factored out."""
+    A zero row is prepended, encoding a path that starts from rest before the
+    first recorded time.
+    """
     half = traj.half(component, sign)
     times = traj.times.reshape((-1,) + (1,) * traj.lattice.spec.dim)
     bracket = traj.lattice.bracket(traj.masses[component])
-    return half * np.exp(-sign * 1j * times * bracket)
+    stack = np.zeros((half.shape[0] + 1,) + half.shape[1:], dtype=complex)
+    stack[1:] = half * np.exp(-sign * 1j * times * bracket)
+    return stack
 
 
 def v2_pm_norm(traj: Trajectory, component: int, sign: int) -> float:
@@ -174,23 +98,18 @@ def v2_pm_norm(traj: Trajectory, component: int, sign: int) -> float:
     spatial L2 norm of its profile (one jump) and anything beyond that is
     genuine Duhamel output.
     """
-    path = SampledPath(
-        traj.times,
-        _unrotated_stack(traj, component, sign),
-        lead_zero=True,
-        weight=math.sqrt(traj.lattice.cell_volume),
-    )
-    return p_variation(path, 2.0)
+    stack = _unrotated_from_rest(traj, component, sign)
+    return p_variation(stack, 2.0, math.sqrt(traj.lattice.cell_volume))
 
 
 def xs_proxy_norm(traj: Trajectory, component: int, s: float, sign: int = 1) -> float:
     """Dyadic-weighted square sum of blockwise 2-variation norms.
 
     Each dyadic block N contributes max(N, 1)^(2s) times the squared
-    2-variation of the block-projected unrotated path; the zero block carries
-    unit weight.
+    2-variation of the block-projected unrotated path from rest; the zero
+    block carries unit weight.
     """
-    stack = _unrotated_stack(traj, component, sign)
+    stack = _unrotated_from_rest(traj, component, sign)
     lattice = traj.lattice
     weight = math.sqrt(lattice.cell_volume)
     total = 0.0
@@ -198,8 +117,7 @@ def xs_proxy_norm(traj: Trajectory, component: int, s: float, sign: int = 1) -> 
         block = stack * lp_weights(lattice, n)
         if not np.any(block):
             continue
-        path = SampledPath(traj.times, block, lead_zero=True, weight=weight)
-        total += max(int(n), 1) ** (2.0 * s) * p_variation(path, 2.0) ** 2
+        total += max(int(n), 1) ** (2.0 * s) * p_variation(block, 2.0, weight) ** 2
     return math.sqrt(total)
 
 

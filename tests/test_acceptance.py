@@ -49,7 +49,6 @@ from halfwave.system import (
     smallest_bracket,
 )
 from halfwave.variation import (
-    SampledPath,
     check_mod_projection_bound,
     increment_table,
     p_variation,
@@ -351,10 +350,10 @@ def test_criterion_10_bilinear_sweeps(note):
 # ----------------------------------------------------------------------
 
 
-def brute_force_variation(path, p):
+def brute_force_variation(values, p):
     # power the table once, exactly as the dynamic program does, so the
     # comparison isolates the optimization logic rather than pow rounding
-    table = increment_table(path) ** p
+    table = increment_table(values) ** p
     count = table.shape[0]
     best = 0.0
     for size in range(2, count + 1):
@@ -371,6 +370,8 @@ def test_criterion_11_variation_exact(note):
     mismatches = 0
     for case in range(1000):
         length = int(rng.integers(2, 13))
+        # p-variation does not depend on the sample times; they are still
+        # drawn so that the 1000 cases stay the same
         times = np.sort(rng.uniform(0.0, 10.0, size=length))
         while np.any(np.diff(times) <= 0):
             times = np.sort(rng.uniform(0.0, 10.0, size=length))
@@ -378,14 +379,14 @@ def test_criterion_11_variation_exact(note):
             values = rng.normal(size=length) + 1j * rng.normal(size=length)
         else:
             values = rng.normal(size=(length, 3))
-        lead = bool(rng.integers(0, 2))
-        path = SampledPath(times, values, lead_zero=lead)
+        if rng.integers(0, 2):
+            # the path starts from rest: a zero sample before the first time
+            values = np.concatenate([np.zeros((1,) + values.shape[1:]), values])
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-        if p_variation(path, p) != brute_force_variation(path, p):
+        if p_variation(values, p) != brute_force_variation(values, p):
             mismatches += 1
 
-    spike = SampledPath(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
-    spike_value = p_variation(spike, 2.0)
+    spike_value = p_variation(np.array([0.0, 1.0, 0.0]), 2.0)
     spike_ok = spike_value == math.sqrt(2.0)
 
     ok = mismatches == 0 and spike_ok

@@ -145,6 +145,44 @@ def test_non_finite_config_number_exits_2(tmp_path, settings):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("verify-modulation", "[run]\nseed = 0\nmax_radius = inf\n"),
+        ("verify-nonresonance", "[run]\nseed = 0\nmasses = 1.0, nan, 1.0\n"),
+        (
+            "verify-shell",
+            "[run]\ndim = 3\nseed = 0\nsamples = 1000\n[sweep]\nradius = nan\n",
+        ),
+        ("verify-bilinear", "[run]\nseed = 0\n[sweep]\nscales = 2, inf\n"),
+    ],
+    ids=["max_radius", "masses", "radius", "scales"],
+)
+def test_non_finite_option_or_sweep_value_exits_2(tmp_path, command, text):
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", "[run]\nhorizon = 0.1\nsave_trajectroy = true\n"),
+        ("picard", "[run]\nsamples = 10\n"),
+        ("verify-shell", "[run]\ndim = 3\nseed = 0\n[sweep]\nradius = 32\nscales = 2\n"),
+    ],
+    ids=["misspelt-option", "option-of-another-command", "sweep-key"],
+)
+def test_unknown_key_exits_2(tmp_path, command, text):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="reads no"):
+        load_config(command, config_path=path)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_exit_code_verification_failure(tmp_path):
     path = write_config(
         tmp_path,
@@ -391,20 +429,29 @@ def test_simulate_then_variation(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_verify_shell_deterministic_outputs(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "[run]\ndim = 3\nseed = 5\nsamples = 60000\n"
-        "[sweep]\nradius = 32\nwidth = 0.05, 0.1\ntube = 4\noffset_factor = 2.0\n",
-    )
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert main(["verify-shell", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["verify-shell", "--config", cfg, "--out", str(out_b)]) == 0
-    record_a = (out_a / "verify-shell.jsonl").read_bytes()
-    record_b = (out_b / "verify-shell.jsonl").read_bytes()
-    assert record_a == record_b
-    assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+SMALL_VERIFY_CONFIGS = {
+    "verify-shell": "[run]\ndim = 3\nsamples = 60000\n"
+    "[sweep]\nradius = 32\nwidth = 0.05, 0.1\ntube = 4\noffset_factor = 2.0\n",
+    "verify-modulation": "[run]\nmax_radius = 64\n[sweep]\ndimension = 2, 3\n",
+    # the mass condition fails, so this runs the grid scan and the descent
+    "verify-nonresonance": "[run]\ndim = 2\nmasses = 1.0, 1.0, 2.5\nmax_radius = 16\n",
+    "verify-bilinear": "[run]\ndim = 3\nmode = both\ntrials = 1\nhigh_scale = 32\n"
+    "[sweep]\nscales = 2, 4\n",
+    "verify-trilinear": "[run]\ndim = 3\nhigh_scale = 16\ntrials = 2\n",
+}
+
+
+@pytest.mark.parametrize("command", list(SMALL_VERIFY_CONFIGS))
+def test_verify_deterministic_outputs(tmp_path, command):
+    cfg = write_config(tmp_path, SMALL_VERIFY_CONFIGS[command])
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main([command, "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+        outputs.append(
+            [(out / f"{command}.jsonl").read_bytes(), (out / "summary.json").read_bytes()]
+        )
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_shell_seed_flag_overrides_config(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from halfwave.dynamics import (
+    _contraction,
     CauchyData,
     InstabilityError,
     Trajectory,
@@ -183,8 +184,8 @@ def test_evolve_free_matches_linear_exact():
     traj = evolve(data, system, T=5.0, dt=0.05, sample_every=20)
     for j, t in enumerate(traj.times):
         ref = linear_exact(data, (1.0,), t)
-        u = SpectralField(lat, traj.halves[j, 0].sum(axis=0))
-        err = sobolev_norm(u - ref.positions[0], 1.0, 1.0)
+        u = traj.halves[j, 0].sum(axis=0)
+        err = sobolev_norm(SpectralField(lat, u - ref.positions[0].coeffs), 1.0, 1.0)
         assert err < 1e-9
 
 
@@ -237,6 +238,20 @@ def test_picard_matches_evolve():
     final = report.final
     assert np.max(np.abs(final.times - traj.times)) < 1e-12
     assert final.distance(traj, 0.5) < 1e-4
+
+
+def test_picard_rounding_noise_counts_as_converged():
+    # distances of a converged picard-3d run: after the fourth sweep they are
+    # rounding noise, below 1e-12 times the first, and decide nothing
+    distances = [9.3e-8, 2.6e-11, 2.3e-15, 1.5e-19, 3.3e-21, 5.9e-22, 5.9e-22]
+    factor, diverged = _contraction(distances)
+    assert factor == pytest.approx(2.6e-11 / 9.3e-8)
+    assert not diverged
+    # noise that rises three times in a row is not divergence either
+    assert _contraction([1.0, 1e-13, 2e-13, 3e-13, 4e-13]) == (0.0, False)
+    # live distances still give their worst ratio and their streak
+    assert _contraction([1.0, 0.5, 0.6, 0.7, 0.8]) == (0.6 / 0.5, True)
+    assert _contraction([0.0, 0.0]) == (0.0, False)
 
 
 def test_picard_divergence_flag():

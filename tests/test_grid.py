@@ -10,7 +10,6 @@ from halfwave.grid import (
     SpaceTimeField,
     SpectralField,
     annulus_profile,
-    bracket_multiplier,
     bump_profile,
     dealias_weights,
     dyadic_scales,
@@ -18,7 +17,6 @@ from halfwave.grid import (
     free_propagate,
     inverse_transform,
     l2_norm,
-    lp_project,
     lp_weights,
     modulation_energy,
     modulation_project,
@@ -146,27 +144,17 @@ def test_lp_reassembly_exact():
     f = random_field(lat, np.random.default_rng(3))
     total = np.zeros(lat.spec.shape, dtype=complex)
     for s in dyadic_scales(lat):
-        total += lp_project(f, s).coeffs
+        total += f.coeffs * lp_weights(lat, s)
     assert np.max(np.abs(total - f.coeffs)) < 1e-12
 
 
 def test_lp_block_support():
     lat = make_lattice(dim=1, box=2 * np.pi, n=64)
     # mode k=6 has |xi| = 6: inside blocks 4 and 8 only
-    f = plane_wave(lat, (6,))
-    weights = {s: float(np.abs(lp_project(f, s).coeffs[6])) for s in dyadic_scales(lat)}
+    weights = {s: float(lp_weights(lat, s)[6]) for s in dyadic_scales(lat)}
     assert weights[4] + weights[8] == pytest.approx(1.0, abs=1e-12)
     assert weights[0] == 0.0 and weights[1] == 0.0 and weights[2] == 0.0
     assert weights[16] == 0.0
-
-
-def test_bracket_multiplier_inverts():
-    lat = make_lattice()
-    f = random_field(lat, np.random.default_rng(11), decay=1.0)
-    g = bracket_multiplier(bracket_multiplier(f, 2.0, 3.0), 2.0, -3.0)
-    assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
-    with pytest.raises(ValueError):
-        bracket_multiplier(f, 0.0, 1.0)
 
 
 def test_free_propagate_group_and_isometry():

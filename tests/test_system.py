@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from halfwave.grid import FrequencyLattice, GridSpec, SpectralField, random_fiel
 from halfwave.system import (
     MassSystem,
     Monomial,
+    bracket,
     check_nonresonance,
     evaluate_nonlinearity,
     free_system,
@@ -88,7 +91,7 @@ def test_bilinearity_cross_terms():
     sys1 = scalar_system(coefficient=1.0)
     (nu,) = evaluate_nonlinearity(sys1, (u,))
     (nv,) = evaluate_nonlinearity(sys1, (v,))
-    (nuv,) = evaluate_nonlinearity(sys1, (u + v,))
+    (nuv,) = evaluate_nonlinearity(sys1, (u.with_coeffs(u.coeffs + v.coeffs),))
     # N(u+v) - N(u) - N(v) = 2 * dealias(u*v)
     mono = Monomial(2.0 + 0j, ((0, False), (1, False)))
     cross_sys = MassSystem((1.0, 1.0), ((mono,), ()))
@@ -119,6 +122,19 @@ def test_coupled_system_indices():
     # component 1 sees i * v^2 at mode (0,2); component 2 has no terms
     assert out1.coeffs[0, 2] == pytest.approx(1j * 25.0 / 16.0, rel=1e-12)
     assert np.max(np.abs(out2.coeffs)) == 0.0
+
+
+def test_bracket_over_last_axis():
+    assert bracket(1.0, [0.0, 0.0]) == 1.0
+    assert bracket(2.0, np.array([[3, 0, 0], [0, 1, 2]])).tolist() == [
+        math.sqrt(13.0),
+        3.0,
+    ]
+    # the resonance function is three brackets
+    xi, eta = np.array([1.0, 2.0]), np.array([-0.5, 3.0])
+    assert resonance_function((1.0, 1.5, 2.0), xi, eta) == (
+        bracket(1.0, xi) + bracket(1.5, eta) - bracket(2.0, xi + eta)
+    )
 
 
 def test_resonance_spot_values():

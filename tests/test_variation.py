@@ -21,11 +21,7 @@ from halfwave.grid import (
 from halfwave.system import scalar_system
 from halfwave.variation import (
     ModulationReport,
-    Partition,
-    SampledPath,
-    best_partition,
     check_mod_projection_bound,
-    effective_values,
     increment_table,
     p_variation,
     v2_pm_norm,
@@ -33,14 +29,15 @@ from halfwave.variation import (
 )
 
 
-def scalar_path(values, lead_zero=False):
+def from_rest(values):
+    """The samples with a zero sample prepended: a path starting from rest."""
     values = np.asarray(values)
-    return SampledPath(np.arange(len(values), dtype=float), values, lead_zero)
+    return np.concatenate([np.zeros((1,) + values.shape[1:], values.dtype), values])
 
 
-def brute_force_variation(path, p):
-    """Maximum over every partition of the effective grid, left-associated."""
-    table = increment_table(path) ** p
+def brute_force_variation(values, p):
+    """Maximum over every partition of the samples, left-associated."""
+    table = increment_table(values) ** p
     k = table.shape[0]
     best = 0.0
     for size in range(2, k + 1):
@@ -81,47 +78,31 @@ def jump_trajectory(lat, phi, T, dt, t_jump):
 
 
 def test_path_validation():
+    # samples run along axis 0, whatever the shape of one sample
+    assert increment_table(np.zeros((3, 2, 2))).shape == (3, 3)
+    assert increment_table([0.0, 3.0], weight=2.0)[0, 1] == 6.0
     with pytest.raises(ValueError):
-        SampledPath(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+        p_variation(np.array([1.0, 2.0]), 2.0, weight=0.0)
     with pytest.raises(ValueError):
-        SampledPath(np.array([0.0, 1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        SampledPath(np.array([0.0]), np.array([1.0]), weight=0.0)
-    path = scalar_path([1.0, 2.0], lead_zero=True)
-    assert path.effective_count == 3
-    assert effective_values(path)[0] == 0.0
-
-
-def test_partition_validation():
-    assert Partition((0, 3, 5)).indices == (0, 3, 5)
-    with pytest.raises(ValueError):
-        Partition(())
-    with pytest.raises(ValueError):
-        Partition((2, 2))
-    with pytest.raises(ValueError):
-        Partition((-1, 2))
+        p_variation(np.array([[1.0, 2.0]]), 2.0)
 
 
 def test_p_variation_argument_errors():
-    path = scalar_path([0.0, 1.0])
     with pytest.raises(ValueError):
-        p_variation(path, 0.5)
+        p_variation(np.array([0.0, 1.0]), 0.5)
     with pytest.raises(ValueError):
-        p_variation(scalar_path([1.0]), 2.0)
-    # a single sample with the leading zero gives one increment
-    assert p_variation(scalar_path([1.0], lead_zero=True), 2.0) == 1.0
+        p_variation(np.array([1.0]), 2.0)
+    # a single sample from rest gives one increment
+    assert p_variation(from_rest([1.0]), 2.0) == 1.0
 
 
 def test_zigzag_oracle():
-    assert p_variation(scalar_path([0.0, 1.0, 0.0]), 2.0) == math.sqrt(2.0)
-    assert p_variation(scalar_path([0.0, 1.0]), 2.0) == 1.0
+    assert p_variation(np.array([0.0, 1.0, 0.0]), 2.0) == math.sqrt(2.0)
+    assert p_variation(np.array([0.0, 1.0]), 2.0) == 1.0
 
 
 def test_monotone_path_uses_endpoints():
-    path = scalar_path(np.linspace(0.0, 1.0, 11))
-    assert p_variation(path, 2.0) == 1.0
-    witness = best_partition(path, 2.0)
-    assert witness.indices == (0, 10)
+    assert p_variation(np.linspace(0.0, 1.0, 11), 2.0) == 1.0
 
 
 def test_dp_matches_brute_force_randomized():
@@ -132,32 +113,19 @@ def test_dp_matches_brute_force_randomized():
             values = rng.normal(size=k) + 1j * rng.normal(size=k)
         else:
             values = rng.normal(size=(k, 3))
-        path = SampledPath(
-            np.arange(k, dtype=float), values, lead_zero=bool(rng.random() < 0.5)
-        )
+        if rng.random() < 0.5:
+            values = from_rest(values)
         for p in (1.0, 1.5, 2.0, 3.0):
-            assert p_variation(path, p) == brute_force_variation(path, p)
-
-
-def test_witness_partition_achieves_value():
-    rng = np.random.default_rng(7)
-    path = SampledPath(np.arange(10.0), rng.normal(size=(10, 2)))
-    p = 2.0
-    witness = best_partition(path, p)
-    table = increment_table(path) ** p
-    total = 0.0
-    for a, b in zip(witness.indices, witness.indices[1:]):
-        total = total + table[a, b]
-    assert total ** (1.0 / p) == p_variation(path, p)
+            assert p_variation(values, p) == brute_force_variation(values, p)
 
 
 def test_p_monotone_nonincreasing():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        path = SampledPath(np.arange(8.0), rng.normal(size=(8, 4)))
-        v1 = p_variation(path, 1.0)
-        v2 = p_variation(path, 2.0)
-        v4 = p_variation(path, 4.0)
+        values = rng.normal(size=(8, 4))
+        v1 = p_variation(values, 1.0)
+        v2 = p_variation(values, 2.0)
+        v4 = p_variation(values, 4.0)
         assert v1 >= v2 >= v4
 
 
@@ -166,10 +134,9 @@ def test_triangle_inequality():
     for _ in range(20):
         a = rng.normal(size=(7, 3))
         b = rng.normal(size=(7, 3))
-        times = np.arange(7.0)
-        va = p_variation(SampledPath(times, a), 2.0)
-        vb = p_variation(SampledPath(times, b), 2.0)
-        vab = p_variation(SampledPath(times, a + b), 2.0)
+        va = p_variation(a, 2.0)
+        vb = p_variation(b, 2.0)
+        vab = p_variation(a + b, 2.0)
         assert vab <= va + vb + 1e-12
 
 
