@@ -70,7 +70,7 @@ class FrequencyLattice:
         n = spec.points_per_axis
         axis = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.box_length / n)
         self.axis_frequencies = axis
-        mesh = np.meshgrid(*([axis] * spec.dim), indexing="ij")
+        mesh = np.meshgrid(*([axis] * spec.dim), indexing="ij", sparse=True)
         self.k2 = sum(m * m for m in mesh)
         nyq = np.zeros(n, dtype=bool)
         nyq[n // 2] = True
@@ -80,7 +80,6 @@ class FrequencyLattice:
             shape[d] = n
             mask |= nyq.reshape(shape)
         self.nyquist_mask = mask
-        self.frequency_meshes = mesh
 
     @property
     def cell_volume(self) -> float:

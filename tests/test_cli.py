@@ -2,11 +2,16 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from halfwave import cli
 from halfwave.cli import (
+    _COMMANDS,
+    _FIELD_CASTS,
     ConfigError,
     load_config,
     load_trajectory,
@@ -14,6 +19,8 @@ from halfwave.cli import (
     save_trajectory,
 )
 from halfwave.harness import strauss_exponent
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -82,6 +89,35 @@ def test_load_config_sweep_parsing(tmp_path):
     config = load_config("verify-shell", config_path=path)
     assert config.sweeps["radius"] == (32.0, 64.0)
     assert config.sweeps["width"] == (0.05,)
+
+
+def test_load_config_fills_typed_defaults(tmp_path):
+    path = write_config(tmp_path, "[run]\nseed = 1\nhigh_scale = 32\n")
+    config = load_config("verify-trilinear", config_path=path)
+    assert config.options == {
+        "high_scale": 32,
+        "mate_scale": None,
+        "trials": 8,
+        "interaction_horizon": 8.0,
+    }
+    assert config.sweeps == {"low_scale": (4,)}
+
+
+def test_readme_key_table_matches_commands():
+    text = README.read_text()
+    rows = {}
+    for line in text.splitlines():
+        row = re.fullmatch(r"\| `([a-z-]+)` \|(.*)\|(.*)\|", line)
+        if row:
+            keys = (re.findall(r"`(\w+)`", cell) for cell in row.groups()[1:])
+            rows[row[1]] = tuple(keys)
+    assert rows == {
+        command: (list(options), list(sweeps))
+        for command, (_, options, sweeps) in _COMMANDS.items()
+    }
+    common = text[text.index("Every command accepts the `[run]` keys") :]
+    common = common[: common.index("Beyond those")]
+    assert set(re.findall(r"`(\w+)`", common)) == set(_FIELD_CASTS) | {"command", "out"}
 
 
 def test_load_config_rejects_empty_sweep(tmp_path):
@@ -168,6 +204,39 @@ def test_non_finite_option_or_sweep_value_exits_2(tmp_path, command, text):
 @pytest.mark.parametrize(
     "command, text",
     [
+        ("verify-modulation", "[run]\nseed = 0\n[sweep]\ndimension = 2.7\n"),
+        ("verify-trilinear", "[run]\ndim = 3\nseed = 0\n[sweep]\nlow_scale = 2.9\n"),
+        ("verify-bilinear", "[run]\ndim = 3\nseed = 0\n[sweep]\nscales = 8.5\n"),
+    ],
+    ids=["dimension", "low_scale", "scales"],
+)
+def test_fractional_integer_sweep_value_exits_2(tmp_path, command, text):
+    # an integer sweep key takes integers: 2.7 is not truncated to 2
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="sweep key"):
+        load_config(command, config_path=path)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_bad_option_value_fails_before_the_run(tmp_path, monkeypatch):
+    path = write_config(tmp_path, "[run]\nhorizon = 0.1\nsave_trajectory = maybe\n")
+    with pytest.raises(ConfigError, match="save_trajectory"):
+        load_config("simulate", config_path=path)
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(cli, "evolve", no_march)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
         ("simulate", "[run]\nhorizon = 0.1\nsave_trajectroy = true\n"),
         ("picard", "[run]\nsamples = 10\n"),
         ("verify-shell", "[run]\ndim = 3\nseed = 0\n[sweep]\nradius = 32\nscales = 2\n"),
@@ -242,6 +311,8 @@ def test_manifest_lists_every_output(tmp_path):
     assert manifest["version"]
     assert manifest["wall_clock_seconds"] >= 0
     assert manifest["config"]["command"] == "strauss"
+    # the config echo holds every option, defaults included
+    assert manifest["config"]["options"] == {"max_dimension": 6}
 
 
 # ----------------------------------------------------------------------

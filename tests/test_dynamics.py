@@ -57,9 +57,9 @@ def test_decompose_reconstruct_roundtrip():
     u = random_field(lat, rng, decay=1.0)
     u_t = random_field(lat, rng, decay=1.0)
     pair = decompose(u, u_t, mass=1.7)
-    back_u, back_ut = reconstruct(lat, pair, 1.7)
-    assert np.max(np.abs(back_u.coeffs - u.coeffs)) < 1e-12
-    assert np.max(np.abs(back_ut.coeffs - u_t.coeffs)) < 1e-12
+    (back_u,), (back_ut,) = reconstruct(lat, pair[None], (1.7,))
+    assert np.max(np.abs(back_u - u.coeffs)) < 1e-12
+    assert np.max(np.abs(back_ut - u_t.coeffs)) < 1e-12
 
 
 def test_decompose_zero_velocity_splits_evenly():
@@ -109,9 +109,10 @@ def test_linear_exact_identity_and_free_propagate_route():
     plus, minus = initial_pair(data, (1.3,))[0]
     plus_t = free_propagate(SpectralField(lat, plus), t, 1.3, +1)
     minus_t = free_propagate(SpectralField(lat, minus), t, 1.3, -1)
-    u, u_t = reconstruct(lat, np.stack([plus_t.coeffs, minus_t.coeffs]), 1.3)
-    assert np.max(np.abs(u.coeffs - moved.positions[0].coeffs)) < 1e-12
-    assert np.max(np.abs(u_t.coeffs - moved.velocities[0].coeffs)) < 1e-12
+    state = np.stack([plus_t.coeffs, minus_t.coeffs])[None]
+    (u,), (u_t,) = reconstruct(lat, state, (1.3,))
+    assert np.max(np.abs(u - moved.positions[0].coeffs)) < 1e-12
+    assert np.max(np.abs(u_t - moved.velocities[0].coeffs)) < 1e-12
 
 
 def test_linear_exact_conserves_quadratic_energy():

@@ -1,5 +1,6 @@
-"""Property tests of the (K, 2, *grid) half-wave layout."""
+"""Property tests of the (K, 2, *grid) half-wave layout and its H^s kernels."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfwave.cli import load_trajectory, save_trajectory
-from halfwave.dynamics import CauchyData, Trajectory, decompose, evolve, reconstruct
-from halfwave.grid import FrequencyLattice, GridSpec, SpectralField, l2_norm, random_field
+from halfwave.dynamics import CauchyData, Trajectory, evolve, initial_pair, reconstruct
+from halfwave.grid import (
+    FrequencyLattice,
+    GridSpec,
+    SpectralField,
+    l2_norm,
+    random_field,
+    sobolev_norm,
+)
 from halfwave.system import free_system
 
 dims = st.integers(1, 3)
@@ -24,17 +32,67 @@ def lattice(dim, box=6.0):
 
 
 @properties
-@given(dim=dims, mass=masses, decay=st.floats(0.0, 3.0), seed=seeds)
-def test_decompose_reconstruct_roundtrip(dim, mass, decay, seed):
+@given(
+    dim=dims,
+    mass_list=st.lists(masses, min_size=1, max_size=3),
+    decay=st.floats(0.0, 3.0),
+    seed=seeds,
+)
+def test_decompose_reconstruct_roundtrip(dim, mass_list, decay, seed):
     lat = lattice(dim)
     rng = np.random.default_rng(seed)
-    u = random_field(lat, rng, decay=decay)
-    u_t = random_field(lat, rng, decay=decay)
-    pair = decompose(u, u_t, mass)
-    assert pair.shape == (2,) + lat.spec.shape
-    back_u, back_ut = reconstruct(lat, pair, mass)
-    assert np.max(np.abs(back_u.coeffs - u.coeffs)) < 1e-12
-    assert np.max(np.abs(back_ut.coeffs - u_t.coeffs)) < 1e-12
+    k = len(mass_list)
+    data = CauchyData(
+        tuple(random_field(lat, rng, decay=decay) for _ in range(k)),
+        tuple(random_field(lat, rng, decay=decay) for _ in range(k)),
+    )
+    state = initial_pair(data, mass_list)
+    assert state.shape == (k, 2) + lat.spec.shape
+    u, u_t = reconstruct(lat, state, mass_list)
+    for i in range(k):
+        assert np.max(np.abs(u[i] - data.positions[i].coeffs)) < 1e-12
+        assert np.max(np.abs(u_t[i] - data.velocities[i].coeffs)) < 1e-12
+
+
+def random_trajectory(lat, rng, n_times, mass_list):
+    shape = (n_times, len(mass_list), 2) + lat.spec.shape
+    halves = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Trajectory(np.arange(n_times) * 0.1, mass_list, lat, halves)
+
+
+@properties
+@given(
+    dim=dims,
+    mass_list=st.lists(masses, min_size=1, max_size=3),
+    s=st.floats(0.0, 2.0),
+    n_times=st.integers(2, 4),
+    seed=seeds,
+)
+def test_hs_kernels_match_per_field_sobolev_norm(dim, mass_list, s, n_times, seed):
+    lat = lattice(dim)
+    rng = np.random.default_rng(seed)
+    a = random_trajectory(lat, rng, n_times, mass_list)
+    b = random_trajectory(lat, rng, n_times, mass_list)
+
+    def norm(coeffs, m):
+        return sobolev_norm(SpectralField(lat, coeffs), s, m)
+
+    norms = [
+        [norm(pair[0] + pair[1], m) for pair, m in zip(state, a.masses)]
+        for state in a.halves
+    ]
+    assert np.allclose(a.norm_series(s), norms, rtol=1e-12, atol=0.0)
+    distance = max(
+        math.sqrt(
+            sum(
+                norm(pa[half] - pb[half], m) ** 2
+                for pa, pb, m in zip(sa, sb, a.masses)
+                for half in range(2)
+            )
+        )
+        for sa, sb in zip(a.halves, b.halves)
+    )
+    assert a.distance(b, s) == pytest.approx(distance, rel=1e-12, abs=0.0)
 
 
 @properties

@@ -104,7 +104,8 @@ def test_translation_commutes():
     lat = make_lattice(n=32)
     rng = np.random.default_rng(9)
     u = random_field(lat, rng, decay=2.0)
-    shift = np.exp(-1j * (0.7 * lat.frequency_meshes[0] + 1.3 * lat.frequency_meshes[1]))
+    xi = lat.axis_frequencies
+    shift = np.exp(-1j * (0.7 * xi[:, None] + 1.3 * xi[None, :]))
     translate = lambda f: f.with_coeffs(f.coeffs * shift)
     sys1 = scalar_system()
     (a,) = evaluate_nonlinearity(sys1, (translate(u),))
