@@ -7,7 +7,6 @@ the family of inequalities that controls the small-data theory.
 """
 
 from .dynamics import (
-    CauchyData,
     InstabilityError,
     PicardReport,
     ScatteringResult,
@@ -16,7 +15,6 @@ from .dynamics import (
     decompose,
     evolve,
     free_trajectory,
-    initial_pair,
     linear_exact,
     picard_iterate,
     reconstruct,

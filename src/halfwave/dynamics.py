@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,41 +42,22 @@ class InstabilityError(RuntimeError):
         self.norm = norm
 
 
-@dataclass(frozen=True, eq=False)
-class CauchyData:
-    """Initial position/velocity fields, one pair per component."""
-
-    positions: tuple
-    velocities: tuple
-
-    def __post_init__(self):
-        if len(self.positions) == 0 or len(self.positions) != len(self.velocities):
-            raise ValueError("need matching nonempty position/velocity tuples")
-        lat = self.positions[0].lattice
-        for f in (*self.positions, *self.velocities):
-            if f.lattice != lat:
-                raise ValueError("all data fields must share one lattice")
-
-    @property
-    def lattice(self) -> FrequencyLattice:
-        return self.positions[0].lattice
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
+def _require_shape(name: str, array: np.ndarray, shape: tuple):
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
 
 
-def decompose(u: SpectralField, u_t: SpectralField, mass: float) -> np.ndarray:
-    """Split (u, u_t) into the pair [u^+, u^-] with u^± = (u ∓ i u_t/<D>) / 2."""
-    if u.lattice != u_t.lattice:
-        raise ValueError("position and velocity must share one lattice")
-    lat = u.lattice
-    inv = 1.0 / (2.0 * lat.bracket(mass))
-    inv[lat.nyquist_mask] = 0.0
-    half = u.coeffs * 0.5
-    half = np.where(lat.nyquist_mask, 0.0, half)
-    shift = 1j * u_t.coeffs * inv
-    return np.stack([half - shift, half + shift])
+def decompose(lattice: FrequencyLattice, u, u_t, masses) -> np.ndarray:
+    """The (K, 2, *grid) state of (K, *grid) data: u^± = (u ∓ i u_t/<D>) / 2.
+
+    The inverse of reconstruct; Nyquist modes of the state are zero.
+    """
+    shape = (len(masses),) + lattice.spec.shape
+    _require_shape("position", u, shape)
+    _require_shape("velocity", u_t, shape)
+    half = np.where(lattice.nyquist_mask, 0.0, 0.5 * u)
+    shift = 1j * u_t * _inverse_twice_bracket(lattice, masses)[:, 0]
+    return np.stack([half - shift, half + shift], axis=1)
 
 
 def reconstruct(lattice: FrequencyLattice, state: np.ndarray, masses):
@@ -89,35 +69,17 @@ def reconstruct(lattice: FrequencyLattice, state: np.ndarray, masses):
     return state[:, 0] + state[:, 1], 1j * br * (state[:, 0] - state[:, 1])
 
 
-def initial_pair(data: CauchyData, masses: Sequence[float]) -> np.ndarray:
-    """The (K, 2, *grid) half-wave state of the data: u^±(0) = (f ∓ i g/<D>) / 2."""
-    if len(masses) != data.size:
-        raise ValueError("one mass per component required")
-    return np.stack(
-        [
-            decompose(f, g, m)
-            for f, g, m in zip(data.positions, data.velocities, masses)
-        ]
-    )
-
-
-def linear_exact(data: CauchyData, masses: Sequence[float], t: float) -> CauchyData:
+def linear_exact(lattice: FrequencyLattice, u, u_t, masses, t: float):
     """Closed-form solution of the free equations (box + m^2) u = 0.
 
-    u(t) = cos(t<D>) f + sin(t<D>)/<D> g, with the matching velocity.  Like
-    every multiplier in this package the output carries no Nyquist content.
+    u(t) = cos(t<D>) u + sin(t<D>)/<D> u_t for (K, *grid) data, returned as
+    the (K, *grid) arrays (u(t), u_t(t)).  Like every multiplier in this
+    package the output carries no Nyquist content.
     """
-    if len(masses) != data.size:
-        raise ValueError("one mass per component required")
-    lat = data.lattice
-    live = ~lat.nyquist_mask
-    pos, vel = [], []
-    for f, g, m in zip(data.positions, data.velocities, masses):
-        br = lat.bracket(m)
-        c, s = np.cos(t * br) * live, np.sin(t * br) * live
-        pos.append(SpectralField(lat, c * f.coeffs + s / br * g.coeffs))
-        vel.append(SpectralField(lat, -br * s * f.coeffs + c * g.coeffs))
-    return CauchyData(tuple(pos), tuple(vel))
+    live = ~lattice.nyquist_mask
+    br = _brackets(lattice, masses)[:, 0]
+    c, s = np.cos(t * br) * live, np.sin(t * br) * live
+    return c * u + s / br * u_t, -br * s * u + c * u_t
 
 
 def _brackets(lattice: FrequencyLattice, masses) -> np.ndarray:
@@ -180,10 +142,7 @@ class Trajectory:
         if not masses or not all(0 < m < math.inf for m in masses):
             raise ValueError("masses must be positive and finite")
         shape = (self.times.size, len(masses), 2) + self.lattice.spec.shape
-        if self.halves.shape != shape:
-            raise ValueError(
-                f"halves have shape {self.halves.shape}, expected {shape}"
-            )
+        _require_shape("halves", self.halves, shape)
 
     @property
     def n_components(self) -> int:
@@ -255,7 +214,8 @@ class _Stepper:
 
 
 def evolve(
-    data: CauchyData,
+    lattice: FrequencyLattice,
+    state: np.ndarray,
     system: MassSystem,
     T: float,
     dt: float,
@@ -263,7 +223,7 @@ def evolve(
     s: float = 0.5,
     growth_abort: float = 1e6,
 ) -> Trajectory:
-    """March the half-wave pair to time ~T, sampling every given stride.
+    """March a (K, 2, *grid) half-wave state to time ~T, sampling every stride.
 
     The number of steps is rounded up to a whole number of strides so the
     sampled times stay uniform.  Aborts with InstabilityError when the summed
@@ -271,17 +231,16 @@ def evolve(
     """
     if T <= 0 or dt <= 0 or sample_every < 1:
         raise ValueError("T, dt and sample_every must be positive")
+    _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
     steps = max(1, int(round(T / dt)))
     steps = sample_every * math.ceil(steps / sample_every)
-    lattice = data.lattice
     stepper = _Stepper(lattice, system, dt)
     masses = system.masses
     weights = _hs_weights(lattice, masses, s)
+    y = state
 
-    y = initial_pair(data, masses)
-
-    def total_norm(state):
-        return float(np.linalg.norm(_field_norms(weights, state)))
+    def total_norm(y):
+        return float(np.linalg.norm(_field_norms(weights, y)))
 
     base = total_norm(y)
     limit = growth_abort * base if base > 0 else math.inf
@@ -324,7 +283,8 @@ class PicardReport:
 
 
 def picard_iterate(
-    data: CauchyData,
+    lattice: FrequencyLattice,
+    state: np.ndarray,
     system: MassSystem,
     T: float,
     dt: float,
@@ -333,6 +293,7 @@ def picard_iterate(
 ) -> PicardReport:
     """Solve the integral form u^± = free part ∓ i ∫ rotated N/(2<D>) by iteration.
 
+    The free part rotates the (K, 2, *grid) half-wave state given at t = 0.
     The time integral uses composite trapezoid on the unrotated integrand
     e^{∓i s <D>} N(u(s))/(2<D>), then rotates the running sum forward.  The
     report carries the last iterate, the sup-in-time H^s distances between
@@ -344,7 +305,7 @@ def picard_iterate(
         raise ValueError("need at least two iterations to report a contraction")
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
-    lattice = data.lattice
+    _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
     masses = system.masses
     n_steps = max(1, int(round(T / dt)))
     times = np.arange(n_steps + 1) * dt
@@ -353,8 +314,7 @@ def picard_iterate(
     weights = _hs_weights(lattice, masses, s)
     rotations = np.stack([_rotation(lattice, masses, t) for t in times])
 
-    base = initial_pair(data, masses)
-    current = base * rotations
+    current = state * rotations
     distances = []
 
     for sweep in range(1, iters + 1):
@@ -362,7 +322,7 @@ def picard_iterate(
         # of the scaled nonlinearity N(u(s))/(2<D>) along the current iterate,
         # and the sup over time of the distance to the current iterate
         nxt = np.empty_like(current)
-        acc = np.zeros_like(base)
+        acc = np.zeros_like(state)
         prev = None
         distance = 0.0
         for j in range(times.size):
@@ -371,7 +331,7 @@ def picard_iterate(
             if j > 0:
                 acc = acc + 0.5 * dt * (prev + cur)
             prev = cur
-            nxt[j] = rotations[j] * (base - 1j * signs * acc)
+            nxt[j] = rotations[j] * (state - 1j * signs * acc)
             distance = max(distance, _state_distance(weights, nxt[j], current[j]))
         if not np.all(np.isfinite(nxt)):
             raise InstabilityError(f"non-finite iterate in Picard sweep {sweep}")

@@ -74,12 +74,17 @@ class FrequencyLattice:
         self.k2 = sum(m * m for m in mesh)
         nyq = np.zeros(n, dtype=bool)
         nyq[n // 2] = True
+        kept = np.abs(axis) <= (2.0 / 3.0) * (np.pi * n / spec.box_length) + 1e-12
         mask = np.zeros(spec.shape, dtype=bool)
+        keep = np.ones(spec.shape, dtype=bool)
         for d in range(spec.dim):
             shape = [1] * spec.dim
             shape[d] = n
             mask |= nyq.reshape(shape)
+            keep &= kept.reshape(shape)
         self.nyquist_mask = mask
+        # sharp 2/3 rule as 0/1 weights: |xi_axis| <= (2/3) * Nyquist on every axis
+        self.dealias_mask = keep.astype(float)
 
     @property
     def cell_volume(self) -> float:
@@ -221,19 +226,6 @@ def sobolev_norm(f: SpectralField, s: float, mass: float = 1.0) -> float:
 
 def l2_norm(f: SpectralField) -> float:
     return float(np.sqrt(f.lattice.cell_volume) * np.linalg.norm(f.coeffs))
-
-
-def dealias_weights(lattice: FrequencyLattice) -> np.ndarray:
-    """Sharp 2/3-rule mask: keep |xi_axis| <= (2/3) * Nyquist on every axis."""
-    n = lattice.spec.points_per_axis
-    nyq = np.pi * n / lattice.spec.box_length
-    keep = np.ones(lattice.spec.shape, dtype=bool)
-    for d in range(lattice.spec.dim):
-        shape = [1] * lattice.spec.dim
-        shape[d] = n
-        ax = np.abs(lattice.axis_frequencies).reshape(shape)
-        keep &= ax <= (2.0 / 3.0) * nyq + 1e-12
-    return keep.astype(float)
 
 
 def gaussian_bump(

@@ -163,6 +163,8 @@ def verify_modulation_bound(
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
     triple = (float(mass),) * 3
     minimum, worst_xi, worst_eta, samples = _swept_minimum(
         triple, dim, max_radius, directions, seed
@@ -368,6 +370,8 @@ def shell_intersection_volume(
     keep a healthy hit rate. An empty intersection is reported with a warning
     and trivially satisfies the bound.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     n = spec.dim
     c = spec.offset_length
     ra, wa = spec.radius_a, spec.width_a
@@ -789,7 +793,10 @@ def strichartz_admissible(n: int, q, r, family: str):
     if r < 2:
         raise ValueError("r must satisfy 2 <= r < infinity")
     q_infinite = isinstance(q, float) and math.isinf(q)
-    q_inv = Fraction(0) if q_infinite else 1 / _as_fraction(q)
+    q = q if q_infinite else _as_fraction(q)
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    q_inv = Fraction(0) if q_infinite else 1 / q
     if family == "kg":
         relation = 2 * q_inv + Fraction(n) / r == Fraction(n, 2)
     else:
@@ -868,6 +875,8 @@ def verify_trilinear(
         raise ValueError("signs must be three values of +1 or -1")
     if dim < 2:
         raise ValueError("dimension must be at least 2")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     ms = tuple(float(m) for m in masses)
     s_weight = max(0.5, (dim - 2) / 2.0)
     ratios = []

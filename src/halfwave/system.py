@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import FrequencyLattice, SpectralField, dealias_weights, inverse_transform
+from .grid import SpectralField, inverse_transform
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
     lattice = fields[0].lattice
     if any(f.lattice != lattice for f in fields):
         raise ValueError("fields must share one lattice")
-    keep = dealias_weights(lattice)
+    keep = lattice.dealias_mask
 
     needed = {
         (idx, conj)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from halfwave.dynamics import (
-    CauchyData,
     InstabilityError,
     Trajectory,
     conserved_energy,
@@ -72,12 +71,14 @@ def make_lattice(dim, box, n):
     return FrequencyLattice(GridSpec(dim, box, n))
 
 
-def zero_field(lat):
-    return SpectralField(lat, np.zeros(lat.spec.shape, dtype=complex))
-
-
 def bump_data(lat, amp, width):
-    return CauchyData((gaussian_bump(lat, amp, width),), (zero_field(lat),))
+    """(1, *grid) position and velocity coefficients of a Gaussian bump at rest."""
+    u = gaussian_bump(lat, amp, width).coeffs[None]
+    return u, np.zeros_like(u)
+
+
+def bump_state(lat, amp, width):
+    return decompose(lat, *bump_data(lat, amp, width), (1.0,))
 
 
 # ----------------------------------------------------------------------
@@ -105,12 +106,13 @@ def test_criterion_01_strauss_table(note):
 def test_criterion_02_linear_flow_matches_exact(note):
     start = time.monotonic()
     lat = make_lattice(2, 16.0, 128)
-    data = bump_data(lat, 0.01, 1.0)
-    traj = evolve(data, free_system((1.0,)), 50.0, 0.25, 20, s=1.0)
+    u, u_t = bump_data(lat, 0.01, 1.0)
+    state = decompose(lat, u, u_t, (1.0,))
+    traj = evolve(lat, state, free_system((1.0,)), 50.0, 0.25, 20, s=1.0)
     worst = 0.0
     for j, t in enumerate(traj.times):
-        exact = linear_exact(data, (1.0,), float(t))
-        diff = traj.halves[j, 0].sum(axis=0) - exact.positions[0].coeffs
+        exact, _ = linear_exact(lat, u, u_t, (1.0,), float(t))
+        diff = traj.halves[j, 0].sum(axis=0) - exact[0]
         worst = max(worst, sobolev_norm(SpectralField(lat, diff), 1.0))
     elapsed = time.monotonic() - start
     ok = worst < 1e-9 and elapsed < 60.0
@@ -121,9 +123,9 @@ def test_criterion_02_linear_flow_matches_exact(note):
 
 def test_criterion_03_energy_conservation(note):
     lat = make_lattice(2, 16.0, 64)
-    data = bump_data(lat, 0.5, 1.0)
+    state = bump_state(lat, 0.5, 1.0)
     system = scalar_system(1.0, 1.0)
-    traj = evolve(data, system, 10.0, 1e-3, 1000, s=0.5)
+    traj = evolve(lat, state, system, 10.0, 1e-3, 1000, s=0.5)
     energies = [conserved_energy(lat, state, system) for state in traj.halves]
     drift = max(abs(e - energies[0]) for e in energies) / abs(energies[0])
     ok = drift < 1e-6
@@ -134,10 +136,10 @@ def test_criterion_03_energy_conservation(note):
 def test_criterion_04_picard_agrees_with_evolve(note):
     start = time.monotonic()
     lat = make_lattice(2, 16.0, 64)
-    data = bump_data(lat, 1e-3, 1.0)
+    state = bump_state(lat, 1e-3, 1.0)
     system = scalar_system(1.0, 1.0)
-    report = picard_iterate(data, system, 5.0, 0.05, 6, s=0.5)
-    fine = evolve(data, system, 5.0, 0.01, 5, s=0.5)
+    report = picard_iterate(lat, state, system, 5.0, 0.05, 6, s=0.5)
+    fine = evolve(lat, state, system, 5.0, 0.01, 5, s=0.5)
     worst = 0.0
     fine_dt = fine.times[1] - fine.times[0]
     for j, t in enumerate(report.final.times):
@@ -170,9 +172,9 @@ _COUPLING = 100.0
 @pytest.fixture(scope="module")
 def small_data_run():
     lat = make_lattice(3, 128.0, 64)
-    data = bump_data(lat, _SMALL_AMP, 2.5)
+    state = bump_state(lat, _SMALL_AMP, 2.5)
     system = scalar_system(1.0, _COUPLING)
-    traj = evolve(data, system, 100.0, 0.2, 10, s=0.5)
+    traj = evolve(lat, state, system, 100.0, 0.2, 10, s=0.5)
     return traj
 
 
@@ -182,10 +184,10 @@ def test_criterion_05_small_data_bounded_large_data_not(small_data_run, note):
     bounded = sup_ratio <= 2.0
 
     lat = small_data_run.lattice
-    big = bump_data(lat, 100.0 * _SMALL_AMP, 2.5)
+    big = bump_state(lat, 100.0 * _SMALL_AMP, 2.5)
     system = scalar_system(1.0, _COUPLING)
     try:
-        wild = evolve(big, system, 100.0, 0.2, 10, s=0.5)
+        wild = evolve(lat, big, system, 100.0, 0.2, 10, s=0.5)
         growth = float(
             wild.norm_series(0.5).sum(axis=1).max()
             / wild.norm_series(0.5).sum(axis=1)[0]

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from halfwave.cli import save_trajectory
-from halfwave.dynamics import CauchyData, evolve, picard_iterate
-from halfwave.grid import FrequencyLattice, GridSpec, SpectralField, gaussian_bump
+from halfwave.dynamics import decompose, evolve, picard_iterate
+from halfwave.grid import FrequencyLattice, GridSpec, gaussian_bump
 from halfwave.harness import ShellSpec, shell_intersection_volume
 from halfwave.system import scalar_system
 
@@ -54,12 +54,16 @@ def test_counted_parameters_exist():
 def test_counters_read_real_results(tmp_path):
     # each counter applied, through the benchmark's own wrapper, to one call
     lattice = FrequencyLattice(GridSpec(1, 16.0, 32))
-    zero = SpectralField(lattice, np.zeros(lattice.spec.shape, dtype=complex))
-    data = CauchyData((gaussian_bump(lattice, 0.01),), (zero,))
+    bump = gaussian_bump(lattice, 0.01).coeffs[None]
+    state = decompose(lattice, bump, np.zeros_like(bump), (1.0,))
     system = scalar_system()
     recorder = spans.Recorder("test")
-    traj = recorder.wrap("evolve", evolve, spans._evolve_steps)(data, system, 0.2, 0.05)
-    recorder.wrap("picard", picard_iterate, spans._picard_sweeps)(data, system, 0.2, 0.05, 2)
+    traj = recorder.wrap("evolve", evolve, spans._evolve_steps)(
+        lattice, state, system, 0.2, 0.05
+    )
+    recorder.wrap("picard", picard_iterate, spans._picard_sweeps)(
+        lattice, state, system, 0.2, 0.05, 2
+    )
     shell = ShellSpec(3, 8.0, 8.0, 0.5, 0.5, 6.0, (12.0, 0.0, 0.0))
     recorder.wrap("shell", shell_intersection_volume, spans._shell_samples)(
         shell, samples=1000

@@ -374,20 +374,14 @@ def test_picard_contracts_for_small_data(tmp_path):
 
 
 def test_trajectory_roundtrip(tmp_path):
-    from halfwave.dynamics import evolve
-    from halfwave.grid import (
-        FrequencyLattice,
-        GridSpec,
-        SpectralField,
-        gaussian_bump,
-    )
-    from halfwave.dynamics import CauchyData
+    from halfwave.dynamics import decompose, evolve
+    from halfwave.grid import FrequencyLattice, GridSpec, gaussian_bump
     from halfwave.system import scalar_system
 
     lattice = FrequencyLattice(GridSpec(1, 16.0, 32))
-    zero = SpectralField(lattice, np.zeros(lattice.spec.shape, dtype=complex))
-    data = CauchyData((gaussian_bump(lattice, 0.01),), (zero,))
-    traj = evolve(data, scalar_system(1.0, 0.5), 1.0, 0.05, 4)
+    bump = gaussian_bump(lattice, 0.01).coeffs[None]
+    state = decompose(lattice, bump, np.zeros_like(bump), (1.0,))
+    traj = evolve(lattice, state, scalar_system(1.0, 0.5), 1.0, 0.05, 4)
     store = tmp_path / "traj.npz"
     save_trajectory(traj, store)
     loaded = load_trajectory(store)
@@ -600,11 +594,28 @@ def test_verify_bilinear_rejects_bad_mode(tmp_path):
     assert main(["verify-bilinear", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_library_value_errors_exit_as_config_errors(tmp_path, capsys):
-    # The shell geometry lives in dimension >= 3; leaving dim at its default
-    # of 1 must come back as a clean configuration error, not a traceback.
-    cfg = write_config(tmp_path, "[run]\nseed = 0\n")
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        # the shell geometry lives in dimension >= 3, and dim defaults to 1
+        ("verify-shell", "[run]\nseed = 0\n", "dimension"),
+        ("verify-shell", "[run]\ndim = 3\nseed = 0\nsamples = -5\n", "sample"),
+        ("verify-trilinear", "[run]\ndim = 3\nseed = 0\ntrials = 0\n", "trial"),
+        ("verify-modulation", "[run]\nseed = 0\n[sweep]\ndimension = 0\n", "dimension"),
+        ("strichartz", "[run]\ndim = 3\n[sweep]\nq = 0\n", "q must be"),
+    ],
+    ids=[
+        "shell-dim", "shell-samples", "trilinear-trials", "modulation-dim",
+        "strichartz-q",
+    ],
+)
+def test_library_value_errors_exit_as_config_errors(
+    tmp_path, capsys, command, text, message
+):
+    # a bad parameter the library rejects must come back as a clean
+    # configuration error, not a traceback or a run on other values
+    cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
-    assert main(["verify-shell", "--config", cfg, "--out", str(out)]) == 2
-    assert "dimension" in capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()

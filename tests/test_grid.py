@@ -11,7 +11,6 @@ from halfwave.grid import (
     SpectralField,
     annulus_profile,
     bump_profile,
-    dealias_weights,
     dyadic_scales,
     forward_transform,
     free_propagate,
@@ -169,9 +168,10 @@ def test_free_propagate_group_and_isometry():
     assert np.max(np.abs(undone.coeffs - f.coeffs)) < 1e-12
 
 
-def test_dealias_weights_axis_rule():
+def test_dealias_mask_axis_rule():
     lat = make_lattice()
-    w = dealias_weights(lat)
+    w = lat.dealias_mask
+    assert w.dtype == float and w.shape == lat.spec.shape
     # n=16: Nyquist index 8, cutoff at (2/3)*8 = 5.33 per axis
     assert w[5, 0] == 1.0 and w[0, 5] == 1.0 and w[5, 5] == 1.0
     assert w[6, 0] == 0.0 and w[0, 6] == 0.0 and w[11, 2] == 1.0

@@ -126,6 +126,12 @@ def test_defect_statistic_spot_value():
     assert product == pytest.approx(0.8377, abs=1e-3)
 
 
+def test_modulation_bound_rejects_bad_dimension():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dimension"):
+            verify_modulation_bound(1.0, dim)
+
+
 def test_modulation_bound_deterministic():
     a = verify_modulation_bound(1.0, 2, max_radius=128.0, seed=4)
     b = verify_modulation_bound(1.0, 2, max_radius=128.0, seed=4)
@@ -226,6 +232,10 @@ def test_shell_spec_validation():
         ShellSpec(3, 4.0, 4.0, 0.1, 0.1, 1.0, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         ShellSpec(3, 4.0, 4.0, 0.1, 0.1, 1.0, (8.0, 0.0))
+    # a non-positive sample count would otherwise run 16 points per stratum
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="sample"):
+            shell_intersection_volume(tangential_spec(), samples=samples)
 
 
 def test_shell_tangential_closed_form():
@@ -434,6 +444,10 @@ def test_strichartz_validation():
         strichartz_admissible(3, 4, 4, "schrodinger")
     with pytest.raises(ValueError):
         strichartz_admissible(0, 4, 4, "kg")
+    # q = 0, also as a float that snaps to zero, has no 1/q
+    for q in (0, 0.0, 1e-9):
+        with pytest.raises(ValueError, match="q must be"):
+            strichartz_admissible(3, q, 4, "kg")
 
 
 # ----------------------------------------------------------------------
@@ -477,6 +491,9 @@ def test_trilinear_validation():
         verify_trilinear(64, 64, 4, signs=(1, 2, -1))
     with pytest.raises(ValueError):
         verify_trilinear(64, 64, 4, dim=1)
+    # no trials would be an empty record that passes
+    with pytest.raises(ValueError, match="trial"):
+        verify_trilinear(64, 64, 4, trials=0)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfwave.cli import load_trajectory, save_trajectory
-from halfwave.dynamics import CauchyData, Trajectory, evolve, initial_pair, reconstruct
+from halfwave.dynamics import Trajectory, decompose, evolve, reconstruct
 from halfwave.grid import (
     FrequencyLattice,
     GridSpec,
@@ -31,6 +31,14 @@ def lattice(dim, box=6.0):
     return FrequencyLattice(GridSpec(dim, box, 8))
 
 
+def random_data(lat, rng, k, decay=0.0):
+    """(K, *grid) Nyquist-free position coefficients, then velocities."""
+    return tuple(
+        np.stack([random_field(lat, rng, decay=decay).coeffs for _ in range(k)])
+        for _ in range(2)
+    )
+
+
 @properties
 @given(
     dim=dims,
@@ -42,16 +50,12 @@ def test_decompose_reconstruct_roundtrip(dim, mass_list, decay, seed):
     lat = lattice(dim)
     rng = np.random.default_rng(seed)
     k = len(mass_list)
-    data = CauchyData(
-        tuple(random_field(lat, rng, decay=decay) for _ in range(k)),
-        tuple(random_field(lat, rng, decay=decay) for _ in range(k)),
-    )
-    state = initial_pair(data, mass_list)
+    u, u_t = random_data(lat, rng, k, decay)
+    state = decompose(lat, u, u_t, mass_list)
     assert state.shape == (k, 2) + lat.spec.shape
-    u, u_t = reconstruct(lat, state, mass_list)
-    for i in range(k):
-        assert np.max(np.abs(u[i] - data.positions[i].coeffs)) < 1e-12
-        assert np.max(np.abs(u_t[i] - data.velocities[i].coeffs)) < 1e-12
+    back_u, back_ut = reconstruct(lat, state, mass_list)
+    assert np.max(np.abs(back_u - u)) < 1e-12
+    assert np.max(np.abs(back_ut - u_t)) < 1e-12
 
 
 def random_trajectory(lat, rng, n_times, mass_list):
@@ -105,12 +109,8 @@ def test_hs_kernels_match_per_field_sobolev_norm(dim, mass_list, s, n_times, see
 def test_free_steps_conserve_each_half(dim, mass_list, dt, seed):
     lat = lattice(dim)
     rng = np.random.default_rng(seed)
-    k = len(mass_list)
-    data = CauchyData(
-        tuple(random_field(lat, rng) for _ in range(k)),
-        tuple(random_field(lat, rng) for _ in range(k)),
-    )
-    traj = evolve(data, free_system(mass_list), T=4 * dt, dt=dt)
+    state = decompose(lat, *random_data(lat, rng, len(mass_list)), mass_list)
+    traj = evolve(lat, state, free_system(mass_list), T=4 * dt, dt=dt)
     norms = np.array(
         [[[l2_norm(SpectralField(lat, h)) for h in pair] for pair in state]
          for state in traj.halves]

@@ -57,6 +57,11 @@ def zero_field(lat):
     return SpectralField(lat, np.zeros(lat.spec.shape, dtype=complex))
 
 
+def resting_state(lat, phi):
+    """The (1, 2, *grid) half-wave state of position phi and zero velocity."""
+    return decompose(lat, phi.coeffs[None], np.zeros((1,) + lat.spec.shape), (1.0,))
+
+
 def single_mode(lat, index, amplitude=1.0):
     c = np.zeros(lat.spec.shape, dtype=complex)
     c[index] = amplitude
@@ -143,9 +148,9 @@ def test_triangle_inequality():
 def test_v2_free_wave_is_profile_norm():
     lat = make_lattice()
     phi = gaussian_bump(lat, amplitude=1.0, width=1.5)
-    pair = decompose(phi, zero_field(lat), 1.0)
-    traj = free_trajectory(lat, pair[None], (1.0,), np.arange(201) * 0.05)
-    for sign, half in ((+1, pair[0]), (-1, pair[1])):
+    state = resting_state(lat, phi)
+    traj = free_trajectory(lat, state, (1.0,), np.arange(201) * 0.05)
+    for sign, half in ((+1, state[0, 0]), (-1, state[0, 1])):
         expected = l2_norm(SpectralField(lat, half))
         assert v2_pm_norm(traj, 0, sign) == pytest.approx(expected, rel=1e-9)
 
@@ -160,10 +165,8 @@ def test_v2_zero_trajectory():
 
 def test_v2_time_shift_invariance():
     lat = make_lattice(dim=2, box=8.0, n=16)
-    from halfwave.dynamics import CauchyData
-
-    data = CauchyData((gaussian_bump(lat, 0.3),), (zero_field(lat),))
-    traj = evolve(data, scalar_system(), T=2.0, dt=0.05, sample_every=4)
+    state = resting_state(lat, gaussian_bump(lat, 0.3))
+    traj = evolve(lat, state, scalar_system(), T=2.0, dt=0.05, sample_every=4)
     shifted = Trajectory(traj.times + 5.0, traj.masses, traj.lattice, traj.halves)
     for sign in (+1, -1):
         a = v2_pm_norm(traj, 0, sign)
@@ -208,8 +211,7 @@ def test_xs_proxy_single_band():
 def test_mod_projection_free_wave_leakage_only():
     lat = make_lattice()
     phi = gaussian_bump(lat, amplitude=1.0, width=1.5)
-    pair = decompose(phi, zero_field(lat), 1.0)
-    traj = free_trajectory(lat, pair[None], (1.0,), np.arange(801) * 0.05)
+    traj = free_trajectory(lat, resting_state(lat, phi), (1.0,), np.arange(801) * 0.05)
     for index in (1, 2, 4, 8):
         report = check_mod_projection_bound(traj, 0, index, +1)
         assert report.ratio < 0.05
