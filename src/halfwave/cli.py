@@ -2,17 +2,20 @@
 
 Configuration is an INI file with a flat ``[run]`` section and an optional
 ``[sweep]`` section whose keys hold comma-separated value lists (the single
-nesting level).  Every completed run writes three things into the output
-directory: a data file (a CSV time series for simulations, JSON-lines
-records for verifications), a ``summary.json`` with the headline numbers,
-and a ``manifest.json`` listing every other output exactly once.
+nesting level).  Besides ``command`` and ``out``, a command accepts exactly
+the keys its runner reads (``_COMMANDS``); only ``verify-*`` reads a seed.
+Every completed run writes three things into the output directory: a data
+file (a CSV time series for simulations, JSON-lines records for
+verifications), a ``summary.json`` with the headline numbers, and a
+``manifest.json`` listing every other output exactly once.
 
-Given the same configuration and seed, the data and summary files are
-byte-identical between runs.  The manifest carries the wall-clock time and
-is the one file allowed to differ.
+Given the same configuration, the data and summary files are byte-identical
+between runs.  The manifest carries the wall-clock time and is the one file
+allowed to differ.
 
-Exit codes: 0 success, 1 verification sweep failed, 2 configuration error,
-3 numerical abort.
+Exit codes: 0 success, 1 verification sweep failed, 2 configuration error
+(an unread key or flag, a value the library rejects, a run that does not fit
+in memory), 3 numerical abort.  On exit 2 or 3 nothing is written.
 """
 
 import argparse
@@ -62,14 +65,6 @@ from .variation import v2_pm_norm, xs_proxy_norm
 
 from . import __version__
 
-_STOCHASTIC = {
-    "verify-modulation",
-    "verify-nonresonance",
-    "verify-shell",
-    "verify-bilinear",
-    "verify-trilinear",
-}
-
 
 class ConfigError(Exception):
     """Raised for unreadable, malformed, or inconsistent configuration."""
@@ -77,24 +72,16 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run parameters: geometry, system, schedule, seeds, outputs."""
+    """A command, where it writes, and its typed [run] and [sweep] values."""
 
     command: str
-    dim: int = 1
-    box_length: float = 16.0
-    points_per_axis: int = 32
-    mass: float = 1.0
-    coupling: float = 1.0
-    amplitude: float = 0.01
-    width: float = 1.0
-    horizon: float = 10.0
-    dt: float = 0.05
-    stride: int = 1
-    sobolev: float = 0.5
-    seed: int = None
-    out_dir: str = ""
-    options: dict = field(default_factory=dict)  # typed, defaults filled in
-    sweeps: dict = field(default_factory=dict)  # typed, defaults filled in
+    out_dir: str
+    options: dict  # every [run] key the command reads, defaults filled in
+    sweeps: dict  # every [sweep] key the command reads, defaults filled in
+
+
+# the default of a key without one: load_config refuses to run without a value
+_REQUIRED = object()
 
 
 def _cast(label, cast, raw):
@@ -156,23 +143,17 @@ def _one_of(*choices):
     return cast
 
 
-# the [run] keys that set a RunConfig field, cast by the field's annotation
-_FIELD_CASTS = {
-    f.name: f.type for f in dataclasses.fields(RunConfig) if f.type in (int, float)
-}
-
-
 def load_config(command, config_path=None, seed=None, out_dir=None):
     """Build a RunConfig from an optional INI file plus flag overrides.
 
-    Besides the RunConfig fields, a command accepts only the option and sweep
-    keys it declares in _COMMANDS; any other key is a ConfigError.  Every
-    value is cast and checked here, and keys left out take their defaults.
+    Besides ``command`` and ``out``, a command accepts only the [run] and
+    [sweep] keys it declares in _COMMANDS (``--seed`` sets its seed key); any
+    other key is a ConfigError.  Every value is cast here, and keys left out
+    take their defaults; the library checks the ranges at run time.
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     _, option_table, sweep_table = _COMMANDS[command]
-    values = {}
     options = {key: default for key, (_, default) in option_table.items()}
     sweeps = {key: default for key, (_, default) in sweep_table.items()}
     if config_path is not None:
@@ -195,11 +176,9 @@ def load_config(command, config_path=None, seed=None, out_dir=None):
                             f"config names command {raw!r} but {command!r} was requested"
                         )
                 elif key == "out":
-                    values["out_dir"] = raw
-                elif key in _FIELD_CASTS:
-                    values[key] = _cast(f"key {key!r}", _FIELD_CASTS[key], raw)
+                    out_dir = raw if out_dir is None else out_dir
                 elif key in option_table:
-                    options[key] = _cast(f"option {key!r}", option_table[key][0], raw)
+                    options[key] = _cast(f"key {key!r}", option_table[key][0], raw)
                 else:
                     raise ConfigError(f"{command} reads no [run] key {key!r}")
         if parser.has_section("sweep"):
@@ -214,29 +193,14 @@ def load_config(command, config_path=None, seed=None, out_dir=None):
                 sweeps[key] = tuple(_cast(label, cast, t) for t in tokens)
 
     if seed is not None:
-        values["seed"] = int(seed)
-    if out_dir is not None:
-        values["out_dir"] = str(out_dir)
-    if not values.get("out_dir"):
-        values["out_dir"] = str(Path("runs") / command)
-
-    config = RunConfig(command=command, options=options, sweeps=sweeps, **values)
-
-    if config.command in _STOCHASTIC and config.seed is None:
-        raise ConfigError(f"{config.command} is stochastic: a seed is required")
-    if config.horizon <= 0 or config.dt <= 0 or config.stride < 1:
-        raise ConfigError("horizon and dt must be positive, stride at least 1")
-    try:
-        GridSpec(config.dim, config.box_length, config.points_per_axis)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if config.command == "variation":
-        store = config.options["trajectory"]
-        if not store:
-            raise ConfigError("variation requires a trajectory option")
-        if not Path(store).is_file():
-            raise ConfigError(f"trajectory file not found: {store}")
-    return config
+        if "seed" not in options:
+            raise ConfigError(f"{command} reads no seed, so --seed is not accepted")
+        options["seed"] = seed
+    missing = [key for key, value in options.items() if value is _REQUIRED]
+    if missing:
+        raise ConfigError(f"{command} requires a value for {', '.join(missing)}")
+    out_dir = str(out_dir) if out_dir else str(Path("runs") / command)
+    return RunConfig(command, out_dir, options, sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -334,24 +298,23 @@ def load_trajectory(path) -> Trajectory:
 # commands
 
 
-def _initial_data(config: RunConfig):
-    """The lattice and the half-wave state of a resting Gaussian bump."""
+def _initial_data(opts):
+    """The lattice, system and half-wave state of a resting Gaussian bump."""
     lattice = FrequencyLattice(
-        GridSpec(config.dim, config.box_length, config.points_per_axis)
+        GridSpec(opts["dim"], opts["box_length"], opts["points_per_axis"])
     )
-    bump = gaussian_bump(lattice, config.amplitude, config.width).coeffs[None]
-    return lattice, decompose(lattice, bump, np.zeros_like(bump), (config.mass,))
+    bump = gaussian_bump(lattice, opts["amplitude"], opts["width"]).coeffs[None]
+    state = decompose(lattice, bump, np.zeros_like(bump), (opts["mass"],))
+    return lattice, scalar_system(opts["mass"], opts["coupling"]), state
 
 
 def _run_simulate(config: RunConfig) -> RunResult:
-    lattice, state = _initial_data(config)
-    system = scalar_system(config.mass, config.coupling)
-    traj = evolve(
-        lattice, state, system, config.horizon, config.dt, config.stride,
-        s=config.sobolev,
-    )
-    norms = traj.norm_series(config.sobolev)
-    scattering = scattering_state(traj, config.sobolev)
+    opts = config.options
+    lattice, system, state = _initial_data(opts)
+    s = opts["sobolev"]
+    traj = evolve(lattice, state, system, opts["horizon"], opts["dt"], opts["stride"], s=s)
+    norms = traj.norm_series(s)
+    scattering = scattering_state(traj, s)
     energies = [conserved_energy(lattice, y, system) for y in traj.halves]
     rows = []
     for j, t in enumerate(traj.times):
@@ -366,21 +329,21 @@ def _run_simulate(config: RunConfig) -> RunResult:
         "energy_drift": float(abs(energies[-1] - energies[0])),
         "scattering_total": float(scattering.increments.sum()),
     }
-    if config.coupling == 0:
+    if opts["coupling"] == 0:
         exact = free_trajectory(lattice, state, traj.masses, traj.times)
-        summary["linear_match_error"] = traj.distance(exact, config.sobolev)
+        summary["linear_match_error"] = traj.distance(exact, s)
     arrays = {}
-    if config.options["save_trajectory"]:
+    if opts["save_trajectory"]:
         arrays["trajectory"] = traj
     return RunResult("series", tuple(rows), summary, True, arrays)
 
 
 def _run_picard(config: RunConfig) -> RunResult:
-    lattice, state = _initial_data(config)
-    system = scalar_system(config.mass, config.coupling)
-    iters = config.options["iterations"]
+    opts = config.options
+    lattice, system, state = _initial_data(opts)
     report = picard_iterate(
-        lattice, state, system, config.horizon, config.dt, iters, s=config.sobolev
+        lattice, state, system, opts["horizon"], opts["dt"], opts["iterations"],
+        s=opts["sobolev"],
     )
     records = []
     previous = None
@@ -401,16 +364,17 @@ def _run_picard(config: RunConfig) -> RunResult:
 
 
 def _run_verify_modulation(config: RunConfig) -> RunResult:
+    opts = config.options
     records = []
-    for dim in config.sweeps["dimension"] or (config.dim,):
+    for dim in config.sweeps["dimension"] or (opts["dim"],):
         records.append(
             verify_modulation_bound(
-                config.mass,
+                opts["mass"],
                 dim,
-                max_radius=config.options["max_radius"],
-                directions=config.options["directions"],
-                floor=config.options["floor"],
-                seed=config.seed,
+                max_radius=opts["max_radius"],
+                directions=opts["directions"],
+                floor=opts["floor"],
+                seed=opts["seed"],
             )
         )
     summary = {
@@ -421,13 +385,14 @@ def _run_verify_modulation(config: RunConfig) -> RunResult:
 
 
 def _run_verify_nonresonance(config: RunConfig) -> RunResult:
+    opts = config.options
     record = verify_nonresonance_bound(
-        config.options["masses"],
-        config.dim,
-        max_radius=config.options["max_radius"],
-        directions=config.options["directions"],
-        floor=config.options["floor"],
-        seed=config.seed,
+        opts["masses"],
+        opts["dim"],
+        max_radius=opts["max_radius"],
+        directions=opts["directions"],
+        floor=opts["floor"],
+        seed=opts["seed"],
     )
     summary = {
         "condition_holds": record.details["condition_holds"],
@@ -438,15 +403,15 @@ def _run_verify_nonresonance(config: RunConfig) -> RunResult:
 
 
 def _run_verify_shell(config: RunConfig) -> RunResult:
-    samples = config.options["samples"]
+    dim, samples, seed = (config.options[k] for k in ("dim", "samples", "seed"))
     records = []
     for radius, width, tube, factor in itertools.product(
         *(config.sweeps[key] for key in ("radius", "width", "tube", "offset_factor"))
     ):
-        offset = [0.0] * config.dim
+        offset = [0.0] * dim
         offset[0] = factor * radius
         spec = ShellSpec(
-            dim=config.dim,
+            dim=dim,
             radius_a=radius,
             radius_b=radius,
             width_a=width,
@@ -454,9 +419,7 @@ def _run_verify_shell(config: RunConfig) -> RunResult:
             tube_radius=tube,
             offset=tuple(offset),
         )
-        records.append(
-            shell_intersection_volume(spec, samples=samples, seed=config.seed)
-        )
+        records.append(shell_intersection_volume(spec, samples=samples, seed=seed))
     ratios = [r.ratios[0] for r in records]
     live = [r for r in ratios if r > 0]
     uniform = sweep_uniformity(ratios)
@@ -473,17 +436,18 @@ def _run_verify_shell(config: RunConfig) -> RunResult:
 
 
 def _run_verify_bilinear(config: RunConfig) -> RunResult:
-    mode = config.options["mode"]
+    opts = config.options
+    mode = opts["mode"]
     modes = ("separated", "matched") if mode == "both" else (mode,)
     records = []
     for m in modes:
         records.append(
             bilinear_sweep(
-                dim=config.dim,
+                dim=opts["dim"],
                 mode=m,
-                trials=config.options["trials"],
-                seed=config.seed,
-                high_scale=config.options["high_scale"],
+                trials=opts["trials"],
+                seed=opts["seed"],
+                high_scale=opts["high_scale"],
                 scales=config.sweeps["scales"],
             )
         )
@@ -497,7 +461,8 @@ def _run_verify_bilinear(config: RunConfig) -> RunResult:
 
 
 def _run_verify_trilinear(config: RunConfig) -> RunResult:
-    high, mate = config.options["high_scale"], config.options["mate_scale"]
+    opts = config.options
+    high, mate = opts["high_scale"], opts["mate_scale"]
     mate = high if mate is None else mate
     records = []
     for low in config.sweeps["low_scale"]:
@@ -506,10 +471,10 @@ def _run_verify_trilinear(config: RunConfig) -> RunResult:
                 high,
                 mate,
                 low,
-                dim=config.dim,
-                trials=config.options["trials"],
-                seed=config.seed,
-                horizon=config.options["interaction_horizon"],
+                dim=opts["dim"],
+                trials=opts["trials"],
+                seed=opts["seed"],
+                horizon=opts["interaction_horizon"],
             )
         )
     passed = all(r.passed for r in records)
@@ -522,17 +487,14 @@ def _run_verify_trilinear(config: RunConfig) -> RunResult:
 
 
 def _run_strichartz(config: RunConfig) -> RunResult:
-    family = config.options["family"]
+    dim, family = config.options["dim"], config.options["family"]
     records = []
     for q in config.sweeps["q"]:
         for r in config.sweeps["r"]:
-            try:
-                ok, loss = strichartz_admissible(config.dim, q, r, family)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            ok, loss = strichartz_admissible(dim, q, r, family)
             records.append(
                 {
-                    "dimension": config.dim,
+                    "dimension": dim,
                     "family": family,
                     "q": float(q),
                     "r": float(r),
@@ -577,7 +539,7 @@ def _run_variation(config: RunConfig) -> RunResult:
     for i in range(traj.n_components):
         for sign in (1, -1):
             v2 = v2_pm_norm(traj, i, sign)
-            xs = xs_proxy_norm(traj, i, config.sobolev, sign)
+            xs = xs_proxy_norm(traj, i, config.options["sobolev"], sign)
             total += v2 * v2
             records.append(
                 {
@@ -595,49 +557,66 @@ def _run_variation(config: RunConfig) -> RunResult:
     return RunResult("records", tuple(records), summary, True)
 
 
-# command -> (runner, {[run] option key: (cast, default)}, {[sweep] key: (cast
-# of one value, default tuple)}); every command also accepts the RunConfig
-# fields.  A None default depends on another value and is resolved by the
-# runner: mate_scale is high_scale, dimension is dim, scales are the mode's.
+# the keys of a solver run: grid, resting Gaussian bump, system, schedule, H^s
+_SOLVER = {
+    "dim": (int, 1), "box_length": (float, 16.0), "points_per_axis": (int, 32),
+    "mass": (float, 1.0), "coupling": (float, 1.0), "amplitude": (float, 0.01),
+    "width": (float, 1.0), "horizon": (float, 10.0), "dt": (float, 0.05),
+    "sobolev": (float, 0.5),
+}
+
+# command -> (runner, {[run] key: (cast, default)}, {[sweep] key: (cast of one
+# value, default tuple)}).  A None default depends on another value and is
+# resolved by the runner: mate_scale is high_scale, dimension is dim, scales
+# are the mode's.
 _COMMANDS = {
-    "simulate": (_run_simulate, {"save_trajectory": (_parse_bool, False)}, {}),
-    "picard": (_run_picard, {"iterations": (int, 6)}, {}),
+    "simulate": (
+        _run_simulate,
+        {**_SOLVER, "stride": (int, 1), "save_trajectory": (_parse_bool, False)},
+        {},
+    ),
+    "picard": (_run_picard, {**_SOLVER, "iterations": (int, 6)}, {}),
     "verify-modulation": (
         _run_verify_modulation,
-        {"max_radius": (float, 1024.0), "directions": (int, 32), "floor": (float, 0.1)},
+        {"mass": (float, 1.0), "dim": (int, 1), "max_radius": (float, 1024.0),
+         "directions": (int, 32), "floor": (float, 0.1), "seed": (int, _REQUIRED)},
         {"dimension": (int, None)},
     ),
     "verify-nonresonance": (
         _run_verify_nonresonance,
-        {"masses": (_parse_floats, (1.0, 1.0, 1.0)), "max_radius": (float, 64.0),
-         "directions": (int, 32), "floor": (float, 0.01)},
+        {"masses": (_parse_floats, (1.0, 1.0, 1.0)), "dim": (int, 1),
+         "max_radius": (float, 64.0), "directions": (int, 32), "floor": (float, 0.01),
+         "seed": (int, _REQUIRED)},
         {},
     ),
     "verify-shell": (
         _run_verify_shell,
-        {"samples": (int, 200_000)},
+        {"dim": (int, 1), "samples": (int, 200_000), "seed": (int, _REQUIRED)},
         {"radius": (float, (32.0,)), "width": (float, (0.05,)),
          "tube": (float, (8.0,)), "offset_factor": (float, (2.0,))},
     ),
     "verify-bilinear": (
         _run_verify_bilinear,
-        {"mode": (_one_of("separated", "matched", "both"), "both"),
-         "trials": (int, 2), "high_scale": (int, 256)},
+        {"dim": (int, 1), "mode": (_one_of("separated", "matched", "both"), "both"),
+         "trials": (int, 2), "high_scale": (int, 256), "seed": (int, _REQUIRED)},
         {"scales": (int, None)},
     ),
     "verify-trilinear": (
         _run_verify_trilinear,
-        {"high_scale": (int, 64), "mate_scale": (int, None), "trials": (int, 8),
-         "interaction_horizon": (float, 8.0)},
+        {"dim": (int, 1), "high_scale": (int, 64), "mate_scale": (int, None),
+         "trials": (int, 8), "interaction_horizon": (float, 8.0),
+         "seed": (int, _REQUIRED)},
         {"low_scale": (int, (4,))},
     ),
     "strichartz": (
         _run_strichartz,
-        {"family": (_one_of("kg", "wave"), "kg")},
+        {"dim": (int, 1), "family": (_one_of("kg", "wave"), "kg")},
         {"q": (float, (2.0, 8.0 / 3.0, 4.0)), "r": (float, (2.0, 4.0))},
     ),
     "strauss": (_run_strauss, {"max_dimension": (int, 6)}, {}),
-    "variation": (_run_variation, {"trajectory": (str, None)}, {}),
+    "variation": (
+        _run_variation, {"trajectory": (str, _REQUIRED), "sobolev": (float, 0.5)}, {}
+    ),
 }
 
 
@@ -681,7 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="INI configuration file")
-    parser.add_argument("--seed", type=int, help="override the configured seed")
+    parser.add_argument(
+        "--seed", type=int, help="seed of a verify-* command, over the configured one"
+    )
     parser.add_argument("--out", help="output directory")
     return parser
 
@@ -705,6 +686,11 @@ def main(argv=None) -> int:
         # Library constructors signal bad parameters with ValueError; at this
         # boundary that is a configuration problem, not a numerical one.
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an impossible size, such as dt = 1e-9, is a configuration problem too
+        reason = str(exc) or "allocation failed"
+        print(f"configuration error: {reason}: out of memory", file=sys.stderr)
         return 2
     except (InstabilityError, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -370,8 +370,11 @@ def shell_intersection_volume(
     keep a healthy hit rate. An empty intersection is reported with a warning
     and trivially satisfies the bound.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if samples < 16 * strata:
+        raise ValueError(
+            f"need at least 16 samples per stratum, {16 * strata} for {strata} "
+            f"strata, got {samples}"
+        )
     n = spec.dim
     c = spec.offset_length
     ra, wa = spec.radius_a, spec.width_a
@@ -389,7 +392,7 @@ def shell_intersection_volume(
     hits_total = 0
     if lo < hi:
         edges = np.linspace(lo, hi, strata + 1)
-        per = max(samples // strata, 16)
+        per = samples // strata
         for i in range(strata):
             a_edge, b_edge = float(edges[i]), float(edges[i + 1])
             abs_min = 0.0 if a_edge <= 0.0 <= b_edge else min(abs(a_edge), abs(b_edge))

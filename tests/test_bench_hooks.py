@@ -66,13 +66,13 @@ def test_counters_read_real_results(tmp_path):
     )
     shell = ShellSpec(3, 8.0, 8.0, 0.5, 0.5, 6.0, (12.0, 0.0, 0.0))
     recorder.wrap("shell", shell_intersection_volume, spans._shell_samples)(
-        shell, samples=1000
+        shell, samples=1024
     )
     recorder.wrap("save", save_trajectory, spans._saved_bytes)(traj, tmp_path / "t.npz")
     assert recorder.counters == {
         "dynamics.evolve.steps": 4,
         "dynamics.picard_iterate.sweeps": 2,
-        "harness.shell_intersection_volume.samples": 1000,
+        "harness.shell_intersection_volume.samples": 1024,
         "cli.save_trajectory.bytes": 2 * 16 * 5 * 1 * 32,
     }
 

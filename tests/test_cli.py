@@ -11,7 +11,6 @@ import pytest
 from halfwave import cli
 from halfwave.cli import (
     _COMMANDS,
-    _FIELD_CASTS,
     ConfigError,
     load_config,
     load_trajectory,
@@ -46,7 +45,8 @@ def test_load_config_defaults():
     config = load_config("strauss")
     assert config.command == "strauss"
     assert config.out_dir.endswith("strauss")
-    assert config.seed is None
+    # strauss draws nothing at random, so it has no seed to default
+    assert config.options == {"max_dimension": 6}
 
 
 def test_load_config_missing_file():
@@ -79,7 +79,7 @@ def test_load_config_requires_seed_for_stochastic():
 
 def test_load_config_seed_flag_satisfies_requirement():
     config = load_config("verify-shell", seed=3)
-    assert config.seed == 3
+    assert config.options["seed"] == 3
 
 
 def test_load_config_sweep_parsing(tmp_path):
@@ -95,10 +95,12 @@ def test_load_config_fills_typed_defaults(tmp_path):
     path = write_config(tmp_path, "[run]\nseed = 1\nhigh_scale = 32\n")
     config = load_config("verify-trilinear", config_path=path)
     assert config.options == {
+        "dim": 1,
         "high_scale": 32,
         "mate_scale": None,
         "trials": 8,
         "interaction_horizon": 8.0,
+        "seed": 1,
     }
     assert config.sweeps == {"low_scale": (4,)}
 
@@ -117,7 +119,7 @@ def test_readme_key_table_matches_commands():
     }
     common = text[text.index("Every command accepts the `[run]` keys") :]
     common = common[: common.index("Beyond those")]
-    assert set(re.findall(r"`(\w+)`", common)) == set(_FIELD_CASTS) | {"command", "out"}
+    assert set(re.findall(r"`(\w+)`", common)) == {"command", "out"}
 
 
 def test_load_config_rejects_empty_sweep(tmp_path):
@@ -127,9 +129,13 @@ def test_load_config_rejects_empty_sweep(tmp_path):
 
 
 def test_variation_requires_existing_trajectory(tmp_path):
+    with pytest.raises(ConfigError, match="trajectory"):
+        load_config("variation")
+    # a missing file is found when the run loads it, before anything is written
     path = write_config(tmp_path, "[run]\ntrajectory = /nonexistent/t.npz\n")
-    with pytest.raises(ConfigError):
-        load_config("variation", config_path=path)
+    out = tmp_path / "out"
+    assert main(["variation", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -235,20 +241,45 @@ def test_bad_option_value_fails_before_the_run(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, text",
+    "argv, text",
     [
-        ("simulate", "[run]\nhorizon = 0.1\nsave_trajectroy = true\n"),
-        ("picard", "[run]\nsamples = 10\n"),
-        ("verify-shell", "[run]\ndim = 3\nseed = 0\n[sweep]\nradius = 32\nscales = 2\n"),
+        (["simulate"], "[run]\nhorizon = 0.1\nsave_trajectroy = true\n"),
+        (["picard"], "[run]\nsamples = 10\n"),
+        (["verify-shell"], "[run]\ndim = 3\nseed = 0\n[sweep]\nradius = 32\nscales = 2\n"),
+        # keys and a flag that are well spelt but would change nothing
+        (["strauss"], "[run]\ndim = 3\n"),
+        # the trajectory file fixes the grid
+        (["variation"], "[run]\ntrajectory = t.npz\npoints_per_axis = 128\n"),
+        (["verify-shell"], "[run]\ndim = 3\nseed = 0\nmass = 9\n"),
+        (["picard"], "[run]\nstride = 4\n"),
+        (["strichartz"], "[run]\nhorizon = -1\n"),
+        # simulate draws nothing at random
+        (["simulate", "--seed", "7"], "[run]\nhorizon = 0.1\n"),
     ],
-    ids=["misspelt-option", "option-of-another-command", "sweep-key"],
+    ids=[
+        "misspelt-option", "option-of-another-command", "sweep-key", "strauss-dim",
+        "variation-grid", "shell-mass", "picard-stride", "strichartz-horizon",
+        "simulate-seed-flag",
+    ],
 )
-def test_unknown_key_exits_2(tmp_path, command, text):
+def test_unknown_key_exits_2(tmp_path, capsys, argv, text):
     path = write_config(tmp_path, text)
-    with pytest.raises(ConfigError, match="reads no"):
-        load_config(command, config_path=path)
     out = tmp_path / "out"
-    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert main(argv + ["--config", path, "--out", str(out)]) == 2
+    assert "reads no" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memory_exhaustion_exits_2(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "evolve", no_memory)
+    path = write_config(tmp_path, "[run]\ndt = 1e-9\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "memory" in err
     assert not out.exists()
 
 
@@ -494,7 +525,9 @@ def test_simulate_then_variation(tmp_path):
 # ----------------------------------------------------------------------
 
 
-SMALL_VERIFY_CONFIGS = {
+SMALL_CONFIGS = {
+    "simulate": "[run]\ncoupling = 5.0\namplitude = 0.5\nhorizon = 0.5\n",
+    "picard": "[run]\ncoupling = 5.0\namplitude = 0.1\nhorizon = 0.5\n",
     "verify-shell": "[run]\ndim = 3\nsamples = 60000\n"
     "[sweep]\nradius = 32\nwidth = 0.05, 0.1\ntube = 4\noffset_factor = 2.0\n",
     "verify-modulation": "[run]\nmax_radius = 64\n[sweep]\ndimension = 2, 3\n",
@@ -506,17 +539,110 @@ SMALL_VERIFY_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command", list(SMALL_VERIFY_CONFIGS))
+@pytest.mark.parametrize("command", list(SMALL_CONFIGS))
 def test_verify_deterministic_outputs(tmp_path, command):
-    cfg = write_config(tmp_path, SMALL_VERIFY_CONFIGS[command])
+    cfg = write_config(tmp_path, SMALL_CONFIGS[command])
+    # only the verify-* commands draw at random, and only they take a seed
+    seed = ["--seed", "5"] if command.startswith("verify-") else []
+    data = f"{command}.csv" if command == "simulate" else f"{command}.jsonl"
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main([command, "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
-        outputs.append(
-            [(out / f"{command}.jsonl").read_bytes(), (out / "summary.json").read_bytes()]
-        )
+        assert main([command, "--config", cfg, *seed, "--out", str(out)]) == 0
+        outputs.append([(out / data).read_bytes(), (out / "summary.json").read_bytes()])
     assert outputs[0] == outputs[1]
+
+
+# a small run of every command ([run] keys, [sweep] keys), and for each key
+# the command reads a value that must change its data or summary files
+BASE_RUNS = {
+    "simulate": ({"horizon": 0.2}, {}),
+    "picard": ({"horizon": 0.2, "iterations": 2}, {}),
+    "verify-modulation": ({"seed": 0, "max_radius": 16}, {}),
+    "verify-nonresonance": ({"seed": 0, "max_radius": 8}, {}),
+    "verify-shell": ({"dim": 3, "seed": 0, "samples": 2048}, {}),
+    "verify-bilinear": (
+        {"dim": 3, "seed": 0, "mode": "separated", "trials": 1, "high_scale": 16},
+        {"scales": 2},
+    ),
+    "verify-trilinear": ({"dim": 3, "seed": 0, "high_scale": 8, "trials": 1}, {}),
+    "strichartz": ({}, {}),
+    "strauss": ({}, {}),
+    "variation": ({"trajectory": "a.npz"}, {}),
+}
+CHANGED_VALUES = {
+    "simulate": {
+        "dim": 2, "box_length": 8, "points_per_axis": 16, "mass": 2, "coupling": 2,
+        "amplitude": 0.02, "width": 2, "horizon": 0.3, "dt": 0.1, "sobolev": 1,
+        "stride": 2, "save_trajectory": "true",
+    },
+    "picard": {
+        "dim": 2, "box_length": 8, "points_per_axis": 16, "mass": 2, "coupling": 2,
+        "amplitude": 0.02, "width": 2, "horizon": 0.3, "dt": 0.1, "sobolev": 1,
+        "iterations": 3,
+    },
+    "verify-modulation": {
+        "mass": 2, "dim": 2, "max_radius": 32, "directions": 8, "floor": 0.2,
+        "seed": 1, "dimension": 3,
+    },
+    "verify-nonresonance": {
+        "masses": "1, 1, 2.5", "dim": 2, "max_radius": 16, "directions": 8,
+        "floor": 0.02, "seed": 1,
+    },
+    "verify-shell": {
+        "dim": 4, "samples": 4096, "seed": 1, "radius": 16, "width": 0.1, "tube": 4,
+        "offset_factor": 1.5,
+    },
+    "verify-bilinear": {
+        "dim": 4, "mode": "matched", "trials": 2, "high_scale": 32, "seed": 1,
+        "scales": 4,
+    },
+    "verify-trilinear": {
+        "dim": 2, "high_scale": 16, "mate_scale": 16, "trials": 2,
+        "interaction_horizon": 4, "seed": 1, "low_scale": 2,
+    },
+    "strichartz": {"dim": 3, "family": "wave", "q": 4, "r": 4},
+    "strauss": {"max_dimension": 3},
+    "variation": {"trajectory": "b.npz", "sobolev": 1},
+}
+
+
+def test_changed_values_cover_every_key():
+    assert {command: set(values) for command, values in CHANGED_VALUES.items()} == {
+        command: set(options) | set(sweeps)
+        for command, (_, options, sweeps) in _COMMANDS.items()
+    }
+
+
+def run_outputs(tmp_path, name, command, run, sweep):
+    """Every data and summary file of one run, by name."""
+    lines = ["[run]"] + [f"{k} = {v}" for k, v in run.items()]
+    lines += ["[sweep]"] + [f"{k} = {v}" for k, v in sweep.items()]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n", name=f"{name}.ini")
+    out = tmp_path / name
+    assert main([command, "--config", cfg, "--out", str(out)]) in (0, 1)
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.mark.filterwarnings("ignore:shell intersection produced zero")
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command, values in CHANGED_VALUES.items() for key in values],
+)
+def test_every_key_changes_the_output(tmp_path, command, key):
+    rng = np.random.default_rng(0)
+    for name in ("a.npz", "b.npz"):
+        halves = rng.standard_normal((3, 1, 2, 8)) + 1j * rng.standard_normal((3, 1, 2, 8))
+        write_trajectory_file(tmp_path / name, times=np.array([0.0, 0.5, 1.0]), halves=halves)
+    run, sweep = (dict(section) for section in BASE_RUNS[command])
+    if command == "variation":
+        run["trajectory"] = tmp_path / run["trajectory"]
+    base = run_outputs(tmp_path, "base", command, run, sweep)
+    changed = CHANGED_VALUES[command][key]
+    if key == "trajectory":
+        changed = tmp_path / changed
+    (sweep if key in _COMMANDS[command][2] else run)[key] = changed
+    assert run_outputs(tmp_path, "changed", command, run, sweep) != base
 
 
 def test_verify_shell_seed_flag_overrides_config(tmp_path):
@@ -600,12 +726,14 @@ def test_verify_bilinear_rejects_bad_mode(tmp_path):
         # the shell geometry lives in dimension >= 3, and dim defaults to 1
         ("verify-shell", "[run]\nseed = 0\n", "dimension"),
         ("verify-shell", "[run]\ndim = 3\nseed = 0\nsamples = -5\n", "sample"),
+        # below 16 points in each of the 64 strata
+        ("verify-shell", "[run]\ndim = 3\nseed = 0\nsamples = 1000\n", "sample"),
         ("verify-trilinear", "[run]\ndim = 3\nseed = 0\ntrials = 0\n", "trial"),
         ("verify-modulation", "[run]\nseed = 0\n[sweep]\ndimension = 0\n", "dimension"),
         ("strichartz", "[run]\ndim = 3\n[sweep]\nq = 0\n", "q must be"),
     ],
     ids=[
-        "shell-dim", "shell-samples", "trilinear-trials", "modulation-dim",
+        "shell-dim", "shell-samples", "shell-sample-floor", "trilinear-trials", "modulation-dim",
         "strichartz-q",
     ],
 )

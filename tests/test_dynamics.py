@@ -141,19 +141,6 @@ def test_step_free_system_is_exact_rotation():
     assert np.max(np.abs(traj.halves[1, 0, 1] - ref_m.coeffs)) < 1e-14
 
 
-def test_richardson_fourth_order():
-    lat = make_lattice(n=16)
-    state = bump_state(lat, amp=0.5)
-    system = scalar_system()
-    T = 0.5
-    ref = evolve(lat, state, system, T, dt=T / 128).halves[-1]
-    coarse = evolve(lat, state, system, T, dt=T / 8).halves[-1]
-    fine = evolve(lat, state, system, T, dt=T / 16).halves[-1]
-    e1 = pair_distance(lat, coarse, ref)
-    e2 = pair_distance(lat, fine, ref)
-    assert 8.0 < e1 / e2 < 32.0
-
-
 def test_real_data_stays_real():
     lat = make_lattice(n=32)
     traj = evolve(lat, bump_state(lat, amp=0.3), scalar_system(), T=1.0, dt=0.02)
@@ -307,3 +294,62 @@ def test_decompose_and_solvers_reject_data_of_the_wrong_shape():
             evolve(lat, bad, system, T=0.2, dt=0.1)
         with pytest.raises(ValueError, match="state has shape"):
             picard_iterate(lat, bad, system, T=0.2, dt=0.1, iters=2)
+
+
+# ----------------------------------------------------------------------
+# orders of accuracy, on a 2D 32^2 box of side 16 at mass 1
+# ----------------------------------------------------------------------
+
+
+def observed_orders(errors):
+    """log2 of the ratios of errors at successively halved steps."""
+    return [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+
+
+@pytest.fixture(scope="module")
+def strong_problem():
+    """Coupling 5, amplitude 0.5, T = 2, and a Lawson dt = 0.0125 final state."""
+    lat = make_lattice(2, 16.0, 32)
+    state = bump_state(lat, 0.5)
+    system = scalar_system(1.0, 5.0)
+    reference = evolve(lat, state, system, 2.0, 0.0125).halves[-1]
+    return lat, state, system, reference
+
+
+def test_richardson_fourth_order(strong_problem):
+    lat, state, system, reference = strong_problem
+    errors = [
+        pair_distance(lat, evolve(lat, state, system, 2.0, dt).halves[-1], reference)
+        for dt in (0.2, 0.1, 0.05)
+    ]
+    for order in observed_orders(errors):
+        assert order == pytest.approx(4.0, abs=0.3)
+
+
+def test_picard_trapezoid_is_second_order(strong_problem):
+    lat, state, system, reference = strong_problem
+    errors = []
+    for dt in (0.1, 0.05, 0.025):
+        report = picard_iterate(lat, state, system, 2.0, dt, 12)
+        errors.append(pair_distance(lat, report.final.halves[-1], reference))
+    for order in observed_orders(errors):
+        assert order == pytest.approx(2.0, abs=0.3)
+
+
+def test_picard_map_scales_quadratically_with_the_data():
+    # for a quadratic N the first Duhamel correction grows like |data|^2 and
+    # the Lipschitz constant on the small ball like |data|
+    lat = make_lattice(2, 16.0, 32)
+    system = scalar_system(1.0, 1.0)
+    amplitudes = np.array([0.01, 0.02, 0.04])
+    reports = [
+        picard_iterate(lat, bump_state(lat, a), system, 2.0, 0.05, 4) for a in amplitudes
+    ]
+    first = [r.successive_distances[0] for r in reports]
+    factors = [r.contraction_factor for r in reports]
+
+    def slope(values):
+        return np.polyfit(np.log(amplitudes), np.log(values), 1)[0]
+
+    assert slope(first) == pytest.approx(2.0, abs=0.1)
+    assert slope(factors) == pytest.approx(1.0, abs=0.1)

@@ -232,8 +232,9 @@ def test_shell_spec_validation():
         ShellSpec(3, 4.0, 4.0, 0.1, 0.1, 1.0, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         ShellSpec(3, 4.0, 4.0, 0.1, 0.1, 1.0, (8.0, 0.0))
-    # a non-positive sample count would otherwise run 16 points per stratum
-    for samples in (0, -5):
+    # fewer than 16 points per stratum (1024 at the default 64 strata) would
+    # otherwise be raised to 16 per stratum without a word
+    for samples in (0, -5, 1023):
         with pytest.raises(ValueError, match="sample"):
             shell_intersection_volume(tangential_spec(), samples=samples)
 
