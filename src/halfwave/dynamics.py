@@ -11,6 +11,13 @@ remainder).  picard_iterate solves the equivalent integral equation by fixed
 point, with the time integral done by composite trapezoid on the rotated
 integrand.  Their agreement is one of the package's main self-checks.
 
+Both decide once, at entry, how to evaluate N.  When every monomial
+coefficient is real and the entry state's physical fields u and u_t are real
+to within 1e-12 relative, the flow keeps them real, conjugation flags are
+identities, and the products run on real transforms of the half spectrum
+(evaluate_nonlinearity with real=True).  Any other system or state takes the
+complex transforms.
+
 Division by 2<D> is always well-posed here because every mass is strictly
 positive; the massless case would need a low-frequency cutoff and is not
 supported anywhere in this package.
@@ -19,6 +26,7 @@ supported anywhere in this package.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +105,20 @@ def _signs(dim: int) -> np.ndarray:
     return np.array([1.0, -1.0]).reshape((1, 2) + (1,) * dim)
 
 
-def _rotation(lattice: FrequencyLattice, masses, t: float) -> np.ndarray:
-    """Free flow e^{±it<D>} over a (K, 2, *grid) state, zero on Nyquist modes."""
-    phase = np.exp(1j * _signs(lattice.spec.dim) * t * _brackets(lattice, masses))
+def _phase(lattice: FrequencyLattice, masses, t: float) -> np.ndarray:
+    """e^{it<D>} of every component, shape (K, 1, *grid), zero on Nyquist modes.
+
+    It rotates u^+; the u^- rotation e^{-it<D>} is its exact conjugate.
+    """
+    phase = np.exp(1j * t * _brackets(lattice, masses))
     phase[:, :, lattice.nyquist_mask] = 0.0
     return phase
+
+
+def _rotation(lattice: FrequencyLattice, masses, t: float) -> np.ndarray:
+    """Free flow e^{±it<D>} over a (K, 2, *grid) state, zero on Nyquist modes."""
+    phase = _phase(lattice, masses, t)
+    return np.concatenate([phase, np.conj(phase)], axis=1)
 
 
 def _hs_weights(lattice: FrequencyLattice, masses, s: float) -> np.ndarray:
@@ -120,10 +137,45 @@ def _state_distance(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(weights * np.abs(a - b) ** 2)))
 
 
-def _nonlinearity(lattice: FrequencyLattice, system: MassSystem, state: np.ndarray):
-    """N_i(u) of the fields u_i = u_i^+ + u_i^- of a state, shape (K, 1, *grid)."""
-    fields = tuple(SpectralField(lattice, p + q) for p, q in state)
-    return np.stack([f.coeffs for f in evaluate_nonlinearity(system, fields)])[:, None]
+def _nonlinearity(
+    lattice: FrequencyLattice, system: MassSystem, u: np.ndarray, real: bool = False
+):
+    """N_i(u) of the (K, *grid) fields u, shape (K, 1, *grid)."""
+    fields = tuple(SpectralField(lattice, f) for f in u)
+    out = evaluate_nonlinearity(system, fields, real=real)
+    return np.stack([f.coeffs for f in out])[:, None]
+
+
+def _real_path(
+    lattice: FrequencyLattice, system: MassSystem, state: np.ndarray
+) -> bool:
+    """Whether N may use real transforms along the flow from this state.
+
+    True when every coefficient is real and each physical field u_i, u_t,i of
+    the state has an imaginary part at most 1e-12 of its l2 norm.
+    """
+    if any(mono.coefficient.imag for poly in system.polynomials for mono in poly):
+        return False
+    fields = np.stack(reconstruct(lattice, state, system.masses))
+    values = np.fft.ifftn(fields, axes=tuple(range(2, fields.ndim)))
+    norms = np.linalg.norm(values.reshape(2 * system.size, -1), axis=1)
+    imag = np.linalg.norm(values.imag.reshape(2 * system.size, -1), axis=1)
+    return bool(np.all(imag <= 1e-12 * norms))
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(nbytes: int, what: str):
+    """Raise MemoryError, before allocating, when nbytes exceed physical memory."""
+    limit = _physical_memory()
+    if nbytes > limit:
+        raise MemoryError(
+            f"{what} need {nbytes / 2**30:.3g} GiB, more than the "
+            f"{limit / 2**30:.3g} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,33 +236,57 @@ def free_trajectory(
 
 
 class _Stepper:
-    """Precomputed rotations for Lawson-RK4 at a fixed dt."""
+    """Lawson-RK4 at a fixed step h, with every rotation folded in.
 
-    def __init__(self, lattice: FrequencyLattice, system: MassSystem, dt: float):
+    The slope of a state y is M n, with n = N(y^+ + y^-) and M = ∓i/(2<D>).
+    Classical Lawson-RK4 rotates each stage slope back by E_h* or E*, and
+    each stage input and the update forward by E_h = e^{±ih<D>/2} or
+    E = E_h^2.  Multiplied out, every back rotation cancels a forward one.
+    N only sees the sum Σ over the two halves, and Σ M = 0 while
+    Σ M E_h = S = sin(h<D>/2)/<D>.  So the four stage fields are
+
+        u1 = Σ y,  u2 = Σ y E_h + (h/2) S n1,  u3 = Σ y E_h,  u4 = Σ y E + h S n3,
+
+    and the update is y' = y E + (h/6) M ((n1 E_h + 2 (n2 + n3)) E_h + n4).
+    M only flips sign between u^+ and u^-, so one (K, 1, *grid) weight
+    -i h/(12<D>) serves both halves, and no step takes a conjugate.
+    """
+
+    def __init__(
+        self, lattice: FrequencyLattice, system: MassSystem, dt: float, real: bool
+    ):
         self.lattice = lattice
         self.system = system
-        self.dt = dt
+        self.real = real
         self.half_phase = _rotation(lattice, system.masses, 0.5 * dt)
-        self.full_phase = _rotation(lattice, system.masses, dt)
-        self.inv2br = _inverse_twice_bracket(lattice, system.masses)
+        inv2br = _inverse_twice_bracket(lattice, system.masses)[:, 0]
+        brackets = _brackets(lattice, system.masses)[:, 0]
+        self.kick = dt * inv2br * np.sin(0.5 * dt * brackets)
+        self.weight = (-1j * dt / 6.0) * inv2br[:, None]
+        self.stage = np.empty_like(self.half_phase)
 
-    def slope(self, y):
-        """Unrotated nonlinear slope: ∓ i N_i(u) / (2<D>)."""
-        n = _nonlinearity(self.lattice, self.system, y)
-        return -1j * _signs(self.lattice.spec.dim) * n * self.inv2br
+    def nonlinearity(self, u):
+        return _nonlinearity(self.lattice, self.system, u, self.real)
 
     def step(self, y):
-        """One step; the stage slopes g1 + 2 g2 + 2 g3 + g4 are summed as they come."""
-        h = self.dt
-        half, full = self.half_phase, self.full_phase
-        g = self.slope(y)
-        total = g
-        g = self.slope((y + 0.5 * h * g) * half) * np.conj(half)
-        total = total + 2 * g
-        g = self.slope((y + 0.5 * h * g) * half) * np.conj(half)
-        total = total + 2 * g
-        g = self.slope((y + h * g) * full) * np.conj(full)
-        return (y + (h / 6.0) * (total + g)) * full
+        """Advance the state y by one step, in place."""
+        phase = self.half_phase
+        rotated = np.multiply(y, phase, out=self.stage)
+        a = rotated[:, 0] + rotated[:, 1]
+        n1 = self.nonlinearity(y[:, 0] + y[:, 1])
+        n2 = self.nonlinearity(a + self.kick * n1[:, 0])
+        n3 = self.nonlinearity(a)
+        rotated *= phase
+        b = rotated[:, 0] + rotated[:, 1]
+        n4 = self.nonlinearity(b + 2.0 * self.kick * n3[:, 0])
+        np.multiply(n1, phase, out=y)
+        y += 2.0 * (n2 + n3)
+        y *= phase
+        y += n4
+        y *= self.weight
+        # the weight is M h/6 on u^+; u^- carries its negative
+        y[:, 0] += rotated[:, 0]
+        np.subtract(rotated[:, 1], y[:, 1], out=y[:, 1])
 
 
 def evolve(
@@ -234,10 +310,12 @@ def evolve(
     _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
     steps = max(1, int(round(T / dt)))
     steps = sample_every * math.ceil(steps / sample_every)
-    stepper = _Stepper(lattice, system, dt)
+    n_samples = steps // sample_every + 1
+    _require_memory(n_samples * state.size * 16, f"{n_samples} samples")
+    stepper = _Stepper(lattice, system, dt, _real_path(lattice, system, state))
     masses = system.masses
     weights = _hs_weights(lattice, masses, s)
-    y = state
+    y = state.astype(complex)
 
     def total_norm(y):
         return float(np.linalg.norm(_field_norms(weights, y)))
@@ -245,11 +323,10 @@ def evolve(
     base = total_norm(y)
     limit = growth_abort * base if base > 0 else math.inf
 
-    sampled = np.arange(0, steps + 1, sample_every)
-    halves = np.empty((sampled.size,) + y.shape, dtype=complex)
+    halves = np.empty((n_samples,) + y.shape, dtype=complex)
     halves[0] = y
     for j in range(1, steps + 1):
-        y = stepper.step(y)
+        stepper.step(y)
         t = j * dt
         if not np.all(np.isfinite(y)):
             raise InstabilityError(
@@ -265,7 +342,7 @@ def evolve(
             )
         if j % sample_every == 0:
             halves[j // sample_every] = y
-    return Trajectory(sampled * dt, masses, lattice, halves)
+    return Trajectory(np.arange(n_samples) * sample_every * dt, masses, lattice, halves)
 
 
 # ---------------------------------------------------------------------------
@@ -307,36 +384,50 @@ def picard_iterate(
         raise ValueError("T and dt must be positive")
     _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
     masses = system.masses
-    n_steps = max(1, int(round(T / dt)))
-    times = np.arange(n_steps + 1) * dt
+    n_levels = max(1, int(round(T / dt))) + 1
+    # the iterate and the u^+ phase table, complex
+    _require_memory(
+        n_levels * (state.size + state.size // 2) * 16, f"{n_levels} levels"
+    )
+    times = np.arange(n_levels) * dt
+    real = _real_path(lattice, system, state)
     signs = _signs(lattice.spec.dim)
     inv2br = _inverse_twice_bracket(lattice, masses)
     weights = _hs_weights(lattice, masses, s)
-    rotations = np.stack([_rotation(lattice, masses, t) for t in times])
-
-    current = state * rotations
+    # the u^+ rotations e^{it<D>}; the u^- ones are their exact conjugates
+    phases = np.empty((times.size,) + inv2br.shape, dtype=complex)
+    current = np.empty((times.size,) + state.shape, dtype=complex)
+    for j, t in enumerate(times):
+        phases[j] = _phase(lattice, masses, t)
+        current[j, :, :1] = state[:, :1] * phases[j]
+        current[j, :, 1:] = state[:, 1:] * np.conj(phases[j])
     distances = []
+    prev, cur, level = (np.empty_like(current[0]) for _ in range(3))
 
     for sweep in range(1, iters + 1):
         # cumulative trapezoid of the unrotated integrands e^{∓is<D>} N/(2<D>)
-        # of the scaled nonlinearity N(u(s))/(2<D>) along the current iterate,
-        # and the sup over time of the distance to the current iterate
-        nxt = np.empty_like(current)
-        acc = np.zeros_like(state)
-        prev = None
+        # of the scaled nonlinearity N(u(s))/(2<D>) along the current iterate;
+        # level j of the next iterate needs nothing of the current one past j,
+        # so it replaces level j once its distance is taken
+        acc = np.zeros_like(level)
         distance = 0.0
-        for j in range(times.size):
-            scaled = _nonlinearity(lattice, system, current[j]) * inv2br
-            cur = np.conj(rotations[j]) * scaled
+        for j, phase in enumerate(phases):
+            back = np.conj(phase)
+            u = current[j, :, 0] + current[j, :, 1]
+            scaled = _nonlinearity(lattice, system, u, real) * inv2br
+            np.multiply(back, scaled, out=cur[:, :1])
+            np.multiply(phase, scaled, out=cur[:, 1:])
             if j > 0:
-                acc = acc + 0.5 * dt * (prev + cur)
-            prev = cur
-            nxt[j] = rotations[j] * (state - 1j * signs * acc)
-            distance = max(distance, _state_distance(weights, nxt[j], current[j]))
-        if not np.all(np.isfinite(nxt)):
+                acc += 0.5 * dt * (prev + cur)
+            prev, cur = cur, prev
+            free = state - 1j * signs * acc
+            np.multiply(phase, free[:, :1], out=level[:, :1])
+            np.multiply(back, free[:, 1:], out=level[:, 1:])
+            distance = max(distance, _state_distance(weights, level, current[j]))
+            current[j] = level
+        if not np.all(np.isfinite(current)):
             raise InstabilityError(f"non-finite iterate in Picard sweep {sweep}")
         distances.append(distance)
-        current = nxt
         factor, diverged = _contraction(distances)
         if diverged:
             break
@@ -415,7 +506,7 @@ def conserved_energy(
     from a potential (e.g. the scalar N(u) = c u^2).
     """
     u, u_t = reconstruct(lattice, state, system.masses)
-    nonlin = _nonlinearity(lattice, system, state)[:, 0]
+    nonlin = _nonlinearity(lattice, system, u)[:, 0]
     quad = np.sum(np.abs(u_t) ** 2) + np.sum(
         _brackets(lattice, system.masses)[:, 0] ** 2 * np.abs(u) ** 2
     )

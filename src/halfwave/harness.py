@@ -390,9 +390,9 @@ def shell_intersection_volume(
     volume = 0.0
     variance = 0.0
     hits_total = 0
+    per = samples // strata
     if lo < hi:
         edges = np.linspace(lo, hi, strata + 1)
-        per = samples // strata
         for i in range(strata):
             a_edge, b_edge = float(edges[i]), float(edges[i + 1])
             abs_min = 0.0 if a_edge <= 0.0 <= b_edge else min(abs(a_edge), abs(b_edge))
@@ -446,7 +446,7 @@ def shell_intersection_volume(
             "width_b": wb,
             "tube_radius": spec.tube_radius,
             "offset": list(spec.offset),
-            "samples": int(samples),
+            "samples": per * strata,
             "strata": int(strata),
         },
         ratios=(ratio,),

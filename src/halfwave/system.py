@@ -4,11 +4,13 @@ A system couples K components, each with its own positive mass, through
 homogeneous quadratic polynomials with complex coefficients.  Factors may be
 conjugated.  Products are evaluated pseudospectrally with the 2/3 rule applied
 both before and after multiplication, so quadratic interactions never alias
-back into the retained band.
+back into the retained band.  When the coefficients and the physical fields
+are real, the products run on real transforms of the half spectrum instead.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,18 +81,24 @@ def check_nonresonance(masses: Sequence[float]):
     return margin > 0, float(margin)
 
 
-def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
+def evaluate_nonlinearity(
+    system: MassSystem, fields: Sequence[SpectralField], real: bool = False
+):
     """Apply every component polynomial to the fields, fully dealiased.
 
     Inputs are truncated to the 2/3 band, multiplied pointwise on the physical
     grid (with conjugation flags honored), and the spectral products are
-    truncated again.
+    truncated again.  With real=True the caller vouches that the coefficients
+    and the physical fields are real: conjugation flags are then identities,
+    and the products run on irfftn/rfftn of the half spectrum.
     """
     if len(fields) != system.size:
         raise ValueError("one field per component required")
     lattice = fields[0].lattice
     if any(f.lattice != lattice for f in fields):
         raise ValueError("fields must share one lattice")
+    if real:
+        return _real_products(system, lattice, fields)
     keep = lattice.dealias_mask
 
     needed = {
@@ -113,6 +121,46 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
         coeffs = np.fft.fftn(total, norm="ortho") * keep
         out.append(SpectralField(lattice, coeffs))
     return tuple(out)
+
+
+def _real_products(system: MassSystem, lattice, fields):
+    """The real branch of evaluate_nonlinearity, on half spectra."""
+    shape = lattice.spec.shape
+    axes = tuple(range(len(shape)))
+    keep = lattice.dealias_mask[..., : shape[-1] // 2 + 1]
+    needed = {i for poly in system.polynomials for m in poly for i, _ in m.factors}
+    physical = {
+        idx: np.fft.irfftn(
+            fields[idx].coeffs[..., : keep.shape[-1]] * keep, shape, axes, norm="ortho"
+        )
+        for idx in needed
+    }
+    out = []
+    for poly in system.polynomials:
+        total = np.zeros(shape)
+        for mono in poly:
+            (a, _), (b, _) = mono.factors
+            total += mono.coefficient.real * (physical[a] * physical[b])
+        half = np.fft.rfftn(total, norm="ortho") * keep
+        out.append(SpectralField(lattice, _complete_hermitian(half, shape[-1])))
+    return tuple(out)
+
+
+def _complete_hermitian(half: np.ndarray, n: int) -> np.ndarray:
+    """The full spectrum, n modes on the last axis, of a real field from its rfftn half.
+
+    The missing last-axis modes are F(k) = conj(F(-k)), where -k maps index 0
+    of each axis to itself and index i > 0 to n - i.
+    """
+    h = half.shape[-1]
+    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., :h] = half
+    tail = half[..., n - h : 0 : -1]
+    for mirrored in itertools.product((False, True), repeat=out.ndim - 1):
+        src = tuple(slice(None, 0, -1) if m else slice(0, 1) for m in mirrored)
+        dst = tuple(slice(1, None) if m else slice(0, 1) for m in mirrored)
+        np.conjugate(tail[src], out=out[dst + (slice(h, None),)])
+    return out
 
 
 # ---------------------------------------------------------------------------

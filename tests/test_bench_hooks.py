@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from halfwave import dynamics
 from halfwave.cli import save_trajectory
 from halfwave.dynamics import decompose, evolve, picard_iterate
 from halfwave.grid import FrequencyLattice, GridSpec, gaussian_bump
@@ -75,6 +76,21 @@ def test_counters_read_real_results(tmp_path):
         "harness.shell_intersection_volume.samples": 1024,
         "cli.save_trajectory.bytes": 2 * 16 * 5 * 1 * 32,
     }
+
+
+def test_traced_nonlinearity_sees_the_real_path(monkeypatch):
+    # the span wrapper replaces the name dynamics calls, so every stage of a
+    # real-path step is recorded: 4 calls per step
+    lattice = FrequencyLattice(GridSpec(3, 16.0, 16))
+    bump = gaussian_bump(lattice, 0.01).coeffs[None]
+    state = decompose(lattice, bump, np.zeros_like(bump), (1.0,))
+    assert dynamics._real_path(lattice, scalar_system(), state)
+    recorder = spans.Recorder("test")
+    name = "system.evaluate_nonlinearity"
+    traced = recorder.wrap(name, dynamics.evaluate_nonlinearity)
+    monkeypatch.setattr(dynamics, "evaluate_nonlinearity", traced)
+    evolve(lattice, state, scalar_system(), 0.3, 0.05)
+    assert [s.name for s in recorder.spans] == [name] * 4 * 6
 
 
 def test_micro_probe_runs():

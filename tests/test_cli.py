@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfwave import cli
+from halfwave import cli, dynamics
 from halfwave.cli import (
     _COMMANDS,
     ConfigError,
@@ -280,6 +280,21 @@ def test_memory_exhaustion_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "memory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_runs_larger_than_memory_exit_2_before_allocating(
+    command, tmp_path, capsys, monkeypatch
+):
+    # dt = 1e-9 over the default horizon 10 is 1e10 steps of a 32-point state;
+    # the solvers refuse it from its size alone, here against a patched 8 GiB
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 8 * 2**30)
+    path = write_config(tmp_path, "[run]\ndt = 1e-9\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "physical memory" in err and err.rstrip().endswith("out of memory")
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from halfwave import dynamics
 from halfwave.dynamics import (
     _contraction,
     InstabilityError,
@@ -26,7 +27,13 @@ from halfwave.grid import (
     random_field,
     sobolev_norm,
 )
-from halfwave.system import free_system, scalar_system
+from halfwave.system import (
+    MassSystem,
+    Monomial,
+    evaluate_nonlinearity,
+    free_system,
+    scalar_system,
+)
 
 
 def make_lattice(dim=2, box=8.0, n=16):
@@ -353,3 +360,126 @@ def test_picard_map_scales_quadratically_with_the_data():
 
     assert slope(first) == pytest.approx(2.0, abs=0.1)
     assert slope(factors) == pytest.approx(1.0, abs=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the real-field path, in-place Picard and the memory estimate
+
+
+def refuse_real_transforms(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("real transform on the complex path")
+
+    monkeypatch.setattr(np.fft, "rfftn", fail)
+
+
+def test_real_system_and_state_take_the_real_path(monkeypatch):
+    # the converse of the two tests below: the patch does catch the real path
+    lat = make_lattice(n=16)
+    refuse_real_transforms(monkeypatch)
+    with pytest.raises(AssertionError, match="real transform"):
+        evolve(lat, bump_state(lat, amp=0.1), scalar_system(), T=0.1, dt=0.05)
+
+
+def test_complex_coefficients_take_the_complex_path(monkeypatch):
+    lat = make_lattice(n=16)
+    state = bump_state(lat, amp=0.1)
+    system = scalar_system(coefficient=1.0 + 0.5j)
+    refuse_real_transforms(monkeypatch)
+    evolve(lat, state, system, T=0.1, dt=0.05)
+    picard_iterate(lat, state, system, T=0.1, dt=0.05, iters=2)
+
+
+def test_non_real_state_takes_the_complex_path(monkeypatch):
+    lat = make_lattice(n=16)
+    u = 0.1 * random_field(lat, np.random.default_rng(11)).coeffs[None]
+    state = decompose(lat, u, zeros(lat), (1.0,))
+    refuse_real_transforms(monkeypatch)
+    evolve(lat, state, scalar_system(), T=0.1, dt=0.05)
+    picard_iterate(lat, state, scalar_system(), T=0.1, dt=0.05, iters=2)
+
+
+def test_real_path_matches_complex_path(monkeypatch):
+    lat = make_lattice(n=32)
+    state = bump_state(lat, amp=0.3)
+    real = evolve(lat, state, scalar_system(), T=1.0, dt=0.05, sample_every=5)
+    monkeypatch.setattr(dynamics, "_real_path", lambda *args: False)
+    forced = evolve(lat, state, scalar_system(), T=1.0, dt=0.05, sample_every=5)
+    scale = np.max(np.abs(real.halves))
+    assert np.max(np.abs(real.halves - forced.halves)) < 1e-13 * scale
+
+
+def two_buffer_picard(lat, state, system, T, dt, iters, s=0.5):
+    """Picard sweeps as they were: two whole iterates and a full rotation table."""
+    dim = lat.spec.dim
+    signs = np.array([1.0, -1.0]).reshape((1, 2) + (1,) * dim)
+    br = np.stack([lat.bracket(m) for m in system.masses])[:, None]
+    inv2br = ~lat.nyquist_mask / (2.0 * br)
+    weights = lat.cell_volume * br ** (2.0 * s)
+    times = np.arange(max(1, int(round(T / dt))) + 1) * dt
+
+    def rotation(t):
+        phase = np.exp(1j * signs * t * br)
+        phase[:, :, lat.nyquist_mask] = 0.0
+        return phase
+
+    def nonlinearity(y):
+        fields = tuple(SpectralField(lat, p + q) for p, q in y)
+        out = evaluate_nonlinearity(system, fields)
+        return np.stack([f.coeffs for f in out])[:, None]
+
+    rotations = np.stack([rotation(t) for t in times])
+    current = state * rotations
+    distances = []
+    for _ in range(iters):
+        nxt = np.empty_like(current)
+        acc = np.zeros_like(state)
+        prev = None
+        distance = 0.0
+        for j in range(times.size):
+            scaled = nonlinearity(current[j]) * inv2br
+            cur = np.conj(rotations[j]) * scaled
+            if j > 0:
+                acc = acc + 0.5 * dt * (prev + cur)
+            prev = cur
+            nxt[j] = rotations[j] * (state - 1j * signs * acc)
+            step = np.sqrt(np.sum(weights * np.abs(nxt[j] - current[j]) ** 2))
+            distance = max(distance, float(step))
+        distances.append(distance)
+        current = nxt
+    return current, distances
+
+
+def test_in_place_picard_matches_the_two_buffer_sweep():
+    # a complex-path system (complex coefficient, conjugated factor, two
+    # masses): the in-place sweep and the u^+ phase table change no bit
+    lat = make_lattice(n=16)
+    system = MassSystem(
+        (1.0, 1.5),
+        (
+            (Monomial(0.5 + 0.25j, ((0, False), (1, True))),),
+            (Monomial(-0.75, ((0, False), (0, False))),),
+        ),
+    )
+    u, u_t = random_data(lat, np.random.default_rng(12), k=2, decay=2.0)
+    state = decompose(lat, 0.05 * u, 0.05 * u_t, system.masses)
+    report = picard_iterate(lat, state, system, T=1.0, dt=0.1, iters=4)
+    final, distances = two_buffer_picard(lat, state, system, T=1.0, dt=0.1, iters=4)
+    assert not report.diverged
+    assert report.successive_distances == tuple(distances)
+    assert np.array_equal(report.final.halves, final)
+
+
+def test_solvers_refuse_what_memory_cannot_hold(monkeypatch):
+    # one 16 x 16 component: a state is 8 KiB, and a Picard level holds a
+    # state and its u^+ phase, 12 KiB
+    lat = make_lattice(n=16)
+    state = bump_state(lat, amp=0.1)
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 2 * 8192)
+    with pytest.raises(MemoryError, match="3 samples"):
+        evolve(lat, state, scalar_system(), T=0.2, dt=0.1)
+    evolve(lat, state, scalar_system(), T=0.1, dt=0.1)
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 2 * 12288)
+    with pytest.raises(MemoryError, match="3 levels"):
+        picard_iterate(lat, state, scalar_system(), T=0.2, dt=0.1, iters=2)
+    picard_iterate(lat, state, scalar_system(), T=0.1, dt=0.1, iters=2)

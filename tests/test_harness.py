@@ -239,6 +239,14 @@ def test_shell_spec_validation():
             shell_intersection_volume(tangential_spec(), samples=samples)
 
 
+def test_shell_records_the_points_it_draws():
+    # each of the 64 strata draws samples // 64 points: 2047 draws 1984,
+    # while the CLI default 200000 is a multiple of 64 and is drawn in full
+    spec = ShellSpec(3, 8.0, 8.0, 0.5, 0.5, 6.0, (12.0, 0.0, 0.0))
+    assert shell_intersection_volume(spec, samples=2047).parameters["samples"] == 1984
+    assert shell_intersection_volume(spec, samples=200_000).parameters["samples"] == 200_000
+
+
 def test_shell_tangential_closed_form():
     # externally tangent equal spheres: the intersection of the thickened
     # shells is a torus-like ring of volume 2*pi*r*wa*wb, which makes the

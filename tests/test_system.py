@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halfwave.grid import FrequencyLattice, GridSpec, SpectralField, random_field
+from halfwave.grid import (
+    FrequencyLattice,
+    GridSpec,
+    SpectralField,
+    forward_transform,
+    random_field,
+)
 from halfwave.system import (
     MassSystem,
     Monomial,
@@ -169,3 +177,36 @@ def test_free_system_evaluates_to_zero():
     v = random_field(lat, np.random.default_rng(2))
     out = evaluate_nonlinearity(free_system((1.0, 2.0)), (u, v))
     assert all(np.max(np.abs(f.coeffs)) == 0 for f in out)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    k=st.integers(1, 3),
+    terms=st.lists(
+        st.tuples(
+            st.floats(-5.0, 5.0), st.integers(0, 2), st.booleans(),
+            st.integers(0, 2), st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_branch_matches_complex_products(dim, k, terms, seed):
+    # real coefficients on real fields, some factors conjugated: the half
+    # spectrum route and the full complex route give the same spectra
+    lat = FrequencyLattice(GridSpec(dim, 7.0, 8))
+    rng = np.random.default_rng(seed)
+    fields = tuple(
+        forward_transform(lat, rng.standard_normal(lat.spec.shape)) for _ in range(k)
+    )
+    polys = [[] for _ in range(k)]
+    for n, (c, a, ca, b, cb) in enumerate(terms):
+        polys[n % k].append(Monomial(c, ((a % k, ca), (b % k, cb))))
+    system = MassSystem((1.0,) * k, tuple(tuple(p) for p in polys))
+    complex_out = evaluate_nonlinearity(system, fields)
+    real_out = evaluate_nonlinearity(system, fields, real=True)
+    for want, got in zip(complex_out, real_out):
+        scale = max(1.0, np.max(np.abs(want.coeffs)))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * scale
