@@ -36,6 +36,7 @@ import numpy as np
 from .dynamics import (
     InstabilityError,
     Trajectory,
+    _require_memory,
     conserved_energy,
     decompose,
     evolve,
@@ -270,14 +271,26 @@ def save_trajectory(traj: Trajectory, path):
 
 
 def load_trajectory(path) -> Trajectory:
-    """Rebuild a trajectory stored by save_trajectory; a bad file is a ConfigError."""
+    """Rebuild a trajectory stored by save_trajectory; a bad file is a ConfigError.
+
+    Halves larger than physical memory raise MemoryError before any is read.
+    """
     try:
         with np.load(path) as data:
             missing = [key for key in _TRAJECTORY_KEYS if key not in data.files]
             if missing:
                 raise ConfigError(f"trajectory file {path} lacks {', '.join(missing)}")
+            with data.zip.open("halves.npy") as member:
+                version = np.lib.format.read_magic(member)
+                read_header = (
+                    np.lib.format.read_array_header_1_0
+                    if version == (1, 0)
+                    else np.lib.format.read_array_header_2_0
+                )
+                shape, _, dtype = read_header(member)
+            _require_memory(math.prod(shape) * dtype.itemsize, f"the halves of {path}")
             stored = {key: data[key] for key in _TRAJECTORY_KEYS}
-    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read trajectory file {path}: {exc}") from exc
     halves = stored["halves"]
     if not np.iscomplexobj(halves) or not np.all(np.isfinite(halves)):

@@ -8,8 +8,10 @@ pair u^+, u^- with u = u^+ + u^- and u_t = i<D>(u^+ - u^-):
 Two independent discretizations live here.  evolve marches the pair with a
 Lawson scheme (exact rotation of the stiff phase, classical RK4 on the rotated
 remainder).  picard_iterate solves the equivalent integral equation by fixed
-point, with the time integral done by composite trapezoid on the rotated
-integrand.  Their agreement is one of the package's main self-checks.
+point, with the time integral done by composite trapezoid written as a
+recursion in the rotated frame: one step factor e^{±i dt <D>} carries each
+time level to the next, and the iterate, 16 bytes per state entry per level,
+is all it stores.  Their agreement is one of the package's main self-checks.
 
 Both decide once, at entry, how to evaluate N.  When every monomial
 coefficient is real and the entry state's physical fields u and u_t are real
@@ -100,24 +102,10 @@ def _inverse_twice_bracket(lattice: FrequencyLattice, masses) -> np.ndarray:
     return ~lattice.nyquist_mask / (2.0 * _brackets(lattice, masses))
 
 
-def _signs(dim: int) -> np.ndarray:
-    """+1 for u^+ and -1 for u^- along axis 1 of a state: the sign in e^{±it<D>}."""
-    return np.array([1.0, -1.0]).reshape((1, 2) + (1,) * dim)
-
-
-def _phase(lattice: FrequencyLattice, masses, t: float) -> np.ndarray:
-    """e^{it<D>} of every component, shape (K, 1, *grid), zero on Nyquist modes.
-
-    It rotates u^+; the u^- rotation e^{-it<D>} is its exact conjugate.
-    """
-    phase = np.exp(1j * t * _brackets(lattice, masses))
-    phase[:, :, lattice.nyquist_mask] = 0.0
-    return phase
-
-
 def _rotation(lattice: FrequencyLattice, masses, t: float) -> np.ndarray:
     """Free flow e^{±it<D>} over a (K, 2, *grid) state, zero on Nyquist modes."""
-    phase = _phase(lattice, masses, t)
+    phase = np.exp(1j * t * _brackets(lattice, masses))
+    phase[:, :, lattice.nyquist_mask] = 0.0
     return np.concatenate([phase, np.conj(phase)], axis=1)
 
 
@@ -227,7 +215,10 @@ def free_trajectory(
     lattice: FrequencyLattice, state: np.ndarray, masses, times
 ) -> Trajectory:
     """Trajectory of exact free half-wave flow from the given state at t=0."""
-    halves = np.stack([state * _rotation(lattice, masses, t) for t in times])
+    _require_memory(len(times) * state.size * 16, f"{len(times)} samples")
+    halves = np.empty((len(times),) + state.shape, dtype=complex)
+    for sample, t in zip(halves, times):
+        np.multiply(state, _rotation(lattice, masses, t), out=sample)
     return Trajectory(times, masses, lattice, halves)
 
 
@@ -371,12 +362,16 @@ def picard_iterate(
     """Solve the integral form u^± = free part ∓ i ∫ rotated N/(2<D>) by iteration.
 
     The free part rotates the (K, 2, *grid) half-wave state given at t = 0.
-    The time integral uses composite trapezoid on the unrotated integrand
-    e^{∓i s <D>} N(u(s))/(2<D>), then rotates the running sum forward.  The
-    report carries the last iterate, the sup-in-time H^s distances between
-    consecutive iterates, and the contraction factor and divergence flag of
-    _contraction; divergence stops the iteration.  A sweep that produces
-    non-finite values raises InstabilityError.
+    The time integral is the composite trapezoid, written in the rotated
+    frame as a recursion over the levels t_j = j dt with one step factor
+    E = e^{±i dt <D>}: level_j = E (level_{j-1} + h_{j-1}) + h_j, where
+    h_j = ∓i (dt/2) N(u_j)/(2<D>) along the current iterate u.  Level 0 is
+    the entry state with its Nyquist modes zeroed, and the first iterate is
+    the free flow level_j = E level_{j-1}.  The report carries the last
+    iterate, the sup-in-time H^s distances between consecutive iterates, and
+    the contraction factor and divergence flag of _contraction; divergence
+    stops the iteration.  A sweep that produces non-finite values raises
+    InstabilityError.
     """
     if iters < 2:
         raise ValueError("need at least two iterations to report a contraction")
@@ -385,53 +380,39 @@ def picard_iterate(
     _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
     masses = system.masses
     n_levels = max(1, int(round(T / dt))) + 1
-    # the iterate and the u^+ phase table, complex
-    _require_memory(
-        n_levels * (state.size + state.size // 2) * 16, f"{n_levels} levels"
-    )
-    times = np.arange(n_levels) * dt
+    _require_memory(n_levels * state.size * 16, f"{n_levels} levels")
     real = _real_path(lattice, system, state)
-    signs = _signs(lattice.spec.dim)
+    step = _rotation(lattice, masses, dt)
     inv2br = _inverse_twice_bracket(lattice, masses)
+    kick = -0.5j * dt * np.concatenate([inv2br, -inv2br], axis=1)
     weights = _hs_weights(lattice, masses, s)
-    # the u^+ rotations e^{it<D>}; the u^- ones are their exact conjugates
-    phases = np.empty((times.size,) + inv2br.shape, dtype=complex)
-    current = np.empty((times.size,) + state.shape, dtype=complex)
-    for j, t in enumerate(times):
-        phases[j] = _phase(lattice, masses, t)
-        current[j, :, :1] = state[:, :1] * phases[j]
-        current[j, :, 1:] = state[:, 1:] * np.conj(phases[j])
+    current = np.empty((n_levels,) + state.shape, dtype=complex)
+    current[0] = np.where(lattice.nyquist_mask, 0.0, state)
+    for j in range(1, n_levels):
+        np.multiply(current[j - 1], step, out=current[j])
     distances = []
-    prev, cur, level = (np.empty_like(current[0]) for _ in range(3))
+    carry = np.empty_like(current[0])
 
     for sweep in range(1, iters + 1):
-        # cumulative trapezoid of the unrotated integrands e^{∓is<D>} N/(2<D>)
-        # of the scaled nonlinearity N(u(s))/(2<D>) along the current iterate;
-        # level j of the next iterate needs nothing of the current one past j,
-        # so it replaces level j once its distance is taken
-        acc = np.zeros_like(level)
+        # the new level j needs nothing of the current iterate past level j,
+        # so it overwrites level j once its distance is taken; carry holds
+        # the new level_{j-1} + h_{j-1}, then level_j, then level_j + h_j
         distance = 0.0
-        for j, phase in enumerate(phases):
-            back = np.conj(phase)
-            u = current[j, :, 0] + current[j, :, 1]
-            scaled = _nonlinearity(lattice, system, u, real) * inv2br
-            np.multiply(back, scaled, out=cur[:, :1])
-            np.multiply(phase, scaled, out=cur[:, 1:])
+        for j, level in enumerate(current):
+            h = kick * _nonlinearity(lattice, system, level[:, 0] + level[:, 1], real)
             if j > 0:
-                acc += 0.5 * dt * (prev + cur)
-            prev, cur = cur, prev
-            free = state - 1j * signs * acc
-            np.multiply(phase, free[:, :1], out=level[:, :1])
-            np.multiply(back, free[:, 1:], out=level[:, 1:])
-            distance = max(distance, _state_distance(weights, level, current[j]))
-            current[j] = level
+                carry *= step
+                carry += h
+                distance = max(distance, _state_distance(weights, carry, level))
+                level[...] = carry
+            np.add(level, h, out=carry)
         if not np.all(np.isfinite(current)):
             raise InstabilityError(f"non-finite iterate in Picard sweep {sweep}")
         distances.append(distance)
         factor, diverged = _contraction(distances)
         if diverged:
             break
-    final = Trajectory(times, masses, lattice, current)
+    final = Trajectory(np.arange(n_levels) * dt, masses, lattice, current)
     return PicardReport(final, tuple(distances), factor, diverged)
 
 

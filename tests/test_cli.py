@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line runner."""
 
+import io
 import json
 import math
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +496,31 @@ def test_load_trajectory_rejects_non_archive(tmp_path):
     junk.write_text("not an archive\n")
     with pytest.raises(ConfigError):
         load_trajectory(junk)
+
+
+def test_variation_refuses_a_trajectory_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # the size comes from the .npy header of halves, before any data is read:
+    # the 2 x 1 x 2 x 8 complex halves of the valid file take 512 bytes
+    store = write_trajectory_file(tmp_path / "ok.npz")
+    cfg = write_config(tmp_path, f"[run]\ntrajectory = {store}\n")
+    out = tmp_path / "out"
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 511)
+    assert main(["variation", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "physical memory" in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 512)
+    assert load_trajectory(store).halves.shape == (2, 1, 2, 8)
+    # a header that declares 2**45 entries over no data at all
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<c16", "fortran_order": False, "shape": (2, 1, 2, 2**43)}
+    )
+    huge = write_trajectory_file(tmp_path / "huge.npz", halves=None)
+    with zipfile.ZipFile(huge, "a") as archive:
+        archive.writestr("halves.npy", header.getvalue())
+    with pytest.raises(MemoryError, match="physical memory"):
+        load_trajectory(huge)
 
 
 def test_variation_on_malformed_file_exits_2(tmp_path):

@@ -14,8 +14,12 @@ from halfwave.dynamics import Trajectory, decompose, evolve, reconstruct
 from halfwave.grid import (
     FrequencyLattice,
     GridSpec,
+    SpaceTimeField,
     SpectralField,
+    dyadic_scales,
     l2_norm,
+    lp_weights,
+    modulation_weights,
     random_field,
     sobolev_norm,
 )
@@ -29,6 +33,12 @@ properties = settings(derandomize=True, database=None, max_examples=40, deadline
 
 def lattice(dim, box=6.0):
     return FrequencyLattice(GridSpec(dim, box, 8))
+
+
+lattices = st.builds(
+    FrequencyLattice,
+    st.builds(GridSpec, dims, st.floats(0.5, 200.0), st.sampled_from([8, 16, 32, 64])),
+)
 
 
 def random_data(lat, rng, k, decay=0.0):
@@ -142,3 +152,33 @@ def test_trajectory_file_roundtrip_is_bit_exact(dim, k, n_times, dt, mass_list, 
     assert np.array_equal(loaded.times, traj.times)
     assert loaded.halves.dtype == traj.halves.dtype
     assert np.array_equal(loaded.halves, traj.halves)
+
+
+@properties
+@given(lat=lattices)
+def test_littlewood_paley_weights_partition_unity(lat):
+    total = sum(lp_weights(lat, scale) for scale in dyadic_scales(lat))
+    live = ~lat.nyquist_mask
+    assert np.allclose(total[live], 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(total[~live] == 0.0)
+
+
+@properties
+@given(
+    lat=lattices,
+    n_times=st.integers(2, 8),
+    dt=st.floats(0.01, 1.0),
+    index=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+    sign=st.sampled_from([1, -1]),
+    mass=masses,
+)
+def test_modulation_low_and_high_complement(lat, n_times, dt, index, sign, mass):
+    u = SpaceTimeField(
+        np.arange(n_times) * dt, lat, np.zeros((n_times,) + lat.spec.shape, complex)
+    )
+    total = modulation_weights(u, index, sign, mass, "low") + modulation_weights(
+        u, index, sign, mass, "high"
+    )
+    live = ~lat.nyquist_mask
+    assert np.allclose(total[:, live], 1.0, rtol=0.0, atol=1e-15)
+    assert np.all(total[:, ~live] == 0.0)
