@@ -36,7 +36,6 @@ import numpy as np
 from .dynamics import (
     InstabilityError,
     Trajectory,
-    _require_memory,
     conserved_energy,
     decompose,
     evolve,
@@ -47,6 +46,7 @@ from .dynamics import (
 from .grid import (
     FrequencyLattice,
     GridSpec,
+    _require_memory,
     gaussian_bump,
     sobolev_norm,  # noqa: F401  (a span target of the benchmark's traced run)
 )

@@ -28,7 +28,6 @@ supported anywhere in this package.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ import numpy as np
 from .grid import (
     FrequencyLattice,
     SpectralField,
+    _require_memory,
     free_propagate,  # noqa: F401  (a span target of the benchmark's traced run)
     sobolev_norm,  # noqa: F401  (a span target of the benchmark's traced run)
     uniform_times,
@@ -120,9 +120,16 @@ def _field_norms(weights: np.ndarray, state: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(weights[:, 0] * np.abs(u) ** 2, axis=tuple(range(1, u.ndim))))
 
 
-def _state_distance(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """H^s distance of two states, square-summed over components and halves."""
-    return float(np.sqrt(np.sum(weights * np.abs(a - b) ** 2)))
+def _state_distance(root: np.ndarray, a: np.ndarray, b: np.ndarray, out) -> float:
+    """H^s distance of two states, square-summed over components and halves.
+
+    root is the square root of _hs_weights.  The weighted difference goes to
+    out, which may be b itself: a difference, a scaling and one vdot make
+    three passes.
+    """
+    np.subtract(a, b, out=out)
+    out *= root
+    return math.sqrt(np.vdot(out, out).real)
 
 
 def _nonlinearity(
@@ -149,21 +156,6 @@ def _real_path(
     norms = np.linalg.norm(values.reshape(2 * system.size, -1), axis=1)
     imag = np.linalg.norm(values.imag.reshape(2 * system.size, -1), axis=1)
     return bool(np.all(imag <= 1e-12 * norms))
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory of this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _require_memory(nbytes: int, what: str):
-    """Raise MemoryError, before allocating, when nbytes exceed physical memory."""
-    limit = _physical_memory()
-    if nbytes > limit:
-        raise MemoryError(
-            f"{what} need {nbytes / 2**30:.3g} GiB, more than the "
-            f"{limit / 2**30:.3g} GiB of physical memory"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,9 +197,10 @@ class Trajectory:
 
     def distance(self, other: "Trajectory", s: float) -> float:
         """sup over time of the H^s distance between the two trajectories' states."""
-        weights = _hs_weights(self.lattice, self.masses, s)
+        root = np.sqrt(_hs_weights(self.lattice, self.masses, s))
+        diff = np.empty_like(self.halves[0])
         return max(
-            _state_distance(weights, a, b) for a, b in zip(self.halves, other.halves)
+            _state_distance(root, a, b, diff) for a, b in zip(self.halves, other.halves)
         )
 
 
@@ -385,7 +378,7 @@ def picard_iterate(
     step = _rotation(lattice, masses, dt)
     inv2br = _inverse_twice_bracket(lattice, masses)
     kick = -0.5j * dt * np.concatenate([inv2br, -inv2br], axis=1)
-    weights = _hs_weights(lattice, masses, s)
+    root = np.sqrt(_hs_weights(lattice, masses, s))
     current = np.empty((n_levels,) + state.shape, dtype=complex)
     current[0] = np.where(lattice.nyquist_mask, 0.0, state)
     for j in range(1, n_levels):
@@ -395,7 +388,7 @@ def picard_iterate(
 
     for sweep in range(1, iters + 1):
         # the new level j needs nothing of the current iterate past level j,
-        # so it overwrites level j once its distance is taken; carry holds
+        # so it overwrites level j, the distance's buffer; carry holds
         # the new level_{j-1} + h_{j-1}, then level_j, then level_j + h_j
         distance = 0.0
         for j, level in enumerate(current):
@@ -403,7 +396,7 @@ def picard_iterate(
             if j > 0:
                 carry *= step
                 carry += h
-                distance = max(distance, _state_distance(weights, carry, level))
+                distance = max(distance, _state_distance(root, carry, level, level))
                 level[...] = carry
             np.add(level, h, out=carry)
         if not np.all(np.isfinite(current)):
@@ -464,12 +457,12 @@ def scattering_state(traj: Trajectory, s: float = 0.5) -> ScatteringResult:
     t.  Returns the (K, 2, *grid) state w(T_final) and the summed-component
     H^s increments ||w(t_{j+1}) - w(t_j)|| as a vector over sample gaps.
     """
-    weights = _hs_weights(traj.lattice, traj.masses, s)
+    root = np.sqrt(_hs_weights(traj.lattice, traj.masses, s))
     inc = np.zeros(traj.times.size - 1)
     w = traj.unrotated(0)
     for j in range(inc.size):
         later = traj.unrotated(j + 1)
-        inc[j] = _state_distance(weights, later, w)
+        inc[j] = _state_distance(root, later, w, w)
         w = later
     return ScatteringResult(traj.times, w, inc)
 

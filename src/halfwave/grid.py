@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,3 +381,22 @@ def modulation_energy(
     w = modulation_weights(u, index, sign, mass, mode)
     total = np.sum(np.abs(w * hat) ** 2)
     return float(np.sqrt(dt * u.lattice.cell_volume * total))
+
+
+# ---------------------------------------------------------------------------
+# memory bound
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(nbytes: int, what: str):
+    """Raise MemoryError, before allocating, when nbytes exceed physical memory."""
+    limit = _physical_memory()
+    if nbytes > limit:
+        raise MemoryError(
+            f"{what} need {nbytes / 2**30:.3g} GiB, more than the "
+            f"{limit / 2**30:.3g} GiB of physical memory"
+        )

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import DyadicIndex, annulus_profile
+from .grid import DyadicIndex, _require_memory, annulus_profile
 from .system import bracket, check_nonresonance, resonance_function, smallest_bracket
 
 __all__ = [
@@ -509,6 +509,23 @@ def cap_mode_set(
 
 
 _MAX_TIME_SAMPLES = 4000
+# bytes per padded-box entry at the peak of _bilinear_space_time_l2, which
+# the float64 temporaries of the annulus weight set (54 under tracemalloc at
+# 33^3 and 65^3), above the two complex64 pads and the float32 weight
+_BOX_BYTES = 56
+
+
+def _pruned_fftn(pad: np.ndarray, shape) -> np.ndarray:
+    """np.fft.fftn(pad, norm="ortho") in place, for pad zero outside pad[:shape].
+
+    Axes go last first, as in numpy's fftn, so the result is bit-identical to
+    it; axis d transforms only the lines whose earlier axes lie inside
+    shape[:d], the others being zero (Orszag 1971).
+    """
+    for d in reversed(range(pad.ndim)):
+        lines = pad[tuple(slice(0, s) for s in shape[:d])]
+        np.fft.fft(lines, axis=d, norm="ortho", out=lines)
+    return pad
 
 
 def _bilinear_space_time_l2(
@@ -529,7 +546,16 @@ def _bilinear_space_time_l2(
     box; the output annulus weight is applied on the shifted frequencies and
     the time integral uses the trapezoid rule, sampled finely enough for the
     phase spread that survives after removing the mean rotation. A spread
-    that needs more than _MAX_TIME_SAMPLES samples raises ValueError.
+    that needs more than _MAX_TIME_SAMPLES samples raises ValueError, and
+    padded boxes larger than physical memory raise MemoryError before they
+    are allocated.
+
+    Every transform runs in complex64, and every one passes norm="ortho":
+    with the default norm numpy hands pocketfft the integer factor 1, which
+    selects its double-precision loop, so a complex64 np.fft.fftn computes
+    in complex128 and casts back at about three times the cost. The unitary
+    transforms scale the convolution by 1/sqrt(prod(conv_shape)), undone on
+    the total.
     """
     osc_a = omega_a - omega_a.mean()
     osc_b = omega_b - omega_b.mean()
@@ -550,6 +576,7 @@ def _bilinear_space_time_l2(
     shape_a = tuple(int(x) for x in local_a.max(axis=0) + 1)
     shape_b = tuple(int(x) for x in local_b.max(axis=0) + 1)
     conv_shape = tuple(sa + sb - 1 for sa, sb in zip(shape_a, shape_b))
+    _require_memory(_BOX_BYTES * math.prod(conv_shape), "the bilinear padded boxes")
 
     corner = corner_a + corner_b
     sq = None
@@ -571,11 +598,15 @@ def _bilinear_space_time_l2(
         pad_b[...] = 0
         pad_a[idx_a] = (amps_a * np.exp(1j * t * osc_a)).astype(np.complex64)
         pad_b[idx_b] = (amps_b * np.exp(1j * t * osc_b)).astype(np.complex64)
-        conv = np.fft.ifftn(np.fft.fftn(pad_a) * np.fft.fftn(pad_b))
+        # in place in pad_a and pad_b; never np.fft.fftn(pad) here, which
+        # without norm="ortho" computes in complex128
+        conv = _pruned_fftn(pad_a, shape_a)
+        conv *= _pruned_fftn(pad_b, shape_b)
+        np.fft.ifftn(conv, norm="ortho", out=conv)
         mass = float(np.sum(weight_sq * np.abs(conv) ** 2))
         w = 0.5 if j in (0, nt - 1) else 1.0
         total += w * dt * mass
-    return math.sqrt(total)
+    return math.sqrt(total * math.prod(conv_shape))
 
 
 @dataclass(frozen=True)

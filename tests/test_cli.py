@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfwave import cli, dynamics
+from halfwave import cli, grid
 from halfwave.cli import (
     _COMMANDS,
     ConfigError,
@@ -291,7 +291,7 @@ def test_runs_larger_than_memory_exit_2_before_allocating(
 ):
     # dt = 1e-9 over the default horizon 10 is 1e10 steps of a 32-point state;
     # the solvers refuse it from its size alone, here against a patched 8 GiB
-    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 8 * 2**30)
     path = write_config(tmp_path, "[run]\ndt = 1e-9\n")
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 2
@@ -504,12 +504,12 @@ def test_variation_refuses_a_trajectory_larger_than_memory(tmp_path, capsys, mon
     store = write_trajectory_file(tmp_path / "ok.npz")
     cfg = write_config(tmp_path, f"[run]\ntrajectory = {store}\n")
     out = tmp_path / "out"
-    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 511)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 511)
     assert main(["variation", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "physical memory" in err and err.rstrip().endswith("out of memory")
     assert not out.exists()
-    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 512)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 512)
     assert load_trajectory(store).halves.shape == (2, 1, 2, 8)
     # a header that declares 2**45 entries over no data at all
     header = io.BytesIO()
@@ -742,6 +742,20 @@ def test_verify_bilinear_command_small(tmp_path):
     rows = read_jsonl(out / "verify-bilinear.jsonl")
     assert len(rows) == 1
     assert rows[0]["passed"]
+
+
+def test_verify_bilinear_refuses_boxes_larger_than_memory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 1024)
+    cfg = write_config(
+        tmp_path,
+        "[run]\ndim = 3\nseed = 0\nmode = separated\ntrials = 1\n"
+        "high_scale = 64\n[sweep]\nscales = 4\n",
+    )
+    out = tmp_path / "out"
+    assert main(["verify-bilinear", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bilinear padded boxes" in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
 
 
 def test_verify_trilinear_command_small(tmp_path):

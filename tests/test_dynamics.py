@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from halfwave import dynamics
+from halfwave import dynamics, grid
 from halfwave.dynamics import (
     _contraction,
     InstabilityError,
@@ -478,7 +478,7 @@ def test_solvers_refuse_what_memory_cannot_hold(monkeypatch):
     # or free_trajectory and a Picard level
     lat = make_lattice(n=16)
     state = bump_state(lat, amp=0.1)
-    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 2 * 8192)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2 * 8192)
     with pytest.raises(MemoryError, match="3 samples"):
         evolve(lat, state, scalar_system(), T=0.2, dt=0.1)
     evolve(lat, state, scalar_system(), T=0.1, dt=0.1)

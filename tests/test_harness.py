@@ -10,7 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from halfwave import grid
+from halfwave.grid import annulus_profile
 from halfwave.harness import (
     BilinearCase,
     ShellSpec,
@@ -27,8 +31,8 @@ from halfwave.harness import (
     verify_nonresonance_bound,
     verify_trilinear,
 )
-from halfwave.harness import _coordinate_descent
-from halfwave.system import resonance_function, smallest_bracket
+from halfwave.harness import _bilinear_space_time_l2, _coordinate_descent, _pruned_fftn
+from halfwave.system import bracket, resonance_function, smallest_bracket
 
 
 # ----------------------------------------------------------------------
@@ -380,10 +384,110 @@ def test_bilinear_quadrature_cap_raises(monkeypatch):
     def no_fft(*args, **kwargs):
         raise AssertionError("an FFT ran")
 
-    monkeypatch.setattr(np.fft, "fftn", no_fft)
+    monkeypatch.setattr(np.fft, "fft", no_fft)
     case = BilinearCase(3, 4, 64, 64, trials=1, horizon=1e5)
     with pytest.raises(ValueError, match="at most 4000"):
         verify_bilinear(case)
+
+
+@st.composite
+def padded_corners(draw):
+    """A complex64 box, odd, prime or even sides, zero outside a random corner."""
+    dim = draw(st.integers(1, 3))
+    box = tuple(draw(st.sampled_from((1, 5, 7, 9, 11, 13, 15, 16))) for _ in range(dim))
+    shape = tuple(draw(st.integers(1, side)) for side in box)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pad = np.zeros(box, dtype=np.complex64)
+    corner = tuple(slice(0, s) for s in shape)
+    pad[corner] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return pad, shape
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(padded_corners())
+def test_pruned_fftn_is_the_unitary_fftn(case):
+    pad, shape = case
+    reference = np.fft.fftn(pad.astype(np.complex128), norm="ortho")
+    single = np.fft.fftn(pad, norm="ortho")
+    out = _pruned_fftn(pad, shape)
+    assert out is pad and out.dtype == np.complex64
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(out - reference)) <= 1e-6 * scale
+    # the same axis order as numpy's single-precision fftn: the same bits
+    assert np.array_equal(out, single)
+
+
+def reference_space_time_l2(modes_a, amps_a, omega_a, modes_b, amps_b, omega_b,
+                            output_scale, horizon):
+    """The product's space-time mass in complex128 over the whole padded box."""
+    osc_a = omega_a - omega_a.mean()
+    osc_b = omega_b - omega_b.mean()
+    spread = np.ptp(osc_a) + np.ptp(osc_b)
+    nt = max(9, math.ceil(horizon * spread / (2 * math.pi) * 4.0) + 1)
+    times = np.linspace(0.0, horizon, nt)
+    lo_a, lo_b = modes_a.min(axis=0), modes_b.min(axis=0)
+    box = tuple((modes_a - lo_a).max(axis=0) + (modes_b - lo_b).max(axis=0) + 1)
+    freqs = np.indices(box) + (lo_a + lo_b).reshape((-1,) + (1,) * len(box))
+    weight = annulus_profile(np.sqrt(np.sum(freqs**2.0, axis=0)) / output_scale)
+    masses = []
+    for t in times:
+        pad_a = np.zeros(box, dtype=complex)
+        pad_b = np.zeros(box, dtype=complex)
+        pad_a[tuple((modes_a - lo_a).T)] = amps_a * np.exp(1j * t * osc_a)
+        pad_b[tuple((modes_b - lo_b).T)] = amps_b * np.exp(1j * t * osc_b)
+        conv = np.fft.ifftn(np.fft.fftn(pad_a) * np.fft.fftn(pad_b))
+        masses.append(np.sum(weight**2 * np.abs(conv) ** 2))
+    inner = np.sum(masses[1:-1]) + 0.5 * (masses[0] + masses[-1])
+    return math.sqrt((times[1] - times[0]) * inner)
+
+
+@pytest.mark.parametrize("separated", [True, False], ids=["separated", "matched"])
+def test_bilinear_product_matches_a_double_precision_reference(separated):
+    rng = np.random.default_rng(3)
+    if separated:
+        modes_a = ball_mode_set(4.0 * np.array([0.6, 0.8, 0.0]), 1.2)
+        modes_b = ball_mode_set(16.0 * np.array([0.0, 0.0, 1.0]), 1.2)
+        output, horizon = 16.0, 2.0
+    else:
+        pole = np.array([2.0, 1.0, 2.0]) / 3.0
+        modes_a = cap_mode_set(16.0, pole, 4.0, 2.0)
+        modes_b = cap_mode_set(16.0, -pole, 4.0, 2.0)
+        output, horizon = 4.0, 6.0
+    amps_a = rng.uniform(0.5, 1.0, len(modes_a))
+    amps_b = rng.uniform(0.5, 1.0, len(modes_b))
+    args = (modes_a, amps_a, bracket(1.0, modes_a),
+            modes_b, amps_b, -bracket(1.0, modes_b), output, horizon)
+    expected = reference_space_time_l2(*args)
+    assert expected > 0
+    assert _bilinear_space_time_l2(*args) == pytest.approx(expected, rel=1e-5, abs=0.0)
+
+
+def test_bilinear_never_takes_the_double_precision_fftn(monkeypatch):
+    # a complex64 np.fft.fftn with the default norm runs in complex128; the
+    # product transforms through _pruned_fftn and norm="ortho" only
+    def no_fftn(*args, **kwargs):
+        raise AssertionError("np.fft.fftn ran")
+
+    monkeypatch.setattr(np.fft, "fftn", no_fftn)
+    for case in (BilinearCase(3, 4, 32, 32, trials=1), BilinearCase(3, 16, 16, 4, trials=1)):
+        assert all(r > 0 for r in verify_bilinear(case).ratios)
+
+
+def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
+    # both factors are balls of radius 1.2: seven modes in a 3^3 box, so the
+    # padded box holds 5^3 entries at 56 bytes each, 7000 bytes in all
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran")
+
+    case = BilinearCase(3, 4, 16, 16, trials=1)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 6999)
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    with pytest.raises(MemoryError, match="bilinear padded boxes"):
+        verify_bilinear(case)
+    monkeypatch.undo()
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 7000)
+    assert verify_bilinear(case).ratios[0] > 0
 
 
 def test_bilinear_sweep_separated_small():
