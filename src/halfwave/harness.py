@@ -509,10 +509,10 @@ def cap_mode_set(
 
 
 _MAX_TIME_SAMPLES = 4000
-# bytes per padded-box entry at the peak of _bilinear_space_time_l2, which
-# the float64 temporaries of the annulus weight set (54 under tracemalloc at
-# 33^3 and 65^3), above the two complex64 pads and the float32 weight
-_BOX_BYTES = 56
+# bytes per padded-box entry at the peak of _bilinear_space_time_l2: the two
+# complex64 pads, the float32 weight and the float32 |conv|^2 of the mass
+# (26.6-34.6 under tracemalloc on boxes of 33^3 to 65^3 entries)
+_BOX_BYTES = 35
 
 
 def _pruned_fftn(pad: np.ndarray, shape) -> np.ndarray:
@@ -579,14 +579,20 @@ def _bilinear_space_time_l2(
     _require_memory(_BOX_BYTES * math.prod(conv_shape), "the bilinear padded boxes")
 
     corner = corner_a + corner_b
-    sq = None
+    axes = []
     for d, size in enumerate(conv_shape):
         axis = (corner[d] + np.arange(size)).astype(float) ** 2
-        axis = axis.reshape((1,) * d + (-1,) + (1,) * (len(conv_shape) - d - 1))
-        sq = axis if sq is None else sq + axis
-    weight_sq = annulus_profile(np.sqrt(sq) / float(output_scale)).astype(
-        np.float32
-    ) ** 2
+        axes.append(axis.reshape((1,) * d + (-1,) + (1,) * (len(conv_shape) - d - 1)))
+    # one slab along axis 0 at a time, so the float64 temporaries span a slab,
+    # not the box; every operation is elementwise, so the values are the same
+    weight_sq = np.empty(conv_shape, dtype=np.float32)
+    for i in range(conv_shape[0]):
+        sq = axes[0][i : i + 1]
+        for axis in axes[1:]:
+            sq = sq + axis
+        weight_sq[i : i + 1] = annulus_profile(np.sqrt(sq) / float(output_scale)).astype(
+            np.float32
+        ) ** 2
 
     idx_a = tuple(local_a.T)
     idx_b = tuple(local_b.T)
@@ -844,10 +850,42 @@ def strichartz_admissible(n: int, q, r, family: str):
 # trilinear space-time integral
 
 
-def _pack_codes(points: np.ndarray, mins: np.ndarray, spans: np.ndarray):
-    """Injective int64 code for integer points inside the given box."""
-    weights = np.cumprod(np.concatenate([[1], spans[:-1]]))
-    return (points - mins) @ weights.astype(np.int64)
+# bytes at the peak of _match_interactions: per entry of the code table (its
+# intp index) and per (low, mate) pair (the int64 codes and the intp gather,
+# alive together). Under tracemalloc the peak equals this to 0.1% on trials
+# of 0.3M-1.44M pairs; the match indices, 32 bytes per match, stay below it
+# while at most half the pairs match
+_TABLE_BYTES = 8
+_PAIR_BYTES = 16
+
+
+def _match_interactions(low_modes, mate_modes, high_modes):
+    """Every (i_low, i_mate, third) with low + mate + high = 0, in (low, mate) order.
+
+    High modes must be distinct. The code table and the pair codes are
+    checked against physical memory before they are allocated; see
+    verify_trilinear for the method.
+    """
+    need_lo = -(low_modes.max(axis=0) + mate_modes.max(axis=0))
+    need_hi = -(low_modes.min(axis=0) + mate_modes.min(axis=0))
+    mins = np.minimum(high_modes.min(axis=0), need_lo)
+    spans = np.maximum(high_modes.max(axis=0), need_hi) - mins + 1
+    w = np.cumprod(np.concatenate([[1], spans[:-1]])).astype(np.int64)
+    size = math.prod(spans.tolist())
+    _require_memory(
+        _TABLE_BYTES * size + _PAIR_BYTES * len(low_modes) * len(mate_modes),
+        "the trilinear code table and pair codes",
+    )
+    table = np.full(size, -1, dtype=np.intp)
+    table[(high_modes - mins) @ w] = np.arange(len(high_modes))
+    codes = (-(low_modes + mins) @ w)[:, None] - (mate_modes @ w)[None, :]
+    hit = table[codes.ravel()]
+    del codes
+    flat_idx = np.flatnonzero(hit >= 0)
+    third = hit[flat_idx]
+    del hit
+    i_low, i_mate = np.divmod(flat_idx, len(mate_modes))
+    return i_low, i_mate, third
 
 
 def _subsample(modes: np.ndarray, cap: int, rng) -> np.ndarray:
@@ -899,6 +937,16 @@ def verify_trilinear(
     divides the integral by the high scale and by the weighted product of the
     factor norms; the check is qualitative, looking for stability across
     trials rather than a specific constant.
+
+    Interactions are matched through a dense code table. A point p of the
+    box [mins, mins + spans) packs to the linear code (p - mins) @ w, with w
+    the axis weights, and the table holds the index of each high mode at its
+    code and -1 elsewhere. The box covers the high modes and the range of
+    -(l + m), whose extremes come from the componentwise extremes of the low
+    and mate sets, so every pair sum lies inside it and no pair needs a range
+    test. As the code is linear, the code of -(l + m) is A[i] - B[j] with
+    A = -(low + mins) @ w and B = mate @ w: one outer difference and one
+    gather match every (low, mate) pair, and the pair sums are never formed.
     """
     high = DyadicIndex(high_scale)
     mate = DyadicIndex(mate_scale)
@@ -935,26 +983,7 @@ def verify_trilinear(
         coeff_mate = draw(len(mate_modes))
         coeff_high = draw(len(high_modes))
 
-        need_lo = -(low_modes.max(axis=0) + mate_modes.max(axis=0))
-        need_hi = -(low_modes.min(axis=0) + mate_modes.min(axis=0))
-        mins = np.minimum(high_modes.min(axis=0), need_lo)
-        spans = np.maximum(high_modes.max(axis=0), need_hi) - mins + 1
-        high_codes = _pack_codes(high_modes, mins, spans)
-        order = np.argsort(high_codes)
-        high_sorted = high_codes[order]
-
-        pair_sum = (low_modes[:, None, :] + mate_modes[None, :, :]).reshape(-1, dim)
-        need = -pair_sum
-        inside = np.all((need >= mins) & (need < mins + spans), axis=1)
-        codes = _pack_codes(need[inside], mins, spans)
-        pos = np.searchsorted(high_sorted, codes)
-        pos = np.clip(pos, 0, len(high_sorted) - 1)
-        found = high_sorted[pos] == codes
-
-        flat_idx = np.nonzero(inside)[0][found]
-        third = order[pos[found]]
-        i_low = flat_idx // len(mate_modes)
-        i_mate = flat_idx % len(mate_modes)
+        i_low, i_mate, third = _match_interactions(low_modes, mate_modes, high_modes)
 
         omega = (
             signs[0] * bracket(ms[0], low_modes[i_low])

@@ -758,6 +758,20 @@ def test_verify_bilinear_refuses_boxes_larger_than_memory(tmp_path, capsys, monk
     assert not out.exists()
 
 
+def test_verify_trilinear_refuses_tables_larger_than_memory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 1024)
+    cfg = write_config(
+        tmp_path,
+        "[run]\ndim = 3\nseed = 0\nhigh_scale = 32\ntrials = 1\n"
+        "[sweep]\nlow_scale = 2\n",
+    )
+    out = tmp_path / "out"
+    assert main(["verify-trilinear", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "trilinear code table" in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
+
+
 def test_verify_trilinear_command_small(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -6,6 +6,7 @@ seeded runs of the independent geometric oracles in this file.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfwave import grid
+from halfwave import grid, harness
 from halfwave.grid import annulus_profile
 from halfwave.harness import (
     BilinearCase,
@@ -31,7 +32,12 @@ from halfwave.harness import (
     verify_nonresonance_bound,
     verify_trilinear,
 )
-from halfwave.harness import _bilinear_space_time_l2, _coordinate_descent, _pruned_fftn
+from halfwave.harness import (
+    _bilinear_space_time_l2,
+    _coordinate_descent,
+    _match_interactions,
+    _pruned_fftn,
+)
 from halfwave.system import bracket, resonance_function, smallest_bracket
 
 
@@ -476,17 +482,17 @@ def test_bilinear_never_takes_the_double_precision_fftn(monkeypatch):
 
 def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
     # both factors are balls of radius 1.2: seven modes in a 3^3 box, so the
-    # padded box holds 5^3 entries at 56 bytes each, 7000 bytes in all
+    # padded box holds 5^3 entries at 35 bytes each, 4375 bytes in all
     def no_fft(*args, **kwargs):
         raise AssertionError("an FFT ran")
 
     case = BilinearCase(3, 4, 16, 16, trials=1)
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 6999)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 4374)
     monkeypatch.setattr(np.fft, "fft", no_fft)
     with pytest.raises(MemoryError, match="bilinear padded boxes"):
         verify_bilinear(case)
     monkeypatch.undo()
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 7000)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 4375)
     assert verify_bilinear(case).ratios[0] > 0
 
 
@@ -607,6 +613,101 @@ def test_trilinear_validation():
     # no trials would be an empty record that passes
     with pytest.raises(ValueError, match="trial"):
         verify_trilinear(64, 64, 4, trials=0)
+
+
+def reference_match(low_modes, mate_modes, high_modes):
+    """The sorted-code matcher: pack -(l + m) and search the sorted high codes."""
+    def pack(points, mins, spans):
+        weights = np.cumprod(np.concatenate([[1], spans[:-1]]))
+        return (points - mins) @ weights.astype(np.int64)
+
+    dim = low_modes.shape[1]
+    need_lo = -(low_modes.max(axis=0) + mate_modes.max(axis=0))
+    need_hi = -(low_modes.min(axis=0) + mate_modes.min(axis=0))
+    mins = np.minimum(high_modes.min(axis=0), need_lo)
+    spans = np.maximum(high_modes.max(axis=0), need_hi) - mins + 1
+    high_codes = pack(high_modes, mins, spans)
+    order = np.argsort(high_codes)
+    high_sorted = high_codes[order]
+    need = -(low_modes[:, None, :] + mate_modes[None, :, :]).reshape(-1, dim)
+    inside = np.all((need >= mins) & (need < mins + spans), axis=1)
+    codes = pack(need[inside], mins, spans)
+    pos = np.clip(np.searchsorted(high_sorted, codes), 0, len(high_sorted) - 1)
+    found = high_sorted[pos] == codes
+    flat_idx = np.nonzero(inside)[0][found]
+    return flat_idx // len(mate_modes), flat_idx % len(mate_modes), order[pos[found]]
+
+
+@st.composite
+def interaction_sets(draw):
+    """Unique low, mate and high points, each in its own box per axis.
+
+    The boxes are drawn per set and per axis, so the range of -(l + m) is
+    wider than the high range on some axes and narrower on others; part of
+    the high set is made of pair sums so that matches occur.
+    """
+    dim = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unique_points(count):
+        lo = np.array([draw(st.integers(-12, 12)) for _ in range(dim)])
+        extent = np.array([draw(st.integers(1, 12)) for _ in range(dim)])
+        pts = lo + rng.integers(0, extent, size=(count, dim))
+        return rng.permutation(np.unique(pts, axis=0))
+
+    low = unique_points(draw(st.integers(1, 40)))
+    mate = unique_points(draw(st.integers(1, 40)))
+    high = unique_points(draw(st.integers(1, 40)))
+    picks = draw(st.integers(0, 20))
+    sums = -(low[rng.integers(0, len(low), picks)] + mate[rng.integers(0, len(mate), picks)])
+    high = rng.permutation(np.unique(np.concatenate([high, sums]), axis=0))
+    return low, mate, high
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(interaction_sets())
+def test_match_interactions_equals_the_sorted_code_matcher(sets):
+    low, mate, high = sets
+    got = _match_interactions(low, mate, high)
+    expected = reference_match(low, mate, high)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g, e)
+    i_low, i_mate, third = got
+    assert not np.any(low[i_low] + mate[i_mate] + high[third])
+
+
+def test_match_interactions_refuses_tables_larger_than_memory(monkeypatch):
+    # -(l + m) spans x in [-3, -2] and the high modes x in [-2, 1]: the table
+    # covers the 5 x 1 box [-3, 1] x [0, 0], and 1 x 2 pairs are coded
+    low = np.array([[0, 0]])
+    mate = np.array([[2, 0], [3, 0]])
+    high = np.array([[-2, 0], [1, 0]])
+    need = harness._TABLE_BYTES * 5 + harness._PAIR_BYTES * 2
+
+    def no_full(*args, **kwargs):
+        raise AssertionError("the table was allocated")
+
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(np, "full", no_full)
+    with pytest.raises(MemoryError, match="trilinear code table"):
+        _match_interactions(low, mate, high)
+    monkeypatch.undo()
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need)
+    i_low, i_mate, third = _match_interactions(low, mate, high)
+    assert (i_low.tolist(), i_mate.tolist(), third.tolist()) == ([0], [0], [0])
+
+
+def test_trilinear_peak_memory_stays_small():
+    # 1.44M (low, mate) pairs: coded and looked up they peak near 23 MiB;
+    # materialising their pair sums peaked at 145 MiB on this call
+    tracemalloc.start()
+    try:
+        verify_trilinear(64, 64, 8, trials=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
 
 
 # ----------------------------------------------------------------------
