@@ -159,13 +159,13 @@ def load_config(command, config_path=None, seed=None, out_dir=None):
     sweeps = {key: default for key, (_, default) in sweep_table.items()}
     if config_path is not None:
         path = Path(config_path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+        # values are literal: a % in a path is a character, not interpolation
+        parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read(path)
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+            with open(path, encoding="utf-8") as handle:
+                parser.read_file(handle)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         unknown = set(parser.sections()) - {"run", "sweep"}
         if unknown:
             raise ConfigError(f"unknown sections: {sorted(unknown)}")
@@ -301,6 +301,12 @@ def load_trajectory(path) -> Trajectory:
             float(stored["box_length"]),
             int(stored["points_per_axis"]),
         )
+        # before the lattice, which takes 19 bytes or more per grid entry
+        if halves.shape[3:] != spec.shape:
+            raise ConfigError(
+                f"trajectory file {path}: halves of shape {halves.shape} "
+                f"do not hold samples on the {spec.shape} grid"
+            )
         masses = tuple(stored["masses"])
         return Trajectory(stored["times"], masses, FrequencyLattice(spec), halves)
     except (TypeError, ValueError) as exc:

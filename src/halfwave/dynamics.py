@@ -38,7 +38,6 @@ from .grid import (
     _require_memory,
     free_propagate,  # noqa: F401  (a span target of the benchmark's traced run)
     sobolev_norm,  # noqa: F401  (a span target of the benchmark's traced run)
-    uniform_times,
 )
 from .system import MassSystem, evaluate_nonlinearity
 
@@ -168,7 +167,15 @@ class Trajectory:
     halves: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", uniform_times(self.times))
+        times = np.asarray(self.times, dtype=float)
+        if times.ndim != 1 or times.size < 2:
+            raise ValueError("need at least two sample times")
+        dt = np.diff(times)
+        if not np.all(dt > 0):
+            raise ValueError("times must be strictly increasing")
+        if not np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0]:
+            raise ValueError("times must be uniformly spaced")
+        object.__setattr__(self, "times", times)
         masses = tuple(float(m) for m in self.masses)
         object.__setattr__(self, "masses", masses)
         if not masses or not all(0 < m < math.inf for m in masses):
@@ -196,7 +203,19 @@ class Trajectory:
         return self.halves[j] * _rotation(self.lattice, self.masses, -self.times[j])
 
     def distance(self, other: "Trajectory", s: float) -> float:
-        """sup over time of the H^s distance between the two trajectories' states."""
+        """sup over time of the H^s distance between the two trajectories' states.
+
+        Both must hold the same samples of the same components on the same
+        lattice, their times agreeing to 1e-9 of the step; else ValueError.
+        """
+        step = self.times[1] - self.times[0]
+        if (
+            self.halves.shape != other.halves.shape
+            or self.masses != other.masses
+            or self.lattice != other.lattice
+            or not np.max(np.abs(self.times - other.times)) <= 1e-9 * step
+        ):
+            raise ValueError("distance needs two trajectories on the same samples")
         root = np.sqrt(_hs_weights(self.lattice, self.masses, s))
         diff = np.empty_like(self.halves[0])
         return max(
@@ -273,6 +292,10 @@ class _Stepper:
         np.subtract(rotated[:, 1], y[:, 1], out=y[:, 1])
 
 
+# the factor over its initial summed H^s norm at which evolve declares blow-up
+_GROWTH_ABORT = 1e6
+
+
 def evolve(
     lattice: FrequencyLattice,
     state: np.ndarray,
@@ -281,13 +304,12 @@ def evolve(
     dt: float,
     sample_every: int = 1,
     s: float = 0.5,
-    growth_abort: float = 1e6,
 ) -> Trajectory:
     """March a (K, 2, *grid) half-wave state to time ~T, sampling every stride.
 
     The number of steps is rounded up to a whole number of strides so the
     sampled times stay uniform.  Aborts with InstabilityError when the summed
-    H^s norm exceeds growth_abort times its initial value or turns non-finite.
+    H^s norm exceeds 1e6 times its initial value or turns non-finite.
     """
     if T <= 0 or dt <= 0 or sample_every < 1:
         raise ValueError("T, dt and sample_every must be positive")
@@ -305,7 +327,7 @@ def evolve(
         return float(np.linalg.norm(_field_norms(weights, y)))
 
     base = total_norm(y)
-    limit = growth_abort * base if base > 0 else math.inf
+    limit = _GROWTH_ABORT * base if base > 0 else math.inf
 
     halves = np.empty((n_samples,) + y.shape, dtype=complex)
     halves[0] = y
@@ -319,7 +341,7 @@ def evolve(
         norm = total_norm(y)
         if norm > limit:
             raise InstabilityError(
-                f"norm {norm:.3e} exceeded {growth_abort:.1e} x initial at "
+                f"norm {norm:.3e} exceeded {_GROWTH_ABORT:.1e} x initial at "
                 f"t={t:.6g}",
                 time=t,
                 norm=norm,

@@ -12,13 +12,12 @@ Conventions used throughout the package:
 * the bracket <xi>_m = sqrt(m**2 + |xi|**2) requires m > 0;
 * every multiplier built here vanishes on Nyquist modes (the unpaired
   k = -points/2 bins), which keeps odd-frequency artifacts out of the
-  dynamics.  Fields drawn from the samplers in this module carry no Nyquist
-  content, so multiplier identities are exact on them.
+  dynamics.  gaussian_bump carries no Nyquist content, so multiplier
+  identities are exact on it.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -126,23 +125,6 @@ class SpectralField:
                 f"grid shape {self.lattice.spec.shape}"
             )
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.lattice, np.asarray(coeffs, dtype=complex))
-
-
-def physical_coordinates(spec: GridSpec) -> list:
-    """Meshgrid of physical node coordinates in [0, box_length)."""
-    x = np.arange(spec.points_per_axis) * (spec.box_length / spec.points_per_axis)
-    return np.meshgrid(*([x] * spec.dim), indexing="ij")
-
-
-def forward_transform(lattice: FrequencyLattice, values: np.ndarray) -> SpectralField:
-    """Physical grid values -> spectral coefficients (unitary FFT)."""
-    values = np.asarray(values)
-    if values.shape != lattice.spec.shape:
-        raise ValueError(f"value shape {values.shape} != grid {lattice.spec.shape}")
-    return SpectralField(lattice, np.fft.fftn(values.astype(complex), norm="ortho"))
-
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Spectral coefficients -> physical grid values (unitary inverse FFT)."""
@@ -215,7 +197,7 @@ def free_propagate(f: SpectralField, t: float, mass: float, sign: int) -> Spectr
         raise ValueError("sign must be +1 or -1")
     phase = np.exp(1j * sign * t * f.lattice.bracket(mass))
     phase[f.lattice.nyquist_mask] = 0.0
-    return f.with_coeffs(f.coeffs * phase)
+    return SpectralField(f.lattice, f.coeffs * phase)
 
 
 def sobolev_norm(f: SpectralField, s: float, mass: float = 1.0) -> float:
@@ -225,162 +207,22 @@ def sobolev_norm(f: SpectralField, s: float, mass: float = 1.0) -> float:
     return float(np.sqrt(f.lattice.cell_volume * total))
 
 
-def l2_norm(f: SpectralField) -> float:
-    return float(np.sqrt(f.lattice.cell_volume) * np.linalg.norm(f.coeffs))
-
-
 def gaussian_bump(
-    lattice: FrequencyLattice,
-    amplitude: float = 1.0,
-    width: float = 1.0,
-    center=None,
+    lattice: FrequencyLattice, amplitude: float = 1.0, width: float = 1.0
 ) -> SpectralField:
     """Smooth real bump amplitude*exp(-|x-c|^2/width^2), Nyquist-free.
 
-    Default center is the middle of the box, keeping the bump far from the
+    The center c is the middle of the box, keeping the bump far from the
     periodic seam for the usual box sizes.
     """
     spec = lattice.spec
-    if center is None:
-        center = (spec.box_length / 2.0,) * spec.dim
-    xs = physical_coordinates(spec)
-    r2 = sum((x - c) ** 2 for x, c in zip(xs, center))
-    f = forward_transform(lattice, amplitude * np.exp(-r2 / width**2))
-    c = f.coeffs.copy()
-    c[lattice.nyquist_mask] = 0.0
-    return SpectralField(lattice, c)
-
-
-def random_field(
-    lattice: FrequencyLattice,
-    rng: np.random.Generator,
-    decay: float = 0.0,
-    mass: float = 1.0,
-) -> SpectralField:
-    """Random complex field, iid modes damped by <xi>^-decay, Nyquist-free."""
-    shape = lattice.spec.shape
-    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-    if decay:
-        c = c * lattice.bracket(mass) ** (-decay)
-    c[lattice.nyquist_mask] = 0.0
-    return SpectralField(lattice, c)
-
-
-# ---------------------------------------------------------------------------
-# space-time fields and modulation projectors
-
-
-def uniform_times(times) -> np.ndarray:
-    """Sample times as a float array, checked: at least two, increasing, uniform."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("need at least two sample times")
-    dt = np.diff(times)
-    if not np.all(dt > 0):
-        raise ValueError("times must be strictly increasing")
-    if not np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0]:
-        raise ValueError("times must be uniformly spaced")
-    return times
-
-
-@dataclass(frozen=True, eq=False)
-class SpaceTimeField:
-    """Uniformly sampled spectral snapshots: coeffs[j] is the field at times[j]."""
-
-    times: np.ndarray
-    lattice: FrequencyLattice
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        times = uniform_times(self.times)
-        object.__setattr__(self, "times", times)
-        if self.coeffs.shape != (times.size,) + self.lattice.spec.shape:
-            raise ValueError("one snapshot on the lattice per sample time required")
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def _tau_grid(n_times: int, dt: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n_times, d=dt)
-
-
-def modulation_weights(
-    u: SpaceTimeField, index, sign: int, mass: float, mode: str = "band"
-) -> np.ndarray:
-    """(tau, xi) multiplier psi-family evaluated at tau - sign*<xi>_m.
-
-    mode "band" is the single dyadic block; "low" / "high" are the exact
-    complementary pair splitting modulations below / at-or-above the index.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    index = DyadicIndex(index)
-    dim = u.lattice.spec.dim
-    tau = _tau_grid(u.times.size, u.step).reshape((-1,) + (1,) * dim)
-    x = tau - sign * u.lattice.bracket(mass)[None, ...]
-    if mode == "band":
-        w = bump_profile(2.0 * x) if index == 0 else annulus_profile(x / float(index))
-    elif mode in ("low", "high"):
-        if index == 0:
-            raise ValueError("low/high split needs index >= 1")
-        low = bump_profile(2.0 * x / float(index))
-        w = low if mode == "low" else 1.0 - low
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    w[:, u.lattice.nyquist_mask] = 0.0
-    return w
-
-
-def modulation_project(
-    u: SpaceTimeField, index, sign: int, mass: float = 1.0, mode: str = "band"
-) -> SpaceTimeField:
-    """Project onto a temporal-modulation block via plain DFT in time.
-
-    The temporal DFT treats the sampled horizon as periodic, which keeps the
-    projector family exactly complementary (low + high = identity).  Leakage
-    control for measurements lives in modulation_energy instead.
-    """
-    w = modulation_weights(u, index, sign, mass, mode)
-    hat = np.fft.fft(u.coeffs, axis=0)
-    return SpaceTimeField(u.times, u.lattice, np.fft.ifft(w * hat, axis=0))
-
-
-def modulation_energy(
-    u: SpaceTimeField,
-    index,
-    sign: int,
-    mass: float = 1.0,
-    mode: str = "band",
-    window: str = "hann",
-) -> float:
-    """Space-time L2 mass of one modulation block over the sampled horizon.
-
-    A Hann window (RMS-normalized) tapers the horizon before the temporal DFT
-    so that off-grid tau content does not leak across dyadic blocks; pass
-    window="none" for the raw periodic measurement.
-    """
-    J = u.times.size
-    dt = u.step
-    if index != 0 and 2.0 * float(index) > np.pi / dt:
-        raise ValueError(
-            f"sampling too coarse for modulation {int(index)}: "
-            f"tau-Nyquist is {np.pi / dt:.3g}"
-        )
-    if window == "hann":
-        # periodic Hann, so an on-grid tone spreads over exactly three bins
-        win = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(J) / J))
-        win = win / np.sqrt(np.mean(win**2))
-    elif window == "none":
-        win = np.ones(J)
-    else:
-        raise ValueError(f"unknown window {window!r}")
-    data = u.coeffs * win.reshape((-1,) + (1,) * u.lattice.spec.dim)
-    hat = np.fft.fft(data, axis=0, norm="ortho")
-    w = modulation_weights(u, index, sign, mass, mode)
-    total = np.sum(np.abs(w * hat) ** 2)
-    return float(np.sqrt(dt * u.lattice.cell_volume * total))
+    center = spec.box_length / 2.0
+    x = np.arange(spec.points_per_axis) * (spec.box_length / spec.points_per_axis)
+    r2 = sum((xs - center) ** 2 for xs in np.meshgrid(*([x] * spec.dim), indexing="ij"))
+    values = amplitude * np.exp(-r2 / width**2)
+    coeffs = np.fft.fftn(values.astype(complex), norm="ortho")
+    coeffs[lattice.nyquist_mask] = 0.0
+    return SpectralField(lattice, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -360,19 +360,24 @@ def _unit_ball_volume(k: int) -> float:
     return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
 
 
+# the axial strata of shell_intersection_volume
+_STRATA = 64
+
+
 def shell_intersection_volume(
-    spec: ShellSpec, samples: int = 200_000, seed: int = 0, strata: int = 64
+    spec: ShellSpec, samples: int = 200_000, seed: int = 0
 ) -> VerificationRecord:
     """Stratified Monte Carlo volume of the shell-shell-tube intersection.
 
-    The axial slab compatible with both shells is cut into strata; each
-    stratum is sampled inside its own bounding cylinder, so thin intersections
-    keep a healthy hit rate. An empty intersection is reported with a warning
-    and trivially satisfies the bound.
+    The axial slab compatible with both shells is cut into _STRATA strata;
+    each stratum is sampled with samples // _STRATA points inside its own
+    bounding cylinder, so thin intersections keep a healthy hit rate. An
+    empty intersection is reported with a warning and trivially satisfies
+    the bound.
     """
-    if samples < 16 * strata:
+    if samples < 16 * _STRATA:
         raise ValueError(
-            f"need at least 16 samples per stratum, {16 * strata} for {strata} "
+            f"need at least 16 samples per stratum, {16 * _STRATA} for {_STRATA} "
             f"strata, got {samples}"
         )
     n = spec.dim
@@ -390,10 +395,10 @@ def shell_intersection_volume(
     volume = 0.0
     variance = 0.0
     hits_total = 0
-    per = samples // strata
+    per = samples // _STRATA
     if lo < hi:
-        edges = np.linspace(lo, hi, strata + 1)
-        for i in range(strata):
+        edges = np.linspace(lo, hi, _STRATA + 1)
+        for i in range(_STRATA):
             a_edge, b_edge = float(edges[i]), float(edges[i + 1])
             abs_min = 0.0 if a_edge <= 0.0 <= b_edge else min(abs(a_edge), abs(b_edge))
             off_min = (
@@ -446,8 +451,8 @@ def shell_intersection_volume(
             "width_b": wb,
             "tube_radius": spec.tube_radius,
             "offset": list(spec.offset),
-            "samples": per * strata,
-            "strata": int(strata),
+            "samples": per * _STRATA,
+            "strata": _STRATA,
         },
         ratios=(ratio,),
         bound="min(r, R, L)^(n-3) * r * R * wa * wb / |offset|",
@@ -509,6 +514,8 @@ def cap_mode_set(
 
 
 _MAX_TIME_SAMPLES = 4000
+# time samples of _bilinear_space_time_l2 per period of the largest phase spread
+_OVERSAMPLE = 4.0
 # bytes per padded-box entry at the peak of _bilinear_space_time_l2: the two
 # complex64 pads, the float32 weight and the float32 |conv|^2 of the mass
 # (26.6-34.6 under tracemalloc on boxes of 33^3 to 65^3 entries)
@@ -537,7 +544,6 @@ def _bilinear_space_time_l2(
     omega_b,
     output_scale: float,
     horizon: float,
-    oversample: float = 4.0,
 ):
     """L2-in-time-and-space mass of the annulus-projected free-wave product.
 
@@ -560,7 +566,7 @@ def _bilinear_space_time_l2(
     osc_a = omega_a - omega_a.mean()
     osc_b = omega_b - omega_b.mean()
     spread = (osc_a.max() - osc_a.min()) + (osc_b.max() - osc_b.min())
-    nt = max(9, int(math.ceil(horizon * spread / (2.0 * math.pi) * oversample)) + 1)
+    nt = max(9, int(math.ceil(horizon * spread / (2.0 * math.pi) * _OVERSAMPLE)) + 1)
     if nt > _MAX_TIME_SAMPLES:
         raise ValueError(
             f"the time quadrature needs {nt} samples, at most "
@@ -850,21 +856,31 @@ def strichartz_admissible(n: int, q, r, family: str):
 # trilinear space-time integral
 
 
-# bytes at the peak of _match_interactions: per entry of the code table (its
-# intp index) and per (low, mate) pair (the int64 codes and the intp gather,
-# alive together). Under tracemalloc the peak equals this to 0.1% on trials
-# of 0.3M-1.44M pairs; the match indices, 32 bytes per match, stay below it
-# while at most half the pairs match
+# bytes at the peak of _match_interactions up to the gather: per entry of the
+# code table (its intp index) and per (low, mate) pair (the int64 codes and
+# the intp gather, alive together). Under tracemalloc the peak equals this to
+# 0.1% on trials of 0.3M-1.44M pairs
 _TABLE_BYTES = 8
 _PAIR_BYTES = 16
+
+
+def _match_bytes(dim: int) -> int:
+    """Bytes per match of the match indices and verify_trilinear's per-match arrays.
+
+    Under tracemalloc, trials of 1k-58k matches in dimensions 2-6 peaked at
+    96 bytes a match in dimensions 2-3, in the phases, and at 40 + 16 * dim
+    from dimension 4, in the modes gathered for the brackets.
+    """
+    return max(96, 40 + 16 * dim)
 
 
 def _match_interactions(low_modes, mate_modes, high_modes):
     """Every (i_low, i_mate, third) with low + mate + high = 0, in (low, mate) order.
 
     High modes must be distinct. The code table and the pair codes are
-    checked against physical memory before they are allocated; see
-    verify_trilinear for the method.
+    checked against physical memory before they are allocated, and so are
+    the matches, once counted, with the per-match arrays verify_trilinear
+    builds from them; see verify_trilinear for the method.
     """
     need_lo = -(low_modes.max(axis=0) + mate_modes.max(axis=0))
     need_hi = -(low_modes.min(axis=0) + mate_modes.min(axis=0))
@@ -872,16 +888,22 @@ def _match_interactions(low_modes, mate_modes, high_modes):
     spans = np.maximum(high_modes.max(axis=0), need_hi) - mins + 1
     w = np.cumprod(np.concatenate([[1], spans[:-1]])).astype(np.int64)
     size = math.prod(spans.tolist())
-    _require_memory(
-        _TABLE_BYTES * size + _PAIR_BYTES * len(low_modes) * len(mate_modes),
-        "the trilinear code table and pair codes",
-    )
+    estimate = _TABLE_BYTES * size + _PAIR_BYTES * len(low_modes) * len(mate_modes)
+    _require_memory(estimate, "the trilinear code table and pair codes")
     table = np.full(size, -1, dtype=np.intp)
     table[(high_modes - mins) @ w] = np.arange(len(high_modes))
     codes = (-(low_modes + mins) @ w)[:, None] - (mate_modes @ w)[None, :]
     hit = table[codes.ravel()]
     del codes
-    flat_idx = np.flatnonzero(hit >= 0)
+    found = hit >= 0
+    matches = np.count_nonzero(found)
+    # the table and pair bytes stay counted, which bounds the peak from above
+    _require_memory(
+        estimate + _match_bytes(low_modes.shape[1]) * matches,
+        f"the {matches} trilinear matches",
+    )
+    flat_idx = np.flatnonzero(found)
+    del found
     third = hit[flat_idx]
     del hit
     i_low, i_mate = np.divmod(flat_idx, len(mate_modes))

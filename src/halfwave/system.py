@@ -109,7 +109,7 @@ def evaluate_nonlinearity(
     }
     physical = {}
     for idx, conj in needed:
-        vals = inverse_transform(fields[idx].with_coeffs(fields[idx].coeffs * keep))
+        vals = inverse_transform(SpectralField(lattice, fields[idx].coeffs * keep))
         physical[(idx, conj)] = np.conj(vals) if conj else vals
 
     out = []

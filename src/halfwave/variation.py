@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .grid import (
-    DyadicIndex,
-    SpaceTimeField,
-    dyadic_scales,
-    lp_weights,
-    modulation_energy,
-)
+from .grid import DyadicIndex, annulus_profile, bump_profile, dyadic_scales, lp_weights
 
 __all__ = [
     "ModulationReport",
@@ -27,6 +21,8 @@ __all__ = [
     "p_variation",
     "v2_pm_norm",
     "xs_proxy_norm",
+    "modulation_weights",
+    "modulation_energy",
     "check_mod_projection_bound",
 ]
 
@@ -121,6 +117,76 @@ def xs_proxy_norm(traj: Trajectory, component: int, s: float, sign: int = 1) -> 
     return math.sqrt(total)
 
 
+def modulation_weights(
+    traj: Trajectory, component: int, index, sign: int, mode: str = "band"
+) -> np.ndarray:
+    """(tau, xi) multiplier psi-family evaluated at tau - sign*<xi>_m.
+
+    tau runs over the temporal DFT frequencies of the trajectory's samples
+    and m is the component's mass. mode "band" is the single dyadic block;
+    "low" / "high" are the exact complementary pair splitting modulations
+    below / at-or-above the index.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    index = DyadicIndex(index)
+    lattice = traj.lattice
+    step = traj.times[1] - traj.times[0]
+    tau = 2.0 * np.pi * np.fft.fftfreq(traj.times.size, d=step)
+    tau = tau.reshape((-1,) + (1,) * lattice.spec.dim)
+    x = tau - sign * lattice.bracket(traj.masses[component])[None, ...]
+    if mode == "band":
+        w = bump_profile(2.0 * x) if index == 0 else annulus_profile(x / float(index))
+    elif mode in ("low", "high"):
+        if index == 0:
+            raise ValueError("low/high split needs index >= 1")
+        low = bump_profile(2.0 * x / float(index))
+        w = low if mode == "low" else 1.0 - low
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    w[:, lattice.nyquist_mask] = 0.0
+    return w
+
+
+def modulation_energy(
+    traj: Trajectory,
+    component: int,
+    index,
+    sign: int,
+    mode: str = "band",
+    window: str = "hann",
+) -> float:
+    """Space-time L2 mass of one modulation block of one trajectory half.
+
+    The half u^+ (sign +1) or u^- (sign -1) of the component is weighted by
+    modulation_weights with the same sign. A Hann window (RMS-normalized)
+    tapers the horizon before the temporal DFT so that off-grid tau content
+    does not leak across dyadic blocks; pass window="none" for the raw
+    periodic measurement.
+    """
+    J = traj.times.size
+    dt = float(traj.times[1] - traj.times[0])
+    if index != 0 and 2.0 * float(index) > np.pi / dt:
+        raise ValueError(
+            f"sampling too coarse for modulation {int(index)}: "
+            f"tau-Nyquist is {np.pi / dt:.3g}"
+        )
+    if window == "hann":
+        # periodic Hann, so an on-grid tone spreads over exactly three bins
+        win = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(J) / J))
+        win = win / np.sqrt(np.mean(win**2))
+    elif window == "none":
+        win = np.ones(J)
+    else:
+        raise ValueError(f"unknown window {window!r}")
+    half = traj.half(component, sign)
+    data = half * win.reshape((-1,) + (1,) * traj.lattice.spec.dim)
+    hat = np.fft.fft(data, axis=0, norm="ortho")
+    w = modulation_weights(traj, component, index, sign, mode)
+    total = np.sum(np.abs(w * hat) ** 2)
+    return float(np.sqrt(dt * traj.lattice.cell_volume * total))
+
+
 @dataclass(frozen=True)
 class ModulationReport:
     """One point of the modulation-projection sweep for a trajectory half."""
@@ -144,9 +210,7 @@ def check_mod_projection_bound(
     bound; sampling too coarse for the requested modulation raises.
     """
     index = DyadicIndex(index)
-    field = SpaceTimeField(traj.times, traj.lattice, traj.half(component, sign))
-    mass = traj.masses[component]
-    band = modulation_energy(field, index, sign, mass, mode="band")
+    band = modulation_energy(traj, component, index, sign)
     v2 = v2_pm_norm(traj, component, sign)
     scaled = band * math.sqrt(max(int(index), 1))
     if v2 > 0.0:

@@ -130,6 +130,30 @@ def test_load_config_rejects_empty_sweep(tmp_path):
         load_config("verify-shell", config_path=path)
 
 
+def test_load_config_reads_a_percent_sign_as_written(tmp_path):
+    path = write_config(tmp_path, "[run]\ntrajectory = runs/100%/t.npz\n")
+    config = load_config("variation", config_path=path)
+    assert config.options["trajectory"] == "runs/100%/t.npz"
+
+
+def test_unreadable_config_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    undecodable = tmp_path / "latin1.ini"
+    undecodable.write_bytes(b"[run]\nmax_dimension = 3\n# caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["strauss", "--config", str(undecodable), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("permission denied")
+
+    path = write_config(tmp_path, "[run]\nmax_dimension = 3\n")
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    assert main(["strauss", "--config", path, "--out", str(out)]) == 2
+    assert "permission denied" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_variation_requires_existing_trajectory(tmp_path):
     with pytest.raises(ConfigError, match="trajectory"):
         load_config("variation")
@@ -489,6 +513,21 @@ def test_load_trajectory_accepts_valid_file(tmp_path):
 def test_load_trajectory_rejects_malformed_file(tmp_path, changes):
     with pytest.raises(ConfigError):
         load_trajectory(write_trajectory_file(tmp_path / "bad.npz", **changes))
+
+
+def test_load_trajectory_checks_the_grid_before_building_the_lattice(
+    tmp_path, monkeypatch
+):
+    # a lattice of 16384^2 entries would take more than 4.75 GiB
+    def refuse(spec):
+        raise AssertionError(f"built a lattice for {spec}")
+
+    monkeypatch.setattr(cli, "FrequencyLattice", refuse)
+    store = write_trajectory_file(
+        tmp_path / "big.npz", dim=np.array(2), points_per_axis=np.array(16384)
+    )
+    with pytest.raises(ConfigError, match="grid"):
+        load_trajectory(store)
 
 
 def test_load_trajectory_rejects_non_archive(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_field
 from halfwave import dynamics, grid
 from halfwave.dynamics import (
     _contraction,
@@ -24,7 +25,6 @@ from halfwave.grid import (
     free_propagate,
     gaussian_bump,
     inverse_transform,
-    random_field,
     sobolev_norm,
 )
 from halfwave.system import (
@@ -280,6 +280,26 @@ def test_trajectory_validation():
     assert traj.n_components == 1
     assert traj.masses == (1.0,)
     assert traj.norm_series(0.5).shape == (2, 1)
+
+
+def test_distance_refuses_mismatched_trajectories():
+    lat = make_lattice()
+    u = random_field(lat, np.random.default_rng(11)).coeffs[None]
+    state = decompose(lat, u, zeros(lat), (1.0,))
+    times = np.arange(5) * 0.1
+    traj = free_trajectory(lat, state, (1.0,), times)
+    assert traj.distance(traj, 0.5) == 0.0
+    others = [
+        free_trajectory(lat, state, (1.0,), times[:2]),
+        free_trajectory(lat, state, (2.0,), times),
+        free_trajectory(lat, state, (1.0,), times + 0.01),
+        free_trajectory(make_lattice(box=9.0), state, (1.0,), times),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="same samples"):
+            traj.distance(other, 0.5)
+        with pytest.raises(ValueError, match="same samples"):
+            other.distance(traj, 0.5)
 
 
 def test_decompose_and_solvers_reject_data_of_the_wrong_shape():

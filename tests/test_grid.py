@@ -3,26 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_field
+from halfwave.dynamics import Trajectory
 from halfwave.grid import (
     DyadicIndex,
     FrequencyLattice,
     GridSpec,
-    SpaceTimeField,
     SpectralField,
     annulus_profile,
     bump_profile,
     dyadic_scales,
-    forward_transform,
     free_propagate,
     inverse_transform,
-    l2_norm,
     lp_weights,
-    modulation_energy,
-    modulation_project,
-    physical_coordinates,
-    random_field,
     sobolev_norm,
 )
+from halfwave.variation import modulation_energy, modulation_weights
 
 
 def make_lattice(dim=2, box=8.0, n=16):
@@ -72,14 +68,14 @@ def test_plane_wave_transform_and_norms():
     # oracle: u(x) = exp(i xi_j . x) has a single unitary-FFT coefficient
     # sqrt(n^dim), so ||u||_{L2} = box^{dim/2} and H^s scales by <xi_j>_m^s.
     lat = make_lattice()
-    xs = physical_coordinates(lat.spec)
+    x = np.arange(16) * (8.0 / 16)
+    xs = np.meshgrid(x, x, indexing="ij")
     xi = (2 * np.pi / 8.0) * np.array([3.0, -2.0])
     values = np.exp(1j * (xi[0] * xs[0] + xi[1] * xs[1]))
-    f = forward_transform(lat, values)
+    f = SpectralField(lat, np.fft.fftn(values, norm="ortho"))
     mags = np.abs(f.coeffs)
     assert mags[3, -2 % 16] == pytest.approx(16.0)
     assert np.sum(mags > 1e-9) == 1
-    assert l2_norm(f) == pytest.approx(8.0, rel=1e-12)
     assert sobolev_norm(f, 1.0, mass=1.5) == pytest.approx(25.63629124613478, rel=1e-12)
     assert sobolev_norm(f, 0.0, mass=0.3) == pytest.approx(8.0, rel=1e-12)
 
@@ -90,9 +86,9 @@ def test_parseval_and_roundtrip():
     values = rng.standard_normal(lat.spec.shape) + 1j * rng.standard_normal(
         lat.spec.shape
     )
-    f = forward_transform(lat, values)
+    f = SpectralField(lat, np.fft.fftn(values, norm="ortho"))
     direct = math.sqrt(lat.cell_volume * np.sum(np.abs(values) ** 2))
-    assert l2_norm(f) == pytest.approx(direct, rel=1e-12)
+    assert sobolev_norm(f, 0.0) == pytest.approx(direct, rel=1e-12)
     back = inverse_transform(f)
     assert np.max(np.abs(back - values)) < 1e-12
 
@@ -185,85 +181,76 @@ def test_random_field_is_nyquist_free():
     assert np.any(np.abs(f.coeffs) > 0)
 
 
-def space_time_wave(lat, n_times, dt, temporal_freq, spatial_mode=(0, 0)):
+def space_time_wave(lat, n_times, dt, mass, spatial_mode=(0, 0)):
+    """Both halves of one component of the given mass hold e^{i mass t} at one mode."""
     times = np.arange(n_times) * dt
-    base = plane_wave(lat, spatial_mode)
-    snaps = [base.coeffs * np.exp(1j * temporal_freq * t) for t in times]
-    return SpaceTimeField(times, lat, np.stack(snaps))
-
-
-def test_space_time_field_validation():
-    lat = make_lattice()
-    f = random_field(lat, np.random.default_rng(1))
-    three = np.stack([f.coeffs] * 3)
-    with pytest.raises(ValueError):
-        SpaceTimeField(np.array([0.0, 0.1, 0.3]), lat, three)
-    with pytest.raises(ValueError):
-        SpaceTimeField(np.array([0.0, 0.1]), lat, three)
-    u = SpaceTimeField(np.array([0.0, 0.1, 0.2]), lat, three)
-    assert u.step == pytest.approx(0.1)
-    assert u.coeffs.shape == (3, 16, 16)
+    base = plane_wave(lat, spatial_mode).coeffs
+    snaps = np.stack([base * np.exp(1j * mass * t) for t in times])
+    halves = np.stack([snaps, snaps], axis=1)[:, None]
+    return Trajectory(times, (mass,), lat, halves)
 
 
 def test_modulation_complement_is_exact():
     lat = make_lattice()
-    rng = np.random.default_rng(19)
-    times = np.arange(16) * 0.25
-    snaps = [random_field(lat, rng).coeffs for _ in times]
-    u = SpaceTimeField(times, lat, np.stack(snaps))
+    traj = space_time_wave(lat, 16, 0.25, mass=1.0)
+    live = ~lat.nyquist_mask
     for sign in (+1, -1):
-        low = modulation_project(u, 4, sign, mass=1.0, mode="low")
-        high = modulation_project(u, 4, sign, mass=1.0, mode="high")
-        err = low.coeffs + high.coeffs - u.coeffs
-        assert np.max(np.abs(err)) < 1e-12
+        low = modulation_weights(traj, 0, 4, sign, mode="low")
+        high = modulation_weights(traj, 0, 4, sign, mode="high")
+        assert np.max(np.abs(low + high - 1.0)[:, live]) < 1e-12
+        assert np.all((low + high)[:, ~live] == 0.0)
 
 
 def test_modulation_band_telescopes():
     lat = make_lattice()
-    rng = np.random.default_rng(23)
-    times = np.arange(16) * 0.25
-    u = SpaceTimeField(times, lat, np.stack([random_field(lat, rng).coeffs for _ in times]))
-    band = modulation_project(u, 2, +1, mode="band").coeffs
-    low4 = modulation_project(u, 4, +1, mode="low").coeffs
-    low2 = modulation_project(u, 2, +1, mode="low").coeffs
+    traj = space_time_wave(lat, 16, 0.25, mass=1.0)
+    band = modulation_weights(traj, 0, 2, +1, mode="band")
+    low4 = modulation_weights(traj, 0, 4, +1, mode="low")
+    low2 = modulation_weights(traj, 0, 2, +1, mode="low")
     assert np.max(np.abs(band - (low4 - low2))) < 1e-12
 
 
 def test_free_wave_sits_at_zero_modulation():
-    # mass chosen so the wave's temporal frequency lies on the tau grid
+    # mass chosen so the wave's temporal frequency lies on the tau grid; the
+    # periodic measurement (no window) sees the whole wave in block 0
     lat = make_lattice()
-    n_times, dt = 64, 0.5
+    n_times, dt = 128, 0.25
     mass = 8 * 2 * np.pi / (n_times * dt)
-    u = space_time_wave(lat, n_times, dt, temporal_freq=mass)
-    kept = modulation_project(u, 0, +1, mass=mass, mode="band")
-    assert np.max(np.abs(kept.coeffs - u.coeffs)) < 1e-12
-    gone = modulation_project(u, 4, +1, mass=mass, mode="high")
-    assert np.max(np.abs(gone.coeffs)) < 1e-12
-    # the opposite sign sees modulation 2*mass = pi: annulus blocks 2 and 4
-    lowmass = modulation_project(u, 1, -1, mass=mass, mode="low")
-    assert np.max(np.abs(lowmass.coeffs)) < 1e-12
+    traj = space_time_wave(lat, n_times, dt, mass)
+    total = math.sqrt(dt * lat.cell_volume * np.sum(np.abs(traj.half(0, +1)) ** 2))
+    kept = modulation_energy(traj, 0, 0, +1, mode="band", window="none")
+    assert kept == pytest.approx(total, rel=1e-12)
+    gone = modulation_energy(traj, 0, 4, +1, mode="high", window="none")
+    assert gone < 1e-12 * total
+    # the minus half sees modulation 2*mass = pi: annulus blocks 2 and 4
+    lowmass = modulation_energy(traj, 0, 1, -1, mode="low", window="none")
+    assert lowmass < 1e-12 * total
+    # the sign picks the half: with u^- zeroed, only the plus side measures
+    halves = traj.halves.copy()
+    halves[:, :, 1] = 0.0
+    plus_only = Trajectory(traj.times, traj.masses, lat, halves)
+    assert modulation_energy(plus_only, 0, 0, +1, window="none") == kept
+    assert modulation_energy(plus_only, 0, 0, -1, window="none") == 0.0
 
 
 def test_modulation_energy_free_wave():
     lat = make_lattice()
     n_times, dt = 320, 0.1
     mass = 8 * 2 * np.pi / (n_times * dt)
-    u = space_time_wave(lat, n_times, dt, temporal_freq=mass)
-    total = math.sqrt(dt * lat.cell_volume * np.sum(np.abs(u.coeffs) ** 2))
-    e0 = modulation_energy(u, 0, +1, mass=mass)
+    traj = space_time_wave(lat, n_times, dt, mass)
+    total = math.sqrt(dt * lat.cell_volume * np.sum(np.abs(traj.half(0, +1)) ** 2))
+    e0 = modulation_energy(traj, 0, 0, +1)
     assert e0 == pytest.approx(total, rel=1e-12)
-    assert modulation_energy(u, 8, +1, mass=mass) < 1e-12 * total
+    assert modulation_energy(traj, 0, 8, +1) < 1e-12 * total
     with pytest.raises(ValueError):
-        modulation_energy(u, 16, +1, mass=mass)  # tau-Nyquist is pi/dt
+        modulation_energy(traj, 0, 16, +1)  # tau-Nyquist is pi/dt
 
 
 def test_modulation_energy_windowed_leakage():
     # off-grid temporal frequency: the periodic measurement leaks into high
     # blocks, the Hann-windowed one keeps that leak three orders down
     lat = make_lattice(dim=1, box=8.0, n=16)
-    n_times, dt = 320, 0.1
-    mass = 1.0
-    u = space_time_wave(lat, n_times, dt, temporal_freq=mass, spatial_mode=(0,))
-    raw = modulation_energy(u, 8, +1, mass=mass, window="none")
-    tapered = modulation_energy(u, 8, +1, mass=mass, window="hann")
+    traj = space_time_wave(lat, 320, 0.1, mass=1.0, spatial_mode=(0,))
+    raw = modulation_energy(traj, 0, 8, +1, window="none")
+    tapered = modulation_energy(traj, 0, 8, +1, window="hann")
     assert tapered < 1e-3 * raw

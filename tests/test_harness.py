@@ -242,7 +242,7 @@ def test_shell_spec_validation():
         ShellSpec(3, 4.0, 4.0, 0.1, 0.1, 1.0, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         ShellSpec(3, 4.0, 4.0, 0.1, 0.1, 1.0, (8.0, 0.0))
-    # fewer than 16 points per stratum (1024 at the default 64 strata) would
+    # fewer than 16 points per stratum (1024 at 64 strata) would
     # otherwise be raised to 16 per stratum without a word
     for samples in (0, -5, 1023):
         with pytest.raises(ValueError, match="sample"):
@@ -693,9 +693,34 @@ def test_match_interactions_refuses_tables_larger_than_memory(monkeypatch):
     with pytest.raises(MemoryError, match="trilinear code table"):
         _match_interactions(low, mate, high)
     monkeypatch.undo()
-    monkeypatch.setattr(grid, "_physical_memory", lambda: need)
+    # the one match adds its own bytes on top
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need + harness._match_bytes(2))
     i_low, i_mate, third = _match_interactions(low, mate, high)
     assert (i_low.tolist(), i_mate.tolist(), third.tolist()) == ([0], [0], [0])
+
+
+def test_match_interactions_refuses_matches_larger_than_memory(monkeypatch):
+    # all 3 x 4 (low, mate) pairs match: the high modes are their -(l + m),
+    # which fill the 3 x 4 box [-2, 0] x [-4, -1] the table covers
+    low = np.array([[0, 0], [1, 0], [2, 0]])
+    mate = np.array([[0, 1], [0, 2], [0, 3], [0, 4]])
+    high = -(low[:, None] + mate[None]).reshape(-1, 2)
+    table = harness._TABLE_BYTES * 12 + harness._PAIR_BYTES * 12
+    need = table + harness._match_bytes(2) * 12
+
+    def no_matches(*args, **kwargs):
+        raise AssertionError("the match indices were allocated")
+
+    for limit in (table, need - 1):
+        monkeypatch.setattr(grid, "_physical_memory", lambda: limit)
+        monkeypatch.setattr(np, "flatnonzero", no_matches)
+        with pytest.raises(MemoryError, match="12 trilinear matches"):
+            _match_interactions(low, mate, high)
+        monkeypatch.undo()
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need)
+    i_low, i_mate, third = _match_interactions(low, mate, high)
+    assert len(third) == 12
+    assert not np.any(low[i_low] + mate[i_mate] + high[third])
 
 
 def test_trilinear_peak_memory_stays_small():

@@ -9,21 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_field
 from halfwave.cli import load_trajectory, save_trajectory
 from halfwave.dynamics import Trajectory, decompose, evolve, reconstruct
 from halfwave.grid import (
     FrequencyLattice,
     GridSpec,
-    SpaceTimeField,
     SpectralField,
     dyadic_scales,
-    l2_norm,
     lp_weights,
-    modulation_weights,
-    random_field,
     sobolev_norm,
 )
 from halfwave.system import free_system
+from halfwave.variation import modulation_weights
 
 dims = st.integers(1, 3)
 masses = st.floats(0.1, 10.0)
@@ -122,7 +120,7 @@ def test_free_steps_conserve_each_half(dim, mass_list, dt, seed):
     state = decompose(lat, *random_data(lat, rng, len(mass_list)), mass_list)
     traj = evolve(lat, state, free_system(mass_list), T=4 * dt, dt=dt)
     norms = np.array(
-        [[[l2_norm(SpectralField(lat, h)) for h in pair] for pair in state]
+        [[[sobolev_norm(SpectralField(lat, h), 0.0) for h in pair] for pair in state]
          for state in traj.halves]
     )
     assert np.allclose(norms, norms[0], rtol=1e-12, atol=0.0)
@@ -173,11 +171,10 @@ def test_littlewood_paley_weights_partition_unity(lat):
     mass=masses,
 )
 def test_modulation_low_and_high_complement(lat, n_times, dt, index, sign, mass):
-    u = SpaceTimeField(
-        np.arange(n_times) * dt, lat, np.zeros((n_times,) + lat.spec.shape, complex)
-    )
-    total = modulation_weights(u, index, sign, mass, "low") + modulation_weights(
-        u, index, sign, mass, "high"
+    halves = np.zeros((n_times, 1, 2) + lat.spec.shape, complex)
+    traj = Trajectory(np.arange(n_times) * dt, (mass,), lat, halves)
+    total = modulation_weights(traj, 0, index, sign, "low") + modulation_weights(
+        traj, 0, index, sign, "high"
     )
     live = ~lat.nyquist_mask
     assert np.allclose(total[:, live], 1.0, rtol=0.0, atol=1e-15)

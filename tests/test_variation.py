@@ -16,7 +16,7 @@ from halfwave.grid import (
     SpectralField,
     free_propagate,
     gaussian_bump,
-    l2_norm,
+    sobolev_norm,
 )
 from halfwave.system import scalar_system
 from halfwave.variation import (
@@ -151,7 +151,7 @@ def test_v2_free_wave_is_profile_norm():
     state = resting_state(lat, phi)
     traj = free_trajectory(lat, state, (1.0,), np.arange(201) * 0.05)
     for sign, half in ((+1, state[0, 0]), (-1, state[0, 1])):
-        expected = l2_norm(SpectralField(lat, half))
+        expected = sobolev_norm(SpectralField(lat, half), 0.0)
         assert v2_pm_norm(traj, 0, sign) == pytest.approx(expected, rel=1e-9)
 
 
@@ -190,7 +190,7 @@ def test_v2_two_emissions_bracketed():
         plus.append(coeffs)
     traj = plus_only_trajectory(lat, times, plus)
     v2 = v2_pm_norm(traj, 0, +1)
-    n1, n2 = l2_norm(phi1), l2_norm(phi2)
+    n1, n2 = sobolev_norm(phi1, 0.0), sobolev_norm(phi2, 0.0)
     assert max(n1, n2) <= v2 <= n1 + n2
     # disjoint modes jump orthogonally, pinning the exact value
     assert v2 == pytest.approx(math.hypot(n1, n2), rel=1e-12)
@@ -202,7 +202,7 @@ def test_xs_proxy_single_band():
     state = np.zeros((1, 2) + lat.spec.shape, dtype=complex)
     state[0, 0] = phi.coeffs
     traj = free_trajectory(lat, state, (1.0,), np.arange(21) * 0.1)
-    expected = 4.0 * l2_norm(phi)
+    expected = 4.0 * sobolev_norm(phi, 0.0)
     assert xs_proxy_norm(traj, 0, 1.0) == pytest.approx(expected, rel=1e-9)
     # weights grow with s on a high-frequency trajectory
     assert xs_proxy_norm(traj, 0, 1.5) > xs_proxy_norm(traj, 0, 1.0)
