@@ -51,7 +51,6 @@ from .grid import (
     sobolev_norm,  # noqa: F401  (a span target of the benchmark's traced run)
 )
 from .harness import (
-    ShellSpec,
     bilinear_sweep,
     shell_intersection_volume,
     strauss_exponent,
@@ -427,18 +426,11 @@ def _run_verify_shell(config: RunConfig) -> RunResult:
     for radius, width, tube, factor in itertools.product(
         *(config.sweeps[key] for key in ("radius", "width", "tube", "offset_factor"))
     ):
-        offset = [0.0] * dim
-        offset[0] = factor * radius
-        spec = ShellSpec(
-            dim=dim,
-            radius_a=radius,
-            radius_b=radius,
-            width_a=width,
-            width_b=width,
-            tube_radius=tube,
-            offset=tuple(offset),
+        records.append(
+            shell_intersection_volume(
+                dim, radius, width, tube, factor * radius, samples=samples, seed=seed
+            )
         )
-        records.append(shell_intersection_volume(spec, samples=samples, seed=seed))
     ratios = [r.ratios[0] for r in records]
     live = [r for r in ratios if r > 0]
     uniform = sweep_uniformity(ratios)

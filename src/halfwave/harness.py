@@ -17,21 +17,6 @@ import numpy as np
 from .grid import DyadicIndex, _require_memory, annulus_profile
 from .system import bracket, check_nonresonance, resonance_function, smallest_bracket
 
-__all__ = [
-    "VerificationRecord",
-    "ShellSpec",
-    "BilinearCase",
-    "strauss_exponent",
-    "sweep_uniformity",
-    "verify_modulation_bound",
-    "verify_nonresonance_bound",
-    "shell_intersection_volume",
-    "verify_bilinear",
-    "bilinear_sweep",
-    "strichartz_admissible",
-    "verify_trilinear",
-]
-
 
 @dataclass(frozen=True)
 class VerificationRecord:
@@ -235,6 +220,8 @@ def verify_nonresonance_bound(
     triple = tuple(float(m) for m in masses)
     if len(triple) != 3 or any(m <= 0 for m in triple):
         raise ValueError("need three positive masses")
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
     holds, margin = check_nonresonance(triple)
     params = {
         "masses": list(triple),
@@ -304,58 +291,6 @@ def verify_nonresonance_bound(
 # shell intersection volume
 
 
-@dataclass(frozen=True)
-class ShellSpec:
-    """Two thin spherical shells and an axis tube, in dimension >= 3.
-
-    Shell a is centered at the origin with radius `radius_a` and half-width
-    `width_a`; shell b is carried to `offset` with radius `radius_b` and
-    half-width `width_b`. The tube collects points within `tube_radius` of
-    the axis spanned by `offset`. Widths must stay in the thin regime, at
-    most a quarter of every other length scale.
-    """
-
-    dim: int
-    radius_a: float
-    radius_b: float
-    width_a: float
-    width_b: float
-    tube_radius: float
-    offset: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", tuple(float(x) for x in self.offset))
-        if self.dim < 3:
-            raise ValueError("shell geometry needs dimension >= 3")
-        if len(self.offset) != self.dim:
-            raise ValueError("offset dimension mismatch")
-        scales = (self.radius_a, self.radius_b, self.width_a, self.width_b,
-                  self.tube_radius)
-        if any(s <= 0 for s in scales):
-            raise ValueError("all radii and widths must be positive")
-        cap = min(self.radius_a, self.radius_b, self.tube_radius) / 4.0
-        if self.width_a > cap or self.width_b > cap:
-            raise ValueError("shell widths must be at most min(r, R, L)/4")
-        if not any(x != 0.0 for x in self.offset):
-            raise ValueError("offset must be nonzero")
-
-    @property
-    def offset_length(self) -> float:
-        return float(np.linalg.norm(self.offset))
-
-    def bound_value(self) -> float:
-        """Volume budget: min(r, R, L)^(n-3) * r * R * wa * wb / |offset|."""
-        small = min(self.radius_a, self.radius_b, self.tube_radius)
-        return (
-            small ** (self.dim - 3)
-            * self.radius_a
-            * self.radius_b
-            * self.width_a
-            * self.width_b
-            / self.offset_length
-        )
-
-
 def _unit_ball_volume(k: int) -> float:
     return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
 
@@ -365,9 +300,21 @@ _STRATA = 64
 
 
 def shell_intersection_volume(
-    spec: ShellSpec, samples: int = 200_000, seed: int = 0
+    dim: int,
+    radius: float,
+    width: float,
+    tube_radius: float,
+    offset: float,
+    samples: int = 200_000,
+    seed: int = 0,
 ) -> VerificationRecord:
     """Stratified Monte Carlo volume of the shell-shell-tube intersection.
+
+    Two thin spherical shells of the given radius and half-width, in
+    dimension >= 3, one centered at the origin and one carried to `offset`
+    on axis 0; the tube collects points within `tube_radius` of that axis.
+    The width must stay in the thin regime, at most a quarter of the radius
+    and of the tube radius.
 
     The axial slab compatible with both shells is cut into _STRATA strata;
     each stratum is sampled with samples // _STRATA points inside its own
@@ -375,21 +322,26 @@ def shell_intersection_volume(
     empty intersection is reported with a warning and trivially satisfies
     the bound.
     """
+    if dim < 3:
+        raise ValueError("shell geometry needs dimension >= 3")
+    if min(radius, width, tube_radius) <= 0:
+        raise ValueError("all radii and widths must be positive")
+    if width > min(radius, tube_radius) / 4.0:
+        raise ValueError("shell widths must be at most min(r, R, L)/4")
+    if offset == 0.0:
+        raise ValueError("offset must be nonzero")
     if samples < 16 * _STRATA:
         raise ValueError(
             f"need at least 16 samples per stratum, {16 * _STRATA} for {_STRATA} "
             f"strata, got {samples}"
         )
-    n = spec.dim
-    c = spec.offset_length
-    ra, wa = spec.radius_a, spec.width_a
-    rb, wb = spec.radius_b, spec.width_b
+    n, r, w, c = dim, radius, width, abs(float(offset))
     rng = np.random.default_rng(seed)
 
-    lo = (c * c + (ra - wa) ** 2 - (rb + wb) ** 2) / (2.0 * c)
-    hi = (c * c + (ra + wa) ** 2 - (rb - wb) ** 2) / (2.0 * c)
-    lo = max(lo, -(ra + wa), c - rb - wb)
-    hi = min(hi, ra + wa, c + rb + wb)
+    lo = (c * c + (r - w) ** 2 - (r + w) ** 2) / (2.0 * c)
+    hi = (c * c + (r + w) ** 2 - (r - w) ** 2) / (2.0 * c)
+    lo = max(lo, -(r + w), c - r - w)
+    hi = min(hi, r + w, c + r + w)
 
     ball_k = _unit_ball_volume(n - 1)
     volume = 0.0
@@ -405,9 +357,9 @@ def shell_intersection_volume(
                 0.0 if a_edge <= c <= b_edge else min(abs(a_edge - c), abs(b_edge - c))
             )
             rho_cap = min(
-                spec.tube_radius,
-                math.sqrt(max((ra + wa) ** 2 - abs_min * abs_min, 0.0)),
-                math.sqrt(max((rb + wb) ** 2 - off_min * off_min, 0.0)),
+                tube_radius,
+                math.sqrt(max((r + w) ** 2 - abs_min * abs_min, 0.0)),
+                math.sqrt(max((r + w) ** 2 - off_min * off_min, 0.0)),
             )
             if rho_cap <= 0.0:
                 continue
@@ -417,20 +369,15 @@ def shell_intersection_volume(
             rho = rho_cap * rng.random(per) ** (1.0 / (n - 1))
             d1 = np.sqrt(x1 * x1 + rho * rho)
             d2 = np.sqrt((x1 - c) ** 2 + rho * rho)
-            hit = (
-                (d1 >= ra - wa)
-                & (d1 <= ra + wa)
-                & (d2 >= rb - wb)
-                & (d2 <= rb + wb)
-                & (rho <= spec.tube_radius)
-            )
+            hit = (d1 >= r - w) & (d1 <= r + w) & (d2 >= r - w) & (d2 <= r + w)
+            hit &= rho <= tube_radius
             p_hat = float(np.count_nonzero(hit)) / per
             box = (b_edge - a_edge) * ball_k * rho_cap ** (n - 1)
             volume += box * p_hat
             variance += box * box * p_hat * (1.0 - p_hat) / per
             hits_total += int(np.count_nonzero(hit))
     std_error = math.sqrt(variance)
-    bound = spec.bound_value()
+    bound = min(r, tube_radius) ** (n - 3) * r * r * w * w / c
     ratio = volume / bound
     empty = hits_total == 0
     if empty:
@@ -445,12 +392,12 @@ def shell_intersection_volume(
         name="shell_intersection",
         parameters={
             "dim": n,
-            "radius_a": ra,
-            "radius_b": rb,
-            "width_a": wa,
-            "width_b": wb,
-            "tube_radius": spec.tube_radius,
-            "offset": list(spec.offset),
+            "radius_a": r,
+            "radius_b": r,
+            "width_a": w,
+            "width_b": w,
+            "tube_radius": tube_radius,
+            "offset": [float(offset)] + [0.0] * (n - 1),
             "samples": per * _STRATA,
             "strata": _STRATA,
         },
@@ -473,7 +420,28 @@ def shell_intersection_volume(
 # bilinear free-wave products on mode sets
 
 
+def _integer_box_bytes(dim: int) -> int:
+    """Bytes per point of an integer box at the peak of ball_mode_set or cap_mode_set.
+
+    Under tracemalloc, boxes of 6e4-5e7 points in dimensions 3-6 peaked at
+    16 * (dim + 1) bytes a point, to 0.2%, in cap_mode_set (the box, its
+    float copy and their squares) and below that in ball_mode_set; small
+    boxes add a fixed few tens of KiB.
+    """
+    return 16 * (dim + 1)
+
+
 def _integer_box(center: np.ndarray, halfwidth: int) -> np.ndarray:
+    """Every integer point within `halfwidth` of `center` in the max norm.
+
+    The box and what its callers build from it are checked against physical
+    memory before they are allocated.
+    """
+    points = (2 * halfwidth + 1) ** len(center)
+    _require_memory(
+        _integer_box_bytes(len(center)) * points,
+        f"the {points} points of the integer mode box",
+    )
     axes = [
         np.arange(int(c) - halfwidth, int(c) + halfwidth + 1) for c in center
     ]
@@ -621,52 +589,6 @@ def _bilinear_space_time_l2(
     return math.sqrt(total * math.prod(conv_shape))
 
 
-@dataclass(frozen=True)
-class BilinearCase:
-    """One configuration of the free-wave product estimate.
-
-    `low_scale` and `high_scale` are the dyadic sizes of the two factors,
-    `output_scale` the annulus the product is projected onto. Separated
-    scales (low at most a quarter of high) are checked against the coarse
-    low^((n-1)/2) budget; comparable scales against the sharp
-    high^(1/2) * output^((n-2)/2) budget. `horizon` 0 picks a default time
-    window per family.
-    """
-
-    dim: int
-    low_scale: DyadicIndex
-    high_scale: DyadicIndex
-    output_scale: DyadicIndex
-    sign_a: int = 1
-    sign_b: int = 1
-    mass_a: float = 1.0
-    mass_b: float = 1.0
-    trials: int = 3
-    seed: int = 0
-    horizon: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "low_scale", DyadicIndex(self.low_scale))
-        object.__setattr__(self, "high_scale", DyadicIndex(self.high_scale))
-        object.__setattr__(self, "output_scale", DyadicIndex(self.output_scale))
-        if self.dim < 3:
-            raise ValueError("sharp bilinear checks need dimension >= 3")
-        if min(self.low_scale, self.high_scale, self.output_scale) < 1:
-            raise ValueError("scales must be positive dyadic indices")
-        if self.low_scale > self.high_scale:
-            raise ValueError("low scale must not exceed high scale")
-        if self.sign_a not in (1, -1) or self.sign_b not in (1, -1):
-            raise ValueError("signs must be +1 or -1")
-        if self.mass_a <= 0 or self.mass_b <= 0:
-            raise ValueError("masses must be positive")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-
-    @property
-    def separated(self) -> bool:
-        return 4 * int(self.low_scale) <= int(self.high_scale)
-
-
 def _orthonormal_pair(dim: int, rng):
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)
@@ -676,8 +598,17 @@ def _orthonormal_pair(dim: int, rng):
     return u, v
 
 
-def verify_bilinear(case: BilinearCase) -> VerificationRecord:
+def verify_bilinear(
+    dim: int, low_scale, high_scale, output_scale, trials: int, seed: int
+) -> VerificationRecord:
     """Ratio of the projected free-wave product to its dyadic budget.
+
+    `low_scale` and `high_scale` are the dyadic sizes of the two factors,
+    `output_scale` the annulus the product is projected onto; both factors
+    are + waves of mass 1. Separated scales (low at most a quarter of high)
+    are checked against the coarse low^((n-1)/2) budget over a time window
+    of 2; comparable scales against the sharp high^(1/2) * output^((n-2)/2)
+    budget over a window of 6.
 
     Each trial draws fresh geometry (random orthogonal or antipodal
     directions) and random positive amplitudes with a common phase. The
@@ -685,48 +616,56 @@ def verify_bilinear(case: BilinearCase) -> VerificationRecord:
     saturate the estimate, which uniformly random phases destroy by
     square-root cancellation, leaving nothing to measure sharpness against.
     """
-    n = case.dim
+    low = DyadicIndex(low_scale)
+    high = DyadicIndex(high_scale)
+    output = DyadicIndex(output_scale)
+    if dim < 3:
+        raise ValueError("sharp bilinear checks need dimension >= 3")
+    if min(low, high, output) < 1:
+        raise ValueError("scales must be positive dyadic indices")
+    if low > high:
+        raise ValueError("low scale must not exceed high scale")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    separated = 4 * int(low) <= int(high)
     records = []
-    for trial in range(case.trials):
-        rng = np.random.default_rng([case.seed, trial])
-        if case.separated:
-            m = float(case.low_scale)
-            big = float(case.high_scale)
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        if separated:
+            m = float(low)
             radius = max(m / 4.0, 1.2)
-            dir_a, dir_b = _orthonormal_pair(n, rng)
+            dir_a, dir_b = _orthonormal_pair(dim, rng)
             modes_a = ball_mode_set(m * dir_a, radius)
-            modes_b = ball_mode_set(big * dir_b, radius)
-            bound = m ** ((n - 1) / 2.0)
+            modes_b = ball_mode_set(float(high) * dir_b, radius)
+            bound = m ** ((dim - 1) / 2.0)
             bound_text = "low^((n-1)/2) * |phi|_2 * |psi|_2"
-            horizon = case.horizon or 2.0
+            horizon = 2.0
         else:
-            high = float(case.high_scale)
-            rho = float(case.output_scale)
+            big = float(high)
+            rho = float(output)
             # radial thickness tracks the caps' curvature depth rho^2 / high,
             # keeping the family self-similar across the sweep
-            thickness = max(2.0, high / 16.0)
-            pole = rng.standard_normal(n)
+            thickness = max(2.0, big / 16.0)
+            pole = rng.standard_normal(dim)
             pole /= np.linalg.norm(pole)
-            modes_a = cap_mode_set(high, pole, rho, thickness)
-            modes_b = cap_mode_set(float(case.low_scale), -pole, rho, thickness)
-            bound = math.sqrt(high) * float(case.output_scale) ** ((n - 2) / 2.0)
+            modes_a = cap_mode_set(big, pole, rho, thickness)
+            modes_b = cap_mode_set(float(low), -pole, rho, thickness)
+            bound = math.sqrt(big) * rho ** ((dim - 2) / 2.0)
             bound_text = "high^(1/2) * output^((n-2)/2) * |phi|_2 * |psi|_2"
-            horizon = case.horizon or 6.0
+            horizon = 6.0
         if len(modes_a) == 0 or len(modes_b) == 0:
             records.append(0.0)
             continue
         amps_a = rng.uniform(0.5, 1.0, len(modes_a))
         amps_b = rng.uniform(0.5, 1.0, len(modes_b))
-        omega_a = case.sign_a * bracket(case.mass_a, modes_a)
-        omega_b = case.sign_b * bracket(case.mass_b, modes_b)
         value = _bilinear_space_time_l2(
             modes_a,
             amps_a,
-            omega_a,
+            bracket(1.0, modes_a),
             modes_b,
             amps_b,
-            omega_b,
-            float(case.output_scale),
+            bracket(1.0, modes_b),
+            float(output),
             horizon,
         )
         rhs = bound * np.linalg.norm(amps_a) * np.linalg.norm(amps_b)
@@ -735,21 +674,21 @@ def verify_bilinear(case: BilinearCase) -> VerificationRecord:
     return VerificationRecord(
         name="bilinear_product",
         parameters={
-            "dim": n,
-            "low_scale": int(case.low_scale),
-            "high_scale": int(case.high_scale),
-            "output_scale": int(case.output_scale),
-            "sign_a": case.sign_a,
-            "sign_b": case.sign_b,
-            "mass_a": case.mass_a,
-            "mass_b": case.mass_b,
-            "trials": case.trials,
-            "separated": case.separated,
+            "dim": dim,
+            "low_scale": int(low),
+            "high_scale": int(high),
+            "output_scale": int(output),
+            "sign_a": 1,
+            "sign_b": 1,
+            "mass_a": 1.0,
+            "mass_b": 1.0,
+            "trials": trials,
+            "separated": separated,
         },
         ratios=ratios,
         bound=bound_text,
         passed=sweep_uniformity(ratios, 4.0),
-        seed=case.seed,
+        seed=seed,
     )
 
 
@@ -778,14 +717,10 @@ def bilinear_sweep(
         raise ValueError("mode must be 'separated' or 'matched'")
     default_scales, partners = _SWEEP_MODES[mode]
     scales = tuple(scales) if scales is not None else default_scales
-    cases = [
-        BilinearCase(dim, s, *partners(s, high_scale), trials=trials, seed=seed + i)
-        for i, s in enumerate(scales)
-    ]
     per_scale = []
     all_records = []
-    for case in cases:
-        record = verify_bilinear(case)
+    for i, s in enumerate(scales):
+        record = verify_bilinear(dim, s, *partners(s, high_scale), trials, seed + i)
         all_records.append(record)
         live = [r for r in record.ratios if r > 0]
         per_scale.append(float(np.median(live)) if live else 0.0)
@@ -910,6 +845,10 @@ def _match_interactions(low_modes, mate_modes, high_modes):
     return i_low, i_mate, third
 
 
+# the most modes verify_trilinear keeps in each of its three sets
+_MAX_MODES = 1200
+
+
 def _subsample(modes: np.ndarray, cap: int, rng) -> np.ndarray:
     if len(modes) <= cap:
         return modes
@@ -942,23 +881,22 @@ def verify_trilinear(
     high_scale,
     mate_scale,
     low_scale,
-    signs=(1, 1, -1),
     dim: int = 3,
     trials: int = 8,
     seed: int = 0,
     horizon: float = 8.0,
-    masses=(1.0, 1.0, 1.0),
-    max_modes: int = 1200,
 ) -> VerificationRecord:
     """Scaled trilinear integral of three free waves against its budget.
 
     The two comparable-scale factors sit on antipodal caps, the third on a
-    low ball, all with random complex Gaussian coefficients. The convolution
-    constraint leaves one free pair per interaction, and the time integral is
-    exact per interaction, so no time quadrature error enters. The statistic
-    divides the integral by the high scale and by the weighted product of the
-    factor norms; the check is qualitative, looking for stability across
-    trials rather than a specific constant.
+    low ball, all with random complex Gaussian coefficients and at most
+    _MAX_MODES modes. All three have mass 1; the low and mate waves are +
+    waves, the high wave a - wave. The convolution constraint leaves one
+    free pair per interaction, and the time integral is exact per
+    interaction, so no time quadrature error enters. The statistic divides
+    the integral by the high scale and by the weighted product of the factor
+    norms; the check is qualitative, looking for stability across trials
+    rather than a specific constant.
 
     Interactions are matched through a dense code table. A point p of the
     box [mins, mins + spans) packs to the linear code (p - mins) @ w, with w
@@ -975,13 +913,12 @@ def verify_trilinear(
     low = DyadicIndex(low_scale)
     if min(int(high), int(mate)) < 1 or max(high, mate) > 2 * min(high, mate):
         raise ValueError("the two large scales must be comparable and positive")
-    if len(signs) != 3 or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be three values of +1 or -1")
     if dim < 2:
         raise ValueError("dimension must be at least 2")
     if trials < 1:
         raise ValueError("need at least one trial")
-    ms = tuple(float(m) for m in masses)
+    if not horizon > 0:
+        raise ValueError("the interaction horizon must be positive")
     s_weight = max(0.5, (dim - 2) / 2.0)
     ratios = []
     for trial in range(trials):
@@ -989,9 +926,10 @@ def verify_trilinear(
         pole = rng.standard_normal(dim)
         pole /= np.linalg.norm(pole)
         rho = max(float(high) / 4.0, 1.5)
-        low_modes = _subsample(ball_mode_set(np.zeros(dim), max(float(low), 1.2)), max_modes, rng)
-        mate_modes = _subsample(cap_mode_set(float(mate), -pole, rho), max_modes, rng)
-        high_modes = _subsample(cap_mode_set(float(high), pole, rho), max_modes, rng)
+        ball = ball_mode_set(np.zeros(dim), max(float(low), 1.2))
+        low_modes = _subsample(ball, _MAX_MODES, rng)
+        mate_modes = _subsample(cap_mode_set(float(mate), -pole, rho), _MAX_MODES, rng)
+        high_modes = _subsample(cap_mode_set(float(high), pole, rho), _MAX_MODES, rng)
         if min(len(low_modes), len(mate_modes), len(high_modes)) == 0:
             ratios.append(0.0)
             continue
@@ -1008,9 +946,9 @@ def verify_trilinear(
         i_low, i_mate, third = _match_interactions(low_modes, mate_modes, high_modes)
 
         omega = (
-            signs[0] * bracket(ms[0], low_modes[i_low])
-            + signs[1] * bracket(ms[1], mate_modes[i_mate])
-            + signs[2] * bracket(ms[2], high_modes[third])
+            bracket(1.0, low_modes[i_low])
+            + bracket(1.0, mate_modes[i_mate])
+            - bracket(1.0, high_modes[third])
         )
         phase = np.where(
             np.abs(omega) < 1e-12,
@@ -1034,12 +972,12 @@ def verify_trilinear(
             "high_scale": int(high),
             "mate_scale": int(mate),
             "low_scale": int(low),
-            "signs": list(signs),
+            "signs": [1, 1, -1],
             "dim": dim,
             "trials": trials,
             "horizon": horizon,
-            "masses": list(ms),
-            "max_modes": max_modes,
+            "masses": [1.0, 1.0, 1.0],
+            "max_modes": _MAX_MODES,
         },
         ratios=ratios,
         bound="high * low^max(1/2,(n-2)/2) * |u|_2 |v|_2 |w|_2",

@@ -15,17 +15,6 @@ import numpy as np
 from .dynamics import Trajectory
 from .grid import DyadicIndex, annulus_profile, bump_profile, dyadic_scales, lp_weights
 
-__all__ = [
-    "ModulationReport",
-    "increment_table",
-    "p_variation",
-    "v2_pm_norm",
-    "xs_proxy_norm",
-    "modulation_weights",
-    "modulation_energy",
-    "check_mod_projection_bound",
-]
-
 
 def increment_table(values, weight: float = 1.0) -> np.ndarray:
     """Weighted Euclidean distances between every pair of samples.

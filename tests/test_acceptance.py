@@ -33,7 +33,6 @@ from halfwave.grid import (
     sobolev_norm,
 )
 from halfwave.harness import (
-    ShellSpec,
     bilinear_sweep,
     shell_intersection_volume,
     strauss_exponent,
@@ -276,21 +275,14 @@ def test_criterion_09_shell_sweep(note):
         for tube, width, radius, factor in itertools.product(
             (4.0, 8.0, 16.0), (0.05, 0.1), (32.0, 64.0), (1.5, 2.0)
         ):
-            spec = ShellSpec(
-                dim=3,
-                radius_a=radius,
-                radius_b=radius,
-                width_a=width,
-                width_b=width,
-                tube_radius=tube,
-                offset=(factor * radius, 0.0, 0.0),
-            )
             import warnings
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 records.append(
-                    shell_intersection_volume(spec, samples=200_000, seed=seed)
+                    shell_intersection_volume(
+                        3, radius, width, tube, factor * radius, samples=200_000, seed=seed
+                    )
                 )
         return records
 

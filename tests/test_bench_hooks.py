@@ -17,7 +17,7 @@ from halfwave import dynamics
 from halfwave.cli import save_trajectory
 from halfwave.dynamics import decompose, evolve, picard_iterate
 from halfwave.grid import FrequencyLattice, GridSpec, gaussian_bump
-from halfwave.harness import ShellSpec, shell_intersection_volume
+from halfwave.harness import shell_intersection_volume
 from halfwave.system import scalar_system
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -65,9 +65,8 @@ def test_counters_read_real_results(tmp_path):
     recorder.wrap("picard", picard_iterate, spans._picard_sweeps)(
         lattice, state, system, 0.2, 0.05, 2
     )
-    shell = ShellSpec(3, 8.0, 8.0, 0.5, 0.5, 6.0, (12.0, 0.0, 0.0))
     recorder.wrap("shell", shell_intersection_volume, spans._shell_samples)(
-        shell, samples=1024
+        3, 8.0, 0.5, 6.0, 12.0, samples=1024
     )
     recorder.wrap("save", save_trajectory, spans._saved_bytes)(traj, tmp_path / "t.npz")
     assert recorder.counters == {

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfwave import cli, grid
+from halfwave import cli, grid, harness
 from halfwave.cli import (
     _COMMANDS,
     ConfigError,
@@ -784,6 +784,9 @@ def test_verify_bilinear_command_small(tmp_path):
 
 
 def test_verify_bilinear_refuses_boxes_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # the integer mode boxes are refused on their own in
+    # test_verify_trilinear_refuses_mode_boxes_larger_than_memory
+    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 1024)
     cfg = write_config(
         tmp_path,
@@ -798,6 +801,7 @@ def test_verify_bilinear_refuses_boxes_larger_than_memory(tmp_path, capsys, monk
 
 
 def test_verify_trilinear_refuses_tables_larger_than_memory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 1024)
     cfg = write_config(
         tmp_path,
@@ -808,6 +812,31 @@ def test_verify_trilinear_refuses_tables_larger_than_memory(tmp_path, capsys, mo
     assert main(["verify-trilinear", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "trilinear code table" in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
+
+
+def test_verify_trilinear_refuses_mode_boxes_larger_than_memory(
+    tmp_path, capsys, monkeypatch
+):
+    # in dimension 5 at high scale 64 each cap is cut from a 39^5 box, 8.7 GB
+    # at 96 bytes a point; only the low ball's 5^5 box may be built
+    meshgrid = np.meshgrid
+
+    def small_meshgrid(*axes, **kwargs):
+        assert math.prod(len(a) for a in axes) <= 5**5, "a large box was built"
+        return meshgrid(*axes, **kwargs)
+
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**30)
+    monkeypatch.setattr(np, "meshgrid", small_meshgrid)
+    cfg = write_config(
+        tmp_path,
+        "[run]\ndim = 5\nseed = 0\nhigh_scale = 64\ntrials = 1\n"
+        "[sweep]\nlow_scale = 1\n",
+    )
+    out = tmp_path / "out"
+    assert main(["verify-trilinear", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "points of the integer mode box" in err and err.rstrip().endswith("out of memory")
     assert not out.exists()
 
 
@@ -838,12 +867,26 @@ def test_verify_bilinear_rejects_bad_mode(tmp_path):
         # below 16 points in each of the 64 strata
         ("verify-shell", "[run]\ndim = 3\nseed = 0\nsamples = 1000\n", "sample"),
         ("verify-trilinear", "[run]\ndim = 3\nseed = 0\ntrials = 0\n", "trial"),
+        # a horizon of 0 makes every ratio 0, which would pass
+        (
+            "verify-trilinear",
+            "[run]\ndim = 3\nseed = 0\ninteraction_horizon = 0\n",
+            "horizon",
+        ),
+        # on both sides of the mass dichotomy
+        ("verify-nonresonance", "[run]\nseed = 0\ndim = 0\n", "dimension"),
+        (
+            "verify-nonresonance",
+            "[run]\nseed = 0\ndim = 0\nmasses = 1, 1, 2.5\n",
+            "dimension",
+        ),
         ("verify-modulation", "[run]\nseed = 0\n[sweep]\ndimension = 0\n", "dimension"),
         ("strichartz", "[run]\ndim = 3\n[sweep]\nq = 0\n", "q must be"),
     ],
     ids=[
-        "shell-dim", "shell-samples", "shell-sample-floor", "trilinear-trials", "modulation-dim",
-        "strichartz-q",
+        "shell-dim", "shell-samples", "shell-sample-floor", "trilinear-trials",
+        "trilinear-horizon", "nonresonance-dim", "nonresonance-dim-failure-side",
+        "modulation-dim", "strichartz-q",
     ],
 )
 def test_library_value_errors_exit_as_config_errors(

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from halfwave import grid, harness
 from halfwave.grid import annulus_profile
 from halfwave.harness import (
-    BilinearCase,
-    ShellSpec,
     VerificationRecord,
     ball_mode_set,
     bilinear_sweep,
@@ -221,86 +219,68 @@ def test_nonresonance_rejects_bad_masses():
 # ----------------------------------------------------------------------
 
 
-def tangential_spec(width_a=0.05, width_b=0.05, radius=32.0, tube=4.0):
-    return ShellSpec(
-        dim=3,
-        radius_a=radius,
-        radius_b=radius,
-        width_a=width_a,
-        width_b=width_b,
-        tube_radius=tube,
-        offset=(2.0 * radius, 0.0, 0.0),
-    )
+def tangential_shells(width=0.05, radius=32.0, tube=4.0, **kwargs):
+    """Externally tangent equal shells: the second is centered at twice the radius."""
+    return shell_intersection_volume(3, radius, width, tube, 2.0 * radius, **kwargs)
 
 
 def test_shell_spec_validation():
-    with pytest.raises(ValueError):
-        ShellSpec(2, 4.0, 4.0, 0.1, 0.1, 1.0, (8.0, 0.0))
-    with pytest.raises(ValueError):
-        ShellSpec(3, 4.0, 4.0, 2.0, 0.1, 1.0, (8.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        ShellSpec(3, 4.0, 4.0, 0.1, 0.1, 1.0, (0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        ShellSpec(3, 4.0, 4.0, 0.1, 0.1, 1.0, (8.0, 0.0))
+    with pytest.raises(ValueError, match="dimension"):
+        shell_intersection_volume(2, 4.0, 0.1, 1.0, 8.0)
+    with pytest.raises(ValueError, match="positive"):
+        shell_intersection_volume(3, 4.0, 0.1, 0.0, 8.0)
+    with pytest.raises(ValueError, match="widths"):
+        shell_intersection_volume(3, 4.0, 2.0, 1.0, 8.0)
+    with pytest.raises(ValueError, match="nonzero"):
+        shell_intersection_volume(3, 4.0, 0.1, 1.0, 0.0)
     # fewer than 16 points per stratum (1024 at 64 strata) would
     # otherwise be raised to 16 per stratum without a word
     for samples in (0, -5, 1023):
         with pytest.raises(ValueError, match="sample"):
-            shell_intersection_volume(tangential_spec(), samples=samples)
+            tangential_shells(samples=samples)
 
 
 def test_shell_records_the_points_it_draws():
     # each of the 64 strata draws samples // 64 points: 2047 draws 1984,
     # while the CLI default 200000 is a multiple of 64 and is drawn in full
-    spec = ShellSpec(3, 8.0, 8.0, 0.5, 0.5, 6.0, (12.0, 0.0, 0.0))
-    assert shell_intersection_volume(spec, samples=2047).parameters["samples"] == 1984
-    assert shell_intersection_volume(spec, samples=200_000).parameters["samples"] == 200_000
+    for samples, drawn in ((2047, 1984), (200_000, 200_000)):
+        record = shell_intersection_volume(3, 8.0, 0.5, 6.0, 12.0, samples=samples)
+        assert record.parameters["samples"] == drawn
 
 
 def test_shell_tangential_closed_form():
     # externally tangent equal spheres: the intersection of the thickened
     # shells is a torus-like ring of volume 2*pi*r*wa*wb, which makes the
     # ratio against r*r*wa*wb/(2r) exactly 4*pi.
-    spec = tangential_spec()
-    record = shell_intersection_volume(spec, samples=200_000, seed=0)
+    record = tangential_shells(samples=200_000, seed=0)
     assert record.passed
     assert not record.details["empty"]
-    exact = 2.0 * math.pi * spec.radius_a * spec.width_a * spec.width_b
+    exact = 2.0 * math.pi * 32.0 * 0.05 * 0.05
     assert record.details["volume"] == pytest.approx(exact, rel=0.02)
     assert record.ratios[0] == pytest.approx(4.0 * math.pi, rel=0.02)
     assert record.details["relative_error"] < 0.05
 
 
 def test_shell_volume_scales_with_widths():
-    thin = shell_intersection_volume(tangential_spec(0.05, 0.05), samples=150_000, seed=7)
-    wide = shell_intersection_volume(tangential_spec(0.10, 0.10), samples=150_000, seed=8)
+    thin = tangential_shells(0.05, samples=150_000, seed=7)
+    wide = tangential_shells(0.10, samples=150_000, seed=8)
     ratio = wide.details["volume"] / thin.details["volume"]
     assert ratio == pytest.approx(4.0, rel=0.05)
 
 
-def test_shell_swap_symmetry():
-    ab = shell_intersection_volume(tangential_spec(0.05, 0.10), samples=150_000, seed=5)
-    ba = shell_intersection_volume(tangential_spec(0.10, 0.05), samples=150_000, seed=6)
-    gap = abs(ab.details["volume"] - ba.details["volume"])
-    combined = ab.details["std_error"] + ba.details["std_error"]
-    assert gap < 4.0 * combined
-
-
 def test_shell_empty_configuration_warns():
     # widely separated shells with a narrow tube never intersect
-    spec = ShellSpec(3, 64.0, 64.0, 0.05, 0.05, 8.0, (100.0, 0.0, 0.0))
     with pytest.warns(RuntimeWarning):
-        record = shell_intersection_volume(spec, samples=50_000, seed=3)
+        record = shell_intersection_volume(3, 64.0, 0.05, 8.0, 100.0, samples=50_000, seed=3)
     assert record.details["empty"]
     assert record.ratios == (0.0,)
     assert record.passed
 
 
 def test_shell_deterministic_per_seed():
-    spec = tangential_spec()
-    a = shell_intersection_volume(spec, samples=40_000, seed=9)
-    b = shell_intersection_volume(spec, samples=40_000, seed=9)
-    c = shell_intersection_volume(spec, samples=40_000, seed=10)
+    a = tangential_shells(samples=40_000, seed=9)
+    b = tangential_shells(samples=40_000, seed=9)
+    c = tangential_shells(samples=40_000, seed=10)
     assert a.details["volume"] == b.details["volume"]
     assert a.ratios == b.ratios
     assert a.details["volume"] != c.details["volume"]
@@ -336,64 +316,91 @@ def test_cap_mode_set_can_be_empty():
     assert len(pts) == 0
 
 
+def test_mode_boxes_refuse_boxes_larger_than_memory(monkeypatch):
+    # a ball of radius 2 in dimension 3 is cut from the 5^3 box, 125 points
+    # at 64 bytes each; the cap of transverse radius 4 from the 15^3 box
+    need = 125 * harness._integer_box_bytes(3)
+
+    def no_meshgrid(*args, **kwargs):
+        raise AssertionError("the box was allocated")
+
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(np, "meshgrid", no_meshgrid)
+    with pytest.raises(MemoryError, match="125 points of the integer mode box"):
+        ball_mode_set(np.zeros(3), 2.0)
+    with pytest.raises(MemoryError, match="3375 points"):
+        cap_mode_set(16.0, np.array([1.0, 0.0, 0.0]), 4.0)
+    monkeypatch.undo()
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need)
+    assert len(ball_mode_set(np.zeros(3), 2.0)) == 33
+
+
+def test_mode_box_estimate_covers_the_peak():
+    # a cap cut from the 39^3 box: the estimate holds to 0.2% at this size
+    pole = np.array([1.0, 2.0, 2.0]) / 3.0
+    tracemalloc.start()
+    try:
+        cap_mode_set(64.0, pole, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 39**3 * harness._integer_box_bytes(3)
+
+
 # ----------------------------------------------------------------------
 # Bilinear product bounds
 # ----------------------------------------------------------------------
 
 
 def test_bilinear_case_validation():
-    with pytest.raises(ValueError):
-        BilinearCase(dim=2, low_scale=4, high_scale=16, output_scale=16)
-    with pytest.raises(ValueError):
-        BilinearCase(dim=3, low_scale=32, high_scale=16, output_scale=16)
-    with pytest.raises(ValueError):
-        BilinearCase(dim=3, low_scale=4, high_scale=16, output_scale=16, sign_a=0)
-    with pytest.raises(ValueError):
-        BilinearCase(dim=3, low_scale=4, high_scale=16, output_scale=16, mass_a=0.0)
-    with pytest.raises(ValueError):
-        BilinearCase(dim=3, low_scale=3, high_scale=16, output_scale=16)
+    # arguments: dim, low, high and output scales, trials, seed
+    with pytest.raises(ValueError, match="dimension"):
+        verify_bilinear(2, 4, 16, 16, 1, 0)
+    with pytest.raises(ValueError, match="low scale"):
+        verify_bilinear(3, 32, 16, 16, 1, 0)
+    with pytest.raises(ValueError, match="power of two"):
+        verify_bilinear(3, 3, 16, 16, 1, 0)
+    with pytest.raises(ValueError, match="positive dyadic"):
+        verify_bilinear(3, 0, 16, 16, 1, 0)
+    with pytest.raises(ValueError, match="trial"):
+        verify_bilinear(3, 4, 16, 16, 0, 0)
 
 
 def test_bilinear_separated_flag():
-    assert BilinearCase(dim=3, low_scale=4, high_scale=16, output_scale=16).separated
-    assert not BilinearCase(dim=3, low_scale=8, high_scale=16, output_scale=16).separated
+    assert verify_bilinear(3, 4, 16, 16, 1, 0).parameters["separated"]
+    assert not verify_bilinear(3, 8, 16, 16, 1, 0).parameters["separated"]
 
 
 def test_bilinear_separated_case_ratio_positive():
-    case = BilinearCase(dim=3, low_scale=4, high_scale=64, output_scale=64,
-                        trials=2, seed=0)
-    record = verify_bilinear(case)
+    record = verify_bilinear(3, 4, 64, 64, trials=2, seed=0)
     assert record.passed
     assert all(r > 0 for r in record.ratios)
     assert all(np.isfinite(r) for r in record.ratios)
 
 
 def test_bilinear_matched_case_ratio_positive():
-    case = BilinearCase(dim=3, low_scale=16, high_scale=16, output_scale=4,
-                        trials=2, seed=0)
-    record = verify_bilinear(case)
+    record = verify_bilinear(3, 16, 16, 4, trials=2, seed=0)
     assert record.passed
     assert all(r > 0 for r in record.ratios)
 
 
 def test_bilinear_deterministic():
-    case = BilinearCase(dim=3, low_scale=4, high_scale=32, output_scale=32,
-                        trials=2, seed=5)
-    a = verify_bilinear(case)
-    b = verify_bilinear(case)
+    a = verify_bilinear(3, 4, 32, 32, trials=2, seed=5)
+    b = verify_bilinear(3, 4, 32, 32, trials=2, seed=5)
     assert a.ratios == b.ratios
 
 
 def test_bilinear_quadrature_cap_raises(monkeypatch):
-    # a horizon this long needs far more time samples than the cap allows;
-    # the check fails loudly, before any transform, instead of truncating
+    # the separated window of 2 needs at least 9 time samples, more than a
+    # cap of 8 allows; the check fails loudly, before any transform, instead
+    # of truncating
     def no_fft(*args, **kwargs):
         raise AssertionError("an FFT ran")
 
     monkeypatch.setattr(np.fft, "fft", no_fft)
-    case = BilinearCase(3, 4, 64, 64, trials=1, horizon=1e5)
-    with pytest.raises(ValueError, match="at most 4000"):
-        verify_bilinear(case)
+    monkeypatch.setattr(harness, "_MAX_TIME_SAMPLES", 8)
+    with pytest.raises(ValueError, match="at most 8"):
+        verify_bilinear(3, 4, 64, 64, trials=1, seed=0)
 
 
 @st.composite
@@ -476,24 +483,27 @@ def test_bilinear_never_takes_the_double_precision_fftn(monkeypatch):
         raise AssertionError("np.fft.fftn ran")
 
     monkeypatch.setattr(np.fft, "fftn", no_fftn)
-    for case in (BilinearCase(3, 4, 32, 32, trials=1), BilinearCase(3, 16, 16, 4, trials=1)):
-        assert all(r > 0 for r in verify_bilinear(case).ratios)
+    for scales in ((4, 32, 32), (16, 16, 4)):
+        assert all(r > 0 for r in verify_bilinear(3, *scales, trials=1, seed=0).ratios)
 
 
 def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
     # both factors are balls of radius 1.2: seven modes in a 3^3 box, so the
-    # padded box holds 5^3 entries at 35 bytes each, 4375 bytes in all
+    # padded box holds 5^3 entries at 35 bytes each, 4375 bytes in all. The
+    # integer boxes the balls are cut from are larger, so their own check
+    # (test_mode_boxes_refuse_boxes_larger_than_memory) is switched off
     def no_fft(*args, **kwargs):
         raise AssertionError("an FFT ran")
 
-    case = BilinearCase(3, 4, 16, 16, trials=1)
+    fft = np.fft.fft
+    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 4374)
     monkeypatch.setattr(np.fft, "fft", no_fft)
     with pytest.raises(MemoryError, match="bilinear padded boxes"):
-        verify_bilinear(case)
-    monkeypatch.undo()
+        verify_bilinear(3, 4, 16, 16, trials=1, seed=0)
+    monkeypatch.setattr(np.fft, "fft", fft)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 4375)
-    assert verify_bilinear(case).ratios[0] > 0
+    assert verify_bilinear(3, 4, 16, 16, trials=1, seed=0).ratios[0] > 0
 
 
 def test_bilinear_sweep_separated_small():
@@ -596,9 +606,10 @@ def test_trilinear_low_scale_sweep_bounded():
     assert all(t < 0.1 for t in tops)
 
 
-def test_trilinear_no_matches_gives_zero():
+def test_trilinear_no_matches_gives_zero(monkeypatch):
     # one mode per set almost never closes a frequency triangle
-    record = verify_trilinear(64, 64, 2, trials=4, seed=0, max_modes=1)
+    monkeypatch.setattr(harness, "_MAX_MODES", 1)
+    record = verify_trilinear(64, 64, 2, trials=4, seed=0)
     assert record.ratios == (0.0,) * 4
     assert record.passed
 
@@ -607,12 +618,14 @@ def test_trilinear_validation():
     with pytest.raises(ValueError):
         verify_trilinear(64, 16, 4)
     with pytest.raises(ValueError):
-        verify_trilinear(64, 64, 4, signs=(1, 2, -1))
-    with pytest.raises(ValueError):
         verify_trilinear(64, 64, 4, dim=1)
-    # no trials would be an empty record that passes
+    # no trials would be an empty record that passes, and so would a
+    # horizon of 0, which makes every ratio 0
     with pytest.raises(ValueError, match="trial"):
         verify_trilinear(64, 64, 4, trials=0)
+    for horizon in (0.0, -1.0):
+        with pytest.raises(ValueError, match="horizon"):
+            verify_trilinear(64, 64, 4, horizon=horizon)
 
 
 def reference_match(low_modes, mate_modes, high_modes):
