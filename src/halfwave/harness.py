@@ -363,9 +363,8 @@ def shell_intersection_volume(
             )
             if rho_cap <= 0.0:
                 continue
+            # the hit test is symmetric about the axis: no direction is drawn
             x1 = rng.uniform(a_edge, b_edge, per)
-            dirs = rng.standard_normal((per, n - 1))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             rho = rho_cap * rng.random(per) ** (1.0 / (n - 1))
             d1 = np.sqrt(x1 * x1 + rho * rho)
             d2 = np.sqrt((x1 - c) ** 2 + rho * rho)
