@@ -27,8 +27,7 @@ import math
 import sys
 import time
 import zipfile
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,18 +96,6 @@ def _cast(label, cast, raw):
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    """Completion record: config echo, version, timing, outputs, summary."""
-
-    command: str
-    config: dict
-    version: str
-    wall_clock_seconds: float
-    outputs: tuple
-    summary: dict
-
-
-@dataclass(frozen=True)
 class RunResult:
     """What a command produced, before serialization."""
 
@@ -116,7 +103,7 @@ class RunResult:
     rows: tuple
     summary: dict
     passed: bool
-    arrays: dict = field(default_factory=dict)  # extra .npz payloads by stem
+    trajectory: Trajectory | None = None  # stored as trajectory.npz when set
 
 
 def _parse_floats(text):
@@ -212,8 +199,6 @@ def _jsonable(value):
         return value.item()
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -350,10 +335,8 @@ def _run_simulate(config: RunConfig) -> RunResult:
     if opts["coupling"] == 0:
         exact = free_trajectory(lattice, state, traj.masses, traj.times)
         summary["linear_match_error"] = traj.distance(exact, s)
-    arrays = {}
-    if opts["save_trajectory"]:
-        arrays["trajectory"] = traj
-    return RunResult("series", tuple(rows), summary, True, arrays)
+    stored = traj if opts["save_trajectory"] else None
+    return RunResult("series", tuple(rows), summary, True, stored)
 
 
 def _run_picard(config: RunConfig) -> RunResult:
@@ -646,21 +629,20 @@ def _write_outputs(config: RunConfig, result: RunResult, wall_clock: float):
         data_name = f"{config.command}.jsonl"
         _write_records(out / data_name, result.rows)
     outputs.append(data_name)
-    for stem, traj in result.arrays.items():
-        name = f"{stem}.npz"
-        save_trajectory(traj, out / name)
-        outputs.append(name)
+    if result.trajectory is not None:
+        save_trajectory(result.trajectory, out / "trajectory.npz")
+        outputs.append("trajectory.npz")
     _write_json(out / "summary.json", result.summary)
     outputs.append("summary.json")
-    manifest = RunManifest(
-        command=config.command,
-        config=dataclasses.asdict(config),
-        version=__version__,
-        wall_clock_seconds=wall_clock,
-        outputs=tuple(outputs),
-        summary=result.summary,
-    )
-    _write_json(out / "manifest.json", dataclasses.asdict(manifest))
+    manifest = {
+        "command": config.command,
+        "config": dataclasses.asdict(config),
+        "version": __version__,
+        "wall_clock_seconds": wall_clock,
+        "outputs": outputs,
+        "summary": result.summary,
+    }
+    _write_json(out / "manifest.json", manifest)
     return outputs
 
 

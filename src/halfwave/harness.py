@@ -37,8 +37,12 @@ class VerificationRecord:
     details: dict = field(default_factory=dict)
 
 
-def sweep_uniformity(ratios, slack: float = 4.0) -> bool:
-    """True when one constant covers all nonzero ratios within the slack.
+# the factor by which the ratios of one sweep, or two half-averages, may differ
+_SLACK = 4.0
+
+
+def sweep_uniformity(ratios) -> bool:
+    """True when one constant covers all nonzero ratios within _SLACK.
 
     Any non-finite or negative entry fails outright; zeros mark degenerate
     cases and are excluded from the spread comparison.
@@ -49,7 +53,7 @@ def sweep_uniformity(ratios, slack: float = 4.0) -> bool:
     live = [r for r in values if r > 0.0]
     if len(live) < 2:
         return True
-    return max(live) / min(live) <= slack
+    return max(live) / min(live) <= _SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +183,12 @@ def verify_modulation_bound(
     )
 
 
-def _coordinate_descent(fun, start, step=1.0, min_step=1e-4, max_sweeps=400):
-    """Derivative-free pattern search: axis moves with halving step."""
+def _coordinate_descent(fun, start):
+    """Derivative-free pattern search: axis moves of step 1, halved down to 1e-4."""
     x = np.array(start, dtype=float)
     best = float(fun(x))
-    sweeps = 0
-    while step >= min_step and sweeps < max_sweeps:
+    step, sweeps = 1.0, 0
+    while step >= 1e-4 and sweeps < 400:
         sweeps += 1
         improved = False
         for i in range(x.size):
@@ -503,16 +507,11 @@ def _pruned_fftn(pad: np.ndarray, shape) -> np.ndarray:
 
 
 def _bilinear_space_time_l2(
-    modes_a,
-    amps_a,
-    omega_a,
-    modes_b,
-    amps_b,
-    omega_b,
-    output_scale: float,
-    horizon: float,
+    modes_a, amps_a, modes_b, amps_b, output_scale: float, horizon: float
 ):
-    """L2-in-time-and-space mass of the annulus-projected free-wave product.
+    """L2-in-time-and-space mass of the annulus-projected product of two + waves.
+
+    Both waves have mass 1: mode k rotates at <k> = sqrt(1 + |k|^2).
 
     The product's Fourier coefficients at each time are an exact linear
     convolution of the phased envelopes, computed by FFT on a padded joint
@@ -530,6 +529,8 @@ def _bilinear_space_time_l2(
     transforms scale the convolution by 1/sqrt(prod(conv_shape)), undone on
     the total.
     """
+    omega_a = bracket(1.0, modes_a)
+    omega_b = bracket(1.0, modes_b)
     osc_a = omega_a - omega_a.mean()
     osc_b = omega_b - omega_b.mean()
     spread = (osc_a.max() - osc_a.min()) + (osc_b.max() - osc_b.min())
@@ -658,14 +659,7 @@ def verify_bilinear(
         amps_a = rng.uniform(0.5, 1.0, len(modes_a))
         amps_b = rng.uniform(0.5, 1.0, len(modes_b))
         value = _bilinear_space_time_l2(
-            modes_a,
-            amps_a,
-            bracket(1.0, modes_a),
-            modes_b,
-            amps_b,
-            bracket(1.0, modes_b),
-            float(output),
-            horizon,
+            modes_a, amps_a, modes_b, amps_b, float(output), horizon
         )
         rhs = bound * np.linalg.norm(amps_a) * np.linalg.norm(amps_b)
         records.append(value / rhs)
@@ -686,7 +680,7 @@ def verify_bilinear(
         },
         ratios=ratios,
         bound=bound_text,
-        passed=sweep_uniformity(ratios, 4.0),
+        passed=sweep_uniformity(ratios),
         seed=seed,
     )
 
@@ -735,7 +729,7 @@ def bilinear_sweep(
         },
         ratios=ratios,
         bound=all_records[0].bound if all_records else "",
-        passed=sweep_uniformity(ratios, 4.0),
+        passed=sweep_uniformity(ratios),
         seed=seed,
         details={
             "per_case": [list(r.ratios) for r in all_records],
@@ -855,8 +849,8 @@ def _subsample(modes: np.ndarray, cap: int, rng) -> np.ndarray:
     return modes[pick]
 
 
-def _half_mean_stability(values, slack: float = 4.0) -> bool:
-    """Stability of a noisy statistic: the two half-averages agree to a factor.
+def _half_mean_stability(values) -> bool:
+    """Stability of a noisy statistic: the two half-averages agree to _SLACK.
 
     Single draws of a phase-randomized integral fluctuate like the modulus of
     a complex Gaussian, so a pair of individual trials can spread beyond any
@@ -873,7 +867,7 @@ def _half_mean_stability(values, slack: float = 4.0) -> bool:
         return True
     if min(a, b) <= 0.0:
         return False
-    return max(a, b) / min(a, b) <= slack
+    return max(a, b) / min(a, b) <= _SLACK
 
 
 def verify_trilinear(
@@ -980,6 +974,6 @@ def verify_trilinear(
         },
         ratios=ratios,
         bound="high * low^max(1/2,(n-2)/2) * |u|_2 |v|_2 |w|_2",
-        passed=_half_mean_stability(ratios, 4.0),
+        passed=_half_mean_stability(ratios),
         seed=seed,
     )

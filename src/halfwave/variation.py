@@ -106,15 +106,12 @@ def xs_proxy_norm(traj: Trajectory, component: int, s: float, sign: int = 1) -> 
     return math.sqrt(total)
 
 
-def modulation_weights(
-    traj: Trajectory, component: int, index, sign: int, mode: str = "band"
-) -> np.ndarray:
-    """(tau, xi) multiplier psi-family evaluated at tau - sign*<xi>_m.
+def modulation_weights(traj: Trajectory, component: int, index, sign: int) -> np.ndarray:
+    """Dyadic modulation block `index` of the (tau, xi) grid, at tau - sign*<xi>_m.
 
     tau runs over the temporal DFT frequencies of the trajectory's samples
-    and m is the component's mass. mode "band" is the single dyadic block;
-    "low" / "high" are the exact complementary pair splitting modulations
-    below / at-or-above the index.
+    and m is the component's mass. Block 0 is bump(2x) and block N >= 1 is
+    annulus(x/N), so the blocks 0, 1, 2, ..., N sum to bump(x/N).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -124,26 +121,13 @@ def modulation_weights(
     tau = 2.0 * np.pi * np.fft.fftfreq(traj.times.size, d=step)
     tau = tau.reshape((-1,) + (1,) * lattice.spec.dim)
     x = tau - sign * lattice.bracket(traj.masses[component])[None, ...]
-    if mode == "band":
-        w = bump_profile(2.0 * x) if index == 0 else annulus_profile(x / float(index))
-    elif mode in ("low", "high"):
-        if index == 0:
-            raise ValueError("low/high split needs index >= 1")
-        low = bump_profile(2.0 * x / float(index))
-        w = low if mode == "low" else 1.0 - low
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    w = bump_profile(2.0 * x) if index == 0 else annulus_profile(x / float(index))
     w[:, lattice.nyquist_mask] = 0.0
     return w
 
 
 def modulation_energy(
-    traj: Trajectory,
-    component: int,
-    index,
-    sign: int,
-    mode: str = "band",
-    window: str = "hann",
+    traj: Trajectory, component: int, index, sign: int, window: str = "hann"
 ) -> float:
     """Space-time L2 mass of one modulation block of one trajectory half.
 
@@ -171,7 +155,7 @@ def modulation_energy(
     half = traj.half(component, sign)
     data = half * win.reshape((-1,) + (1,) * traj.lattice.spec.dim)
     hat = np.fft.fft(data, axis=0, norm="ortho")
-    w = modulation_weights(traj, component, index, sign, mode)
+    w = modulation_weights(traj, component, index, sign)
     total = np.sum(np.abs(w * hat) ** 2)
     return float(np.sqrt(dt * traj.lattice.cell_volume * total))
 

@@ -185,6 +185,21 @@ def test_instability_abort():
     assert info.value.time is None or info.value.time > 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("amp", [0.0, 0.5], ids=["zero-start", "bump"])
+def test_non_finite_state_aborts(monkeypatch, bad, amp):
+    # one norm test catches a non-finite entry, also from a zero initial norm
+    lat = make_lattice(dim=1, box=8.0, n=32)
+
+    def poisoned(self, y):
+        y[0, 0, 3] = bad
+
+    monkeypatch.setattr(dynamics._Stepper, "step", poisoned)
+    with pytest.raises(InstabilityError, match="non-finite state at t=0.05") as info:
+        evolve(lat, bump_state(lat, amp=amp), scalar_system(), T=1.0, dt=0.05)
+    assert info.value.time == pytest.approx(0.05)
+
+
 def test_energy_conservation_short_run():
     lat = make_lattice(n=32, box=16.0)
     state = bump_state(lat, amp=0.5)
