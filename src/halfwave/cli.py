@@ -585,19 +585,19 @@ _COMMANDS = {
     ),
     "verify-shell": (
         _run_verify_shell,
-        {"dim": (int, 1), "samples": (int, 200_000), "seed": (int, _REQUIRED)},
+        {"dim": (int, 3), "samples": (int, 200_000), "seed": (int, _REQUIRED)},
         {"radius": (float, (32.0,)), "width": (float, (0.05,)),
          "tube": (float, (8.0,)), "offset_factor": (float, (2.0,))},
     ),
     "verify-bilinear": (
         _run_verify_bilinear,
-        {"dim": (int, 1), "mode": (_one_of("separated", "matched", "both"), "both"),
+        {"dim": (int, 3), "mode": (_one_of("separated", "matched", "both"), "both"),
          "trials": (int, 2), "high_scale": (int, 256), "seed": (int, _REQUIRED)},
         {"scales": (int, None)},
     ),
     "verify-trilinear": (
         _run_verify_trilinear,
-        {"dim": (int, 1), "high_scale": (int, 64), "mate_scale": (int, None),
+        {"dim": (int, 3), "high_scale": (int, 64), "mate_scale": (int, None),
          "trials": (int, 8), "interaction_horizon": (float, 8.0),
          "seed": (int, _REQUIRED)},
         {"low_scale": (int, (4,))},

@@ -97,38 +97,35 @@ def evaluate_nonlinearity(
     lattice = fields[0].lattice
     if any(f.lattice != lattice for f in fields):
         raise ValueError("fields must share one lattice")
+    # the fields some monomial reads, each transformed once
+    needed = {i for poly in system.polynomials for m in poly for i, _ in m.factors}
     if real:
-        return _real_products(system, lattice, fields)
+        return _real_products(system, lattice, fields, needed)
     keep = lattice.dealias_mask
-
-    needed = {
-        (idx, conj)
-        for poly in system.polynomials
-        for mono in poly
-        for (idx, conj) in mono.factors
+    physical = {
+        idx: inverse_transform(SpectralField(lattice, fields[idx].coeffs * keep))
+        for idx in needed
     }
-    physical = {}
-    for idx, conj in needed:
-        vals = inverse_transform(SpectralField(lattice, fields[idx].coeffs * keep))
-        physical[(idx, conj)] = np.conj(vals) if conj else vals
+
+    def factor(idx, conj):
+        return np.conj(physical[idx]) if conj else physical[idx]
 
     out = []
     for poly in system.polynomials:
         total = np.zeros(lattice.spec.shape, dtype=complex)
         for mono in poly:
             a, b = mono.factors
-            total += mono.coefficient * (physical[a] * physical[b])
+            total += mono.coefficient * (factor(*a) * factor(*b))
         coeffs = np.fft.fftn(total, norm="ortho") * keep
         out.append(SpectralField(lattice, coeffs))
     return tuple(out)
 
 
-def _real_products(system: MassSystem, lattice, fields):
-    """The real branch of evaluate_nonlinearity, on half spectra."""
+def _real_products(system: MassSystem, lattice, fields, needed):
+    """The real branch of evaluate_nonlinearity, on half spectra of the needed fields."""
     shape = lattice.spec.shape
     axes = tuple(range(len(shape)))
     keep = lattice.dealias_mask[..., : shape[-1] // 2 + 1]
-    needed = {i for poly in system.polynomials for m in poly for i, _ in m.factors}
     physical = {
         idx: np.fft.irfftn(
             fields[idx].coeffs[..., : keep.shape[-1]] * keep, shape, axes, norm="ortho"

@@ -97,7 +97,7 @@ def test_load_config_fills_typed_defaults(tmp_path):
     path = write_config(tmp_path, "[run]\nseed = 1\nhigh_scale = 32\n")
     config = load_config("verify-trilinear", config_path=path)
     assert config.options == {
-        "dim": 1,
+        "dim": 3,
         "high_scale": 32,
         "mate_scale": None,
         "trials": 8,
@@ -840,6 +840,20 @@ def test_verify_trilinear_refuses_mode_boxes_larger_than_memory(
     assert not out.exists()
 
 
+def test_verify_shell_refuses_strata_larger_than_memory(tmp_path, capsys, monkeypatch):
+    def refuse(seed):
+        raise AssertionError("the Monte Carlo drew")
+
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**30)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    cfg = write_config(tmp_path, "[run]\nseed = 0\nsamples = 100000000000\n")
+    out = tmp_path / "out"
+    assert main(["verify-shell", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "shell stratum" in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
+
+
 def test_verify_trilinear_command_small(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -853,6 +867,16 @@ def test_verify_trilinear_command_small(tmp_path):
     assert all(row["passed"] for row in rows)
 
 
+@pytest.mark.parametrize("command", ["verify-shell", "verify-trilinear"])
+def test_verify_defaults_run_in_three_dimensions(tmp_path, command):
+    # the defaults alone make a valid run: the shell and bilinear checks need
+    # dimension 3 or more, the trilinear check 2 or more
+    out = tmp_path / "out"
+    assert main([command, "--seed", "0", "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["config"]["options"]["dim"] == 3
+    assert all(row["parameters"]["dim"] == 3 for row in read_jsonl(out / f"{command}.jsonl"))
+
+
 def test_verify_bilinear_rejects_bad_mode(tmp_path):
     cfg = write_config(tmp_path, "[run]\nseed = 0\nmode = sideways\n")
     assert main(["verify-bilinear", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -861,8 +885,8 @@ def test_verify_bilinear_rejects_bad_mode(tmp_path):
 @pytest.mark.parametrize(
     "command, text, message",
     [
-        # the shell geometry lives in dimension >= 3, and dim defaults to 1
-        ("verify-shell", "[run]\nseed = 0\n", "dimension"),
+        # the shell geometry lives in dimension >= 3
+        ("verify-shell", "[run]\ndim = 2\nseed = 0\n", "dimension"),
         ("verify-shell", "[run]\ndim = 3\nseed = 0\nsamples = -5\n", "sample"),
         # below 16 points in each of the 64 strata
         ("verify-shell", "[run]\ndim = 3\nseed = 0\nsamples = 1000\n", "sample"),
@@ -882,11 +906,20 @@ def test_verify_bilinear_rejects_bad_mode(tmp_path):
         ),
         ("verify-modulation", "[run]\nseed = 0\n[sweep]\ndimension = 0\n", "dimension"),
         ("strichartz", "[run]\ndim = 3\n[sweep]\nq = 0\n", "q must be"),
+        # the radius ladder starts at 1
+        ("verify-modulation", "[run]\nseed = 0\nmax_radius = 0\n", "max_radius"),
+        ("verify-modulation", "[run]\nseed = 0\nmax_radius = 0.5\n", "max_radius"),
+        (
+            "verify-nonresonance",
+            "[run]\nseed = 0\nmasses = 1, 1, 1\nmax_radius = 0.5\n",
+            "max_radius",
+        ),
     ],
     ids=[
         "shell-dim", "shell-samples", "shell-sample-floor", "trilinear-trials",
         "trilinear-horizon", "nonresonance-dim", "nonresonance-dim-failure-side",
-        "modulation-dim", "strichartz-q",
+        "modulation-dim", "strichartz-q", "modulation-radius-0",
+        "modulation-radius-half", "nonresonance-radius",
     ],
 )
 def test_library_value_errors_exit_as_config_errors(

@@ -129,6 +129,17 @@ def test_defect_statistic_spot_value():
     assert product == pytest.approx(0.8377, abs=1e-3)
 
 
+def test_modulation_bound_needs_the_first_rung_of_the_radius_ladder():
+    # the ladder is 0, 1, 2, 4, ... up to max_radius: below 1 it has no rung
+    for radius in (0.0, 0.5, -4.0):
+        with pytest.raises(ValueError, match="max_radius must be at least 1"):
+            verify_modulation_bound(1.0, 2, max_radius=radius)
+        with pytest.raises(ValueError, match="max_radius must be at least 1"):
+            verify_nonresonance_bound((1.0, 1.0, 1.0), 2, max_radius=radius)
+    record = verify_modulation_bound(1.0, 2, max_radius=1.0)
+    assert record.passed and record.details["samples"] > 2
+
+
 def test_modulation_bound_rejects_bad_dimension():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dimension"):
@@ -233,6 +244,37 @@ def test_shell_spec_validation():
     for samples in (0, -5, 1023):
         with pytest.raises(ValueError, match="sample"):
             tangential_shells(samples=samples)
+
+
+class Drew(Exception):
+    """Raised by a patched random generator: the Monte Carlo reached its first draw."""
+
+
+def test_shell_refuses_strata_larger_than_memory(monkeypatch):
+    # 49 bytes per stratum point; the generator is never built past the check
+    def refuse(seed):
+        raise Drew
+
+    per = 10**9
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 49 * per - 1)
+    with pytest.raises(MemoryError, match="points of each shell stratum"):
+        tangential_shells(samples=64 * per)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 49 * per)
+    with pytest.raises(Drew):
+        tangential_shells(samples=64 * per)
+
+
+def test_shell_memory_estimate_covers_the_peak():
+    per = 50_000
+    tangential_shells(samples=2048)  # the generator's first use allocates once
+    tracemalloc.start()
+    try:
+        tangential_shells(samples=64 * per)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= harness._SHELL_POINT_BYTES * per + 2**16
 
 
 def test_shell_records_the_points_it_draws():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field
+from halfwave import grid
+from halfwave import system as system_module
 from halfwave.grid import FrequencyLattice, GridSpec, SpectralField
 from halfwave.system import (
     MassSystem,
@@ -84,6 +86,38 @@ def test_conjugation_flag():
     mask = np.ones(lat.spec.shape, dtype=bool)
     mask[0, 0] = False
     assert np.max(np.abs(out.coeffs[mask])) < 1e-14
+
+
+def test_complex_branch_transforms_each_field_once(monkeypatch):
+    # u conj(u) + v u reads u with and without conjugation: one transform each
+    lat = make_lattice()
+    rng = np.random.default_rng(4)
+    fields = tuple(
+        SpectralField(lat, rng.standard_normal(lat.spec.shape) * (1 + 0.5j)) for _ in range(2)
+    )
+    monos = (
+        Monomial(2.0 - 1.0j, ((0, False), (0, True))),
+        Monomial(0.5 + 0j, ((1, False), (0, False))),
+    )
+    system = MassSystem((1.0, 1.0), (monos, monos[:1]))
+    calls = []
+
+    def counted(field):
+        calls.append(field)
+        return grid.inverse_transform(field)
+
+    monkeypatch.setattr(system_module, "inverse_transform", counted)
+    out = evaluate_nonlinearity(system, fields)
+    assert len(calls) == 2
+    # the same products as transforming once per (field, conjugation) pair
+    keep = lat.dealias_mask
+    values = [grid.inverse_transform(SpectralField(lat, f.coeffs * keep)) for f in fields]
+    u, v = values
+    for poly, got in zip(((u * np.conj(u), v * u), (u * np.conj(u),)), out):
+        total = np.zeros(lat.spec.shape, dtype=complex)
+        for mono, product in zip(monos, poly):
+            total += mono.coefficient * product
+        assert np.array_equal(got.coeffs, np.fft.fftn(total, norm="ortho") * keep)
 
 
 def test_bilinearity_cross_terms():
