@@ -307,7 +307,7 @@ def _unit_ball_volume(k: int) -> float:
 # the axial strata of shell_intersection_volume
 _STRATA = 64
 # bytes per point of one stratum at the peak of shell_intersection_volume: six
-# float64 arrays and the hit mask (49.0 under tracemalloc at 2e5 and 1e6 points)
+# float64 arrays and the hit mask (49.0 under tracemalloc at 5e4-1e6 points)
 _SHELL_POINT_BYTES = 49
 
 

@@ -41,12 +41,15 @@ def load_workloads(tree):
 
 
 def run_workload(tree, workload, seed, out_dir):
-    """Run one workload's invocations on tree in order; return (name, exit code) pairs."""
+    """Run a workload's invocations on tree in order; return (name, exit code) pairs.
+
+    workload is the tree's own entry of WORKLOADS.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update({name: "1" for name in THREAD_VARS})
     codes = []
     out_dir.mkdir(parents=True)
-    for inv in load_workloads(tree)[workload](seed, out_dir):
+    for inv in workload(seed, out_dir):
         config = out_dir / f"{inv.name}.ini"
         config.write_text(inv.ini_text())
         argv = [sys.executable, "-m", "halfwave.cli", *inv.argv(config, out_dir / inv.name)]
@@ -101,8 +104,10 @@ def main(argv=None):
     parser.add_argument("change", help="root of the changed checkout")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     args = parser.parse_args(argv)
-    workloads = sorted(load_workloads(args.parent))
-    if workloads != sorted(load_workloads(args.change)):
+    trees = (args.parent, args.change)
+    tables = [load_workloads(tree) for tree in trees]
+    workloads = sorted(tables[0])
+    if workloads != sorted(tables[1]):
         print("the two trees list different workloads")
         return 1
     problems, identical, invocations = [], 0, 0
@@ -112,8 +117,8 @@ def main(argv=None):
                 label = f"{workload} seed {seed}"
                 roots = [Path(scratch) / side / workload / str(seed) for side in ("a", "b")]
                 codes = [
-                    run_workload(tree, workload, seed, root)
-                    for tree, root in zip((args.parent, args.change), roots)
+                    run_workload(tree, table[workload], seed, root)
+                    for tree, table, root in zip(trees, tables, roots)
                 ]
                 invocations += len(codes[0])
                 if codes[0] != codes[1]:
