@@ -18,7 +18,10 @@ coefficient is real and the entry state's physical fields u and u_t are real
 to within 1e-12 relative, the flow keeps them real, conjugation flags are
 identities, and the products run on real transforms of the half spectrum
 (evaluate_nonlinearity with real=True).  Any other system or state takes the
-complex transforms.
+complex transforms.  On the real path the two halves of a state are tied by
+u^-(xi) = conj(u^+(-xi)), so evolve carries only the kept half of the last
+axis, n//2 + 1 of its n modes, and completes each sample it stores to the
+full (K, 2, *grid) layout that every Trajectory holds.
 
 Division by 2<D> is always well-posed here because every mass is strictly
 positive; the massless case would need a low-frequency cutoff and is not
@@ -27,6 +30,7 @@ supported anywhere in this package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,12 +135,39 @@ def _state_distance(root: np.ndarray, a: np.ndarray, b: np.ndarray, out) -> floa
 
 
 def _nonlinearity(
-    lattice: FrequencyLattice, system: MassSystem, u: np.ndarray, real: bool = False
+    lattice: FrequencyLattice, system: MassSystem, u: np.ndarray, real=False, over=False
 ):
-    """N_i(u) of the (K, *grid) fields u, shape (K, 1, *grid)."""
+    """N_i(u) of the (K, *grid) fields u, shape (K, 1, *grid).
+
+    On the real path u may hold full or half spectra, and N comes back as
+    half spectra.  With over=True, N overwrites u, a full layout whose fields
+    it has transformed already: half spectra are completed into it.
+    """
     fields = tuple(SpectralField(lattice, f) for f in u)
-    out = evaluate_nonlinearity(system, fields, real=real)
-    return np.stack([f.coeffs for f in out])[:, None]
+    spectra = [f.coeffs for f in evaluate_nonlinearity(system, fields, real=real)]
+    if not over:
+        return np.stack(spectra)[:, None]
+    for spectrum, full in zip(spectra, u):
+        _complete_hermitian(spectrum, full)
+    return u[:, None]
+
+
+def _complete_hermitian(half: np.ndarray, out: np.ndarray, partner=None) -> np.ndarray:
+    """Fill out, a full spectrum, from half, its first h of n last-axis modes.
+
+    Each dropped mode is conj(partner(-k)), where -k maps index 0 of each axis
+    to itself and index i > 0 to n - i.  The partner is half itself for a real
+    field; u^+ and u^- of a real state are each other's.  With h = n, out is
+    a copy of half.
+    """
+    n, h = out.shape[-1], half.shape[-1]
+    out[..., :h] = half
+    tail = (half if partner is None else partner)[..., n - h : 0 : -1]
+    for mirrored in itertools.product((False, True), repeat=out.ndim - 1):
+        src = tuple(slice(None, 0, -1) if m else slice(0, 1) for m in mirrored)
+        dst = tuple(slice(1, None) if m else slice(0, 1) for m in mirrored)
+        np.conjugate(tail[src], out=out[dst + (slice(h, None),)])
+    return out
 
 
 def _real_path(
@@ -252,6 +283,8 @@ class _Stepper:
     and the update is y' = y E + (h/6) M ((n1 E_h + 2 (n2 + n3)) E_h + n4).
     M only flips sign between u^+ and u^-, so one (K, 1, *grid) weight
     -i h/(12<D>) serves both halves, and no step takes a conjugate.
+    Every factor is pointwise in xi, so on the real path the stepper holds
+    them for the kept columns only, and steps the kept half of a state.
     """
 
     def __init__(
@@ -260,9 +293,12 @@ class _Stepper:
         self.lattice = lattice
         self.system = system
         self.real = real
-        self.half_phase = _rotation(lattice, system.masses, 0.5 * dt)
-        inv2br = _inverse_twice_bracket(lattice, system.masses)[:, 0]
-        brackets = _brackets(lattice, system.masses)[:, 0]
+        cut = slice(lattice.spec.points_per_axis // 2 + 1 if real else None)
+        self.columns = cut
+        phase = _rotation(lattice, system.masses, 0.5 * dt)[..., cut]
+        self.half_phase = np.ascontiguousarray(phase)
+        inv2br = _inverse_twice_bracket(lattice, system.masses)[:, 0, ..., cut]
+        brackets = _brackets(lattice, system.masses)[:, 0, ..., cut]
         self.kick = dt * inv2br * np.sin(0.5 * dt * brackets)
         self.weight = (-1j * dt / 6.0) * inv2br[:, None]
         self.stage = np.empty_like(self.half_phase)
@@ -291,7 +327,7 @@ class _Stepper:
         np.subtract(rotated[:, 1], y[:, 1], out=y[:, 1])
 
 
-# the factor over its initial summed H^s norm at which evolve declares blow-up
+# the factor over the whole state's initial H^s norm at which evolve aborts
 _GROWTH_ABORT = 1e6
 
 
@@ -307,8 +343,11 @@ def evolve(
     """March a (K, 2, *grid) half-wave state to time ~T, sampling every stride.
 
     The number of steps is rounded up to a whole number of strides so the
-    sampled times stay uniform.  Aborts with InstabilityError when the summed
-    H^s norm exceeds 1e6 times its initial value or turns non-finite.
+    sampled times stay uniform.  On the real path it steps the kept half of
+    the last axis and completes each sample it stores; sample 0 is the entry
+    state itself.  Aborts with InstabilityError when the H^s norm of the whole
+    state, both halves of every component, exceeds 1e6 times its initial
+    value or turns non-finite: data at rest, u = 0 and u_t not, have a limit.
     """
     if T <= 0 or dt <= 0 or sample_every < 1:
         raise ValueError("T, dt and sample_every must be positive")
@@ -319,18 +358,24 @@ def evolve(
     _require_memory(n_samples * state.size * 16, f"{n_samples} samples")
     stepper = _Stepper(lattice, system, dt, _real_path(lattice, system, state))
     masses = system.masses
-    weights = _hs_weights(lattice, masses, s)
-    y = state.astype(complex)
+    y = state[..., stepper.columns].astype(complex, order="C")
+    root = np.sqrt(_hs_weights(lattice, masses, s)[..., stepper.columns])
+    if stepper.real:
+        # each kept column but 0 and n/2 also stands for its dropped mirror
+        root[..., 1:-1] *= math.sqrt(2.0)
+    # on the float view of y, real and imaginary parts alike: inf stays inf
+    root, scratch = np.repeat(root, 2, axis=-1), np.empty_like(y).view(float)
 
     def total_norm(y):
-        return float(np.linalg.norm(_field_norms(weights, y)))
+        np.multiply(y.view(float), root, out=scratch)
+        return math.sqrt(np.vdot(scratch, scratch))
 
     base = total_norm(y)
     # without a scale, the largest float: an infinite norm still fails the test
     limit = _GROWTH_ABORT * base if base > 0 else np.finfo(float).max
 
-    halves = np.empty((n_samples,) + y.shape, dtype=complex)
-    halves[0] = y
+    halves = np.empty((n_samples,) + state.shape, dtype=complex)
+    halves[0] = state
     for j in range(1, steps + 1):
         stepper.step(y)
         norm = total_norm(y)
@@ -344,7 +389,9 @@ def evolve(
                 time=t,
             )
         if j % sample_every == 0:
-            halves[j // sample_every] = y
+            sample = halves[j // sample_every]
+            for i, sign in np.ndindex(y.shape[:2]):
+                _complete_hermitian(y[i, sign], sample[i, sign], y[i, 1 - sign])
     return Trajectory(np.arange(n_samples) * sample_every * dt, masses, lattice, halves)
 
 
@@ -411,7 +458,7 @@ def picard_iterate(
         # the new level_{j-1} + h_{j-1}, then level_j, then level_j + h_j
         distance = 0.0
         for j, level in enumerate(current):
-            h = kick * _nonlinearity(lattice, system, level[:, 0] + level[:, 1], real)
+            h = kick * _nonlinearity(lattice, system, level.sum(1), real, over=True)
             if j > 0:
                 carry *= step
                 carry += h

@@ -113,16 +113,21 @@ class FrequencyLattice:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Complex Fourier coefficients on a FrequencyLattice (FFT order)."""
+    """Complex Fourier coefficients on a FrequencyLattice (FFT order).
+
+    The coefficients are either the full spectrum or, for a real field, the
+    kept half of rfftn: n//2 + 1 modes on the last axis instead of n.
+    """
 
     lattice: FrequencyLattice
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.lattice.spec.shape:
+        shape = self.lattice.spec.shape
+        if self.coeffs.shape not in (shape, shape[:-1] + (shape[-1] // 2 + 1,)):
             raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match "
-                f"grid shape {self.lattice.spec.shape}"
+                f"coefficient shape {self.coeffs.shape} matches neither "
+                f"grid shape {shape} nor its half spectrum"
             )
 
 

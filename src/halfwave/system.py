@@ -5,12 +5,12 @@ homogeneous quadratic polynomials with complex coefficients.  Factors may be
 conjugated.  Products are evaluated pseudospectrally with the 2/3 rule applied
 both before and after multiplication, so quadratic interactions never alias
 back into the retained band.  When the coefficients and the physical fields
-are real, the products run on real transforms of the half spectrum instead.
+are real, the products run on real transforms of the half spectrum instead,
+and come back as half spectra.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,7 +90,9 @@ def evaluate_nonlinearity(
     grid (with conjugation flags honored), and the spectral products are
     truncated again.  With real=True the caller vouches that the coefficients
     and the physical fields are real: conjugation flags are then identities,
-    and the products run on irfftn/rfftn of the half spectrum.
+    the products run on irfftn/rfftn, and the fields may be full or half
+    spectra while the products come back as half spectra.  Without it every
+    field must be a full spectrum; a half one raises ValueError.
     """
     if len(fields) != system.size:
         raise ValueError("one field per component required")
@@ -101,6 +103,8 @@ def evaluate_nonlinearity(
     needed = {i for poly in system.polynomials for m in poly for i, _ in m.factors}
     if real:
         return _real_products(system, lattice, fields, needed)
+    if any(f.coeffs.shape != lattice.spec.shape for f in fields):
+        raise ValueError("the complex products need full spectra")
     keep = lattice.dealias_mask
     physical = {
         idx: inverse_transform(SpectralField(lattice, fields[idx].coeffs * keep))
@@ -122,7 +126,7 @@ def evaluate_nonlinearity(
 
 
 def _real_products(system: MassSystem, lattice, fields, needed):
-    """The real branch of evaluate_nonlinearity, on half spectra of the needed fields."""
+    """The real branch of evaluate_nonlinearity: half spectra of the products."""
     shape = lattice.spec.shape
     axes = tuple(range(len(shape)))
     keep = lattice.dealias_mask[..., : shape[-1] // 2 + 1]
@@ -138,26 +142,8 @@ def _real_products(system: MassSystem, lattice, fields, needed):
         for mono in poly:
             (a, _), (b, _) = mono.factors
             total += mono.coefficient.real * (physical[a] * physical[b])
-        half = np.fft.rfftn(total, norm="ortho") * keep
-        out.append(SpectralField(lattice, _complete_hermitian(half, shape[-1])))
+        out.append(SpectralField(lattice, np.fft.rfftn(total, norm="ortho") * keep))
     return tuple(out)
-
-
-def _complete_hermitian(half: np.ndarray, n: int) -> np.ndarray:
-    """The full spectrum, n modes on the last axis, of a real field from its rfftn half.
-
-    The missing last-axis modes are F(k) = conj(F(-k)), where -k maps index 0
-    of each axis to itself and index i > 0 to n - i.
-    """
-    h = half.shape[-1]
-    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
-    out[..., :h] = half
-    tail = half[..., n - h : 0 : -1]
-    for mirrored in itertools.product((False, True), repeat=out.ndim - 1):
-        src = tuple(slice(None, 0, -1) if m else slice(0, 1) for m in mirrored)
-        dst = tuple(slice(1, None) if m else slice(0, 1) for m in mirrored)
-        np.conjugate(tail[src], out=out[dst + (slice(h, None),)])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ def test_instability_abort():
     with pytest.raises(InstabilityError) as info:
         evolve(lat, state, system, T=5.0, dt=0.05)
     assert info.value.time is None or info.value.time > 0
+
+
+def test_instability_abort_from_rest():
+    # u = 0: the guard scales by the whole state, so the velocity sets the
+    # limit and the run stops on the norm test before any overflow
+    lat = make_lattice(dim=1, box=8.0, n=32)
+    u_t = gaussian_bump(lat, 50.0).coeffs[None]
+    state = decompose(lat, zeros(lat), u_t, (1.0,))
+    system = scalar_system(coefficient=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match="exceeded") as info:
+            evolve(lat, state, system, T=5.0, dt=0.05)
+    assert 0 < info.value.time < 0.6
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -442,6 +457,28 @@ def test_real_path_matches_complex_path(monkeypatch):
     forced = evolve(lat, state, scalar_system(), T=1.0, dt=0.05, sample_every=5)
     scale = np.max(np.abs(real.halves))
     assert np.max(np.abs(real.halves - forced.halves)) < 1e-13 * scale
+
+
+def mirror(a, dim):
+    """a(-k) on the last dim axes, index 0 of each to itself and i > 0 to n - i."""
+    axes = tuple(range(a.ndim - dim, a.ndim))
+    return np.roll(np.flip(a, axes), 1, axes)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_real_path_samples_are_hermitian_paired(dim):
+    # the half state's samples are completed by u^-(xi) = conj(u^+(-xi)):
+    # every dropped column is exactly the conjugate mirror of a kept one
+    lat = make_lattice(dim=dim, n=16)
+    u = gaussian_bump(lat, 0.3).coeffs[None]
+    u_t = gaussian_bump(lat, 0.2, 1.5).coeffs[None]
+    state = decompose(lat, u, u_t, (1.0,))
+    traj = evolve(lat, state, scalar_system(), T=0.5, dt=0.05, sample_every=2)
+    assert np.array_equal(traj.halves[0], state)
+    dropped = (Ellipsis, slice(9, None))
+    for sample in traj.halves[1:]:
+        paired = np.conj(mirror(sample[:, ::-1], dim))
+        assert np.array_equal(sample[dropped], paired[dropped])
 
 
 def two_buffer_picard(lat, state, system, T, dt, iters, s=0.5):

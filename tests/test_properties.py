@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import random_field
 from halfwave.cli import load_trajectory, save_trajectory
-from halfwave.dynamics import Trajectory, decompose, evolve, reconstruct
+from halfwave.dynamics import (
+    Trajectory,
+    _complete_hermitian,
+    decompose,
+    evolve,
+    reconstruct,
+)
 from halfwave.grid import (
     FrequencyLattice,
     GridSpec,
@@ -124,6 +130,30 @@ def test_free_steps_conserve_each_half(dim, mass_list, dt, seed):
          for state in traj.halves]
     )
     assert np.allclose(norms, norms[0], rtol=1e-12, atol=0.0)
+
+
+@properties
+@given(
+    lat=lattices,
+    mass_list=st.lists(masses, min_size=1, max_size=2),
+    decay=st.floats(0.0, 3.0),
+    seed=seeds,
+)
+def test_kept_half_of_a_real_state_completes_to_the_state(lat, mass_list, decay, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(mass_list),) + lat.spec.shape
+    axes = tuple(range(1, len(shape)))
+    weight = lat.bracket(1.0) ** (-decay)
+    u, u_t = (
+        np.fft.fftn(rng.standard_normal(shape), axes=axes, norm="ortho") * weight
+        for _ in range(2)
+    )
+    state = decompose(lat, u, u_t, mass_list)
+    kept = state[..., : lat.spec.points_per_axis // 2 + 1]
+    full = np.empty_like(state)
+    for i, sign in np.ndindex(state.shape[:2]):
+        _complete_hermitian(kept[i, sign], full[i, sign], kept[i, 1 - sign])
+    assert np.max(np.abs(full - state)) <= 1e-13 * np.max(np.abs(state))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_field
 from halfwave import grid
 from halfwave import system as system_module
+from halfwave.dynamics import _complete_hermitian
 from halfwave.grid import FrequencyLattice, GridSpec, SpectralField
 from halfwave.system import (
     MassSystem,
@@ -238,5 +239,24 @@ def test_real_branch_matches_complex_products(dim, k, terms, seed):
     complex_out = evaluate_nonlinearity(system, fields)
     real_out = evaluate_nonlinearity(system, fields, real=True)
     for want, got in zip(complex_out, real_out):
+        full = _complete_hermitian(got.coeffs, np.empty_like(want.coeffs))
         scale = max(1.0, np.max(np.abs(want.coeffs)))
-        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * scale
+        assert np.max(np.abs(full - want.coeffs)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_real_branch_takes_either_layout_and_the_complex_one_full_only(dim):
+    lat = FrequencyLattice(GridSpec(dim, 7.0, 8))
+    values = np.random.default_rng(dim).standard_normal(lat.spec.shape)
+    full = SpectralField(lat, np.fft.fftn(values, norm="ortho"))
+    half = SpectralField(lat, np.fft.rfftn(values, norm="ortho"))
+    assert half.coeffs.shape == lat.spec.shape[:-1] + (5,)
+    system = scalar_system(1.0, 2.0)
+    (from_full,) = evaluate_nonlinearity(system, (full,), real=True)
+    (from_half,) = evaluate_nonlinearity(system, (half,), real=True)
+    assert from_half.coeffs.shape == half.coeffs.shape
+    assert np.max(np.abs(from_full.coeffs - from_half.coeffs)) < 1e-14
+    with pytest.raises(ValueError, match="full spectra"):
+        evaluate_nonlinearity(system, (half,))
+    with pytest.raises(ValueError, match="half spectrum"):
+        SpectralField(lat, np.zeros(lat.spec.shape[:-1] + (4,), dtype=complex))
