@@ -363,7 +363,7 @@ def evolve(
     if stepper.real:
         # each kept column but 0 and n/2 also stands for its dropped mirror
         root[..., 1:-1] *= math.sqrt(2.0)
-    # on the float view of y, real and imaginary parts alike: inf stays inf
+    # a real multiply on the float view of y: a complex one turns inf into nan
     root, scratch = np.repeat(root, 2, axis=-1), np.empty_like(y).view(float)
 
     def total_norm(y):
