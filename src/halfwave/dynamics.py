@@ -10,7 +10,7 @@ Lawson scheme (exact rotation of the stiff phase, classical RK4 on the rotated
 remainder).  picard_iterate solves the equivalent integral equation by fixed
 point, with the time integral done by composite trapezoid written as a
 recursion in the rotated frame: one step factor e^{±i dt <D>} carries each
-time level to the next, and the iterate, 16 bytes per state entry per level,
+time level to the next, and the iterate, 16 bytes per band entry per level,
 is all it stores.  Their agreement is one of the package's main self-checks.
 
 Both decide once, at entry, how to evaluate N.  When every monomial
@@ -18,10 +18,12 @@ coefficient is real and the entry state's physical fields u and u_t are real
 to within 1e-12 relative, the flow keeps them real, conjugation flags are
 identities, and the products run on real transforms of the half spectrum
 (evaluate_nonlinearity with real=True).  Any other system or state takes the
-complex transforms.  On the real path the two halves of a state are tied by
-u^-(xi) = conj(u^+(-xi)), so evolve carries only the kept half of the last
-axis, n//2 + 1 of its n modes, and completes each sample it stores to the
-full (K, 2, *grid) layout that every Trajectory holds.
+complex transforms.  N reads and writes only the 2/3 band, outside which the
+flow is the free rotation, so both solvers carry the band lattice.band[real]
+alone.  On the real path the halves of a state are tied by u^-(xi) =
+conj(u^+(-xi)), so the band is cut from the kept half of the last axis, and
+each whole state the solvers return is completed to the full (K, 2, *grid)
+layout that every Trajectory holds.
 
 Division by 2<D> is always well-posed here because every mass is strictly
 positive; the massless case would need a low-frequency cutoff and is not
@@ -33,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -134,22 +137,24 @@ def _state_distance(root: np.ndarray, a: np.ndarray, b: np.ndarray, out) -> floa
     return math.sqrt(np.vdot(out, out).real)
 
 
-def _nonlinearity(
-    lattice: FrequencyLattice, system: MassSystem, u: np.ndarray, real=False, over=False
-):
-    """N_i(u) of the (K, *grid) fields u, shape (K, 1, *grid).
+def _band(lattice: FrequencyLattice, a: np.ndarray, real: bool) -> np.ndarray:
+    """The 2/3 band lattice.band[real] of the last axes of a, C-contiguous."""
+    return np.ascontiguousarray(a[(Ellipsis,) + lattice.band[real]])
 
-    On the real path u may hold full or half spectra, and N comes back as
-    half spectra.  With over=True, N overwrites u, a full layout whose fields
-    it has transformed already: half spectra are completed into it.
-    """
-    fields = tuple(SpectralField(lattice, f) for f in u)
-    spectra = [f.coeffs for f in evaluate_nonlinearity(system, fields, real=real)]
-    if not over:
-        return np.stack(spectra)[:, None]
-    for spectrum, full in zip(spectra, u):
-        _complete_hermitian(spectrum, full)
-    return u[:, None]
+
+def _band_root(lattice: FrequencyLattice, masses, s: float, real: bool) -> np.ndarray:
+    """sqrt(_hs_weights) on the band; a real path's kept column but 0 counts twice."""
+    root = np.sqrt(_band(lattice, _hs_weights(lattice, masses, s), real))
+    if real:
+        root[..., 1:] *= math.sqrt(2.0)
+    return root
+
+
+def _nonlinearity(lattice: FrequencyLattice, system: MassSystem, u, real=False):
+    """N_i(u) of the (K, *band) fields u, shape (K, 1, *band): lattice.band[real]."""
+    fields = tuple(SpectralField(lattice, f.reshape(-1)) for f in u)
+    spectra = evaluate_nonlinearity(system, fields, real=real, band=True)
+    return np.stack([f.coeffs for f in spectra]).reshape(u.shape)[:, None]
 
 
 def _complete_hermitian(half: np.ndarray, out: np.ndarray, partner=None) -> np.ndarray:
@@ -168,6 +173,16 @@ def _complete_hermitian(half: np.ndarray, out: np.ndarray, partner=None) -> np.n
         dst = tuple(slice(1, None) if m else slice(0, 1) for m in mirrored)
         np.conjugate(tail[src], out=out[dst + (slice(h, None),)])
     return out
+
+
+def _next_sample(lattice: FrequencyLattice, previous, flow, band, real, out):
+    """out = previous times flow, the band written in, completed on the real path."""
+    np.multiply(previous, flow, out=out)
+    out[(Ellipsis,) + lattice.band[real]] = band
+    if real:
+        kept = out[..., : out.shape[-1] // 2 + 1]
+        for i, sign in np.ndindex(out.shape[:2]):
+            _complete_hermitian(kept[i, sign], out[i, sign], kept[i, 1 - sign])
 
 
 def _real_path(
@@ -281,10 +296,10 @@ class _Stepper:
         u1 = Σ y,  u2 = Σ y E_h + (h/2) S n1,  u3 = Σ y E_h,  u4 = Σ y E + h S n3,
 
     and the update is y' = y E + (h/6) M ((n1 E_h + 2 (n2 + n3)) E_h + n4).
-    M only flips sign between u^+ and u^-, so one (K, 1, *grid) weight
+    M only flips sign between u^+ and u^-, so one (K, 1, *band) weight
     -i h/(12<D>) serves both halves, and no step takes a conjugate.
-    Every factor is pointwise in xi, so on the real path the stepper holds
-    them for the kept columns only, and steps the kept half of a state.
+    Every factor is pointwise in xi, and outside the 2/3 band n = 0, so the
+    stepper holds them for the band only and steps the band of a state.
     """
 
     def __init__(
@@ -293,12 +308,10 @@ class _Stepper:
         self.lattice = lattice
         self.system = system
         self.real = real
-        cut = slice(lattice.spec.points_per_axis // 2 + 1 if real else None)
-        self.columns = cut
-        phase = _rotation(lattice, system.masses, 0.5 * dt)[..., cut]
-        self.half_phase = np.ascontiguousarray(phase)
-        inv2br = _inverse_twice_bracket(lattice, system.masses)[:, 0, ..., cut]
-        brackets = _brackets(lattice, system.masses)[:, 0, ..., cut]
+        masses = system.masses
+        self.half_phase = _band(lattice, _rotation(lattice, masses, 0.5 * dt), real)
+        inv2br = _band(lattice, _inverse_twice_bracket(lattice, masses)[:, 0], real)
+        brackets = _band(lattice, _brackets(lattice, masses)[:, 0], real)
         self.kick = dt * inv2br * np.sin(0.5 * dt * brackets)
         self.weight = (-1j * dt / 6.0) * inv2br[:, None]
         self.stage = np.empty_like(self.half_phase)
@@ -340,35 +353,38 @@ def evolve(
     sample_every: int = 1,
     s: float = 0.5,
 ) -> Trajectory:
-    """March a (K, 2, *grid) half-wave state to time ~T, sampling every stride.
+    """March a (K, 2, *grid) half-wave state to time T, sampling every stride.
 
-    The number of steps is rounded up to a whole number of strides so the
-    sampled times stay uniform.  On the real path it steps the kept half of
-    the last axis and completes each sample it stores; sample 0 is the entry
-    state itself.  Aborts with InstabilityError when the H^s norm of the whole
-    state, both halves of every component, exceeds 1e6 times its initial
-    value or turns non-finite: data at rest, u = 0 and u_t not, have a limit.
+    The stride must divide the round(T / dt) steps, else ValueError.  The
+    stepper carries the band; each sample after the entry state is the one
+    before it rotated by the stride, with the band written in.  Aborts with
+    InstabilityError when the H^s norm of the whole state, both halves of
+    every component, exceeds 1e6 times its initial value or turns non-finite:
+    data at rest, u = 0 and u_t not, have a limit.
     """
     if T <= 0 or dt <= 0 or sample_every < 1:
         raise ValueError("T, dt and sample_every must be positive")
     _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
     steps = max(1, int(round(T / dt)))
-    steps = sample_every * math.ceil(steps / sample_every)
+    if steps % sample_every:
+        raise ValueError(f"stride {sample_every} does not divide the {steps} steps")
     n_samples = steps // sample_every + 1
     _require_memory(n_samples * state.size * 16, f"{n_samples} samples")
     stepper = _Stepper(lattice, system, dt, _real_path(lattice, system, state))
-    masses = system.masses
-    y = state[..., stepper.columns].astype(complex, order="C")
-    root = np.sqrt(_hs_weights(lattice, masses, s)[..., stepper.columns])
-    if stepper.real:
-        # each kept column but 0 and n/2 also stands for its dropped mirror
-        root[..., 1:-1] *= math.sqrt(2.0)
+    masses, real = system.masses, stepper.real
+    y = _band(lattice, state, real).astype(complex)
+    # the free flow keeps the norm outside the band, once it zeroes the Nyquist modes
+    outside = ~lattice.nyquist_mask
+    outside[lattice.band[False]] = False
+    weights = _hs_weights(lattice, masses, s)[:, :, outside]
+    rest = np.sum(weights * np.abs(state[:, :, outside]) ** 2)
     # a real multiply on the float view of y: a complex one turns inf into nan
-    root, scratch = np.repeat(root, 2, axis=-1), np.empty_like(y).view(float)
+    root = np.repeat(_band_root(lattice, masses, s, real), 2, axis=-1)
+    scratch = np.empty_like(y).view(float)
 
     def total_norm(y):
         np.multiply(y.view(float), root, out=scratch)
-        return math.sqrt(np.vdot(scratch, scratch))
+        return math.sqrt(rest + np.vdot(scratch, scratch))
 
     base = total_norm(y)
     # without a scale, the largest float: an infinite norm still fails the test
@@ -376,6 +392,7 @@ def evolve(
 
     halves = np.empty((n_samples,) + state.shape, dtype=complex)
     halves[0] = state
+    flow = _rotation(lattice, masses, sample_every * dt)
     for j in range(1, steps + 1):
         stepper.step(y)
         norm = total_norm(y)
@@ -389,9 +406,8 @@ def evolve(
                 time=t,
             )
         if j % sample_every == 0:
-            sample = halves[j // sample_every]
-            for i, sign in np.ndindex(y.shape[:2]):
-                _complete_hermitian(y[i, sign], sample[i, sign], y[i, 1 - sign])
+            k = j // sample_every
+            _next_sample(lattice, halves[k - 1], flow, y, real, halves[k])
     return Trajectory(np.arange(n_samples) * sample_every * dt, masses, lattice, halves)
 
 
@@ -401,12 +417,16 @@ def evolve(
 
 @dataclass(frozen=True, eq=False)
 class PicardReport:
-    """Fixed-point iteration record: the last iterate and contraction diagnostics."""
+    """Contraction diagnostics, and final, the last iterate rebuilt at each read."""
 
-    final: Trajectory
     successive_distances: tuple
     contraction_factor: float
     diverged: bool
+    _complete: Callable[[], Trajectory]
+
+    @property
+    def final(self) -> Trajectory:
+        return self._complete()
 
 
 def picard_iterate(
@@ -426,7 +446,8 @@ def picard_iterate(
     E = e^{±i dt <D>}: level_j = E (level_{j-1} + h_{j-1}) + h_j, where
     h_j = ∓i (dt/2) N(u_j)/(2<D>) along the current iterate u.  Level 0 is
     the entry state with its Nyquist modes zeroed, and the first iterate is
-    the free flow level_j = E level_{j-1}.  The report carries the last
+    the free flow level_j = E level_{j-1}, which every iterate keeps outside
+    the band: the levels hold the band.  The report carries the last
     iterate, the sup-in-time H^s distances between consecutive iterates, and
     the contraction factor and divergence flag of _contraction; divergence
     stops the iteration.  A sweep that produces non-finite values raises
@@ -439,14 +460,16 @@ def picard_iterate(
     _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
     masses = system.masses
     n_levels = max(1, int(round(T / dt))) + 1
-    _require_memory(n_levels * state.size * 16, f"{n_levels} levels")
     real = _real_path(lattice, system, state)
-    step = _rotation(lattice, masses, dt)
-    inv2br = _inverse_twice_bracket(lattice, masses)
+    band = _band(lattice, state, real)
+    _require_memory(n_levels * band.size * 16, f"{n_levels} levels")
+    full_step = _rotation(lattice, masses, dt)
+    step = _band(lattice, full_step, real)
+    inv2br = _band(lattice, _inverse_twice_bracket(lattice, masses), real)
     kick = -0.5j * dt * np.concatenate([inv2br, -inv2br], axis=1)
-    root = np.sqrt(_hs_weights(lattice, masses, s))
-    current = np.empty((n_levels,) + state.shape, dtype=complex)
-    current[0] = np.where(lattice.nyquist_mask, 0.0, state)
+    root = _band_root(lattice, masses, s, real)
+    current = np.empty((n_levels,) + band.shape, dtype=complex)
+    current[0] = band
     for j in range(1, n_levels):
         np.multiply(current[j - 1], step, out=current[j])
     distances = []
@@ -458,21 +481,29 @@ def picard_iterate(
         # the new level_{j-1} + h_{j-1}, then level_j, then level_j + h_j
         distance = 0.0
         for j, level in enumerate(current):
-            h = kick * _nonlinearity(lattice, system, level.sum(1), real, over=True)
+            h = kick * _nonlinearity(lattice, system, level.sum(1), real)
             if j > 0:
                 carry *= step
                 carry += h
+                if not np.all(np.isfinite(carry)):
+                    raise InstabilityError(f"non-finite iterate in Picard sweep {sweep}")
                 distance = max(distance, _state_distance(root, carry, level, level))
                 level[...] = carry
             np.add(level, h, out=carry)
-        if not np.all(np.isfinite(current)):
-            raise InstabilityError(f"non-finite iterate in Picard sweep {sweep}")
         distances.append(distance)
         factor, diverged = _contraction(distances)
         if diverged:
             break
-    final = Trajectory(np.arange(n_levels) * dt, masses, lattice, current)
-    return PicardReport(final, tuple(distances), factor, diverged)
+
+    def complete():
+        _require_memory(n_levels * state.size * 16, f"{n_levels} levels")
+        halves = np.empty((n_levels,) + state.shape, dtype=complex)
+        halves[0] = np.where(lattice.nyquist_mask, 0.0, state)
+        for j in range(1, n_levels):
+            _next_sample(lattice, halves[j - 1], full_step, current[j], real, halves[j])
+        return Trajectory(np.arange(n_levels) * dt, masses, lattice, halves)
+
+    return PicardReport(tuple(distances), factor, diverged, complete)
 
 
 def _contraction(distances):
@@ -546,9 +577,11 @@ def conserved_energy(
     from a potential (e.g. the scalar N(u) = c u^2).
     """
     u, u_t = reconstruct(lattice, state, system.masses)
-    nonlin = _nonlinearity(lattice, system, u)[:, 0]
+    # N vanishes outside the band, so the band alone carries <N(u), u>
+    band = _band(lattice, u, False)
+    nonlin = _nonlinearity(lattice, system, band)[:, 0]
     quad = np.sum(np.abs(u_t) ** 2) + np.sum(
         _brackets(lattice, system.masses)[:, 0] ** 2 * np.abs(u) ** 2
     )
-    cubic = np.real(np.sum(nonlin * np.conj(u)))
+    cubic = np.real(np.sum(nonlin * np.conj(band)))
     return float(lattice.cell_volume * (0.5 * quad - cubic / 3.0))

@@ -76,15 +76,21 @@ class FrequencyLattice:
         nyq[n // 2] = True
         kept = np.abs(axis) <= (2.0 / 3.0) * (np.pi * n / spec.box_length) + 1e-12
         mask = np.zeros(spec.shape, dtype=bool)
-        keep = np.ones(spec.shape, dtype=bool)
         for d in range(spec.dim):
             shape = [1] * spec.dim
             shape[d] = n
             mask |= nyq.reshape(shape)
-            keep &= kept.reshape(shape)
         self.nyquist_mask = mask
-        # sharp 2/3 rule as 0/1 weights: |xi_axis| <= (2/3) * Nyquist on every axis
-        self.dealias_mask = keep.astype(float)
+        # the sharp 2/3 band, |xi_axis| <= (2/3) * Nyquist on every axis, as
+        # np.ix_ indices of the full layout (False) and of the real half one
+        # (True), whose last axis keeps h = n//2 + 1 modes, and as flat
+        # indices of that layout, through which a scatter is 3-4x faster
+        kept = np.flatnonzero(kept)
+        self.band, self.band_flat = {}, {}
+        for real, h in ((False, n), (True, n // 2 + 1)):
+            self.band[real] = np.ix_(*[kept] * (spec.dim - 1), kept[kept < h])
+            flat = np.ravel_multi_index(self.band[real], spec.shape[:-1] + (h,))
+            self.band_flat[real] = flat.ravel()
 
     @property
     def cell_volume(self) -> float:
@@ -116,7 +122,8 @@ class SpectralField:
     """Complex Fourier coefficients on a FrequencyLattice (FFT order).
 
     The coefficients are either the full spectrum or, for a real field, the
-    kept half of rfftn: n//2 + 1 modes on the last axis instead of n.
+    kept half of rfftn: n//2 + 1 modes on the last axis instead of n.  Either
+    layout may also be cut to its 2/3 band, flattened: lattice.band_flat[real].
     """
 
     lattice: FrequencyLattice
@@ -124,10 +131,12 @@ class SpectralField:
 
     def __post_init__(self):
         shape = self.lattice.spec.shape
-        if self.coeffs.shape not in (shape, shape[:-1] + (shape[-1] // 2 + 1,)):
+        layouts = [shape, shape[:-1] + (shape[-1] // 2 + 1,)]
+        layouts += [band.shape for band in self.lattice.band_flat.values()]
+        if self.coeffs.shape not in layouts:
             raise ValueError(
-                f"coefficient shape {self.coeffs.shape} matches neither "
-                f"grid shape {shape} nor its half spectrum"
+                f"coefficient shape {self.coeffs.shape} matches neither grid "
+                f"shape {shape}, its half spectrum nor their 2/3 bands"
             )
 
 

@@ -82,67 +82,66 @@ def check_nonresonance(masses: Sequence[float]):
 
 
 def evaluate_nonlinearity(
-    system: MassSystem, fields: Sequence[SpectralField], real: bool = False
+    system: MassSystem,
+    fields: Sequence[SpectralField],
+    real: bool = False,
+    band: bool = False,
 ):
     """Apply every component polynomial to the fields, fully dealiased.
 
     Inputs are truncated to the 2/3 band, multiplied pointwise on the physical
     grid (with conjugation flags honored), and the spectral products are
-    truncated again.  With real=True the caller vouches that the coefficients
-    and the physical fields are real: conjugation flags are then identities,
-    the products run on irfftn/rfftn, and the fields may be full or half
-    spectra while the products come back as half spectra.  Without it every
-    field must be a full spectrum; a half one raises ValueError.
+    truncated again: each truncation gathers the band, lattice.band[real],
+    and the inputs are scattered into a zero spectrum.  With real=True the
+    caller vouches that the coefficients and the physical fields are real:
+    conjugation flags are then identities, the products run on irfftn/rfftn,
+    and the fields may be full or half spectra while the products come back
+    as half spectra.  Without it every field must be a full spectrum; a half
+    one raises ValueError.  With band=True the fields and the products hold
+    only the band of their layout, all that N reads or writes, flattened in
+    the order of lattice.band_flat[real].
     """
     if len(fields) != system.size:
         raise ValueError("one field per component required")
     lattice = fields[0].lattice
     if any(f.lattice != lattice for f in fields):
         raise ValueError("fields must share one lattice")
+    shape = lattice.spec.shape
+    if not (real or band) and any(f.coeffs.shape != shape for f in fields):
+        raise ValueError("the complex products need full spectra")
+    index = lattice.band_flat[real]
+    layout = shape[:-1] + (shape[-1] // 2 + 1,) if real else shape
+    spectrum = np.zeros(layout, dtype=complex)
     # the fields some monomial reads, each transformed once
     needed = {i for poly in system.polynomials for m in poly for i, _ in m.factors}
-    if real:
-        return _real_products(system, lattice, fields, needed)
-    if any(f.coeffs.shape != lattice.spec.shape for f in fields):
-        raise ValueError("the complex products need full spectra")
-    keep = lattice.dealias_mask
-    physical = {
-        idx: inverse_transform(SpectralField(lattice, fields[idx].coeffs * keep))
-        for idx in needed
-    }
+    physical = {}
+    for idx in needed:
+        coeffs = fields[idx].coeffs
+        if not band:
+            coeffs = coeffs[..., : layout[-1]].reshape(-1)[index]
+        spectrum.reshape(-1)[index] = coeffs
+        physical[idx] = (
+            np.fft.irfftn(spectrum, shape, tuple(range(len(shape))), norm="ortho")
+            if real
+            else inverse_transform(SpectralField(lattice, spectrum))
+        )
 
     def factor(idx, conj):
-        return np.conj(physical[idx]) if conj else physical[idx]
+        return np.conj(physical[idx]) if conj and not real else physical[idx]
 
     out = []
     for poly in system.polynomials:
-        total = np.zeros(lattice.spec.shape, dtype=complex)
+        total = np.zeros(shape, dtype=float if real else complex)
         for mono in poly:
-            a, b = mono.factors
-            total += mono.coefficient * (factor(*a) * factor(*b))
-        coeffs = np.fft.fftn(total, norm="ortho") * keep
-        out.append(SpectralField(lattice, coeffs))
-    return tuple(out)
-
-
-def _real_products(system: MassSystem, lattice, fields, needed):
-    """The real branch of evaluate_nonlinearity: half spectra of the products."""
-    shape = lattice.spec.shape
-    axes = tuple(range(len(shape)))
-    keep = lattice.dealias_mask[..., : shape[-1] // 2 + 1]
-    physical = {
-        idx: np.fft.irfftn(
-            fields[idx].coeffs[..., : keep.shape[-1]] * keep, shape, axes, norm="ortho"
-        )
-        for idx in needed
-    }
-    out = []
-    for poly in system.polynomials:
-        total = np.zeros(shape)
-        for mono in poly:
-            (a, _), (b, _) = mono.factors
-            total += mono.coefficient.real * (physical[a] * physical[b])
-        out.append(SpectralField(lattice, np.fft.rfftn(total, norm="ortho") * keep))
+            c = mono.coefficient.real if real else mono.coefficient
+            total += c * (factor(*mono.factors[0]) * factor(*mono.factors[1]))
+        transform = np.fft.rfftn if real else np.fft.fftn
+        products = transform(total, norm="ortho").reshape(-1)[index]
+        if not band:
+            full = np.zeros(layout, dtype=complex)
+            full.reshape(-1)[index] = products
+            products = full
+        out.append(SpectralField(lattice, products))
     return tuple(out)
 
 

@@ -7,6 +7,13 @@ import numpy as np
 from halfwave.grid import FrequencyLattice, SpectralField
 
 
+def dealias_mask(lattice: FrequencyLattice) -> np.ndarray:
+    """The 2/3 band of the full layout as 0/1 weights."""
+    keep = np.zeros(lattice.spec.shape)
+    keep[lattice.band[False]] = 1.0
+    return keep
+
+
 def random_field(
     lattice: FrequencyLattice,
     rng: np.random.Generator,

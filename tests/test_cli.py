@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -321,6 +322,37 @@ def test_runs_larger_than_memory_exit_2_before_allocating(
     assert main([command, "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "physical memory" in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_grids_larger_than_memory_exit_2_before_the_set_up(
+    command, tmp_path, capsys, monkeypatch
+):
+    # building the lattice, the bump and the state of a 3D 128^3 grid takes
+    # about 145 bytes per point, 290 MiB: refused from its size alone
+    limit = 32 * 2**20
+    monkeypatch.setattr(grid, "_physical_memory", lambda: limit)
+    config = "[run]\ndim = 3\npoints_per_axis = 128\nhorizon = 0.1\n"
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < limit
+    assert "2097152 grid points need" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_stride_that_does_not_divide_the_steps_exits_2(tmp_path, capsys):
+    # horizon 1 at dt 0.1 is 10 steps, which a stride of 50 does not divide
+    path = write_config(tmp_path, "[run]\nhorizon = 1\ndt = 0.1\nstride = 50\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert "stride 50 does not divide the 10 steps" in capsys.readouterr().err
     assert not out.exists()
 
 

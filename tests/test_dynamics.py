@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_field
+from conftest import dealias_mask, random_field
 from halfwave import dynamics, grid
 from halfwave.dynamics import (
     _contraction,
@@ -545,9 +545,112 @@ def test_in_place_picard_matches_the_two_buffer_sweep():
         assert ours == pytest.approx(theirs, rel=1e-9, abs=0.0)
 
 
+def full_picard(lat, state, system, T, dt, iters, s=0.5):
+    """Picard sweeps over the whole iterate with masked products, as before the band.
+
+    Only scalar systems N = c u^2; returns the last iterate and the distances.
+    """
+    real = dynamics._real_path(lat, system, state)
+    (mono,) = system.polynomials[0]
+    n, shape = lat.spec.points_per_axis, lat.spec.shape
+    axes = tuple(range(lat.spec.dim))
+    keep = dealias_mask(lat)[..., : n // 2 + 1] if real else dealias_mask(lat)
+    br = np.stack([lat.bracket(m) for m in system.masses])[:, None]
+    inv2br = ~lat.nyquist_mask / (2.0 * br)
+    kick = -0.5j * dt * np.concatenate([inv2br, -inv2br], axis=1)
+    root = np.sqrt(lat.cell_volume * br ** (2.0 * s))
+    step = dynamics._rotation(lat, system.masses, dt)
+
+    def nonlinearity(u):
+        out = np.empty_like(u)
+        for field, full in zip(u, out):
+            if real:
+                kept = field[..., : n // 2 + 1] * keep
+                v = np.fft.irfftn(kept, shape, axes, norm="ortho")
+                product = mono.coefficient.real * (v * v)
+                spectrum = np.fft.rfftn(product, norm="ortho") * keep
+                dynamics._complete_hermitian(spectrum, full)
+            else:
+                v = np.fft.ifftn(field * keep, norm="ortho")
+                full[...] = np.fft.fftn(mono.coefficient * (v * v), norm="ortho") * keep
+        return out[:, None]
+
+    n_levels = max(1, int(round(T / dt))) + 1
+    current = np.empty((n_levels,) + state.shape, dtype=complex)
+    current[0] = np.where(lat.nyquist_mask, 0.0, state)
+    for j in range(1, n_levels):
+        current[j] = current[j - 1] * step
+    distances = []
+    carry = np.empty_like(current[0])
+    for _ in range(iters):
+        distance = 0.0
+        for j, level in enumerate(current):
+            h = kick * nonlinearity(level.sum(1))
+            if j > 0:
+                carry *= step
+                carry += h
+                step_distance = np.sqrt(np.sum(np.abs(root * (carry - level)) ** 2))
+                distance = max(distance, step_distance)
+                level[...] = carry
+            np.add(level, h, out=carry)
+        distances.append(distance)
+    return current, distances
+
+
+def band_and_full_picard(dim, coefficient):
+    """A Picard report and the whole-iterate sweep of the same 16^dim problem."""
+    lat = make_lattice(dim=dim, n=16)
+    state = bump_state(lat, amp=0.05)
+    system = scalar_system(coefficient=coefficient)
+    assert dynamics._real_path(lat, system, state) == (coefficient == 1.0)
+    report = picard_iterate(lat, state, system, T=1.0, dt=0.1, iters=4)
+    return lat, report, *full_picard(lat, state, system, T=1.0, dt=0.1, iters=4)
+
+
+coefficients = pytest.mark.parametrize(
+    "coefficient", [1.0, 1.0 + 0.5j], ids=["real", "complex"]
+)
+
+
+@coefficients
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_picard_band_is_the_band_of_the_full_iterate(dim, coefficient):
+    # outside the band every iterate is the free flow, so the band levels
+    # evolve exactly as they did inside the whole iterate
+    lat, report, full, distances = band_and_full_picard(dim, coefficient)
+    band = (Ellipsis,) + lat.band[coefficient == 1.0]
+    assert np.array_equal(report.final.halves[band], full[band])
+    assert report.successive_distances[0] == pytest.approx(distances[0], rel=1e-12)
+
+
+@coefficients
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_picard_final_is_the_full_iterate(dim, coefficient):
+    # outside the band final is the free flow, completed on the real path
+    _, report, full, _ = band_and_full_picard(dim, coefficient)
+    assert np.max(np.abs(report.final.halves - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_picard_aborts_on_a_non_finite_sweep(monkeypatch):
+    def poisoned(system, fields, real=False, band=False):
+        return tuple(SpectralField(f.lattice, f.coeffs * np.nan) for f in fields)
+
+    lat = make_lattice(n=16)
+    monkeypatch.setattr(dynamics, "evaluate_nonlinearity", poisoned)
+    with pytest.raises(InstabilityError, match="non-finite iterate in Picard sweep 1"):
+        picard_iterate(lat, bump_state(lat, 0.05), scalar_system(), T=0.2, dt=0.1, iters=2)
+
+
+def test_evolve_refuses_a_stride_that_does_not_divide_the_steps():
+    lat = make_lattice()
+    with pytest.raises(ValueError, match="stride 3 does not divide the 10 steps"):
+        evolve(lat, bump_state(lat, 0.1), scalar_system(), T=1.0, dt=0.1, sample_every=3)
+
+
 def test_solvers_refuse_what_memory_cannot_hold(monkeypatch):
-    # one 16 x 16 component: a state is 8 KiB, and so are a sample of evolve
-    # or free_trajectory and a Picard level
+    # one 16 x 16 component: a state is 8 KiB, and so is a sample of evolve
+    # or free_trajectory; a Picard level is the band of the kept half, the
+    # 11 x 6 modes with |k| <= 5 on each axis and k >= 0 on the last
     lat = make_lattice(n=16)
     state = bump_state(lat, amp=0.1)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 2 * 8192)
@@ -557,6 +660,10 @@ def test_solvers_refuse_what_memory_cannot_hold(monkeypatch):
     with pytest.raises(MemoryError, match="3 samples"):
         free_trajectory(lat, state, (1.0,), np.arange(3) * 0.1)
     free_trajectory(lat, state, (1.0,), np.arange(2) * 0.1)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2 * (2 * 11 * 6 * 16))
     with pytest.raises(MemoryError, match="3 levels"):
         picard_iterate(lat, state, scalar_system(), T=0.2, dt=0.1, iters=2)
-    picard_iterate(lat, state, scalar_system(), T=0.1, dt=0.1, iters=2)
+    report = picard_iterate(lat, state, scalar_system(), T=0.1, dt=0.1, iters=2)
+    # the whole iterate is built, and checked, only when it is read
+    with pytest.raises(MemoryError, match="2 levels"):
+        report.final

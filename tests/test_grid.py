@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_field
+from conftest import dealias_mask, random_field
 from halfwave.dynamics import Trajectory
 from halfwave.grid import (
     DyadicIndex,
@@ -166,12 +166,14 @@ def test_free_propagate_group_and_isometry():
 
 def test_dealias_mask_axis_rule():
     lat = make_lattice()
-    w = lat.dealias_mask
+    w = dealias_mask(lat)
     assert w.dtype == float and w.shape == lat.spec.shape
     # n=16: Nyquist index 8, cutoff at (2/3)*8 = 5.33 per axis
     assert w[5, 0] == 1.0 and w[0, 5] == 1.0 and w[5, 5] == 1.0
     assert w[6, 0] == 0.0 and w[0, 6] == 0.0 and w[11, 2] == 1.0
     assert w[8, 0] == 0.0
+    # the real half layout keeps the same band's columns 0..5 of its 9
+    assert lat.band[True][-1].ravel().tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_random_field_is_nyquist_free():
