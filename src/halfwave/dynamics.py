@@ -576,12 +576,12 @@ def conserved_energy(
     truncated flow actually conserves.  Meaningful when the polynomials derive
     from a potential (e.g. the scalar N(u) = c u^2).
     """
+    # N vanishes outside the band, so the band of u alone carries <N(u), u>;
+    # it runs before reconstruct, whose whole fields need not be held through it
+    band = _band(lattice, state[:, 0] + state[:, 1], False)
+    cubic = np.real(np.sum(_nonlinearity(lattice, system, band)[:, 0] * np.conj(band)))
     u, u_t = reconstruct(lattice, state, system.masses)
-    # N vanishes outside the band, so the band alone carries <N(u), u>
-    band = _band(lattice, u, False)
-    nonlin = _nonlinearity(lattice, system, band)[:, 0]
     quad = np.sum(np.abs(u_t) ** 2) + np.sum(
         _brackets(lattice, system.masses)[:, 0] ** 2 * np.abs(u) ** 2
     )
-    cubic = np.real(np.sum(nonlin * np.conj(band)))
     return float(lattice.cell_volume * (0.5 * quad - cubic / 3.0))

@@ -125,6 +125,7 @@ def evaluate_nonlinearity(
             if real
             else inverse_transform(SpectralField(lattice, spectrum))
         )
+    del spectrum  # not held through the products
 
     def factor(idx, conj):
         return np.conj(physical[idx]) if conj and not real else physical[idx]
