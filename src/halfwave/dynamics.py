@@ -175,9 +175,8 @@ def _complete_hermitian(half: np.ndarray, out: np.ndarray, partner=None) -> np.n
     return out
 
 
-def _next_sample(lattice: FrequencyLattice, previous, flow, band, real, out):
-    """out = previous times flow, the band written in, completed on the real path."""
-    np.multiply(previous, flow, out=out)
+def _fill_band(lattice: FrequencyLattice, band, real, out):
+    """Write a band into the whole state out, completed on the real path."""
     out[(Ellipsis,) + lattice.band[real]] = band
     if real:
         kept = out[..., : out.shape[-1] // 2 + 1]
@@ -407,7 +406,8 @@ def evolve(
             )
         if j % sample_every == 0:
             k = j // sample_every
-            _next_sample(lattice, halves[k - 1], flow, y, real, halves[k])
+            np.multiply(halves[k - 1], flow, out=halves[k])
+            _fill_band(lattice, y, real, halves[k])
     return Trajectory(np.arange(n_samples) * sample_every * dt, masses, lattice, halves)
 
 
@@ -463,8 +463,7 @@ def picard_iterate(
     real = _real_path(lattice, system, state)
     band = _band(lattice, state, real)
     _require_memory(n_levels * band.size * 16, f"{n_levels} levels")
-    full_step = _rotation(lattice, masses, dt)
-    step = _band(lattice, full_step, real)
+    step = _band(lattice, _rotation(lattice, masses, dt), real)
     inv2br = _band(lattice, _inverse_twice_bracket(lattice, masses), real)
     kick = -0.5j * dt * np.concatenate([inv2br, -inv2br], axis=1)
     root = _band_root(lattice, masses, s, real)
@@ -496,12 +495,10 @@ def picard_iterate(
             break
 
     def complete():
-        _require_memory(n_levels * state.size * 16, f"{n_levels} levels")
-        halves = np.empty((n_levels,) + state.shape, dtype=complex)
-        halves[0] = np.where(lattice.nyquist_mask, 0.0, state)
-        for j in range(1, n_levels):
-            _next_sample(lattice, halves[j - 1], full_step, current[j], real, halves[j])
-        return Trajectory(np.arange(n_levels) * dt, masses, lattice, halves)
+        traj = free_trajectory(lattice, state, masses, np.arange(n_levels) * dt)
+        for sample, level in zip(traj.halves[1:], current[1:]):
+            _fill_band(lattice, level, real, sample)
+        return traj
 
     return PicardReport(tuple(distances), factor, diverged, complete)
 
@@ -576,8 +573,7 @@ def conserved_energy(
     truncated flow actually conserves.  Meaningful when the polynomials derive
     from a potential (e.g. the scalar N(u) = c u^2).
     """
-    # N vanishes outside the band, so the band of u alone carries <N(u), u>;
-    # it runs before reconstruct, whose whole fields need not be held through it
+    # N vanishes off the band; it runs before reconstruct's whole fields exist
     band = _band(lattice, state[:, 0] + state[:, 1], False)
     cubic = np.real(np.sum(_nonlinearity(lattice, system, band)[:, 0] * np.conj(band)))
     u, u_t = reconstruct(lattice, state, system.masses)

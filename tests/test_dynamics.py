@@ -665,5 +665,5 @@ def test_solvers_refuse_what_memory_cannot_hold(monkeypatch):
         picard_iterate(lat, state, scalar_system(), T=0.2, dt=0.1, iters=2)
     report = picard_iterate(lat, state, scalar_system(), T=0.1, dt=0.1, iters=2)
     # the whole iterate is built, and checked, only when it is read
-    with pytest.raises(MemoryError, match="2 levels"):
+    with pytest.raises(MemoryError, match="2 samples"):
         report.final
