@@ -13,17 +13,14 @@ recursion in the rotated frame: one step factor e^{±i dt <D>} carries each
 time level to the next, and the iterate, 16 bytes per band entry per level,
 is all it stores.  Their agreement is one of the package's main self-checks.
 
-Both decide once, at entry, how to evaluate N.  When every monomial
-coefficient is real and the entry state's physical fields u and u_t are real
-to within 1e-12 relative, the flow keeps them real, conjugation flags are
-identities, and the products run on real transforms of the half spectrum
-(evaluate_nonlinearity with real=True).  Any other system or state takes the
-complex transforms.  N reads and writes only the 2/3 band, outside which the
-flow is the free rotation, so both solvers carry the band lattice.band[real]
-alone.  On the real path the halves of a state are tied by u^-(xi) =
-conj(u^+(-xi)), so the band is cut from the kept half of the last axis, and
-each whole state the solvers return is completed to the full (K, 2, *grid)
-layout that every Trajectory holds.
+The fields are real: both solvers check once, at entry, that the state's
+physical fields u and u_t are real to within 1e-12 relative, else ValueError,
+and the real coefficients of the system keep them real along the flow.  N
+reads and writes only the 2/3 band, outside which the flow is the free
+rotation, so both solvers carry the band lattice.band alone.  The halves of a
+real state are tied by u^-(xi) = conj(u^+(-xi)), so the band is cut from the
+kept half of the last axis, and each whole state the solvers return is
+completed to the full (K, 2, *grid) layout that every Trajectory holds.
 
 Division by 2<D> is always well-posed here because every mass is strictly
 positive; the massless case would need a low-frequency cutoff and is not
@@ -137,23 +134,23 @@ def _state_distance(root: np.ndarray, a: np.ndarray, b: np.ndarray, out) -> floa
     return math.sqrt(np.vdot(out, out).real)
 
 
-def _band(lattice: FrequencyLattice, a: np.ndarray, real: bool) -> np.ndarray:
-    """The 2/3 band lattice.band[real] of the last axes of a, C-contiguous."""
-    return np.ascontiguousarray(a[(Ellipsis,) + lattice.band[real]])
+def _band(lattice: FrequencyLattice, a: np.ndarray) -> np.ndarray:
+    """The 2/3 band lattice.band of the last axes of a, C-contiguous."""
+    return np.ascontiguousarray(a[(Ellipsis,) + lattice.band])
 
 
-def _band_root(lattice: FrequencyLattice, masses, s: float, real: bool) -> np.ndarray:
-    """sqrt(_hs_weights) on the band; a real path's kept column but 0 counts twice."""
-    root = np.sqrt(_band(lattice, _hs_weights(lattice, masses, s), real))
-    if real:
-        root[..., 1:] *= math.sqrt(2.0)
+def _half_root(lattice: FrequencyLattice, masses, s: float) -> np.ndarray:
+    """sqrt(_hs_weights) on the kept half; a real state's column but 0 counts twice."""
+    h = lattice.spec.points_per_axis // 2 + 1
+    root = np.sqrt(_hs_weights(lattice, masses, s)[..., :h])
+    root[..., 1:] *= math.sqrt(2.0)
     return root
 
 
-def _nonlinearity(lattice: FrequencyLattice, system: MassSystem, u, real=False):
-    """N_i(u) of the (K, *band) fields u, shape (K, 1, *band): lattice.band[real]."""
+def _nonlinearity(lattice: FrequencyLattice, system: MassSystem, u):
+    """N_i(u) of the (K, *band) fields u, shape (K, 1, *band): lattice.band."""
     fields = tuple(SpectralField(lattice, f.reshape(-1)) for f in u)
-    spectra = evaluate_nonlinearity(system, fields, real=real, band=True)
+    spectra = evaluate_nonlinearity(system, fields, band=True)
     return np.stack([f.coeffs for f in spectra]).reshape(u.shape)[:, None]
 
 
@@ -175,30 +172,31 @@ def _complete_hermitian(half: np.ndarray, out: np.ndarray, partner=None) -> np.n
     return out
 
 
-def _fill_band(lattice: FrequencyLattice, band, real, out):
-    """Write a band into the whole state out, completed on the real path."""
-    out[(Ellipsis,) + lattice.band[real]] = band
-    if real:
-        kept = out[..., : out.shape[-1] // 2 + 1]
-        for i, sign in np.ndindex(out.shape[:2]):
-            _complete_hermitian(kept[i, sign], out[i, sign], kept[i, 1 - sign])
+def _fill_band(lattice: FrequencyLattice, band, out):
+    """Write a band into the whole real state out and complete its dropped half."""
+    out[(Ellipsis,) + lattice.band] = band
+    kept = out[..., : out.shape[-1] // 2 + 1]
+    for i, sign in np.ndindex(out.shape[:2]):
+        _complete_hermitian(kept[i, sign], out[i, sign], kept[i, 1 - sign])
 
 
-def _real_path(
-    lattice: FrequencyLattice, system: MassSystem, state: np.ndarray
-) -> bool:
-    """Whether N may use real transforms along the flow from this state.
+def _require_real(lattice: FrequencyLattice, state: np.ndarray, masses):
+    """ValueError when a field u_i or u_t,i of the state is not real to 1e-12 relative.
 
-    True when every coefficient is real and each physical field u_i, u_t,i of
-    the state has an imaginary part at most 1e-12 of its l2 norm.
+    A non-finite state passes, for the solvers' own guards to report.
     """
-    if any(mono.coefficient.imag for poly in system.polynomials for mono in poly):
-        return False
-    fields = np.stack(reconstruct(lattice, state, system.masses))
-    values = np.fft.ifftn(fields, axes=tuple(range(2, fields.ndim)))
-    norms = np.linalg.norm(values.reshape(2 * system.size, -1), axis=1)
-    imag = np.linalg.norm(values.imag.reshape(2 * system.size, -1), axis=1)
-    return bool(np.all(imag <= 1e-12 * norms))
+    fields = np.concatenate(reconstruct(lattice, state, masses))
+    values = np.fft.ifftn(fields, axes=range(1, fields.ndim)).reshape(len(fields), -1)
+    imag, norms = np.linalg.norm(values.imag, axis=1), np.linalg.norm(values, axis=1)
+    if np.any(imag > 1e-12 * norms):
+        raise ValueError("the solvers take real fields: u and u_t are not real")
+
+
+def _step_count(T: float, dt: float) -> int:
+    """round(T / dt) steps, at least one; ValueError when that is not finite."""
+    if not math.isfinite(T / dt):
+        raise ValueError(f"horizon / dt = {T / dt} is not a finite step count")
+    return max(1, int(round(T / dt)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,22 +299,19 @@ class _Stepper:
     stepper holds them for the band only and steps the band of a state.
     """
 
-    def __init__(
-        self, lattice: FrequencyLattice, system: MassSystem, dt: float, real: bool
-    ):
+    def __init__(self, lattice: FrequencyLattice, system: MassSystem, dt: float):
         self.lattice = lattice
         self.system = system
-        self.real = real
         masses = system.masses
-        self.half_phase = _band(lattice, _rotation(lattice, masses, 0.5 * dt), real)
-        inv2br = _band(lattice, _inverse_twice_bracket(lattice, masses)[:, 0], real)
-        brackets = _band(lattice, _brackets(lattice, masses)[:, 0], real)
+        self.half_phase = _band(lattice, _rotation(lattice, masses, 0.5 * dt))
+        inv2br = _band(lattice, _inverse_twice_bracket(lattice, masses)[:, 0])
+        brackets = _band(lattice, _brackets(lattice, masses)[:, 0])
         self.kick = dt * inv2br * np.sin(0.5 * dt * brackets)
         self.weight = (-1j * dt / 6.0) * inv2br[:, None]
         self.stage = np.empty_like(self.half_phase)
 
     def nonlinearity(self, u):
-        return _nonlinearity(self.lattice, self.system, u, self.real)
+        return _nonlinearity(self.lattice, self.system, u)
 
     def step(self, y):
         """Advance the state y by one step, in place."""
@@ -354,9 +349,10 @@ def evolve(
 ) -> Trajectory:
     """March a (K, 2, *grid) half-wave state to time T, sampling every stride.
 
-    The stride must divide the round(T / dt) steps, else ValueError.  The
-    stepper carries the band; each sample after the entry state is the one
-    before it rotated by the stride, with the band written in.  Aborts with
+    The stride must divide the round(T / dt) steps and the state's fields must
+    be real, else ValueError.  The stepper carries the band; each sample after
+    the entry state is the one before it rotated by the stride, with the band
+    written in.  Aborts with
     InstabilityError when the H^s norm of the whole state, both halves of
     every component, exceeds 1e6 times its initial value or turns non-finite:
     data at rest, u = 0 and u_t not, have a limit.
@@ -364,21 +360,22 @@ def evolve(
     if T <= 0 or dt <= 0 or sample_every < 1:
         raise ValueError("T, dt and sample_every must be positive")
     _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
-    steps = max(1, int(round(T / dt)))
+    steps = _step_count(T, dt)
     if steps % sample_every:
         raise ValueError(f"stride {sample_every} does not divide the {steps} steps")
     n_samples = steps // sample_every + 1
     _require_memory(n_samples * state.size * 16, f"{n_samples} samples")
-    stepper = _Stepper(lattice, system, dt, _real_path(lattice, system, state))
-    masses, real = system.masses, stepper.real
-    y = _band(lattice, state, real).astype(complex)
+    masses = system.masses
+    _require_real(lattice, state, masses)
+    stepper = _Stepper(lattice, system, dt)
+    y = _band(lattice, state).astype(complex)
     # the free flow keeps the norm outside the band, once it zeroes the Nyquist modes
-    outside = ~lattice.nyquist_mask
-    outside[lattice.band[False]] = False
-    weights = _hs_weights(lattice, masses, s)[:, :, outside]
-    rest = np.sum(weights * np.abs(state[:, :, outside]) ** 2)
+    half_root = _half_root(lattice, masses, s)
+    outside = ~lattice.nyquist_mask[..., : half_root.shape[-1]]
+    outside[lattice.band] = False
+    rest = np.sum(np.abs(half_root * outside * state[..., : outside.shape[-1]]) ** 2)
     # a real multiply on the float view of y: a complex one turns inf into nan
-    root = np.repeat(_band_root(lattice, masses, s, real), 2, axis=-1)
+    root = np.repeat(_band(lattice, half_root), 2, axis=-1)
     scratch = np.empty_like(y).view(float)
 
     def total_norm(y):
@@ -407,7 +404,7 @@ def evolve(
         if j % sample_every == 0:
             k = j // sample_every
             np.multiply(halves[k - 1], flow, out=halves[k])
-            _fill_band(lattice, y, real, halves[k])
+            _fill_band(lattice, y, halves[k])
     return Trajectory(np.arange(n_samples) * sample_every * dt, masses, lattice, halves)
 
 
@@ -451,7 +448,7 @@ def picard_iterate(
     iterate, the sup-in-time H^s distances between consecutive iterates, and
     the contraction factor and divergence flag of _contraction; divergence
     stops the iteration.  A sweep that produces non-finite values raises
-    InstabilityError.
+    InstabilityError, and a state whose fields are not real ValueError.
     """
     if iters < 2:
         raise ValueError("need at least two iterations to report a contraction")
@@ -459,14 +456,14 @@ def picard_iterate(
         raise ValueError("T and dt must be positive")
     _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
     masses = system.masses
-    n_levels = max(1, int(round(T / dt))) + 1
-    real = _real_path(lattice, system, state)
-    band = _band(lattice, state, real)
+    n_levels = _step_count(T, dt) + 1
+    band = _band(lattice, state)
     _require_memory(n_levels * band.size * 16, f"{n_levels} levels")
-    step = _band(lattice, _rotation(lattice, masses, dt), real)
-    inv2br = _band(lattice, _inverse_twice_bracket(lattice, masses), real)
+    _require_real(lattice, state, masses)
+    step = _band(lattice, _rotation(lattice, masses, dt))
+    inv2br = _band(lattice, _inverse_twice_bracket(lattice, masses))
     kick = -0.5j * dt * np.concatenate([inv2br, -inv2br], axis=1)
-    root = _band_root(lattice, masses, s, real)
+    root = _band(lattice, _half_root(lattice, masses, s))
     current = np.empty((n_levels,) + band.shape, dtype=complex)
     current[0] = band
     for j in range(1, n_levels):
@@ -480,7 +477,7 @@ def picard_iterate(
         # the new level_{j-1} + h_{j-1}, then level_j, then level_j + h_j
         distance = 0.0
         for j, level in enumerate(current):
-            h = kick * _nonlinearity(lattice, system, level.sum(1), real)
+            h = kick * _nonlinearity(lattice, system, level.sum(1))
             if j > 0:
                 carry *= step
                 carry += h
@@ -497,7 +494,7 @@ def picard_iterate(
     def complete():
         traj = free_trajectory(lattice, state, masses, np.arange(n_levels) * dt)
         for sample, level in zip(traj.halves[1:], current[1:]):
-            _fill_band(lattice, level, real, sample)
+            _fill_band(lattice, level, sample)
         return traj
 
     return PicardReport(tuple(distances), factor, diverged, complete)
@@ -564,7 +561,7 @@ def scattering_state(traj: Trajectory, s: float = 0.5) -> ScatteringResult:
 def conserved_energy(
     lattice: FrequencyLattice, state: np.ndarray, system: MassSystem
 ) -> float:
-    """Energy of a (K, 2, *grid) half-wave state under a gradient-type coupling.
+    """Energy of a real (K, 2, *grid) half-wave state under a gradient-type coupling.
 
     E = sum_i ( ||u_t||^2 + ||grad u||^2 + m^2 ||u||^2 ) / 2
         - (1/3) sum_i Re <N_i(u), u_i>.
@@ -573,9 +570,10 @@ def conserved_energy(
     truncated flow actually conserves.  Meaningful when the polynomials derive
     from a potential (e.g. the scalar N(u) = c u^2).
     """
-    # N vanishes off the band; it runs before reconstruct's whole fields exist
-    band = _band(lattice, state[:, 0] + state[:, 1], False)
-    cubic = np.real(np.sum(_nonlinearity(lattice, system, band)[:, 0] * np.conj(band)))
+    # N vanishes off the band of the kept half, whose columns but 0 count twice
+    band = _band(lattice, state[:, 0] + state[:, 1])
+    dot = np.real(_nonlinearity(lattice, system, band)[:, 0] * np.conj(band))
+    cubic = 2.0 * np.sum(dot) - np.sum(dot[..., 0])
     u, u_t = reconstruct(lattice, state, system.masses)
     quad = np.sum(np.abs(u_t) ** 2) + np.sum(
         _brackets(lattice, system.masses)[:, 0] ** 2 * np.abs(u) ** 2

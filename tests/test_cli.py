@@ -356,6 +356,23 @@ def test_a_stride_that_does_not_divide_the_steps_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("simulate", "[run]\ndt = 5e-324\n"),
+        ("picard", "[run]\nhorizon = 1e300\ndt = 1e-10\n"),
+    ],
+    ids=["simulate", "picard"],
+)
+def test_a_step_count_that_overflows_exits_2(command, config, tmp_path, capsys):
+    # horizon / dt is infinite: refused as a configuration, not a traceback
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "is not a finite step count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_verification_failure(tmp_path):
     path = write_config(
         tmp_path,
@@ -883,6 +900,26 @@ def test_verify_shell_refuses_strata_larger_than_memory(tmp_path, capsys, monkey
     assert main(["verify-shell", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "shell stratum" in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify-modulation", "verify-nonresonance"])
+def test_frequency_pairs_larger_than_memory_exit_2(
+    command, tmp_path, capsys, monkeypatch
+):
+    # 12 ladder rungs squared times 1.25e11 draws: refused from the count alone
+    def refuse(seed):
+        raise AssertionError("the sweep drew")
+
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**30)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    cfg = write_config(
+        tmp_path, "[run]\nseed = 0\nmax_radius = 1024\ndirections = 1000000000000\n"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "frequency pairs need" in err and err.rstrip().endswith("out of memory")
     assert not out.exists()
 
 

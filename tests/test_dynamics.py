@@ -4,7 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dealias_mask, random_field
+from conftest import (
+    ComplexSystem,
+    complex_products,
+    dealias_mask,
+    full_lawson,
+    join,
+    mirror,
+    random_field,
+    random_real_data,
+    real_form,
+    split,
+    two_buffer_picard,
+)
 from halfwave import dynamics, grid
 from halfwave.dynamics import (
     _contraction,
@@ -30,7 +42,6 @@ from halfwave.grid import (
 )
 from halfwave.system import (
     MassSystem,
-    Monomial,
     evaluate_nonlinearity,
     free_system,
     scalar_system,
@@ -137,8 +148,7 @@ def test_linear_exact_conserves_quadratic_energy():
 
 def test_step_free_system_is_exact_rotation():
     lat = make_lattice()
-    u = random_field(lat, np.random.default_rng(6)).coeffs[None]
-    u_t = random_field(lat, np.random.default_rng(7)).coeffs[None]
+    u, u_t = random_real_data(lat, np.random.default_rng(6))
     state = decompose(lat, u, u_t, (1.0,))
     traj = evolve(lat, state, free_system((1.0,)), T=0.3, dt=0.3)
     assert traj.times.tolist() == [0.0, 0.3]
@@ -166,7 +176,7 @@ def test_evolve_zero_data_stays_zero():
 
 def test_evolve_free_matches_linear_exact():
     lat = make_lattice(n=32)
-    u0, ut0 = random_data(lat, np.random.default_rng(8), decay=2.0)
+    u0, ut0 = random_real_data(lat, np.random.default_rng(8), decay=2.0)
     system = free_system((1.0,))
     state = decompose(lat, u0, ut0, (1.0,))
     traj = evolve(lat, state, system, T=5.0, dt=0.05, sample_every=20)
@@ -227,7 +237,7 @@ def test_energy_conservation_short_run():
 
 def test_picard_free_system_immediate_fixed_point():
     lat = make_lattice()
-    state = decompose(lat, *random_data(lat, np.random.default_rng(9)), (1.0,))
+    state = decompose(lat, *random_real_data(lat, np.random.default_rng(9)), (1.0,))
     report = picard_iterate(lat, state, free_system((1.0,)), T=1.0, dt=0.1, iters=2)
     assert not report.diverged
     assert report.contraction_factor == 0.0
@@ -413,56 +423,38 @@ def test_picard_map_scales_quadratically_with_the_data():
 
 
 # ---------------------------------------------------------------------------
-# the real-field path, in-place Picard and the memory estimate
+# real fields, complex systems in their real form, in-place Picard and the
+# memory estimate
 
 
-def refuse_real_transforms(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("real transform on the complex path")
-
-    monkeypatch.setattr(np.fft, "rfftn", fail)
-
-
-def test_real_system_and_state_take_the_real_path(monkeypatch):
-    # the converse of the two tests below: the patch does catch the real path
-    lat = make_lattice(n=16)
-    refuse_real_transforms(monkeypatch)
-    with pytest.raises(AssertionError, match="real transform"):
-        evolve(lat, bump_state(lat, amp=0.1), scalar_system(), T=0.1, dt=0.05)
-
-
-def test_complex_coefficients_take_the_complex_path(monkeypatch):
-    lat = make_lattice(n=16)
-    state = bump_state(lat, amp=0.1)
-    system = scalar_system(coefficient=1.0 + 0.5j)
-    refuse_real_transforms(monkeypatch)
-    evolve(lat, state, system, T=0.1, dt=0.05)
-    picard_iterate(lat, state, system, T=0.1, dt=0.05, iters=2)
-
-
-def test_non_real_state_takes_the_complex_path(monkeypatch):
+def test_solvers_reject_a_non_real_state():
+    # a complex field is run as its real and imaginary parts; given as one
+    # field, it is refused once, at entry
     lat = make_lattice(n=16)
     u = 0.1 * random_field(lat, np.random.default_rng(11)).coeffs[None]
     state = decompose(lat, u, zeros(lat), (1.0,))
-    refuse_real_transforms(monkeypatch)
-    evolve(lat, state, scalar_system(), T=0.1, dt=0.05)
-    picard_iterate(lat, state, scalar_system(), T=0.1, dt=0.05, iters=2)
+    for solve in (evolve, lambda *args: picard_iterate(*args, iters=2)):
+        with pytest.raises(ValueError, match="real fields"):
+            solve(lat, state, scalar_system(), 0.1, 0.05)
+    # a real u with an imaginary u_t is refused too
+    state = decompose(lat, zeros(lat), 1j * gaussian_bump(lat, 0.1).coeffs[None], (1.0,))
+    with pytest.raises(ValueError, match="real fields"):
+        evolve(lat, state, scalar_system(), 0.1, 0.05)
 
 
-def test_real_path_matches_complex_path(monkeypatch):
+def test_real_path_matches_complex_path():
+    # a complex coefficient and a conjugated factor, run by evolve through the
+    # system's real form, against a Lawson-RK4 on the complex products
     lat = make_lattice(n=32)
-    state = bump_state(lat, amp=0.3)
-    real = evolve(lat, state, scalar_system(), T=1.0, dt=0.05, sample_every=5)
-    monkeypatch.setattr(dynamics, "_real_path", lambda *args: False)
-    forced = evolve(lat, state, scalar_system(), T=1.0, dt=0.05, sample_every=5)
-    scale = np.max(np.abs(real.halves))
-    assert np.max(np.abs(real.halves - forced.halves)) < 1e-13 * scale
-
-
-def mirror(a, dim):
-    """a(-k) on the last dim axes, index 0 of each to itself and i > 0 to n - i."""
-    axes = tuple(range(a.ndim - dim, a.ndim))
-    return np.roll(np.flip(a, axes), 1, axes)
+    system = ComplexSystem((1.0,), (((1.0 + 0.5j, (0, False), (0, True)),),))
+    u = (0.3 + 0.2j) * gaussian_bump(lat, 1.0).coeffs[None]
+    u_t = 0.1j * gaussian_bump(lat, 1.0, 1.5).coeffs[None]
+    state = decompose(lat, u, u_t, system.masses)
+    traj = evolve(lat, split(state, 2, state=True), real_form(system), 1.0, 0.05, 5)
+    want = full_lawson(
+        lat, state, system.masses, lambda z: complex_products(lat, system, z), 0.05, 20
+    )
+    assert np.max(np.abs(join(traj.halves[-1]) - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -481,66 +473,30 @@ def test_real_path_samples_are_hermitian_paired(dim):
         assert np.array_equal(sample[dropped], paired[dropped])
 
 
-def two_buffer_picard(lat, state, system, T, dt, iters, s=0.5):
-    """Picard sweeps as they were: two whole iterates and a full rotation table."""
-    dim = lat.spec.dim
-    signs = np.array([1.0, -1.0]).reshape((1, 2) + (1,) * dim)
-    br = np.stack([lat.bracket(m) for m in system.masses])[:, None]
-    inv2br = ~lat.nyquist_mask / (2.0 * br)
-    weights = lat.cell_volume * br ** (2.0 * s)
-    times = np.arange(max(1, int(round(T / dt))) + 1) * dt
-
-    def rotation(t):
-        phase = np.exp(1j * signs * t * br)
-        phase[:, :, lat.nyquist_mask] = 0.0
-        return phase
-
-    def nonlinearity(y):
-        fields = tuple(SpectralField(lat, p + q) for p, q in y)
-        out = evaluate_nonlinearity(system, fields)
-        return np.stack([f.coeffs for f in out])[:, None]
-
-    rotations = np.stack([rotation(t) for t in times])
-    current = state * rotations
-    distances = []
-    for _ in range(iters):
-        nxt = np.empty_like(current)
-        acc = np.zeros_like(state)
-        prev = None
-        distance = 0.0
-        for j in range(times.size):
-            scaled = nonlinearity(current[j]) * inv2br
-            cur = np.conj(rotations[j]) * scaled
-            if j > 0:
-                acc = acc + 0.5 * dt * (prev + cur)
-            prev = cur
-            nxt[j] = rotations[j] * (state - 1j * signs * acc)
-            step = np.sqrt(np.sum(weights * np.abs(nxt[j] - current[j]) ** 2))
-            distance = max(distance, float(step))
-        distances.append(distance)
-        current = nxt
-    return current, distances
-
-
 def test_in_place_picard_matches_the_two_buffer_sweep():
-    # a complex-path system (complex coefficient, conjugated factor, two
-    # masses): the rotated-frame recursion is the same composite trapezoid
-    # as the sweep over a full rotation table, up to rounding
+    # a complex coefficient, a conjugated factor and two masses, through the
+    # real form: the rotated-frame recursion is the same composite trapezoid
+    # as the sweep over a full rotation table on the complex products, up to
+    # rounding, and the real form keeps the summed H^s distances
     lat = make_lattice(n=16)
-    system = MassSystem(
+    system = ComplexSystem(
         (1.0, 1.5),
         (
-            (Monomial(0.5 + 0.25j, ((0, False), (1, True))),),
-            (Monomial(-0.75, ((0, False), (0, False))),),
+            ((0.5 + 0.25j, (0, False), (1, True)),),
+            ((-0.75, (0, False), (0, False)),),
         ),
     )
     u, u_t = random_data(lat, np.random.default_rng(12), k=2, decay=2.0)
     state = decompose(lat, 0.05 * u, 0.05 * u_t, system.masses)
-    report = picard_iterate(lat, state, system, T=1.0, dt=0.1, iters=4)
-    final, distances = two_buffer_picard(lat, state, system, T=1.0, dt=0.1, iters=4)
+    report = picard_iterate(
+        lat, split(state, 2, state=True), real_form(system), T=1.0, dt=0.1, iters=4
+    )
+    final, distances = two_buffer_picard(
+        lat, state, system.masses, lambda z: complex_products(lat, system, z), 1.0, 0.1, 4
+    )
     assert not report.diverged
     scale = np.max(np.abs(final))
-    assert np.max(np.abs(report.final.halves - final)) < 1e-13 * scale
+    assert np.max(np.abs(join(report.final.halves, axis=1) - final)) < 1e-13 * scale
     for ours, theirs in zip(report.successive_distances[:2], distances[:2]):
         assert ours == pytest.approx(theirs, rel=1e-9, abs=0.0)
 
@@ -548,13 +504,11 @@ def test_in_place_picard_matches_the_two_buffer_sweep():
 def full_picard(lat, state, system, T, dt, iters, s=0.5):
     """Picard sweeps over the whole iterate with masked products, as before the band.
 
-    Only scalar systems N = c u^2; returns the last iterate and the distances.
+    Returns the last iterate and the distances.
     """
-    real = dynamics._real_path(lat, system, state)
-    (mono,) = system.polynomials[0]
     n, shape = lat.spec.points_per_axis, lat.spec.shape
     axes = tuple(range(lat.spec.dim))
-    keep = dealias_mask(lat)[..., : n // 2 + 1] if real else dealias_mask(lat)
+    keep = dealias_mask(lat)[..., : n // 2 + 1]
     br = np.stack([lat.bracket(m) for m in system.masses])[:, None]
     inv2br = ~lat.nyquist_mask / (2.0 * br)
     kick = -0.5j * dt * np.concatenate([inv2br, -inv2br], axis=1)
@@ -562,17 +516,16 @@ def full_picard(lat, state, system, T, dt, iters, s=0.5):
     step = dynamics._rotation(lat, system.masses, dt)
 
     def nonlinearity(u):
+        kept = (f[..., : n // 2 + 1] * keep for f in u)
+        v = [np.fft.irfftn(f, shape, axes, norm="ortho") for f in kept]
         out = np.empty_like(u)
-        for field, full in zip(u, out):
-            if real:
-                kept = field[..., : n // 2 + 1] * keep
-                v = np.fft.irfftn(kept, shape, axes, norm="ortho")
-                product = mono.coefficient.real * (v * v)
-                spectrum = np.fft.rfftn(product, norm="ortho") * keep
-                dynamics._complete_hermitian(spectrum, full)
-            else:
-                v = np.fft.ifftn(field * keep, norm="ortho")
-                full[...] = np.fft.fftn(mono.coefficient * (v * v), norm="ortho") * keep
+        for poly, whole in zip(system.polynomials, out):
+            total = np.zeros(shape)
+            for mono in poly:
+                j, k = mono.factors
+                total += mono.coefficient * (v[j] * v[k])
+            spectrum = np.fft.rfftn(total, norm="ortho") * keep
+            dynamics._complete_hermitian(spectrum, whole)
         return out[:, None]
 
     n_levels = max(1, int(round(T / dt))) + 1
@@ -598,11 +551,16 @@ def full_picard(lat, state, system, T, dt, iters, s=0.5):
 
 
 def band_and_full_picard(dim, coefficient):
-    """A Picard report and the whole-iterate sweep of the same 16^dim problem."""
+    """A Picard report and the whole-iterate sweep of the same 16^dim problem.
+
+    A complex coefficient runs c z^2 of a real bump through its real form.
+    """
     lat = make_lattice(dim=dim, n=16)
     state = bump_state(lat, amp=0.05)
-    system = scalar_system(coefficient=coefficient)
-    assert dynamics._real_path(lat, system, state) == (coefficient == 1.0)
+    system = scalar_system(coefficient=coefficient.real)
+    if coefficient.imag:
+        pair = ComplexSystem((1.0,), (((coefficient, (0, False), (0, False)),),))
+        state, system = split(state, dim, state=True), real_form(pair)
     report = picard_iterate(lat, state, system, T=1.0, dt=0.1, iters=4)
     return lat, report, *full_picard(lat, state, system, T=1.0, dt=0.1, iters=4)
 
@@ -618,7 +576,7 @@ def test_picard_band_is_the_band_of_the_full_iterate(dim, coefficient):
     # outside the band every iterate is the free flow, so the band levels
     # evolve exactly as they did inside the whole iterate
     lat, report, full, distances = band_and_full_picard(dim, coefficient)
-    band = (Ellipsis,) + lat.band[coefficient == 1.0]
+    band = (Ellipsis,) + lat.band
     assert np.array_equal(report.final.halves[band], full[band])
     assert report.successive_distances[0] == pytest.approx(distances[0], rel=1e-12)
 
@@ -626,13 +584,13 @@ def test_picard_band_is_the_band_of_the_full_iterate(dim, coefficient):
 @coefficients
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_picard_final_is_the_full_iterate(dim, coefficient):
-    # outside the band final is the free flow, completed on the real path
+    # outside the band final is the free flow, and the dropped half completed
     _, report, full, _ = band_and_full_picard(dim, coefficient)
     assert np.max(np.abs(report.final.halves - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 def test_picard_aborts_on_a_non_finite_sweep(monkeypatch):
-    def poisoned(system, fields, real=False, band=False):
+    def poisoned(system, fields, band=False):
         return tuple(SpectralField(f.lattice, f.coeffs * np.nan) for f in fields)
 
     lat = make_lattice(n=16)

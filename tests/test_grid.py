@@ -172,8 +172,12 @@ def test_dealias_mask_axis_rule():
     assert w[5, 0] == 1.0 and w[0, 5] == 1.0 and w[5, 5] == 1.0
     assert w[6, 0] == 0.0 and w[0, 6] == 0.0 and w[11, 2] == 1.0
     assert w[8, 0] == 0.0
-    # the real half layout keeps the same band's columns 0..5 of its 9
-    assert lat.band[True][-1].ravel().tolist() == [0, 1, 2, 3, 4, 5]
+    # the band of the real half layout keeps the columns 0..5 of its 9
+    assert lat.band[-1].ravel().tolist() == [0, 1, 2, 3, 4, 5]
+    assert lat.band[0].ravel().tolist() == [0, 1, 2, 3, 4, 5, 11, 12, 13, 14, 15]
+    band = np.zeros(lat.spec.shape)
+    band[lat.band] = 1.0
+    assert np.array_equal(band[:, :9], w[:, :9])
 
 
 def test_random_field_is_nyquist_free():

@@ -9,13 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_field
+from conftest import (
+    ComplexSystem,
+    complex_products,
+    full_lawson,
+    join,
+    random_field,
+    random_real_field,
+    real_form,
+    split,
+    two_buffer_picard,
+)
 from halfwave.cli import load_trajectory, save_trajectory
 from halfwave.dynamics import (
     Trajectory,
     _complete_hermitian,
     decompose,
     evolve,
+    picard_iterate,
     reconstruct,
 )
 from halfwave.grid import (
@@ -26,7 +37,7 @@ from halfwave.grid import (
     lp_weights,
     sobolev_norm,
 )
-from halfwave.system import evaluate_nonlinearity, free_system, scalar_system
+from halfwave.system import free_system, scalar_system
 from halfwave.variation import modulation_weights
 
 dims = st.integers(1, 3)
@@ -45,10 +56,10 @@ lattices = st.builds(
 )
 
 
-def random_data(lat, rng, k, decay=0.0):
+def random_data(lat, rng, k, decay=0.0, field=random_field):
     """(K, *grid) Nyquist-free position coefficients, then velocities."""
     return tuple(
-        np.stack([random_field(lat, rng, decay=decay).coeffs for _ in range(k)])
+        np.stack([field(lat, rng, decay=decay).coeffs for _ in range(k)])
         for _ in range(2)
     )
 
@@ -123,7 +134,8 @@ def test_hs_kernels_match_per_field_sobolev_norm(dim, mass_list, s, n_times, see
 def test_free_steps_conserve_each_half(dim, mass_list, dt, seed):
     lat = lattice(dim)
     rng = np.random.default_rng(seed)
-    state = decompose(lat, *random_data(lat, rng, len(mass_list)), mass_list)
+    data = random_data(lat, rng, len(mass_list), field=random_real_field)
+    state = decompose(lat, *data, mass_list)
     traj = evolve(lat, state, free_system(mass_list), T=4 * dt, dt=dt)
     norms = np.array(
         [[[sobolev_norm(SpectralField(lat, h), 0.0) for h in pair] for pair in state]
@@ -214,58 +226,73 @@ def test_modulation_low_and_high_complement(lat, n_times, dt, sign, mass):
     assert np.all(total[:, ~live] == 0.0)
 
 
-def full_lawson(lat, state, system, dt, steps):
-    """Textbook Lawson-RK4 on the whole (K, 2, *grid) state, N on full spectra."""
-    br = np.stack([lat.bracket(m) for m in system.masses])[:, None]
-    live = ~lat.nyquist_mask
-    sign = np.array([1.0, -1.0]).reshape((1, 2) + (1,) * lat.spec.dim)
-    half, whole = (np.exp(1j * sign * t * br) * live for t in (0.5 * dt, dt))
-    weight = -0.5j * sign * live / br
-
-    def slope(y):
-        fields = tuple(SpectralField(lat, f) for f in y.sum(axis=1))
-        products = evaluate_nonlinearity(system, fields)
-        return weight * np.stack([f.coeffs for f in products])[:, None]
-
-    y = state.astype(complex)
-    for _ in range(steps):
-        k1 = slope(y)
-        k2 = slope(half * (y + 0.5 * dt * k1))
-        k3 = slope(half * y + 0.5 * dt * k2)
-        k4 = slope(whole * y + dt * half * k3)
-        y = whole * y + dt / 6.0 * (whole * k1 + 2.0 * half * (k2 + k3) + k4)
-    return y
-
-
 @properties
 @given(
     dim=dims,
     n=st.sampled_from([8, 16]),
-    real=st.booleans(),
     coupling=st.floats(0.5, 4.0),
     amplitude=st.floats(0.01, 0.5),
     steps=st.integers(2, 6),
     seed=seeds,
 )
-def test_band_stepper_matches_a_full_stepper(
-    dim, n, real, coupling, amplitude, steps, seed
-):
+def test_band_stepper_matches_a_full_stepper(dim, n, coupling, amplitude, steps, seed):
     # the stepper carries only the 2/3 band and rotates the rest freely; a
     # Lawson-RK4 over every mode of the state takes the same steps
     lat = FrequencyLattice(GridSpec(dim, 8.0, n))
     rng = np.random.default_rng(seed)
-    shape = (1,) + lat.spec.shape
-    if real:
-        axes = tuple(range(1, dim + 1))
-        u, u_t = (
-            np.fft.fftn(rng.standard_normal(shape), axes=axes, norm="ortho")
-            for _ in range(2)
-        )
-    else:
-        u, u_t = (random_field(lat, rng).coeffs[None] for _ in range(2))
+    u, u_t = (random_real_field(lat, rng).coeffs[None] for _ in range(2))
     state = decompose(lat, amplitude * u, amplitude * u_t, (1.0,))
     system = scalar_system(1.0, coupling)
     dt = 0.05
     banded = evolve(lat, state, system, steps * dt, dt, sample_every=steps).halves[-1]
-    full = full_lawson(lat, state, system, dt, steps)
+
+    def products(z):
+        return complex_products(lat, ComplexSystem.of(system), z)
+
+    full = full_lawson(lat, state, system.masses, products, dt, steps)
     assert np.max(np.abs(banded - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+coefficients = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@properties
+@given(
+    dim=dims,
+    mass_pair=st.tuples(masses, masses),
+    c=st.tuples(coefficients, coefficients),
+    conjugated=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    amplitude=st.floats(0.01, 0.2),
+    steps=st.integers(2, 6),
+    seed=seeds,
+)
+def test_complex_systems_run_through_their_real_form(
+    dim, mass_pair, c, conjugated, amplitude, steps, seed
+):
+    # two complex fields coupled by c0 z0 z1 and c1 z0 z0, conjugation flags
+    # drawn: evolve of the real form, mapped back as a + ib, takes the steps of
+    # a Lawson-RK4 on the complex products, and Picard's distances are the
+    # two-buffer sweep's, since the real form keeps the summed H^s norm
+    lat = FrequencyLattice(GridSpec(dim, 8.0, 8))
+    f0, f1, f2 = conjugated
+    system = ComplexSystem(
+        mass_pair, (((c[0], (0, f0), (1, f1)),), ((c[1], (0, f2), (0, False)),))
+    )
+    rng = np.random.default_rng(seed)
+    u, u_t = random_data(lat, rng, 2, decay=1.0)
+    state = decompose(lat, amplitude * u, amplitude * u_t, mass_pair)
+    real_state, real_system = split(state, dim, state=True), real_form(system)
+
+    def products(z):
+        return complex_products(lat, system, z)
+
+    dt = 0.05
+    stepped = evolve(lat, real_state, real_system, steps * dt, dt, sample_every=steps)
+    full = full_lawson(lat, state, mass_pair, products, dt, steps)
+    assert np.max(np.abs(join(stepped.halves[-1]) - full)) <= 1e-13 * np.max(np.abs(full))
+
+    report = picard_iterate(lat, real_state, real_system, 0.2, dt, iters=2)
+    _, distances = two_buffer_picard(lat, state, mass_pair, products, 0.2, dt, 2)
+    # at c = 0 the two-buffer sweep's distances are the rounding of the state
+    for ours, theirs in zip(report.successive_distances, distances):
+        assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-14 * amplitude)

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dealias_mask, random_field
-from halfwave import grid
-from halfwave import system as system_module
+from conftest import (
+    ComplexSystem,
+    complex_products,
+    dealias_mask,
+    join,
+    random_real_field,
+    real_form,
+    split,
+)
 from halfwave.dynamics import _complete_hermitian
 from halfwave.grid import FrequencyLattice, GridSpec, SpectralField
 from halfwave.system import (
@@ -28,9 +34,17 @@ def make_lattice(n=16):
 
 
 def single_mode(lat, mode, amp):
+    """The real field of one ortho coefficient amp at mode and its conjugate at -mode."""
+    n = lat.spec.points_per_axis
     c = np.zeros(lat.spec.shape, dtype=complex)
-    c[tuple(m % lat.spec.points_per_axis for m in mode)] = amp
+    c[tuple(-m % n for m in mode)] = np.conj(amp)
+    c[tuple(m % n for m in mode)] = amp
     return SpectralField(lat, c)
+
+
+def full(lat, half):
+    """The full spectrum of a real field from its half spectrum."""
+    return _complete_hermitian(half, np.empty(lat.spec.shape, dtype=complex))
 
 
 def test_system_validation():
@@ -40,11 +54,30 @@ def test_system_validation():
         MassSystem((1.0, -1.0), ((), ()))
     with pytest.raises(ValueError):
         MassSystem((1.0,), ((), ()))
-    bad = Monomial(1.0, ((0, False), (3, False)))
+    bad = Monomial(1.0, (0, 3))
     with pytest.raises(ValueError):
         MassSystem((1.0, 1.0), ((bad,), ()))
     with pytest.raises(ValueError):
-        Monomial(1.0, ((0, False),))
+        Monomial(1.0, (0,))
+
+
+@pytest.mark.parametrize(
+    "factors", [("a", 0), (0, 1.0), (True, 0), (0, False), (-1, 0), (np.int64(0), 0)]
+)
+def test_monomial_checks_index_types(factors):
+    # the type is checked before any comparison, and a bool is not an index
+    with pytest.raises(ValueError, match="bad component index"):
+        Monomial(1.0, factors)
+
+
+def test_monomial_rejects_a_non_real_coefficient():
+    for coefficient in (1.0 + 0.5j, 1.0 + 0j, np.complex128(2.0), "1.0"):
+        with pytest.raises(ValueError, match="coefficient must be real"):
+            Monomial(coefficient, (0, 0))
+    with pytest.raises(ValueError, match="coefficient must be real"):
+        scalar_system(1.0, 1.0 + 0.5j)
+    for coefficient in (2, -1.5, np.float64(0.25)):
+        assert Monomial(coefficient, (0, 1)).coefficient == coefficient
 
 
 def test_check_nonresonance():
@@ -59,79 +92,80 @@ def test_check_nonresonance():
 
 
 def test_square_of_single_mode():
-    # oracle: one ortho coefficient a at mode j squares to a^2/N^{d/2} at 2j
+    # oracle: the real field of ortho coefficients a at mode j and conj(a) at
+    # -j squares to a^2/N^{d/2} at 2j and 2|a|^2/N^{d/2} at 0
     lat = make_lattice()
     u = single_mode(lat, (2, 1), 3.0)
     (out,) = evaluate_nonlinearity(scalar_system(), (u,))
     assert out.coeffs[4, 2] == pytest.approx(0.5625, rel=1e-12)
-    mask = np.ones(lat.spec.shape, dtype=bool)
-    mask[4, 2] = False
+    assert out.coeffs[0, 0] == pytest.approx(1.125, rel=1e-12)
+    mask = np.ones(out.coeffs.shape, dtype=bool)
+    mask[4, 2] = mask[0, 0] = False
     assert np.max(np.abs(out.coeffs[mask])) < 1e-14
 
 
 def test_square_above_dealias_cap_vanishes():
     lat = make_lattice()
-    # mode (4,0) doubles to (8,0): above the 2/3 cutoff (index 5), so removed
+    # mode (4,0) doubles to (8,0): above the 2/3 cutoff (index 5), so removed;
+    # only the mean 2|a|^2/N^{d/2} of the real field's square is left
     u = single_mode(lat, (4, 0), 1.0)
     (out,) = evaluate_nonlinearity(scalar_system(), (u,))
+    assert out.coeffs[0, 0] == pytest.approx(0.125, rel=1e-12)
+    out.coeffs[0, 0] = 0.0
     assert np.max(np.abs(out.coeffs)) < 1e-14
 
 
 def test_conjugation_flag():
+    # z conj(z) of the complex mode z = 3 e^{i(2,1)x}/N^{d/2}, through its real
+    # form: the constant 9/N^{d/2} and nothing else
     lat = make_lattice()
-    u = single_mode(lat, (2, 1), 3.0)
-    mono = Monomial(1.0 + 0j, ((0, False), (0, True)))
-    system = MassSystem((1.0,), ((mono,),))
-    (out,) = evaluate_nonlinearity(system, (u,))
-    assert out.coeffs[0, 0] == pytest.approx(0.5625, rel=1e-12)
-    mask = np.ones(lat.spec.shape, dtype=bool)
-    mask[0, 0] = False
-    assert np.max(np.abs(out.coeffs[mask])) < 1e-14
+    z = np.zeros((1,) + lat.spec.shape, dtype=complex)
+    z[0, 2, 1] = 3.0
+    system = ComplexSystem((1.0,), (((1.0, (0, False), (0, True)),),))
+    fields = tuple(SpectralField(lat, f) for f in split(z, 2))
+    out = evaluate_nonlinearity(real_form(system), fields)
+    got = join(np.stack([full(lat, f.coeffs) for f in out]))[0]
+    assert np.max(np.abs(got - complex_products(lat, system, z)[0])) < 1e-14
+    assert got[0, 0] == pytest.approx(0.5625, rel=1e-12)
+    got[0, 0] = 0.0
+    assert np.max(np.abs(got)) < 1e-14
 
 
-def test_complex_branch_transforms_each_field_once(monkeypatch):
-    # u conj(u) + v u reads u with and without conjugation: one transform each
+def test_nonlinearity_transforms_each_field_once(monkeypatch):
+    # u u + v u reads u twice and v once: one inverse transform each
     lat = make_lattice()
     rng = np.random.default_rng(4)
-    fields = tuple(
-        SpectralField(lat, rng.standard_normal(lat.spec.shape) * (1 + 0.5j)) for _ in range(2)
-    )
-    monos = (
-        Monomial(2.0 - 1.0j, ((0, False), (0, True))),
-        Monomial(0.5 + 0j, ((1, False), (0, False))),
-    )
+    fields = tuple(random_real_field(lat, rng) for _ in range(2))
+    monos = (Monomial(2.0, (0, 0)), Monomial(0.5, (1, 0)))
     system = MassSystem((1.0, 1.0), (monos, monos[:1]))
     calls = []
+    irfftn = np.fft.irfftn
 
-    def counted(field):
-        calls.append(field)
-        return grid.inverse_transform(field)
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return irfftn(*args, **kwargs)
 
-    monkeypatch.setattr(system_module, "inverse_transform", counted)
+    monkeypatch.setattr(np.fft, "irfftn", counted)
     out = evaluate_nonlinearity(system, fields)
     assert len(calls) == 2
-    # the same products as transforming once per (field, conjugation) pair
-    keep = dealias_mask(lat)
-    values = [grid.inverse_transform(SpectralField(lat, f.coeffs * keep)) for f in fields]
-    u, v = values
-    for poly, got in zip(((u * np.conj(u), v * u), (u * np.conj(u),)), out):
-        total = np.zeros(lat.spec.shape, dtype=complex)
-        for mono, product in zip(monos, poly):
-            total += mono.coefficient * product
-        assert np.array_equal(got.coeffs, np.fft.fftn(total, norm="ortho") * keep)
+    # the same products as the complex reference
+    coeffs = np.stack([f.coeffs for f in fields])
+    want = complex_products(lat, ComplexSystem.of(system), coeffs)
+    for got, spectrum in zip(out, want):
+        assert np.max(np.abs(full(lat, got.coeffs) - spectrum)) < 1e-13
 
 
 def test_bilinearity_cross_terms():
     lat = make_lattice()
     rng = np.random.default_rng(2)
-    u = random_field(lat, rng, decay=2.0)
-    v = random_field(lat, rng, decay=2.0)
+    u = random_real_field(lat, rng, decay=2.0)
+    v = random_real_field(lat, rng, decay=2.0)
     sys1 = scalar_system(coefficient=1.0)
     (nu,) = evaluate_nonlinearity(sys1, (u,))
     (nv,) = evaluate_nonlinearity(sys1, (v,))
     (nuv,) = evaluate_nonlinearity(sys1, (SpectralField(lat, u.coeffs + v.coeffs),))
     # N(u+v) - N(u) - N(v) = 2 * dealias(u*v)
-    mono = Monomial(2.0 + 0j, ((0, False), (1, False)))
+    mono = Monomial(2.0, (0, 1))
     cross_sys = MassSystem((1.0, 1.0), ((mono,), ()))
     cross, _ = evaluate_nonlinearity(cross_sys, (u, v))
     err = nuv.coeffs - nu.coeffs - nv.coeffs - cross.coeffs
@@ -141,10 +175,10 @@ def test_bilinearity_cross_terms():
 def test_translation_commutes():
     lat = make_lattice(n=32)
     rng = np.random.default_rng(9)
-    u = random_field(lat, rng, decay=2.0)
+    u = random_real_field(lat, rng, decay=2.0)
     xi = lat.axis_frequencies
     shift = np.exp(-1j * (0.7 * xi[:, None] + 1.3 * xi[None, :]))
-    translate = lambda f: SpectralField(lat, f.coeffs * shift)
+    translate = lambda f: SpectralField(lat, f.coeffs * shift[:, : f.coeffs.shape[-1]])
     sys1 = scalar_system()
     (a,) = evaluate_nonlinearity(sys1, (translate(u),))
     b = translate(evaluate_nonlinearity(sys1, (u,))[0])
@@ -155,11 +189,11 @@ def test_coupled_system_indices():
     lat = make_lattice()
     u = single_mode(lat, (1, 0), 2.0)
     v = single_mode(lat, (0, 1), 5.0)
-    mono = Monomial(1j, ((1, False), (1, False)))
+    mono = Monomial(3.0, (1, 1))
     system = MassSystem((1.0, 2.0), ((mono,), ()))
     out1, out2 = evaluate_nonlinearity(system, (u, v))
-    # component 1 sees i * v^2 at mode (0,2); component 2 has no terms
-    assert out1.coeffs[0, 2] == pytest.approx(1j * 25.0 / 16.0, rel=1e-12)
+    # component 1 sees 3 v^2 at mode (0,2); component 2 has no terms
+    assert out1.coeffs[0, 2] == pytest.approx(3.0 * 25.0 / 16.0, rel=1e-12)
     assert np.max(np.abs(out2.coeffs)) == 0.0
 
 
@@ -203,8 +237,8 @@ def test_resonance_identity_on_equal_diagonal():
 
 def test_free_system_evaluates_to_zero():
     lat = make_lattice()
-    u = random_field(lat, np.random.default_rng(1))
-    v = random_field(lat, np.random.default_rng(2))
+    u = random_real_field(lat, np.random.default_rng(1))
+    v = random_real_field(lat, np.random.default_rng(2))
     out = evaluate_nonlinearity(free_system((1.0, 2.0)), (u, v))
     assert all(np.max(np.abs(f.coeffs)) == 0 for f in out)
 
@@ -224,39 +258,40 @@ def test_free_system_evaluates_to_zero():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_real_branch_matches_complex_products(dim, k, terms, seed):
-    # real coefficients on real fields, some factors conjugated: the half
-    # spectrum route and the full complex route give the same spectra
+    # real coefficients on real fields, where a conjugation flag is an
+    # identity: the half spectrum route gives the complex reference's spectra
     lat = FrequencyLattice(GridSpec(dim, 7.0, 8))
     rng = np.random.default_rng(seed)
-    fields = tuple(
-        SpectralField(lat, np.fft.fftn(rng.standard_normal(lat.spec.shape), norm="ortho"))
-        for _ in range(k)
-    )
-    polys = [[] for _ in range(k)]
+    fields = tuple(random_real_field(lat, rng) for _ in range(k))
+    flagged = [[] for _ in range(k)]
     for n, (c, a, ca, b, cb) in enumerate(terms):
-        polys[n % k].append(Monomial(c, ((a % k, ca), (b % k, cb))))
-    system = MassSystem((1.0,) * k, tuple(tuple(p) for p in polys))
-    complex_out = evaluate_nonlinearity(system, fields)
-    real_out = evaluate_nonlinearity(system, fields, real=True)
-    for want, got in zip(complex_out, real_out):
-        full = _complete_hermitian(got.coeffs, np.empty_like(want.coeffs))
-        scale = max(1.0, np.max(np.abs(want.coeffs)))
-        assert np.max(np.abs(full - want.coeffs)) <= 1e-13 * scale
+        flagged[n % k].append((c, (a % k, ca), (b % k, cb)))
+    reference = ComplexSystem((1.0,) * k, tuple(tuple(p) for p in flagged))
+    system = MassSystem(
+        reference.masses,
+        tuple(tuple(Monomial(c, (a, b)) for c, (a, _), (b, _) in p) for p in flagged),
+    )
+    want = complex_products(lat, reference, np.stack([f.coeffs for f in fields]))
+    for spectrum, got in zip(want, evaluate_nonlinearity(system, fields)):
+        scale = max(1.0, np.max(np.abs(spectrum)))
+        assert np.max(np.abs(full(lat, got.coeffs) - spectrum)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_real_branch_takes_either_layout_and_the_complex_one_full_only(dim):
+    # N takes a real field's full or half spectrum; the complex reference,
+    # the former complex branch, takes full spectra only
     lat = FrequencyLattice(GridSpec(dim, 7.0, 8))
     values = np.random.default_rng(dim).standard_normal(lat.spec.shape)
-    full = SpectralField(lat, np.fft.fftn(values, norm="ortho"))
+    full_field = SpectralField(lat, np.fft.fftn(values, norm="ortho"))
     half = SpectralField(lat, np.fft.rfftn(values, norm="ortho"))
     assert half.coeffs.shape == lat.spec.shape[:-1] + (5,)
     system = scalar_system(1.0, 2.0)
-    (from_full,) = evaluate_nonlinearity(system, (full,), real=True)
-    (from_half,) = evaluate_nonlinearity(system, (half,), real=True)
+    (from_full,) = evaluate_nonlinearity(system, (full_field,))
+    (from_half,) = evaluate_nonlinearity(system, (half,))
     assert from_half.coeffs.shape == half.coeffs.shape
     assert np.max(np.abs(from_full.coeffs - from_half.coeffs)) < 1e-14
     with pytest.raises(ValueError, match="full spectra"):
-        evaluate_nonlinearity(system, (half,))
+        complex_products(lat, ComplexSystem.of(system), half.coeffs[None])
     with pytest.raises(ValueError, match="half spectrum"):
         SpectralField(lat, np.zeros(lat.spec.shape[:-1] + (4,), dtype=complex))
