@@ -511,10 +511,16 @@ def _run_strichartz(config: RunConfig) -> RunResult:
     return RunResult("records", tuple(records), summary, True)
 
 
+# bytes per dimension of the strauss table, its record and its JSON line
+# (tracemalloc: 574 at 2e4 and 8e4 dimensions)
+_STRAUSS_DIMENSION_BYTES = 600
+
+
 def _run_strauss(config: RunConfig) -> RunResult:
     n_max = config.options["max_dimension"]
     if n_max < 1:
         raise ConfigError("max_dimension must be at least 1")
+    _require_memory(_STRAUSS_DIMENSION_BYTES * n_max, f"{n_max} dimensions")
     records = []
     for n in range(1, n_max + 1):
         gamma = strauss_exponent(n)

@@ -150,8 +150,7 @@ def _half_root(lattice: FrequencyLattice, masses, s: float) -> np.ndarray:
 def _nonlinearity(lattice: FrequencyLattice, system: MassSystem, u):
     """N_i(u) of the (K, *band) fields u, shape (K, 1, *band): lattice.band."""
     fields = tuple(SpectralField(lattice, f.reshape(-1)) for f in u)
-    spectra = evaluate_nonlinearity(system, fields, band=True)
-    return np.stack([f.coeffs for f in spectra]).reshape(u.shape)[:, None]
+    return evaluate_nonlinearity(system, fields).reshape(u.shape)[:, None]
 
 
 def _complete_hermitian(half: np.ndarray, out: np.ndarray, partner=None) -> np.ndarray:

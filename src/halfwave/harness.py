@@ -76,17 +76,6 @@ def strauss_exponent(n: int) -> float:
 # lower bounds for the resonance defect
 
 
-def _unit_vector(dim: int, axis: int = 0) -> np.ndarray:
-    e = np.zeros(dim)
-    e[axis] = 1.0
-    return e
-
-
-# bytes per pair of _frequency_pairs at its peak, plus 32 per dimension: two
-# rows, their list slots and the stacked copy (tracemalloc, dims 1-12: 274 + 32 dim)
-_SWEEP_PAIR_BYTES = 280
-
-
 def _frequency_pairs(dim: int, max_radius: float, directions: int, seed: int):
     """Structured plus randomized (xi, eta) samples out to max_radius.
 
@@ -100,37 +89,35 @@ def _frequency_pairs(dim: int, max_radius: float, directions: int, seed: int):
             f"max_radius must be at least 1, the first rung of the radius ladder, "
             f"got {max_radius}"
         )
-    ladder = [0.0] + [float(2**k) for k in range(int(math.log2(max_radius)) + 1)]
+    top = int(math.log2(max_radius))
+    ladder = np.array([0.0] + [float(2**k) for k in range(top + 1)])
     draws = max(1, directions // 8)
-    pairs = len(ladder) * (len(ladder) * draws + 4) + 2  # at most
-    _require_memory((_SWEEP_PAIR_BYTES + 32 * dim) * pairs, f"{pairs} frequency pairs")
+    per_rung = 3 + (dim >= 2)
+    pairs = 2 + (ladder.size - 1) * per_rung + ladder.size**2 * draws
+    # per pair at the peak: the two unit directions, xi, eta and one scaled
+    # direction, 40 dim bytes (tracemalloc); 8 more cover numpy's fixed
+    # iteration buffers, up to 130 KB, from 2e4 pairs up
+    _require_memory(8 * (5 * dim + 1) * pairs, f"{pairs} frequency pairs")
+    e1, e2 = np.eye(2, dim)
+    first = np.outer([0.0, 1.0], e1)  # (0, 0), then (e1, e1)
+    # each rung t pairs t e1 with t e1, -t e1, max_radius e1 and, from dim 2, t e2
+    t = ladder[1:, None]
+    partners = np.broadcast_arrays(t * e1, -t * e1, max_radius * e1, t * e2)[:per_rung]
+    # each rung pair (ra, rb) draws its directions da, db in turn
     rng = np.random.default_rng(seed)
-    e1 = _unit_vector(dim)
-    xi_rows = []
-    eta_rows = []
-
-    def push(xi, eta):
-        xi_rows.append(np.asarray(xi, dtype=float))
-        eta_rows.append(np.asarray(eta, dtype=float))
-
-    push(np.zeros(dim), np.zeros(dim))
-    push(e1, e1)
-    for t in ladder[1:]:
-        push(t * e1, t * e1)
-        push(t * e1, -t * e1)
-        push(t * e1, max_radius * e1)
-        if dim >= 2:
-            e2 = _unit_vector(dim, 1)
-            push(t * e1, t * e2)
-    for ra in ladder:
-        for rb in ladder:
-            for _ in range(draws):
-                da = rng.standard_normal(dim)
-                db = rng.standard_normal(dim)
-                da /= np.linalg.norm(da)
-                db /= np.linalg.norm(db)
-                push(ra * da, rb * db)
-    return np.array(xi_rows), np.array(eta_rows)
+    unit = rng.standard_normal((ladder.size, ladder.size, draws, 2, dim))
+    norms = np.vecdot(unit, unit)
+    unit /= np.sqrt(norms, out=norms)[..., None]
+    del norms
+    scaled = ladder[:, None, None, None] * unit[..., 0, :]
+    xi = np.concatenate(
+        [first, np.repeat(t * e1, per_rung, axis=0), scaled.reshape(-1, dim)]
+    )
+    scaled = ladder[:, None, None] * unit[..., 1, :]
+    eta = np.concatenate(
+        [first, np.stack(partners, axis=1).reshape(-1, dim), scaled.reshape(-1, dim)]
+    )
+    return xi, eta
 
 
 def _defect_statistic(masses, xi, eta) -> np.ndarray:
@@ -172,7 +159,7 @@ def verify_modulation_bound(
     minimum, worst_xi, worst_eta, samples = _swept_minimum(
         triple, dim, max_radius, directions, seed
     )
-    ray = max_radius * _unit_vector(dim)
+    ray = max_radius * np.eye(1, dim)[0]
     tail = float(_defect_statistic(triple, ray, ray))
     return VerificationRecord(
         name="modulation_bound",

@@ -84,18 +84,14 @@ def check_nonresonance(masses: Sequence[float]):
     return margin > 0, float(margin)
 
 
-def evaluate_nonlinearity(
-    system: MassSystem, fields: Sequence[SpectralField], band: bool = False
-):
+def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
     """Apply every component polynomial to the real fields, fully dealiased.
 
-    Inputs are truncated to the 2/3 band, multiplied pointwise on the physical
-    grid, and the spectral products are truncated again: each truncation
-    gathers the band, lattice.band, and the inputs are scattered into a zero
-    half spectrum.  The products run on irfftn/rfftn; the fields may be full
-    or half spectra, and the products come back as half spectra.  With
-    band=True the fields and the products hold only the band, all that N
-    reads or writes, flattened in the order of lattice.band_flat.
+    Each field is a full or half spectrum or its 2/3 band, lattice.band_flat,
+    read from its shape.  Its band is scattered into a zero half spectrum, the
+    fields are multiplied pointwise on the physical grid through irfftn and
+    rfftn, and each product is cut to the band again, all that N writes: the
+    products come back as one (K, n_band) array in the order of band_flat.
     """
     if len(fields) != system.size:
         raise ValueError("one field per component required")
@@ -112,7 +108,7 @@ def evaluate_nonlinearity(
     physical = {}
     for idx in needed:
         coeffs = fields[idx].coeffs
-        if not band:
+        if coeffs.shape != index.shape:
             coeffs = coeffs[..., : layout[-1]].reshape(-1)[index]
         spectrum.reshape(-1)[index] = coeffs
         physical[idx] = np.fft.irfftn(spectrum, shape, axes, norm="ortho")
@@ -124,13 +120,9 @@ def evaluate_nonlinearity(
         for mono in poly:
             j, k = mono.factors
             total += mono.coefficient * (physical[j] * physical[k])
-        products = np.fft.rfftn(total, norm="ortho").reshape(-1)[index]
-        if not band:
-            full = np.zeros(layout, dtype=complex)
-            full.reshape(-1)[index] = products
-            products = full
-        out.append(SpectralField(lattice, products))
-    return tuple(out)
+        out.append(np.fft.rfftn(total, norm="ortho").reshape(-1)[index])
+    del physical  # not held while the products are stacked
+    return np.stack(out)
 
 
 # ---------------------------------------------------------------------------

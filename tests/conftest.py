@@ -5,7 +5,9 @@ form: each complex component w = a + ib becomes the two real components a and
 b of the same mass, a at index i and b at index K + i.  ComplexSystem,
 complex_products and the two whole-state solvers below are the test-local
 complex reference that the real form is checked against; complex_products is
-the package's former complex branch of N.
+the package's former complex branch of N.  band cuts an oracle spectrum to
+the band that N returns, and loop_frequency_pairs is the frequency-pair sweep
+written as a loop, one pair at a time.
 """
 
 import math
@@ -60,6 +62,14 @@ def random_real_data(lattice, rng, k=1, decay=0.0):
         np.stack([random_real_field(lattice, rng, decay).coeffs for _ in range(k)])
         for _ in range(2)
     )
+
+
+def band(lattice: FrequencyLattice, spectrum) -> np.ndarray:
+    """A full or half spectrum, (..., *grid), cut to lattice.band_flat: (..., n_band)."""
+    spectrum = np.asarray(spectrum)
+    dim = lattice.spec.dim
+    half = spectrum[..., : lattice.spec.points_per_axis // 2 + 1]
+    return half.reshape(half.shape[:-dim] + (-1,))[..., lattice.band_flat]
 
 
 def mirror(a, dim):
@@ -218,3 +228,30 @@ def two_buffer_picard(lat, state, masses, products, T, dt, iters, s=0.5):
         distances.append(distance)
         current = nxt
     return current, distances
+
+
+# ---------------------------------------------------------------------------
+# the frequency-pair sweep, one pair at a time
+
+
+def loop_frequency_pairs(dim, max_radius, directions, seed):
+    """harness._frequency_pairs as a loop that builds each pair in turn."""
+    ladder = [0.0] + [float(2**k) for k in range(int(math.log2(max_radius)) + 1)]
+    draws = max(1, directions // 8)
+    rng = np.random.default_rng(seed)
+    e1, e2 = np.eye(2, dim)
+    rows = [(np.zeros(dim), np.zeros(dim)), (e1, e1)]
+    for t in ladder[1:]:
+        rows += [(t * e1, t * e1), (t * e1, -t * e1), (t * e1, max_radius * e1)]
+        if dim >= 2:
+            rows.append((t * e1, t * e2))
+    for ra in ladder:
+        for rb in ladder:
+            for _ in range(draws):
+                da = rng.standard_normal(dim)
+                db = rng.standard_normal(dim)
+                da /= np.linalg.norm(da)
+                db /= np.linalg.norm(db)
+                rows.append((ra * da, rb * db))
+    xi, eta = zip(*rows)
+    return np.array(xi), np.array(eta)

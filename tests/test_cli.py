@@ -923,6 +923,21 @@ def test_frequency_pairs_larger_than_memory_exit_2(
     assert not out.exists()
 
 
+def test_strauss_tables_larger_than_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # 10**6 dimensions at 600 bytes each against 1 MiB: refused before any row
+    def refuse(n):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(cli, "strauss_exponent", refuse)
+    cfg = write_config(tmp_path, "[run]\nmax_dimension = 1000000\n")
+    out = tmp_path / "out"
+    assert main(["strauss", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "1000000 dimensions need" in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
+
+
 def test_verify_trilinear_command_small(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -590,8 +590,8 @@ def test_picard_final_is_the_full_iterate(dim, coefficient):
 
 
 def test_picard_aborts_on_a_non_finite_sweep(monkeypatch):
-    def poisoned(system, fields, band=False):
-        return tuple(SpectralField(f.lattice, f.coeffs * np.nan) for f in fields)
+    def poisoned(system, fields):
+        return np.stack([f.coeffs for f in fields]) * np.nan
 
     lat = make_lattice(n=16)
     monkeypatch.setattr(dynamics, "evaluate_nonlinearity", poisoned)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import loop_frequency_pairs
 from halfwave import grid, harness
 from halfwave.grid import annulus_profile
 from halfwave.harness import (
@@ -144,6 +145,36 @@ def test_modulation_bound_rejects_bad_dimension():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dimension"):
             verify_modulation_bound(1.0, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "max_radius, directions, seed", [(1, 1, 0), (3.5, 8, 1), (64, 31, 7), (1024, 64, 123)]
+)
+def test_frequency_pairs_match_the_loop_reference(dim, max_radius, directions, seed):
+    # the same pairs, bit for bit, in the same order as one pair at a time
+    got = harness._frequency_pairs(dim, max_radius, directions, seed)
+    want = loop_frequency_pairs(dim, max_radius, directions, seed)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_frequency_pair_estimate_covers_the_peak(dim, monkeypatch):
+    # 12 rungs squared times 300 draws, about 4.3e4 pairs
+    checked = []
+    monkeypatch.setattr(harness, "_require_memory", lambda *args: checked.append(args))
+    harness._frequency_pairs(dim, 4, 8, 0)  # first uses allocate once
+    tracemalloc.start()
+    try:
+        xi, eta = harness._frequency_pairs(dim, 1024, 2400, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes, what = checked[-1]
+    assert what == f"{len(xi)} frequency pairs"
+    assert xi.nbytes + eta.nbytes < peak <= nbytes
 
 
 def test_modulation_bound_deterministic():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ComplexSystem,
+    band,
     complex_products,
     dealias_mask,
     join,
@@ -45,6 +46,14 @@ def single_mode(lat, mode, amp):
 def full(lat, half):
     """The full spectrum of a real field from its half spectrum."""
     return _complete_hermitian(half, np.empty(lat.spec.shape, dtype=complex))
+
+
+def spectrum(lat, modes):
+    """A full spectrum holding the given {mode index: coefficient}, else zero."""
+    c = np.zeros(lat.spec.shape, dtype=complex)
+    for mode, value in modes.items():
+        c[mode] = value
+    return c
 
 
 def test_system_validation():
@@ -97,11 +106,8 @@ def test_square_of_single_mode():
     lat = make_lattice()
     u = single_mode(lat, (2, 1), 3.0)
     (out,) = evaluate_nonlinearity(scalar_system(), (u,))
-    assert out.coeffs[4, 2] == pytest.approx(0.5625, rel=1e-12)
-    assert out.coeffs[0, 0] == pytest.approx(1.125, rel=1e-12)
-    mask = np.ones(out.coeffs.shape, dtype=bool)
-    mask[4, 2] = mask[0, 0] = False
-    assert np.max(np.abs(out.coeffs[mask])) < 1e-14
+    want = band(lat, spectrum(lat, {(4, 2): 0.5625, (0, 0): 1.125}))
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-14)
 
 
 def test_square_above_dealias_cap_vanishes():
@@ -110,9 +116,8 @@ def test_square_above_dealias_cap_vanishes():
     # only the mean 2|a|^2/N^{d/2} of the real field's square is left
     u = single_mode(lat, (4, 0), 1.0)
     (out,) = evaluate_nonlinearity(scalar_system(), (u,))
-    assert out.coeffs[0, 0] == pytest.approx(0.125, rel=1e-12)
-    out.coeffs[0, 0] = 0.0
-    assert np.max(np.abs(out.coeffs)) < 1e-14
+    want = band(lat, spectrum(lat, {(0, 0): 0.125}))
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-14)
 
 
 def test_conjugation_flag():
@@ -123,12 +128,10 @@ def test_conjugation_flag():
     z[0, 2, 1] = 3.0
     system = ComplexSystem((1.0,), (((1.0, (0, False), (0, True)),),))
     fields = tuple(SpectralField(lat, f) for f in split(z, 2))
-    out = evaluate_nonlinearity(real_form(system), fields)
-    got = join(np.stack([full(lat, f.coeffs) for f in out]))[0]
-    assert np.max(np.abs(got - complex_products(lat, system, z)[0])) < 1e-14
-    assert got[0, 0] == pytest.approx(0.5625, rel=1e-12)
-    got[0, 0] = 0.0
-    assert np.max(np.abs(got)) < 1e-14
+    got = join(evaluate_nonlinearity(real_form(system), fields))[0]
+    assert np.max(np.abs(got - band(lat, complex_products(lat, system, z)[0]))) < 1e-14
+    want = band(lat, spectrum(lat, {(0, 0): 0.5625}))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_nonlinearity_transforms_each_field_once(monkeypatch):
@@ -150,9 +153,8 @@ def test_nonlinearity_transforms_each_field_once(monkeypatch):
     assert len(calls) == 2
     # the same products as the complex reference
     coeffs = np.stack([f.coeffs for f in fields])
-    want = complex_products(lat, ComplexSystem.of(system), coeffs)
-    for got, spectrum in zip(out, want):
-        assert np.max(np.abs(full(lat, got.coeffs) - spectrum)) < 1e-13
+    want = band(lat, complex_products(lat, ComplexSystem.of(system), coeffs))
+    assert np.max(np.abs(out - want)) < 1e-13
 
 
 def test_bilinearity_cross_terms():
@@ -168,7 +170,7 @@ def test_bilinearity_cross_terms():
     mono = Monomial(2.0, (0, 1))
     cross_sys = MassSystem((1.0, 1.0), ((mono,), ()))
     cross, _ = evaluate_nonlinearity(cross_sys, (u, v))
-    err = nuv.coeffs - nu.coeffs - nv.coeffs - cross.coeffs
+    err = nuv - nu - nv - cross
     assert np.max(np.abs(err)) < 1e-12
 
 
@@ -178,11 +180,10 @@ def test_translation_commutes():
     u = random_real_field(lat, rng, decay=2.0)
     xi = lat.axis_frequencies
     shift = np.exp(-1j * (0.7 * xi[:, None] + 1.3 * xi[None, :]))
-    translate = lambda f: SpectralField(lat, f.coeffs * shift[:, : f.coeffs.shape[-1]])
     sys1 = scalar_system()
-    (a,) = evaluate_nonlinearity(sys1, (translate(u),))
-    b = translate(evaluate_nonlinearity(sys1, (u,))[0])
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
+    (a,) = evaluate_nonlinearity(sys1, (SpectralField(lat, u.coeffs * shift),))
+    b = evaluate_nonlinearity(sys1, (u,))[0] * band(lat, shift)
+    assert np.max(np.abs(a - b)) < 1e-10
 
 
 def test_coupled_system_indices():
@@ -192,9 +193,11 @@ def test_coupled_system_indices():
     mono = Monomial(3.0, (1, 1))
     system = MassSystem((1.0, 2.0), ((mono,), ()))
     out1, out2 = evaluate_nonlinearity(system, (u, v))
-    # component 1 sees 3 v^2 at mode (0,2); component 2 has no terms
-    assert out1.coeffs[0, 2] == pytest.approx(3.0 * 25.0 / 16.0, rel=1e-12)
-    assert np.max(np.abs(out2.coeffs)) == 0.0
+    # component 1 sees 3 v^2 at mode (0,2), and its mean; component 2 has no terms
+    square = 3.0 * 25.0 / 16.0
+    want = band(lat, spectrum(lat, {(0, 2): square, (0, 0): 2.0 * square}))
+    np.testing.assert_allclose(out1, want, rtol=1e-12, atol=1e-14)
+    assert np.max(np.abs(out2)) == 0.0
 
 
 def test_bracket_over_last_axis():
@@ -240,7 +243,7 @@ def test_free_system_evaluates_to_zero():
     u = random_real_field(lat, np.random.default_rng(1))
     v = random_real_field(lat, np.random.default_rng(2))
     out = evaluate_nonlinearity(free_system((1.0, 2.0)), (u, v))
-    assert all(np.max(np.abs(f.coeffs)) == 0 for f in out)
+    assert out.shape == (2, lat.band_flat.size) and np.max(np.abs(out)) == 0
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -272,25 +275,28 @@ def test_real_branch_matches_complex_products(dim, k, terms, seed):
         tuple(tuple(Monomial(c, (a, b)) for c, (a, _), (b, _) in p) for p in flagged),
     )
     want = complex_products(lat, reference, np.stack([f.coeffs for f in fields]))
-    for spectrum, got in zip(want, evaluate_nonlinearity(system, fields)):
-        scale = max(1.0, np.max(np.abs(spectrum)))
-        assert np.max(np.abs(full(lat, got.coeffs) - spectrum)) <= 1e-13 * scale
+    for reference_band, got in zip(band(lat, want), evaluate_nonlinearity(system, fields)):
+        scale = max(1.0, np.max(np.abs(reference_band)))
+        assert np.max(np.abs(got - reference_band)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_real_branch_takes_either_layout_and_the_complex_one_full_only(dim):
-    # N takes a real field's full or half spectrum; the complex reference,
-    # the former complex branch, takes full spectra only
+    # N takes a real field's full or half spectrum or its band, and returns
+    # the same band of products for each; the complex reference, the former
+    # complex branch, takes full spectra only
     lat = FrequencyLattice(GridSpec(dim, 7.0, 8))
     values = np.random.default_rng(dim).standard_normal(lat.spec.shape)
-    full_field = SpectralField(lat, np.fft.fftn(values, norm="ortho"))
     half = SpectralField(lat, np.fft.rfftn(values, norm="ortho"))
     assert half.coeffs.shape == lat.spec.shape[:-1] + (5,)
+    full_field = SpectralField(lat, full(lat, half.coeffs))
+    band_field = SpectralField(lat, band(lat, half.coeffs))
     system = scalar_system(1.0, 2.0)
-    (from_full,) = evaluate_nonlinearity(system, (full_field,))
-    (from_half,) = evaluate_nonlinearity(system, (half,))
-    assert from_half.coeffs.shape == half.coeffs.shape
-    assert np.max(np.abs(from_full.coeffs - from_half.coeffs)) < 1e-14
+    products = [
+        evaluate_nonlinearity(system, (f,)) for f in (full_field, half, band_field)
+    ]
+    assert products[0].shape == (1, lat.band_flat.size)
+    assert all(p.tobytes() == products[0].tobytes() for p in products)
     with pytest.raises(ValueError, match="full spectra"):
         complex_products(lat, ComplexSystem.of(system), half.coeffs[None])
     with pytest.raises(ValueError, match="half spectrum"):
