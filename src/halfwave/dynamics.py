@@ -29,7 +29,6 @@ supported anywhere in this package.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -153,30 +152,25 @@ def _nonlinearity(lattice: FrequencyLattice, system: MassSystem, u):
     return evaluate_nonlinearity(system, fields).reshape(u.shape)[:, None]
 
 
-def _complete_hermitian(half: np.ndarray, out: np.ndarray, partner=None) -> np.ndarray:
-    """Fill out, a full spectrum, from half, its first h of n last-axis modes.
+def _complete_hermitian(lattice: FrequencyLattice, out, partner):
+    """Fill the dropped half of out, full spectra whose kept half is set.
 
-    Each dropped mode is conj(partner(-k)), where -k maps index 0 of each axis
-    to itself and index i > 0 to n - i.  The partner is half itself for a real
-    field; u^+ and u^- of a real state are each other's.  With h = n, out is
-    a copy of half.
+    Each dropped mode k is conj(partner(-k)), one gather through the index
+    -k mod n on every grid axis, which lands in the kept half.  The partner
+    is out itself for a real field; u^+ and u^- of a real state are each
+    other's.
     """
-    n, h = out.shape[-1], half.shape[-1]
-    out[..., :h] = half
-    tail = (half if partner is None else partner)[..., n - h : 0 : -1]
-    for mirrored in itertools.product((False, True), repeat=out.ndim - 1):
-        src = tuple(slice(None, 0, -1) if m else slice(0, 1) for m in mirrored)
-        dst = tuple(slice(1, None) if m else slice(0, 1) for m in mirrored)
-        np.conjugate(tail[src], out=out[dst + (slice(h, None),)])
-    return out
+    n = lattice.spec.points_per_axis
+    h = n // 2 + 1
+    neg = -np.arange(n) % n
+    mirror = np.ix_(*[neg] * (lattice.spec.dim - 1), neg[h:])
+    np.conjugate(partner[(Ellipsis,) + mirror], out=out[..., h:])
 
 
 def _fill_band(lattice: FrequencyLattice, band, out):
     """Write a band into the whole real state out and complete its dropped half."""
     out[(Ellipsis,) + lattice.band] = band
-    kept = out[..., : out.shape[-1] // 2 + 1]
-    for i, sign in np.ndindex(out.shape[:2]):
-        _complete_hermitian(kept[i, sign], out[i, sign], kept[i, 1 - sign])
+    _complete_hermitian(lattice, out, out[:, ::-1])
 
 
 def _require_real(lattice: FrequencyLattice, state: np.ndarray, masses):
@@ -191,11 +185,25 @@ def _require_real(lattice: FrequencyLattice, state: np.ndarray, masses):
         raise ValueError("the solvers take real fields: u and u_t are not real")
 
 
-def _step_count(T: float, dt: float) -> int:
-    """round(T / dt) steps, at least one; ValueError when that is not finite."""
+def _entry(lattice: FrequencyLattice, state: np.ndarray, system: MassSystem, T, dt, s):
+    """The checks both solvers make at entry; returns the step count and _half_root.
+
+    ValueError when T or dt is not positive, the state is not (K, 2, *grid),
+    the step count is not finite, an H^s weight of the kept half is not
+    finite, or the state's fields are not real.  The weights are checked
+    beyond the band, which is all Picard reads, since evolve's norm and the
+    trajectory's norms read them there too.
+    """
+    if T <= 0 or dt <= 0:
+        raise ValueError("T and dt must be positive")
+    _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
     if not math.isfinite(T / dt):
         raise ValueError(f"horizon / dt = {T / dt} is not a finite step count")
-    return max(1, int(round(T / dt)))
+    root = _half_root(lattice, system.masses, s)
+    if not np.all(np.isfinite(root)):
+        raise ValueError(f"the H^s weights of s = {s} are not finite on the lattice")
+    _require_real(lattice, state, system.masses)
+    return max(1, int(round(T / dt))), root
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,20 +317,17 @@ class _Stepper:
         self.weight = (-1j * dt / 6.0) * inv2br[:, None]
         self.stage = np.empty_like(self.half_phase)
 
-    def nonlinearity(self, u):
-        return _nonlinearity(self.lattice, self.system, u)
-
     def step(self, y):
         """Advance the state y by one step, in place."""
-        phase = self.half_phase
+        lattice, system, phase = self.lattice, self.system, self.half_phase
         rotated = np.multiply(y, phase, out=self.stage)
         a = rotated[:, 0] + rotated[:, 1]
-        n1 = self.nonlinearity(y[:, 0] + y[:, 1])
-        n2 = self.nonlinearity(a + self.kick * n1[:, 0])
-        n3 = self.nonlinearity(a)
+        n1 = _nonlinearity(lattice, system, y[:, 0] + y[:, 1])
+        n2 = _nonlinearity(lattice, system, a + self.kick * n1[:, 0])
+        n3 = _nonlinearity(lattice, system, a)
         rotated *= phase
         b = rotated[:, 0] + rotated[:, 1]
-        n4 = self.nonlinearity(b + 2.0 * self.kick * n3[:, 0])
+        n4 = _nonlinearity(lattice, system, b + 2.0 * self.kick * n3[:, 0])
         np.multiply(n1, phase, out=y)
         y += 2.0 * (n2 + n3)
         y *= phase
@@ -348,28 +353,25 @@ def evolve(
 ) -> Trajectory:
     """March a (K, 2, *grid) half-wave state to time T, sampling every stride.
 
-    The stride must divide the round(T / dt) steps and the state's fields must
-    be real, else ValueError.  The stepper carries the band; each sample after
+    _entry's checks apply, and the stride must divide the round(T / dt)
+    steps, else ValueError.  The stepper carries the band; each sample after
     the entry state is the one before it rotated by the stride, with the band
     written in.  Aborts with
     InstabilityError when the H^s norm of the whole state, both halves of
     every component, exceeds 1e6 times its initial value or turns non-finite:
     data at rest, u = 0 and u_t not, have a limit.
     """
-    if T <= 0 or dt <= 0 or sample_every < 1:
-        raise ValueError("T, dt and sample_every must be positive")
-    _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
-    steps = _step_count(T, dt)
+    if sample_every < 1:
+        raise ValueError("sample_every must be positive")
+    steps, half_root = _entry(lattice, state, system, T, dt, s)
     if steps % sample_every:
         raise ValueError(f"stride {sample_every} does not divide the {steps} steps")
     n_samples = steps // sample_every + 1
     _require_memory(n_samples * state.size * 16, f"{n_samples} samples")
     masses = system.masses
-    _require_real(lattice, state, masses)
     stepper = _Stepper(lattice, system, dt)
     y = _band(lattice, state).astype(complex)
     # the free flow keeps the norm outside the band, once it zeroes the Nyquist modes
-    half_root = _half_root(lattice, masses, s)
     outside = ~lattice.nyquist_mask[..., : half_root.shape[-1]]
     outside[lattice.band] = False
     rest = np.sum(np.abs(half_root * outside * state[..., : outside.shape[-1]]) ** 2)
@@ -446,23 +448,20 @@ def picard_iterate(
     the band: the levels hold the band.  The report carries the last
     iterate, the sup-in-time H^s distances between consecutive iterates, and
     the contraction factor and divergence flag of _contraction; divergence
-    stops the iteration.  A sweep that produces non-finite values raises
-    InstabilityError, and a state whose fields are not real ValueError.
+    stops the iteration.  A sweep whose iterate or H^s distance turns
+    non-finite raises InstabilityError, and _entry's checks ValueError.
     """
     if iters < 2:
         raise ValueError("need at least two iterations to report a contraction")
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
-    _require_shape("state", state, (system.size, 2) + lattice.spec.shape)
-    masses = system.masses
-    n_levels = _step_count(T, dt) + 1
+    steps, half_root = _entry(lattice, state, system, T, dt, s)
+    n_levels = steps + 1
     band = _band(lattice, state)
     _require_memory(n_levels * band.size * 16, f"{n_levels} levels")
-    _require_real(lattice, state, masses)
+    masses = system.masses
     step = _band(lattice, _rotation(lattice, masses, dt))
     inv2br = _band(lattice, _inverse_twice_bracket(lattice, masses))
     kick = -0.5j * dt * np.concatenate([inv2br, -inv2br], axis=1)
-    root = _band(lattice, _half_root(lattice, masses, s))
+    root = _band(lattice, half_root)
     current = np.empty((n_levels,) + band.shape, dtype=complex)
     current[0] = band
     for j in range(1, n_levels):
@@ -480,9 +479,11 @@ def picard_iterate(
             if j > 0:
                 carry *= step
                 carry += h
-                if not np.all(np.isfinite(carry)):
+                # a non-finite entry of the new level makes its distance non-finite
+                gap = _state_distance(root, carry, level, level)
+                if not math.isfinite(gap):
                     raise InstabilityError(f"non-finite iterate in Picard sweep {sweep}")
-                distance = max(distance, _state_distance(root, carry, level, level))
+                distance = max(distance, gap)
                 level[...] = carry
             np.add(level, h, out=carry)
         distances.append(distance)

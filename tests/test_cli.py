@@ -1,15 +1,22 @@
 """End-to-end tests for the command-line runner."""
 
+import contextlib
 import io
 import json
 import math
 import re
+import signal
+import tempfile
 import tracemalloc
+import warnings
 import zipfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from halfwave import cli, grid, harness
 from halfwave.cli import (
@@ -370,6 +377,93 @@ def test_a_step_count_that_overflows_exits_2(command, config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert "is not a finite step count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("simulate", "[run]\nhorizon = 0.2\nsobolev = 1e300\n"),
+        ("picard", "[run]\nhorizon = 0.2\niterations = 2\nsobolev = 1e300\n"),
+    ],
+    ids=["simulate", "picard"],
+)
+def test_hs_weights_that_overflow_exit_2(command, config, tmp_path, capsys):
+    # <xi>^(2s) at s = 1e300 is infinite on the lattice: a configuration
+    # error for both solvers, not a numerical abort, nor a contraction of 0
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "not finite on the lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("simulate", "[run]\nhorizon = 0.2\nwidth = 1e300\n"),
+        ("picard", "[run]\nhorizon = 0.2\niterations = 2\nwidth = 1e300\n"),
+        ("verify-shell", "[run]\nseed = 0\nsamples = 2048\ndim = 100000000000000000000\n"),
+        ("verify-shell", "[run]\nseed = 0\nsamples = 2048\n[sweep]\nradius = 1e300\n"),
+        ("verify-shell", "[run]\nseed = 0\nsamples = 2048\n[sweep]\nwidth = 1e-300\n"),
+    ],
+    ids=["simulate-width", "picard-width", "shell-dim", "shell-radius", "shell-width"],
+)
+def test_float_arithmetic_out_of_range_exits_2(command, config, tmp_path, capsys):
+    # width ** 2, the unit ball volume of dimension 1e20 and (r + w) ** 2
+    # overflow; a width that squares to 0 divides by zero
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "out of the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, body",
+    [
+        ("picard", "[run]\nhorizon = 0.2\niterations = {}\n", (cli, "picard_iterate")),
+        (
+            "verify-bilinear",
+            "[run]\nseed = 0\nmode = separated\nhigh_scale = 16\ntrials = {}\n"
+            "[sweep]\nscales = 2\n",
+            (harness, "verify_bilinear"),
+        ),
+        (
+            "verify-trilinear",
+            "[run]\nseed = 0\nhigh_scale = 8\ntrials = {}\n",
+            (harness, "ball_mode_set"),
+        ),
+    ],
+    ids=["picard", "verify-bilinear", "verify-trilinear"],
+)
+def test_counts_whose_records_exceed_memory_exit_2_before_any_work(
+    command, config, body, tmp_path, capsys, monkeypatch
+):
+    # 10**20 sweeps or trials would run without end; their records alone are
+    # refused against 64 MiB before the first sweep or trial
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 64 * 2**20)
+    monkeypatch.setattr(*body, refuse)
+    path = write_config(tmp_path, config.format(10**20))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{10**20} " in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_a_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
+    # at mass 1e300 the brackets overflow and the swept minimum is NaN,
+    # which summary.json could only hold as invalid JSON
+    path = write_config(tmp_path, "[run]\nseed = 0\nmax_radius = 16\nmass = 1e300\n")
+    out = tmp_path / "out"
+    assert main(["verify-modulation", "--config", path, "--out", str(out)]) == 3
+    assert "numerical abort" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -773,6 +867,104 @@ def test_every_key_changes_the_output(tmp_path, command, key):
         changed = tmp_path / changed
     (sweep if key in _COMMANDS[command][2] else run)[key] = changed
     assert run_outputs(tmp_path, "changed", command, run, sweep) != base
+
+
+# the generated-input test: the values that replace one or two keys of a
+# BASE_RUNS config, as a config file spells them, and its limits of memory
+# (patched, plus a slack for what no estimate counts) and time per run
+HOSTILE = ("0", "-1", "0.5", "1e-300", "1e300", "nan", "inf", "-inf", "", "abc", str(10**20))
+HOSTILE_MEMORY = 64 * 2**20
+HOSTILE_SLACK = 16 * 2**20
+HOSTILE_SECONDS = 20
+
+
+class RunTooLong(Exception):
+    """A generated run outlived HOSTILE_SECONDS."""
+
+
+def run_too_long(signum, frame):
+    raise RunTooLong()
+
+
+@st.composite
+def hostile_runs(draw):
+    command = draw(st.sampled_from(sorted(BASE_RUNS)))
+    _, options, sweeps = _COMMANDS[command]
+    keys = st.sampled_from(sorted(options) + sorted(sweeps))
+    chosen = draw(st.lists(keys, min_size=1, max_size=2, unique=True))
+    return command, tuple((key, draw(st.sampled_from(HOSTILE))) for key in chosen)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# the ten breaches of the contract that this test was written to catch
+@settings(derandomize=True, database=None, max_examples=200, deadline=10_000)
+@given(case=hostile_runs())
+@example(case=("simulate", (("width", "1e300"),)))
+@example(case=("picard", (("width", "1e300"),)))
+@example(case=("verify-shell", (("dim", str(10**20)),)))
+@example(case=("verify-shell", (("radius", "1e300"),)))
+@example(case=("verify-shell", (("width", "1e-300"),)))
+@example(case=("picard", (("iterations", str(10**20)),)))
+@example(case=("verify-bilinear", (("trials", str(10**20)),)))
+@example(case=("verify-trilinear", (("trials", str(10**20)),)))
+@example(case=("verify-modulation", (("mass", "1e300"),)))
+@example(case=("picard", (("sobolev", "1e300"),)))
+def test_hostile_values_keep_the_exit_code_contract(case):
+    # each exit code means what README says, no exception escapes, nothing
+    # is written on exit 2 or 3, and a run stays in memory and time; a run
+    # that reports a result made no NaN on the way, since a NaN that a max
+    # or a comparison swallowed leaves a result that only looks valid
+    command, changes = case
+    run, sweep = (dict(section) for section in BASE_RUNS[command])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if command == "variation":
+            run["trajectory"] = write_trajectory_file(tmp / "a.npz")
+        for key, value in changes:
+            (sweep if key in _COMMANDS[command][2] else run)[key] = value
+        lines = ["[run]"] + [f"{k} = {v}" for k, v in run.items()]
+        lines += ["[sweep]"] + [f"{k} = {v}" for k, v in sweep.items()]
+        cfg = write_config(tmp, "\n".join(lines) + "\n")
+        out = tmp / "out"
+        err = io.StringIO()
+        handler = signal.signal(signal.SIGALRM, run_too_long)
+        signal.setitimer(signal.ITIMER_REAL, HOSTILE_SECONDS)
+        tracemalloc.start()
+        try:
+            with (
+                mock.patch.object(grid, "_physical_memory", lambda: HOSTILE_MEMORY),
+                contextlib.redirect_stderr(err),
+                contextlib.redirect_stdout(io.StringIO()),
+                warnings.catch_warnings(record=True) as caught,
+            ):
+                warnings.simplefilter("always")
+                code = main([command, "--config", cfg, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert peak < HOSTILE_MEMORY + HOSTILE_SLACK
+        if code in (2, 3):
+            prefix = "configuration error:" if code == 2 else "numerical abort:"
+            assert err.getvalue().startswith(prefix)
+            assert not out.exists()
+        else:
+            # only picard and the verify-* commands check something that can fail
+            verifies = command == "picard" or command.startswith("verify-")
+            assert code == 0 or (code == 1 and verifies)
+            assert not [w for w in caught if "invalid value" in str(w.message)]
+            json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+            for name in read_json(out / "manifest.json")["outputs"]:
+                if name.endswith(".jsonl"):
+                    for line in (out / name).read_text().splitlines():
+                        json.loads(line, parse_constant=reject_constant)
+                elif name.endswith(".csv"):
+                    rows = (out / name).read_text().splitlines()[1:]
+                    assert all(math.isfinite(float(x)) for r in rows for x in r.split(","))
 
 
 def test_verify_shell_seed_flag_overrides_config(tmp_path):

@@ -524,8 +524,8 @@ def full_picard(lat, state, system, T, dt, iters, s=0.5):
             for mono in poly:
                 j, k = mono.factors
                 total += mono.coefficient * (v[j] * v[k])
-            spectrum = np.fft.rfftn(total, norm="ortho") * keep
-            dynamics._complete_hermitian(spectrum, whole)
+            whole[..., : n // 2 + 1] = np.fft.rfftn(total, norm="ortho") * keep
+            dynamics._complete_hermitian(lat, whole, whole)
         return out[:, None]
 
     n_levels = max(1, int(round(T / dt))) + 1
@@ -625,3 +625,25 @@ def test_solvers_refuse_what_memory_cannot_hold(monkeypatch):
     # the whole iterate is built, and checked, only when it is read
     with pytest.raises(MemoryError, match="2 samples"):
         report.final
+
+
+def test_picard_aborts_on_a_non_finite_distance(monkeypatch):
+    # a finite iterate whose weighted distance overflows is not a distance of 0
+    lat = make_lattice(n=16)
+    monkeypatch.setattr(dynamics, "_state_distance", lambda *args: math.inf)
+    with pytest.raises(InstabilityError, match="non-finite iterate in Picard sweep 1"):
+        picard_iterate(lat, bump_state(lat, 0.05), scalar_system(), T=0.2, dt=0.1, iters=2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("s", [1e300, 180.0])
+def test_solvers_refuse_hs_weights_that_overflow(s):
+    # <xi>^(2s) is infinite at s = 1e300 on every mode but xi = 0; at s = 180
+    # on this 16^2 lattice it is finite on the band (<xi> <= 6.0) but not
+    # beyond it (<xi> up to 8.9), where evolve's norm reads it
+    lat = make_lattice(n=16)
+    state = bump_state(lat, 0.05)
+    with pytest.raises(ValueError, match="not finite on the lattice"):
+        evolve(lat, state, scalar_system(), T=0.2, dt=0.1, s=s)
+    with pytest.raises(ValueError, match="not finite on the lattice"):
+        picard_iterate(lat, state, scalar_system(), T=0.2, dt=0.1, iters=2, s=s)

@@ -45,7 +45,10 @@ def single_mode(lat, mode, amp):
 
 def full(lat, half):
     """The full spectrum of a real field from its half spectrum."""
-    return _complete_hermitian(half, np.empty(lat.spec.shape, dtype=complex))
+    out = np.empty(lat.spec.shape, dtype=complex)
+    out[..., : half.shape[-1]] = half
+    _complete_hermitian(lat, out, out)
+    return out
 
 
 def spectrum(lat, modes):
