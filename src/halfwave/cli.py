@@ -197,37 +197,20 @@ def load_config(command, config_path=None, seed=None, out_dir=None):
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    """value in JSON types; a non-finite float in it raises InstabilityError."""
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        value = value.tolist()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InstabilityError("the result holds a non-finite number")
     return value
-
-
-def _finite(value) -> bool:
-    """Whether every float nested in value (rows, records, a summary) is finite."""
-    if dataclasses.is_dataclass(value):
-        value = vars(value)
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        return all(map(_finite, value))
-    return not isinstance(value, (float, np.floating)) or math.isfinite(value)
-
-
-def _record_line(record) -> str:
-    if dataclasses.is_dataclass(record):
-        record = dataclasses.asdict(record)
-    return json.dumps(_jsonable(record))
-
-
-def _write_records(path: Path, records):
-    text = "".join(_record_line(r) + "\n" for r in records)
-    path.write_text(text)
 
 
 _SERIES_HEADER = "time,component,hs_norm,energy,scattering_increment\n"
@@ -243,7 +226,7 @@ def _write_series(path: Path, rows):
 
 
 def _write_json(path: Path, payload):
-    path.write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +644,7 @@ def _write_outputs(config: RunConfig, result: RunResult, wall_clock: float):
         _write_series(out / data_name, result.rows)
     else:
         data_name = f"{config.command}.jsonl"
-        _write_records(out / data_name, result.rows)
+        (out / data_name).write_text("".join(json.dumps(r) + "\n" for r in result.rows))
     outputs.append(data_name)
     if result.trajectory is not None:
         save_trajectory(result.trajectory, out / "trajectory.npz")
@@ -709,8 +692,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         result = _COMMANDS[config.command][0](config)
-        if not _finite((result.rows, result.summary)):
-            raise InstabilityError("the result holds a non-finite number")
+        rows, summary = _jsonable(result.rows), _jsonable(result.summary)
+        result = dataclasses.replace(result, rows=rows, summary=summary)
     except (ConfigError, ValueError) as exc:
         # Library constructors signal bad parameters with ValueError; at this
         # boundary that is a configuration problem, not a numerical one.

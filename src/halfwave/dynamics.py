@@ -275,12 +275,19 @@ class Trajectory:
 def free_trajectory(
     lattice: FrequencyLattice, state: np.ndarray, masses, times
 ) -> Trajectory:
-    """Trajectory of exact free half-wave flow from the given state at t=0."""
+    """Trajectory of exact free half-wave flow from the given state at t=0.
+
+    Sample 0 is the state rotated to times[0], and one step factor carries
+    each sample to the next: two rotations serve every sample.
+    """
     _require_memory(len(times) * state.size * 16, f"{len(times)} samples")
     halves = np.empty((len(times),) + state.shape, dtype=complex)
-    for sample, t in zip(halves, times):
-        np.multiply(state, _rotation(lattice, masses, t), out=sample)
-    return Trajectory(times, masses, lattice, halves)
+    traj = Trajectory(times, masses, lattice, halves)
+    np.multiply(state, _rotation(lattice, traj.masses, traj.times[0]), out=halves[0])
+    step = _rotation(lattice, traj.masses, traj.times[1] - traj.times[0])
+    for before, sample in zip(halves, halves[1:]):
+        np.multiply(before, step, out=sample)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +361,8 @@ def evolve(
     """March a (K, 2, *grid) half-wave state to time T, sampling every stride.
 
     _entry's checks apply, and the stride must divide the round(T / dt)
-    steps, else ValueError.  The stepper carries the band; each sample after
-    the entry state is the one before it rotated by the stride, with the band
-    written in.  Aborts with
+    steps, else ValueError.  The stepper carries the band; each sample is
+    free_trajectory's sample with the band written in.  Aborts with
     InstabilityError when the H^s norm of the whole state, both halves of
     every component, exceeds 1e6 times its initial value or turns non-finite:
     data at rest, u = 0 and u_t not, have a limit.
@@ -367,8 +373,10 @@ def evolve(
     if steps % sample_every:
         raise ValueError(f"stride {sample_every} does not divide the {steps} steps")
     n_samples = steps // sample_every + 1
+    # before np.arange builds the sample times
     _require_memory(n_samples * state.size * 16, f"{n_samples} samples")
-    masses = system.masses
+    times = np.arange(n_samples) * sample_every * dt
+    traj = free_trajectory(lattice, state, system.masses, times)
     stepper = _Stepper(lattice, system, dt)
     y = _band(lattice, state).astype(complex)
     # the free flow keeps the norm outside the band, once it zeroes the Nyquist modes
@@ -387,9 +395,6 @@ def evolve(
     # without a scale, the largest float: an infinite norm still fails the test
     limit = _GROWTH_ABORT * base if base > 0 else np.finfo(float).max
 
-    halves = np.empty((n_samples,) + state.shape, dtype=complex)
-    halves[0] = state
-    flow = _rotation(lattice, masses, sample_every * dt)
     for j in range(1, steps + 1):
         stepper.step(y)
         norm = total_norm(y)
@@ -403,10 +408,8 @@ def evolve(
                 time=t,
             )
         if j % sample_every == 0:
-            k = j // sample_every
-            np.multiply(halves[k - 1], flow, out=halves[k])
-            _fill_band(lattice, y, halves[k])
-    return Trajectory(np.arange(n_samples) * sample_every * dt, masses, lattice, halves)
+            _fill_band(lattice, y, traj.halves[j // sample_every])
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +449,12 @@ def picard_iterate(
     the entry state with its Nyquist modes zeroed, and the first iterate is
     the free flow level_j = E level_{j-1}, which every iterate keeps outside
     the band: the levels hold the band.  The report carries the last
-    iterate, the sup-in-time H^s distances between consecutive iterates, and
-    the contraction factor and divergence flag of _contraction; divergence
-    stops the iteration.  A sweep whose iterate or H^s distance turns
-    non-finite raises InstabilityError, and _entry's checks ValueError.
+    iterate, the sup-in-time H^s distances between consecutive iterates,
+    their worst ratio and divergence, three increases in a row, which stops
+    the iteration; a step touching rounding noise, a distance at or below
+    1e-12 times the first (the Duhamel term's size), counts for neither.  A
+    sweep whose iterate or H^s distance turns non-finite raises
+    InstabilityError, and _entry's checks ValueError.
     """
     if iters < 2:
         raise ValueError("need at least two iterations to report a contraction")
@@ -467,6 +472,7 @@ def picard_iterate(
     for j in range(1, n_levels):
         np.multiply(current[j - 1], step, out=current[j])
     distances = []
+    factor, streak = 0.0, 0
     carry = np.empty_like(current[0])
 
     for sweep in range(1, iters + 1):
@@ -486,9 +492,12 @@ def picard_iterate(
                 distance = max(distance, gap)
                 level[...] = carry
             np.add(level, h, out=carry)
+        live = bool(distances) and min(distances[-1], distance) > 1e-12 * distances[0]
+        if live:
+            factor = max(factor, distance / distances[-1])
+        streak = streak + 1 if live and distance > distances[-1] else 0
         distances.append(distance)
-        factor, diverged = _contraction(distances)
-        if diverged:
+        if streak >= 3:
             break
 
     def complete():
@@ -497,26 +506,7 @@ def picard_iterate(
             _fill_band(lattice, level, sample)
         return traj
 
-    return PicardReport(tuple(distances), factor, diverged, complete)
-
-
-def _contraction(distances):
-    """Worst ratio of successive Picard distances, and whether they diverge.
-
-    The first distance is the size of the Duhamel term and sets the rounding
-    scale of every later sweep: a distance at or below 1e-12 times it has
-    converged, and a step touching one enters neither the worst ratio nor the
-    streak of increases.  Three increases in a row are divergence.
-    """
-    floor = 1e-12 * distances[0]
-    factor, streak, diverged = 0.0, 0, False
-    for a, b in zip(distances, distances[1:]):
-        live = a > floor and b > floor
-        if live:
-            factor = max(factor, b / a)
-        streak = streak + 1 if live and b > a else 0
-        diverged = diverged or streak >= 3
-    return factor, diverged
+    return PicardReport(tuple(distances), factor, streak >= 3, complete)
 
 
 # ---------------------------------------------------------------------------

@@ -224,14 +224,20 @@ def gaussian_bump(
     """Smooth real bump amplitude*exp(-|x-c|^2/width^2), Nyquist-free.
 
     The center c is the middle of the box, keeping the bump far from the
-    periodic seam for the usual box sizes.
+    periodic seam for the usual box sizes.  ValueError when a coefficient is
+    not finite, as when width**2 is 0.
     """
     spec = lattice.spec
     center = spec.box_length / 2.0
     x = np.arange(spec.points_per_axis) * (spec.box_length / spec.points_per_axis)
     r2 = sum((xs - center) ** 2 for xs in np.meshgrid(*([x] * spec.dim), indexing="ij"))
-    values = amplitude * np.exp(-r2 / width**2)
-    coeffs = np.fft.fftn(values.astype(complex), norm="ortho")
+    with np.errstate(all="ignore"):
+        values = amplitude * np.exp(-r2 / width**2)
+        coeffs = np.fft.fftn(values.astype(complex), norm="ortho")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(
+            f"a bump of amplitude {amplitude}, width {width} is out of the float range"
+        )
     coeffs[lattice.nyquist_mask] = 0.0
     return SpectralField(lattice, coeffs)
 

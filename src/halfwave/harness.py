@@ -84,11 +84,6 @@ def _frequency_pairs(dim: int, max_radius: float, directions: int, seed: int):
     randomized part covers the same ladder with fresh direction pairs drawn
     from the seed; pairs beyond physical memory raise MemoryError first.
     """
-    if not max_radius >= 1:
-        raise ValueError(
-            f"max_radius must be at least 1, the first rung of the radius ladder, "
-            f"got {max_radius}"
-        )
     top = int(math.log2(max_radius))
     ladder = np.array([0.0] + [float(2**k) for k in range(top + 1)])
     draws = max(1, directions // 8)
@@ -118,6 +113,20 @@ def _frequency_pairs(dim: int, max_radius: float, directions: int, seed: int):
         [first, np.stack(partners, axis=1).reshape(-1, dim), scaled.reshape(-1, dim)]
     )
     return xi, eta
+
+
+def _require_sweep(dim: int, max_radius: float, directions: int):
+    """ValueError unless the sweep has a dimension, a rung and a direction."""
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    # the ladder is 0, 1, 2, 4, ... up to max_radius: below 1 it has no rung
+    if not max_radius >= 1:
+        raise ValueError(
+            f"max_radius must be at least 1, the first rung of the radius ladder, "
+            f"got {max_radius}"
+        )
+    if not directions >= 1:
+        raise ValueError(f"directions must be at least 1, got {directions}")
 
 
 def _defect_statistic(masses, xi, eta) -> np.ndarray:
@@ -164,8 +173,7 @@ def verify_modulation_bound(
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
+    _require_sweep(dim, max_radius, directions)
     triple = (float(mass),) * 3
     params = {
         "mass": float(mass),
@@ -222,8 +230,7 @@ def verify_nonresonance_bound(
     triple = tuple(float(m) for m in masses)
     if len(triple) != 3 or any(m <= 0 for m in triple):
         raise ValueError("need three positive masses")
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
+    _require_sweep(dim, max_radius, directions)
     holds, margin = check_nonresonance(triple)
     params = {
         "masses": list(triple),

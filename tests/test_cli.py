@@ -407,12 +407,18 @@ def test_hs_weights_that_overflow_exit_2(command, config, tmp_path, capsys):
         ("verify-shell", "[run]\nseed = 0\nsamples = 2048\ndim = 100000000000000000000\n"),
         ("verify-shell", "[run]\nseed = 0\nsamples = 2048\n[sweep]\nradius = 1e300\n"),
         ("verify-shell", "[run]\nseed = 0\nsamples = 2048\n[sweep]\nwidth = 1e-300\n"),
+        ("simulate", "[run]\nhorizon = 0.2\nwidth = 1e-300\n"),
+        ("picard", "[run]\nhorizon = 0.2\niterations = 2\nwidth = 1e-300\n"),
     ],
-    ids=["simulate-width", "picard-width", "shell-dim", "shell-radius", "shell-width"],
+    ids=[
+        "simulate-width", "picard-width", "shell-dim", "shell-radius", "shell-width",
+        "simulate-width-squared-0", "picard-width-squared-0",
+    ],
 )
 def test_float_arithmetic_out_of_range_exits_2(command, config, tmp_path, capsys):
     # width ** 2, the unit ball volume of dimension 1e20 and (r + w) ** 2
-    # overflow; a width that squares to 0 divides by zero
+    # overflow; a width that squares to 0 divides by zero, and in the
+    # Gaussian bump it leaves coefficients that are not finite
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 2
@@ -1190,12 +1196,20 @@ def test_verify_bilinear_rejects_bad_mode(tmp_path):
             "[run]\nseed = 0\nmasses = 1, 1, 1\nmax_radius = 0.5\n",
             "max_radius",
         ),
+        (
+            "verify-nonresonance",
+            "[run]\nseed = 0\nmasses = 1, 1, 3\nmax_radius = -5\n",
+            "max_radius",
+        ),
+        # every rung pair draws at least one direction
+        ("verify-modulation", "[run]\nseed = 0\ndirections = 0\n", "directions"),
     ],
     ids=[
         "shell-dim", "shell-samples", "shell-sample-floor", "trilinear-trials",
         "trilinear-horizon", "nonresonance-dim", "nonresonance-dim-failure-side",
         "modulation-dim", "strichartz-q", "modulation-radius-0",
         "modulation-radius-half", "nonresonance-radius",
+        "nonresonance-radius-failure-side", "modulation-directions",
     ],
 )
 def test_library_value_errors_exit_as_config_errors(

@@ -19,7 +19,6 @@ from conftest import (
 )
 from halfwave import dynamics, grid
 from halfwave.dynamics import (
-    _contraction,
     InstabilityError,
     Trajectory,
     conserved_energy,
@@ -266,18 +265,31 @@ def test_picard_matches_evolve():
     assert final.distance(traj, 0.5) < 1e-4
 
 
-def test_picard_rounding_noise_counts_as_converged():
+def test_picard_rounding_noise_counts_as_converged(monkeypatch):
+    # at T = dt one level is new per sweep, so each sweep takes one scripted distance
+    lat = make_lattice(dim=1, n=16)
+    state = bump_state(lat, 0.05)
+
+    def run(distances, sweeps=None):
+        script = iter(distances)
+        monkeypatch.setattr(dynamics, "_state_distance", lambda *args: next(script))
+        report = picard_iterate(
+            lat, state, scalar_system(), T=0.1, dt=0.1, iters=len(distances)
+        )
+        assert report.successive_distances == tuple(distances[:sweeps])
+        return report.contraction_factor, report.diverged
+
     # distances of a converged picard-3d run: after the fourth sweep they are
     # rounding noise, below 1e-12 times the first, and decide nothing
-    distances = [9.3e-8, 2.6e-11, 2.3e-15, 1.5e-19, 3.3e-21, 5.9e-22, 5.9e-22]
-    factor, diverged = _contraction(distances)
+    factor, diverged = run([9.3e-8, 2.6e-11, 2.3e-15, 1.5e-19, 3.3e-21, 5.9e-22, 5.9e-22])
     assert factor == pytest.approx(2.6e-11 / 9.3e-8)
     assert not diverged
     # noise that rises three times in a row is not divergence either
-    assert _contraction([1.0, 1e-13, 2e-13, 3e-13, 4e-13]) == (0.0, False)
-    # live distances still give their worst ratio and their streak
-    assert _contraction([1.0, 0.5, 0.6, 0.7, 0.8]) == (0.6 / 0.5, True)
-    assert _contraction([0.0, 0.0]) == (0.0, False)
+    assert run([1.0, 1e-13, 2e-13, 3e-13, 4e-13]) == (0.0, False)
+    # live distances still give their worst ratio and their streak, which
+    # stops the iteration at its third increase
+    assert run([1.0, 0.5, 0.6, 0.7, 0.8, 0.9], sweeps=5) == (0.6 / 0.5, True)
+    assert run([0.0, 0.0]) == (0.0, False)
 
 
 def test_picard_divergence_flag():
@@ -320,6 +332,27 @@ def test_trajectory_validation():
     assert traj.n_components == 1
     assert traj.masses == (1.0,)
     assert traj.norm_series(0.5).shape == (2, 1)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
+def test_free_trajectory_chains_the_exact_rotation(dim, n):
+    # 800 steps of one step factor from sample 0 stay on e^{±it<D>} itself
+    lat = make_lattice(dim=dim, n=n)
+    state = decompose(lat, *random_data(lat, np.random.default_rng(dim)), (1.0,))
+    times = 0.3 + np.arange(801) * 0.05
+    traj = free_trajectory(lat, state, (1.0,), times)
+    scale = np.max(np.abs(state))
+    for t, sample in zip(times, traj.halves):
+        exact = state * dynamics._rotation(lat, (1.0,), t)
+        assert np.max(np.abs(sample - exact)) <= 1e-12 * scale
+
+
+def test_free_trajectory_refuses_too_few_or_uneven_times():
+    lat = make_lattice()
+    state = bump_state(lat, 0.1)
+    for times in ([], [0.0], [0.0, 0.1, 0.3]):
+        with pytest.raises(ValueError, match="two sample times|uniformly spaced"):
+            free_trajectory(lat, state, (1.0,), np.array(times))
 
 
 def test_distance_refuses_mismatched_trajectories():

@@ -132,13 +132,26 @@ def test_defect_statistic_spot_value():
 
 def test_modulation_bound_needs_the_first_rung_of_the_radius_ladder():
     # the ladder is 0, 1, 2, 4, ... up to max_radius: below 1 it has no rung
+    # on both sides of the mass dichotomy: (1, 1, 2.5) fails the condition
     for radius in (0.0, 0.5, -4.0):
         with pytest.raises(ValueError, match="max_radius must be at least 1"):
             verify_modulation_bound(1.0, 2, max_radius=radius)
-        with pytest.raises(ValueError, match="max_radius must be at least 1"):
-            verify_nonresonance_bound((1.0, 1.0, 1.0), 2, max_radius=radius)
+        for triple in ((1.0, 1.0, 1.0), (1.0, 1.0, 2.5)):
+            with pytest.raises(ValueError, match="max_radius must be at least 1"):
+                verify_nonresonance_bound(triple, 2, max_radius=radius)
     record = verify_modulation_bound(1.0, 2, max_radius=1.0)
     assert record.passed and record.details["samples"] > 2
+
+
+def test_resonance_sweeps_need_a_direction():
+    # each rung pair draws at least one direction, on both sides of the dichotomy
+    for directions in (0, -1):
+        with pytest.raises(ValueError, match="directions must be at least 1"):
+            verify_modulation_bound(1.0, 2, max_radius=8.0, directions=directions)
+        for triple in ((1.0, 1.0, 1.0), (1.0, 1.0, 2.5)):
+            with pytest.raises(ValueError, match="directions must be at least 1"):
+                verify_nonresonance_bound(triple, 2, max_radius=8.0, directions=directions)
+    assert verify_modulation_bound(1.0, 2, max_radius=8.0, directions=1).passed
 
 
 def test_modulation_bound_rejects_bad_dimension():
