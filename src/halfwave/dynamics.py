@@ -29,7 +29,10 @@ supported anywhere in this package.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -247,10 +250,6 @@ class Trajectory:
             raise ValueError("sign must be +1 or -1")
         return self.halves[:, component, (1 - sign) // 2]
 
-    def unrotated(self, j: int) -> np.ndarray:
-        """Profiles e^{∓it<D>} u^±(t) at sample j; constant for a free wave."""
-        return self.halves[j] * _rotation(self.lattice, self.masses, -self.times[j])
-
     def distance(self, other: "Trajectory", s: float) -> float:
         """sup over time of the H^s distance between the two trajectories' states.
 
@@ -283,11 +282,19 @@ def free_trajectory(
     _require_memory(len(times) * state.size * 16, f"{len(times)} samples")
     halves = np.empty((len(times),) + state.shape, dtype=complex)
     traj = Trajectory(times, masses, lattice, halves)
-    np.multiply(state, _rotation(lattice, traj.masses, traj.times[0]), out=halves[0])
-    step = _rotation(lattice, traj.masses, traj.times[1] - traj.times[0])
-    for before, sample in zip(halves, halves[1:]):
-        np.multiply(before, step, out=sample)
+    for j, sample in enumerate(_free_samples(lattice, state, traj.masses, traj.times)):
+        halves[j] = sample
     return traj
+
+
+def _free_samples(lattice: FrequencyLattice, state: np.ndarray, masses, times):
+    """Yield free_trajectory's samples in one buffer, chained by one step factor."""
+    sample = state * _rotation(lattice, masses, times[0])
+    step = _rotation(lattice, masses, times[1] - times[0])
+    yield sample
+    for _ in times[1:]:
+        sample *= step
+        yield sample
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +318,16 @@ class _Stepper:
     -i h/(12<D>) serves both halves, and no step takes a conjugate.
     Every factor is pointwise in xi, and outside the 2/3 band n = 0, so the
     stepper holds them for the band only and steps the band of a state.
+
+    n1 and n3 need only y, and n2 and n4 only those, so N runs in two pairs.
+    Given a pool of one worker thread, the second N of each pair runs there
+    (numpy's transforms release the interpreter lock), with the same floats.
     """
 
-    def __init__(self, lattice: FrequencyLattice, system: MassSystem, dt: float):
+    def __init__(self, lattice: FrequencyLattice, system: MassSystem, dt, pool=None):
         self.lattice = lattice
         self.system = system
+        self.pool = pool
         masses = system.masses
         self.half_phase = _band(lattice, _rotation(lattice, masses, 0.5 * dt))
         inv2br = _band(lattice, _inverse_twice_bracket(lattice, masses)[:, 0])
@@ -324,17 +336,24 @@ class _Stepper:
         self.weight = (-1j * dt / 6.0) * inv2br[:, None]
         self.stage = np.empty_like(self.half_phase)
 
+    def pair(self, u, v):
+        """N(u) and N(v) of two (K, *band) field arrays, N(v) on the pool if any."""
+        args = (self.lattice, self.system)
+        if self.pool is None:
+            return _nonlinearity(*args, u), _nonlinearity(*args, v)
+        # in a copy of this context, so that the caller's np.errstate holds
+        later = self.pool.submit(contextvars.copy_context().run, _nonlinearity, *args, v)
+        return _nonlinearity(*args, u), later.result()
+
     def step(self, y):
         """Advance the state y by one step, in place."""
-        lattice, system, phase = self.lattice, self.system, self.half_phase
+        phase, kick = self.half_phase, self.kick
         rotated = np.multiply(y, phase, out=self.stage)
         a = rotated[:, 0] + rotated[:, 1]
-        n1 = _nonlinearity(lattice, system, y[:, 0] + y[:, 1])
-        n2 = _nonlinearity(lattice, system, a + self.kick * n1[:, 0])
-        n3 = _nonlinearity(lattice, system, a)
+        n1, n3 = self.pair(y[:, 0] + y[:, 1], a)
         rotated *= phase
         b = rotated[:, 0] + rotated[:, 1]
-        n4 = _nonlinearity(lattice, system, b + 2.0 * self.kick * n3[:, 0])
+        n2, n4 = self.pair(a + kick * n1[:, 0], b + 2.0 * kick * n3[:, 0])
         np.multiply(n1, phase, out=y)
         y += 2.0 * (n2 + n3)
         y *= phase
@@ -347,6 +366,75 @@ class _Stepper:
 
 # the factor over the whole state's initial H^s norm at which evolve aborts
 _GROWTH_ABORT = 1e6
+# the grid points from which N pairs run on two threads (0.83-0.92x below)
+_PAIR_POINTS = 2**16
+
+
+def _march(lattice, state, system, T, dt, sample_every, s, sample_bytes):
+    """Make evolve's checks, and check sample_bytes per sample against memory.
+
+    Returns the sample times and a generator that yields each sample, in one
+    buffer, with its H^s increment ||u_j - E u_{j-1}||, E the free flow over
+    one stride (0.0 for sample 0).  Outside the band u_j is E u_{j-1}, so the
+    band of the kept half is summed, its columns but 0 twice.
+    """
+    if sample_every < 1:
+        raise ValueError("sample_every must be positive")
+    steps, half_root = _entry(lattice, state, system, T, dt, s)
+    if steps % sample_every:
+        raise ValueError(f"stride {sample_every} does not divide the {steps} steps")
+    n_samples = steps // sample_every + 1
+    # before np.arange builds the sample times
+    _require_memory(n_samples * sample_bytes, f"{n_samples} samples")
+    times = np.arange(n_samples) * sample_every * dt
+    y = _band(lattice, state).astype(complex)
+    # the free flow keeps the norm outside the band, once it zeroes the Nyquist modes
+    outside = ~lattice.nyquist_mask[..., : half_root.shape[-1]]
+    outside[lattice.band] = False
+    rest = np.sum(np.abs(half_root * outside * state[..., : outside.shape[-1]]) ** 2)
+    # a real multiply on the float view of y: a complex one turns inf into nan
+    root = np.repeat(_band(lattice, half_root), 2, axis=-1)
+    scratch = np.empty_like(y).view(float)
+
+    def band_square(v):
+        np.multiply(v.view(float), root, out=scratch)
+        return np.vdot(scratch, scratch)
+
+    base = math.sqrt(rest + band_square(y))
+    # without a scale, the largest float: an infinite norm still fails the test
+    limit = _GROWTH_ABORT * base if base > 0 else np.finfo(float).max
+    # two cores in this process's affinity; where the call is missing (not Linux), one
+    cores = len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+    paired = cores >= 2 and math.prod(lattice.spec.shape) >= _PAIR_POINTS
+
+    def samples():
+        free = _free_samples(lattice, state, system.masses, times)
+        yield next(free), 0.0
+        if paired:  # only here: most runs never pair, and the import takes 5-10 ms
+            from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) if paired else contextlib.nullcontext() as pool:
+            stepper = _Stepper(lattice, system, dt, pool)
+            for j in range(1, steps + 1):
+                stepper.step(y)
+                norm = math.sqrt(rest + band_square(y))
+                # a non-finite entry makes the norm non-finite, which fails the test too
+                if not norm <= limit:
+                    t = j * dt
+                    if not math.isfinite(norm):
+                        raise InstabilityError(f"non-finite state at t={t:.6g}", time=t)
+                    raise InstabilityError(
+                        f"norm {norm:.3e} exceeded {_GROWTH_ABORT:.1e} x initial "
+                        f"at t={t:.6g}",
+                        time=t,
+                    )
+                if j % sample_every == 0:
+                    # the buffer holds E u_{j-1} until y is written into its band
+                    sample = next(free)
+                    increment = math.sqrt(band_square(y - _band(lattice, sample)))
+                    _fill_band(lattice, y, sample)
+                    yield sample, increment
+
+    return times, samples()
 
 
 def evolve(
@@ -366,49 +454,19 @@ def evolve(
     InstabilityError when the H^s norm of the whole state, both halves of
     every component, exceeds 1e6 times its initial value or turns non-finite:
     data at rest, u = 0 and u_t not, have a limit.
+
+    On a grid of 2^16 points or more, with two cores in the CPU affinity,
+    each step's N pairs run on two threads, the second a worker that lives
+    only as long as the call; the result equals a one-core run (``taskset
+    -c 0``) bit for bit.  evolve keeps every sample; the CLI's simulate folds
+    them one at a time from _march, so its memory does not grow with the
+    horizon unless it saves the trajectory.
     """
-    if sample_every < 1:
-        raise ValueError("sample_every must be positive")
-    steps, half_root = _entry(lattice, state, system, T, dt, s)
-    if steps % sample_every:
-        raise ValueError(f"stride {sample_every} does not divide the {steps} steps")
-    n_samples = steps // sample_every + 1
-    # before np.arange builds the sample times
-    _require_memory(n_samples * state.size * 16, f"{n_samples} samples")
-    times = np.arange(n_samples) * sample_every * dt
-    traj = free_trajectory(lattice, state, system.masses, times)
-    stepper = _Stepper(lattice, system, dt)
-    y = _band(lattice, state).astype(complex)
-    # the free flow keeps the norm outside the band, once it zeroes the Nyquist modes
-    outside = ~lattice.nyquist_mask[..., : half_root.shape[-1]]
-    outside[lattice.band] = False
-    rest = np.sum(np.abs(half_root * outside * state[..., : outside.shape[-1]]) ** 2)
-    # a real multiply on the float view of y: a complex one turns inf into nan
-    root = np.repeat(_band(lattice, half_root), 2, axis=-1)
-    scratch = np.empty_like(y).view(float)
-
-    def total_norm(y):
-        np.multiply(y.view(float), root, out=scratch)
-        return math.sqrt(rest + np.vdot(scratch, scratch))
-
-    base = total_norm(y)
-    # without a scale, the largest float: an infinite norm still fails the test
-    limit = _GROWTH_ABORT * base if base > 0 else np.finfo(float).max
-
-    for j in range(1, steps + 1):
-        stepper.step(y)
-        norm = total_norm(y)
-        # a non-finite entry makes the norm non-finite, which fails the test too
-        if not norm <= limit:
-            t = j * dt
-            if not math.isfinite(norm):
-                raise InstabilityError(f"non-finite state at t={t:.6g}", time=t)
-            raise InstabilityError(
-                f"norm {norm:.3e} exceeded {_GROWTH_ABORT:.1e} x initial at t={t:.6g}",
-                time=t,
-            )
-        if j % sample_every == 0:
-            _fill_band(lattice, y, traj.halves[j // sample_every])
+    times, samples = _march(lattice, state, system, T, dt, sample_every, s, state.size * 16)
+    halves = np.empty((times.size,) + state.shape, dtype=complex)
+    traj = Trajectory(times, system.masses, lattice, halves)
+    for j, (sample, _) in enumerate(samples):
+        halves[j] = sample
     return traj
 
 
@@ -536,16 +594,18 @@ def scattering_state(traj: Trajectory, s: float = 0.5) -> ScatteringResult:
 
     For a free wave w is constant; for a scattering solution it is Cauchy in
     t.  Returns the (K, 2, *grid) state w(T_final) and the summed-component
-    H^s increments ||w(t_{j+1}) - w(t_j)|| as a vector over sample gaps.
+    H^s increments ||w(t_{j+1}) - w(t_j)|| = ||u(t_{j+1}) - E u(t_j)||, E the
+    free flow over one gap, as a vector over sample gaps: one rotation.
     """
     root = np.sqrt(_hs_weights(traj.lattice, traj.masses, s))
-    inc = np.zeros(traj.times.size - 1)
-    w = traj.unrotated(0)
-    for j in range(inc.size):
-        later = traj.unrotated(j + 1)
-        inc[j] = _state_distance(root, later, w, w)
-        w = later
-    return ScatteringResult(traj.times, w, inc)
+    step = _rotation(traj.lattice, traj.masses, traj.times[1] - traj.times[0])
+    carried = np.empty_like(traj.halves[0])
+    inc = np.array([
+        _state_distance(root, later, np.multiply(u, step, out=carried), carried)
+        for u, later in zip(traj.halves, traj.halves[1:])
+    ])
+    final = traj.halves[-1] * _rotation(traj.lattice, traj.masses, -traj.times[-1])
+    return ScatteringResult(traj.times, final, inc)
 
 
 def conserved_energy(

@@ -561,6 +561,26 @@ def test_simulate_free_flow_matches_linear(tmp_path):
     assert table[:, 4].sum() < 1e-12
 
 
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    # a 32^3 sample holds 1 MiB; kept, 12 more samples would add 12 MiB
+    peaks = []
+    for horizon in (0.15, 0.75):
+        path = write_config(
+            tmp_path,
+            f"[run]\ndim = 3\nbox_length = 32\npoints_per_axis = 32\n"
+            f"horizon = {horizon}\ndt = 0.05\n",
+        )
+        config = load_config("simulate", path)
+        tracemalloc.start()
+        try:
+            result = cli._run_simulate(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.summary["samples"] == round(horizon / 0.05) + 1
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_simulate_rows_cover_all_samples(tmp_path):
     path = write_config(
         tmp_path,

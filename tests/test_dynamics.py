@@ -1,5 +1,7 @@
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -306,6 +308,32 @@ def test_scattering_free_wave_constant():
     result = scattering_state(traj)
     assert np.max(result.increments) < 1e-10
     assert np.max(np.abs(result.final - state)) < 1e-10
+
+
+def test_scattering_increments_match_the_unrotated_profiles():
+    # the reference pulls every sample back with its own rotation,
+    # w(t_j) = e^{∓it_j<D>} u(t_j), and differences the profiles
+    lat = make_lattice(n=32, box=16.0)
+    traj = evolve(lat, bump_state(lat, amp=0.5), scalar_system(), T=4.0, dt=0.05,
+                  sample_every=5)
+    result = scattering_state(traj, 0.5)
+    w = [u * dynamics._rotation(lat, (1.0,), -t) for t, u in zip(traj.times, traj.halves)]
+    reference = [pair_distance(lat, a, b) for a, b in zip(w, w[1:])]
+    assert np.allclose(result.increments, reference, rtol=1e-10, atol=0.0)
+    assert np.array_equal(result.final, w[-1])
+
+
+@pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8)])
+def test_streamed_increments_match_scattering_state(dim, n):
+    # the stream sums ||u_j - E u_{j-1}|| over the band of the kept half
+    lat = make_lattice(dim=dim, n=n)
+    state = bump_state(lat, amp=0.5)
+    args = (lat, state, scalar_system(coefficient=3.0), 2.0, 0.05, 4, 0.5)
+    _, samples = dynamics._march(*args, 0)
+    increments = [increment for _, increment in samples]
+    expected = scattering_state(evolve(*args), 0.5).increments
+    assert increments[0] == 0.0 and min(expected) > 1e-6
+    assert np.allclose(increments[1:], expected, rtol=1e-12, atol=0.0)
 
 
 def test_scattering_increments_decay():
@@ -680,3 +708,95 @@ def test_solvers_refuse_hs_weights_that_overflow(s):
         evolve(lat, state, scalar_system(), T=0.2, dt=0.1, s=s)
     with pytest.raises(ValueError, match="not finite on the lattice"):
         picard_iterate(lat, state, scalar_system(), T=0.2, dt=0.1, iters=2, s=s)
+
+
+# ---------------------------------------------------------------------------
+# the stepper's N pairs on a worker thread
+
+
+def traced_threads(monkeypatch):
+    """Names of the threads that evaluate N from now on."""
+    names = []
+    real = dynamics.evaluate_nonlinearity
+
+    def traced(*args):
+        names.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "evaluate_nonlinearity", traced)
+    return names
+
+
+def cores(monkeypatch, n):
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def pair_stepper(lat, pool):
+    return dynamics._Stepper(lat, scalar_system(), 0.05, pool)
+
+
+def test_paired_evolve_equals_a_one_core_run(monkeypatch):
+    # 256^2 = 2^16 points, the smallest grid that pairs
+    lat = make_lattice(dim=2, box=32.0, n=256)
+    state = bump_state(lat, amp=0.5, width=2.0)
+    runs = {}
+    for n in (1, 2):
+        cores(monkeypatch, n)
+        names = traced_threads(monkeypatch)
+        runs[n] = evolve(lat, state, scalar_system(), T=0.2, dt=0.05, sample_every=2)
+        monkeypatch.undo()
+        # 4 steps of 4 N, on a worker as well as the caller when paired
+        assert len(names) == 16 and len(set(names)) == n
+    assert np.array_equal(runs[1].halves, runs[2].halves)
+
+
+def test_below_the_gate_no_thread_starts(monkeypatch):
+    # 128^2 points, a quarter of the gate, with two cores
+    lat = make_lattice(dim=2, box=32.0, n=128)
+    cores(monkeypatch, 2)
+    before, counts = threading.active_count(), []
+    real = dynamics.evaluate_nonlinearity
+
+    def counted(*args):
+        counts.append(threading.active_count())
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "evaluate_nonlinearity", counted)
+    evolve(lat, bump_state(lat, amp=0.5), scalar_system(), T=0.1, dt=0.05)
+    assert counts == [before] * 8
+
+
+def test_no_worker_outlives_evolve(monkeypatch):
+    lat = make_lattice(dim=2, box=32.0, n=256)
+    state = bump_state(lat, amp=0.5, width=2.0)
+    cores(monkeypatch, 2)
+    names = traced_threads(monkeypatch)
+    before = threading.active_count()
+    evolve(lat, state, scalar_system(), T=0.1, dt=0.05)
+    assert threading.active_count() == before and len(set(names)) == 2
+    # a limit of half the initial norm trips on the first step, after a pair ran
+    monkeypatch.setattr(dynamics, "_GROWTH_ABORT", 0.5)
+    names.clear()
+    with pytest.raises(InstabilityError, match="exceeded"):
+        evolve(lat, state, scalar_system(), T=0.1, dt=0.05)
+    assert threading.active_count() == before and len(set(names)) == 2
+
+
+def test_the_worker_keeps_the_callers_errstate():
+    # the second field's square overflows; on a worker that did not copy the
+    # caller's context, numpy would only warn
+    lat = make_lattice(dim=1, box=8.0, n=32)
+    fine = dynamics._band(lat, bump_state(lat, amp=0.5)).sum(1)
+    huge = 1e200 * np.ones_like(fine)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        stepper = pair_stepper(lat, pool)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            stepper.pair(fine, huge)
+
+
+def test_an_error_in_the_worker_reaches_the_caller():
+    lat = make_lattice(dim=1, box=8.0, n=32)
+    fine = dynamics._band(lat, bump_state(lat, amp=0.5)).sum(1)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(ValueError, match="one field per component"):
+            pair_stepper(lat, pool).pair(fine, np.concatenate([fine, fine]))
