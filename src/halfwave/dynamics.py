@@ -29,10 +29,9 @@ supported anywhere in this package.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
-import os
+import os  # noqa: F401  (the CPU affinity _worker_pool reads, patched in tests)
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +41,7 @@ from .grid import (
     FrequencyLattice,
     SpectralField,
     _require_memory,
+    _worker_pool,
     free_propagate,  # noqa: F401  (a span target of the benchmark's traced run)
     sobolev_norm,  # noqa: F401  (a span target of the benchmark's traced run)
 )
@@ -403,16 +403,11 @@ def _march(lattice, state, system, T, dt, sample_every, s, sample_bytes):
     base = math.sqrt(rest + band_square(y))
     # without a scale, the largest float: an infinite norm still fails the test
     limit = _GROWTH_ABORT * base if base > 0 else np.finfo(float).max
-    # two cores in this process's affinity; where the call is missing (not Linux), one
-    cores = len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
-    paired = cores >= 2 and math.prod(lattice.spec.shape) >= _PAIR_POINTS
 
     def samples():
         free = _free_samples(lattice, state, system.masses, times)
         yield next(free), 0.0
-        if paired:  # only here: most runs never pair, and the import takes 5-10 ms
-            from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(1) if paired else contextlib.nullcontext() as pool:
+        with _worker_pool(math.prod(lattice.spec.shape), _PAIR_POINTS) as pool:
             stepper = _Stepper(lattice, system, dt, pool)
             for j in range(1, steps + 1):
                 stepper.step(y)

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -249,6 +250,15 @@ def gaussian_bump(
 def _physical_memory() -> int:
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _worker_pool(points: int, gate: int):
+    """A with-context of a one-worker pool, or of None below the gate or on one core."""
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2 or points < gate:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor  # only here: it takes 5-10 ms
+
+    return ThreadPoolExecutor(1)
 
 
 def _require_memory(nbytes: int, what: str):

@@ -7,6 +7,7 @@ factor-4 slack) rather than by any particular constant value. Monte Carlo
 routines are reproducible bit for bit from their seed and parameters.
 """
 
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import DyadicIndex, _require_memory, annulus_profile
+from .grid import DyadicIndex, _require_memory, _worker_pool, annulus_profile
 from .system import bracket, check_nonresonance, resonance_function, smallest_bracket
 
 
@@ -487,10 +488,13 @@ _TRIAL_BYTES = 100
 _MAX_TIME_SAMPLES = 4000
 # time samples of _bilinear_space_time_l2 per period of the largest phase spread
 _OVERSAMPLE = 4.0
-# bytes per padded-box entry at the peak of _bilinear_space_time_l2: the two
-# complex64 pads, the float32 weight and the float32 |conv|^2 of the mass
-# (26.6-34.6 under tracemalloc on boxes of 33^3 to 65^3 entries)
-_BOX_BYTES = 35
+# bytes per padded-box entry at the peak of _bilinear_space_time_l2 below and
+# from the gate: each side's complex64 pads and float32 |conv|^2, the weight
+# and the modes (tracemalloc, 1e4 to 4e6 entries: 26-34 on one core, 46-56 split)
+_BOX_BYTES = (35, 60)
+# box entries from which the samples split across two cores: a 33^3 box took
+# 0.63-1.01x the one-core time, 31x19x31 0.61-0.73x, 5e3-1.6e4 entries 0.73-1.18x
+_SPLIT_ENTRIES = 2**14
 
 
 def _pruned_fftn(pad: np.ndarray, shape) -> np.ndarray:
@@ -527,7 +531,8 @@ def _bilinear_space_time_l2(
     selects its double-precision loop, so a complex64 np.fft.fftn computes
     in complex128 and casts back at about three times the cost. The unitary
     transforms scale the convolution by 1/sqrt(prod(conv_shape)), undone on
-    the total.
+    the total. From _SPLIT_ENTRIES box entries on, with two cores, a worker
+    thread takes the odd time samples in pads of its own, with the same bits.
     """
     omega_a = bracket(1.0, modes_a)
     omega_b = bracket(1.0, modes_b)
@@ -550,12 +555,13 @@ def _bilinear_space_time_l2(
     shape_a = tuple(int(x) for x in local_a.max(axis=0) + 1)
     shape_b = tuple(int(x) for x in local_b.max(axis=0) + 1)
     conv_shape = tuple(sa + sb - 1 for sa, sb in zip(shape_a, shape_b))
-    _require_memory(_BOX_BYTES * math.prod(conv_shape), "the bilinear padded boxes")
+    size = math.prod(conv_shape)  # from the gate on as if split, whatever the cores
+    _require_memory(_BOX_BYTES[size >= _SPLIT_ENTRIES] * size, "the bilinear padded boxes")
 
     corner = corner_a + corner_b
     axes = []
-    for d, size in enumerate(conv_shape):
-        axis = (corner[d] + np.arange(size)).astype(float) ** 2
+    for d, side in enumerate(conv_shape):
+        axis = (corner[d] + np.arange(side)).astype(float) ** 2
         axes.append(axis.reshape((1,) * d + (-1,) + (1,) * (len(conv_shape) - d - 1)))
     # one slab along axis 0 at a time, so the float64 temporaries span a slab,
     # not the box; every operation is elementwise, so the values are the same
@@ -568,25 +574,42 @@ def _bilinear_space_time_l2(
             np.float32
         ) ** 2
 
-    idx_a = tuple(local_a.T)
-    idx_b = tuple(local_b.T)
-    pad_a = np.zeros(conv_shape, dtype=np.complex64)
-    pad_b = np.zeros(conv_shape, dtype=np.complex64)
+    flat_a = np.ravel_multi_index(local_a.T, conv_shape)
+    flat_b = np.ravel_multi_index(local_b.T, conv_shape)
+    masses = np.empty(nt)
+
+    def fill_masses(js):
+        """Write the product's weighted mass at each sample of js, in pads of its own."""
+        pad_a = np.zeros(conv_shape, dtype=np.complex64)
+        pad_b = np.zeros(conv_shape, dtype=np.complex64)
+        line_a, line_b = pad_a.reshape(-1), pad_b.reshape(-1)
+        power = np.empty(conv_shape, dtype=np.float32)
+        for j in js:
+            pad_a[...] = pad_b[...] = 0
+            line_a[flat_a] = (amps_a * np.exp(1j * times[j] * osc_a)).astype(np.complex64)
+            line_b[flat_b] = (amps_b * np.exp(1j * times[j] * osc_b)).astype(np.complex64)
+            # in place in pad_a and pad_b; never np.fft.fftn(pad) here, which
+            # without norm="ortho" computes in complex128
+            conv = _pruned_fftn(pad_a, shape_a)
+            conv *= _pruned_fftn(pad_b, shape_b)
+            np.fft.ifftn(conv, norm="ortho", out=conv)
+            # weight_sq * |conv|^2 in one buffer: numpy elides no temporary < 256 KiB
+            np.square(np.abs(conv, out=power), out=power)
+            masses[j] = np.sum(np.multiply(power, weight_sq, out=power))
+
+    with _worker_pool(size, _SPLIT_ENTRIES) as pool:
+        if pool is None:
+            fill_masses(range(nt))
+        else:
+            # the odd samples, in a copy of this context: the caller's np.errstate
+            odd = pool.submit(contextvars.copy_context().run, fill_masses, range(1, nt, 2))
+            fill_masses(range(0, nt, 2))
+            odd.result()
     total = 0.0
-    for j, t in enumerate(times):
-        pad_a[...] = 0
-        pad_b[...] = 0
-        pad_a[idx_a] = (amps_a * np.exp(1j * t * osc_a)).astype(np.complex64)
-        pad_b[idx_b] = (amps_b * np.exp(1j * t * osc_b)).astype(np.complex64)
-        # in place in pad_a and pad_b; never np.fft.fftn(pad) here, which
-        # without norm="ortho" computes in complex128
-        conv = _pruned_fftn(pad_a, shape_a)
-        conv *= _pruned_fftn(pad_b, shape_b)
-        np.fft.ifftn(conv, norm="ortho", out=conv)
-        mass = float(np.sum(weight_sq * np.abs(conv) ** 2))
+    for j, mass in enumerate(masses):
         w = 0.5 if j in (0, nt - 1) else 1.0
         total += w * dt * mass
-    return math.sqrt(total * math.prod(conv_shape))
+    return math.sqrt(total * size)
 
 
 def _orthonormal_pair(dim: int, rng):

@@ -116,10 +116,11 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
 
     out = []
     for poly in system.polynomials:
-        total = np.zeros(shape)
+        total = None if poly else np.zeros(shape)
         for mono in poly:
             j, k = mono.factors
-            total += mono.coefficient * (physical[j] * physical[k])
+            product = mono.coefficient * (physical[j] * physical[k])
+            total = product if total is None else np.add(total, product, out=total)
         out.append(np.fft.rfftn(total, norm="ortho").reshape(-1)[index])
     del physical  # not held while the products are stacked
     return np.stack(out)

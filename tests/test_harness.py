@@ -6,6 +6,8 @@ seeded runs of the independent geometric oracles in this file.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -587,6 +589,132 @@ def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", fft)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 4375)
     assert verify_bilinear(3, 4, 16, 16, trials=1, seed=0).ratios[0] > 0
+
+
+# ----------------------------------------------------------------------
+# the bilinear product's time samples on a worker thread
+# ----------------------------------------------------------------------
+
+# the separated case at low scale 32: two balls of radius 8, 17^3 boxes, so
+# the padded box holds 33^3 entries, twice the gate
+SPLIT_CASE = (3, 32, 256, 256)
+
+
+def cores(monkeypatch, n):
+    monkeypatch.setattr(grid.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def traced_transforms(monkeypatch, hook=lambda: None):
+    """Names of the threads that transform a pad from now on; each first calls hook."""
+    names = []
+    real = harness._pruned_fftn
+
+    def traced(pad, shape):
+        names.append(threading.current_thread().name)
+        hook()
+        return real(pad, shape)
+
+    monkeypatch.setattr(harness, "_pruned_fftn", traced)
+    return names
+
+
+def on_the_worker():
+    return threading.current_thread() is not threading.main_thread()
+
+
+def test_split_bilinear_equals_a_one_core_run(monkeypatch):
+    runs = {}
+    interval = sys.getswitchinterval()
+    # the threads hand the interpreter lock over as often as they can
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 2):
+            cores(monkeypatch, n)
+            names = traced_transforms(monkeypatch)
+            runs[n] = verify_bilinear(*SPLIT_CASE, trials=1, seed=0).ratios
+            monkeypatch.undo()
+            assert len(set(names)) == n
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[2]
+
+
+def test_bilinear_below_the_gate_starts_no_thread(monkeypatch):
+    # the separated case at low scale 4: a 9^3 padded box
+    cores(monkeypatch, 2)
+    before, counts = threading.active_count(), []
+    traced_transforms(monkeypatch, lambda: counts.append(threading.active_count()))
+    verify_bilinear(3, 4, 32, 32, trials=1, seed=0)
+    assert counts and set(counts) == {before}
+
+
+def test_no_bilinear_worker_outlives_the_call(monkeypatch):
+    cores(monkeypatch, 2)
+    before = threading.active_count()
+    names = traced_transforms(monkeypatch)
+    verify_bilinear(*SPLIT_CASE, trials=1, seed=0)
+    assert threading.active_count() == before and len(set(names)) == 2
+
+    def fail():
+        raise RuntimeError("transform failed")
+
+    traced_transforms(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="transform failed"):
+        verify_bilinear(*SPLIT_CASE, trials=1, seed=0)
+    assert threading.active_count() == before
+    monkeypatch.setattr(harness, "_MAX_TIME_SAMPLES", 8)
+    with pytest.raises(ValueError, match="at most 8"):
+        verify_bilinear(*SPLIT_CASE, trials=1, seed=0)
+    assert threading.active_count() == before
+
+
+def test_the_bilinear_worker_keeps_the_callers_errstate(monkeypatch):
+    # a float32 overflow on the worker alone; on a worker that did not copy
+    # the caller's context, numpy would only warn
+    def overflow():
+        if on_the_worker():
+            np.float32(3e38) * np.float32(10.0)
+
+    cores(monkeypatch, 2)
+    traced_transforms(monkeypatch, overflow)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        verify_bilinear(*SPLIT_CASE, trials=1, seed=0)
+
+
+def test_an_error_in_the_bilinear_worker_reaches_the_caller(monkeypatch):
+    def fail():
+        if on_the_worker():
+            raise RuntimeError("the worker failed")
+
+    cores(monkeypatch, 2)
+    traced_transforms(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="the worker failed"):
+        verify_bilinear(*SPLIT_CASE, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["one-core", "split"])
+def test_bilinear_memory_estimate_covers_the_peak(monkeypatch, n):
+    cores(monkeypatch, n)
+    names = traced_transforms(monkeypatch)
+    verify_bilinear(*SPLIT_CASE, trials=1, seed=0)  # the first split imports its pool
+    names.clear()
+    real = harness._bilinear_space_time_l2
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            value = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return value
+
+    monkeypatch.setattr(harness, "_bilinear_space_time_l2", traced)
+    verify_bilinear(*SPLIT_CASE, trials=1, seed=0)
+    assert len(set(names)) == n
+    assert 33**3 >= harness._SPLIT_ENTRIES
+    assert peaks[0] <= harness._BOX_BYTES[True] * 33**3
 
 
 def test_bilinear_sweep_separated_small():
