@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os  # noqa: F401  (the CPU affinity _worker_pool reads, patched in tests)
 from dataclasses import dataclass
 from typing import Callable
 

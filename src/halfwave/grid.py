@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 from dataclasses import dataclass
 
@@ -259,6 +260,19 @@ def _worker_pool(points: int, gate: int):
     from concurrent.futures import ThreadPoolExecutor  # only here: it takes 5-10 ms
 
     return ThreadPoolExecutor(1)
+
+
+def _split_even_odd(fill, n: int, points: int, gate: int):
+    """fill(range(n)); with a pool from _worker_pool, the odd indices on its worker.
+
+    The worker runs in a copy of this context, so the caller's np.errstate holds."""
+    with _worker_pool(points, gate) as pool:
+        if pool is None:
+            fill(range(n))
+        else:
+            odd = pool.submit(contextvars.copy_context().run, fill, range(1, n, 2))
+            fill(range(0, n, 2))
+            odd.result()
 
 
 def _require_memory(nbytes: int, what: str):

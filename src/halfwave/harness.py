@@ -7,7 +7,6 @@ factor-4 slack) rather than by any particular constant value. Monte Carlo
 routines are reproducible bit for bit from their seed and parameters.
 """
 
-import contextvars
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -15,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import DyadicIndex, _require_memory, _worker_pool, annulus_profile
+from .grid import DyadicIndex, _require_memory, _split_even_odd, annulus_profile
 from .system import bracket, check_nonresonance, resonance_function, smallest_bracket
 
 
@@ -489,9 +488,13 @@ _MAX_TIME_SAMPLES = 4000
 # time samples of _bilinear_space_time_l2 per period of the largest phase spread
 _OVERSAMPLE = 4.0
 # bytes per padded-box entry at the peak of _bilinear_space_time_l2 below and
-# from the gate: each side's complex64 pads and float32 |conv|^2, the weight
-# and the modes (tracemalloc, 1e4 to 4e6 entries: 26-34 on one core, 46-56 split)
+# from the gate: each side's complex64 pads and float32 |conv|^2 and the weight
+# (tracemalloc, 1e4 to 4e6 entries: 26-34 on one core, 46-56 split); then per
+# mode, its coordinates, flat index, brackets and phases, and a fixed part
+# (full cubes of modes, 9^3 to 17^3 a side: at most 42 a mode and 8 KiB)
 _BOX_BYTES = (35, 60)
+_BOX_MODE_BYTES = 64
+_BOX_FIXED_BYTES = 2**14
 # box entries from which the samples split across two cores: a 33^3 box took
 # 0.63-1.01x the one-core time, 31x19x31 0.61-0.73x, 5e3-1.6e4 entries 0.73-1.18x
 _SPLIT_ENTRIES = 2**14
@@ -556,7 +559,9 @@ def _bilinear_space_time_l2(
     shape_b = tuple(int(x) for x in local_b.max(axis=0) + 1)
     conv_shape = tuple(sa + sb - 1 for sa, sb in zip(shape_a, shape_b))
     size = math.prod(conv_shape)  # from the gate on as if split, whatever the cores
-    _require_memory(_BOX_BYTES[size >= _SPLIT_ENTRIES] * size, "the bilinear padded boxes")
+    need = _BOX_BYTES[size >= _SPLIT_ENTRIES] * size + _BOX_FIXED_BYTES
+    need += _BOX_MODE_BYTES * (len(modes_a) + len(modes_b))
+    _require_memory(need, "the bilinear padded boxes")
 
     corner = corner_a + corner_b
     axes = []
@@ -597,14 +602,7 @@ def _bilinear_space_time_l2(
             np.square(np.abs(conv, out=power), out=power)
             masses[j] = np.sum(np.multiply(power, weight_sq, out=power))
 
-    with _worker_pool(size, _SPLIT_ENTRIES) as pool:
-        if pool is None:
-            fill_masses(range(nt))
-        else:
-            # the odd samples, in a copy of this context: the caller's np.errstate
-            odd = pool.submit(contextvars.copy_context().run, fill_masses, range(1, nt, 2))
-            fill_masses(range(0, nt, 2))
-            odd.result()
+    _split_even_odd(fill_masses, nt, size, _SPLIT_ENTRIES)
     total = 0.0
     for j, mass in enumerate(masses):
         w = 0.5 if j in (0, nt - 1) else 1.0
@@ -811,31 +809,30 @@ def strichartz_admissible(n: int, q, r, family: str):
 # trilinear space-time integral
 
 
-# bytes at the peak of _match_interactions up to the gather: per entry of the
-# code table (its intp index) and per (low, mate) pair (the int64 codes and
-# the intp gather, alive together). Under tracemalloc the peak equals this to
-# 0.1% on trials of 0.3M-1.44M pairs
+# bytes of a trilinear trial at its peak: per entry of the code table (its
+# intp index), per (low, mate) pair of a block (int64 codes and intp hits),
+# per match of a block (its indices and phase temporaries: 96 under
+# tracemalloc, less its term) and per match of the trial (its term in the
+# block list and in their concatenation)
 _TABLE_BYTES = 8
 _PAIR_BYTES = 16
+_MATCH_BYTES = 64
+_TERM_BYTES = 32
+# (low, mate) pairs per block: on the campaign's cases 2^14-2^18 ran alike on
+# one core, and split, 2^16 took 0.35 s against 0.83 s at 2^12
+_BLOCK_PAIRS = 2**16
 
 
-def _match_bytes(dim: int) -> int:
-    """Bytes per match of the match indices and verify_trilinear's per-match arrays.
+def _match_interactions(low_modes, mate_modes, high_modes, sides: int = 1):
+    """Yield (i_low, i_mate, third) with low + mate + high = 0, a block at a time.
 
-    Under tracemalloc, trials of 1k-58k matches in dimensions 2-6 peaked at
-    96 bytes a match in dimensions 2-3, in the phases, and at 40 + 16 * dim
-    from dimension 4, in the modes gathered for the brackets.
-    """
-    return max(96, 40 + 16 * dim)
-
-
-def _match_interactions(low_modes, mate_modes, high_modes):
-    """Every (i_low, i_mate, third) with low + mate + high = 0, in (low, mate) order.
-
-    High modes must be distinct. The code table and the pair codes are
-    checked against physical memory before they are allocated, and so are
-    the matches, once counted, with the per-match arrays verify_trilinear
-    builds from them; see verify_trilinear for the method.
+    A block holds the pairs of consecutive low modes, so over all blocks the
+    matches come in (low, mate) order. High modes must be distinct. The code
+    table and a block's pair codes are checked against physical memory
+    before they are allocated, and so are each block's matches, once
+    counted, with the arrays verify_trilinear builds from them, all counted
+    `sides` times for trials run at once; see verify_trilinear for the
+    method.
     """
     need_lo = -(low_modes.max(axis=0) + mate_modes.max(axis=0))
     need_hi = -(low_modes.min(axis=0) + mate_modes.min(axis=0))
@@ -843,26 +840,29 @@ def _match_interactions(low_modes, mate_modes, high_modes):
     spans = np.maximum(high_modes.max(axis=0), need_hi) - mins + 1
     w = np.cumprod(np.concatenate([[1], spans[:-1]])).astype(np.int64)
     size = math.prod(spans.tolist())
-    estimate = _TABLE_BYTES * size + _PAIR_BYTES * len(low_modes) * len(mate_modes)
-    _require_memory(estimate, "the trilinear code table and pair codes")
+    rows = min(len(low_modes), max(1, _BLOCK_PAIRS // len(mate_modes)))
+    fixed = _TABLE_BYTES * size + _PAIR_BYTES * rows * len(mate_modes)
+    _require_memory(sides * fixed, "the trilinear code table and pair codes")
     table = np.full(size, -1, dtype=np.intp)
     table[(high_modes - mins) @ w] = np.arange(len(high_modes))
-    codes = (-(low_modes + mins) @ w)[:, None] - (mate_modes @ w)[None, :]
-    hit = table[codes.ravel()]
-    del codes
-    found = hit >= 0
-    matches = np.count_nonzero(found)
-    # the table and pair bytes stay counted, which bounds the peak from above
-    _require_memory(
-        estimate + _match_bytes(low_modes.shape[1]) * matches,
-        f"the {matches} trilinear matches",
-    )
-    flat_idx = np.flatnonzero(found)
-    del found
-    third = hit[flat_idx]
-    del hit
-    i_low, i_mate = np.divmod(flat_idx, len(mate_modes))
-    return i_low, i_mate, third
+    low_codes = -(low_modes + mins) @ w
+    mate_codes = mate_modes @ w
+    matches = 0
+    for start in range(0, len(low_modes), rows):
+        hit = table[(low_codes[start : start + rows, None] - mate_codes[None, :]).ravel()]
+        found = hit >= 0
+        count = np.count_nonzero(found)
+        matches += count
+        _require_memory(
+            sides * (fixed + _MATCH_BYTES * count + _TERM_BYTES * matches),
+            f"the {matches} trilinear matches",
+        )
+        flat_idx = np.flatnonzero(found)
+        del found
+        third = hit[flat_idx]
+        del hit
+        i_low, i_mate = np.divmod(flat_idx, len(mate_modes))
+        yield i_low + start, i_mate, third
 
 
 # the most modes verify_trilinear keeps in each of its three sets
@@ -927,8 +927,12 @@ def verify_trilinear(
     test. As the code is linear, the code of -(l + m) is A[i] - B[j] with
     A = -(low + mins) @ w and B = mate @ w: one outer difference and one
     gather match every (low, mate) pair, and the pair sums are never formed.
-    Trials whose records exceed physical memory raise MemoryError before the
-    first.
+    The pairs are matched _BLOCK_PAIRS at a time, and the brackets are taken
+    once per mode. Trials whose records exceed physical memory raise
+    MemoryError before the first. From two trials on, with two cores, a
+    worker thread takes the odd trials; each trial draws from its own
+    generator and sums its terms in one array, so the ratios equal a
+    one-core run bit for bit.
     """
     high = DyadicIndex(high_scale)
     mate = DyadicIndex(mate_scale)
@@ -943,51 +947,59 @@ def verify_trilinear(
     if not horizon > 0:
         raise ValueError("the interaction horizon must be positive")
     s_weight = max(0.5, (dim - 2) / 2.0)
-    ratios = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        pole = rng.standard_normal(dim)
-        pole /= np.linalg.norm(pole)
-        rho = max(float(high) / 4.0, 1.5)
-        ball = ball_mode_set(np.zeros(dim), max(float(low), 1.2))
-        low_modes = _subsample(ball, _MAX_MODES, rng)
-        mate_modes = _subsample(cap_mode_set(float(mate), -pole, rho), _MAX_MODES, rng)
-        high_modes = _subsample(cap_mode_set(float(high), pole, rho), _MAX_MODES, rng)
-        if min(len(low_modes), len(mate_modes), len(high_modes)) == 0:
-            ratios.append(0.0)
-            continue
+    ratios = [0.0] * trials
 
-        def draw(count):
-            return (
-                rng.standard_normal(count) + 1j * rng.standard_normal(count)
-            ) / math.sqrt(2.0)
+    def fill_ratios(indices):
+        """Write the ratio of each trial in indices, each from its own generator."""
+        for trial in indices:
+            rng = np.random.default_rng([seed, trial])
+            pole = rng.standard_normal(dim)
+            pole /= np.linalg.norm(pole)
+            rho = max(float(high) / 4.0, 1.5)
+            ball = ball_mode_set(np.zeros(dim), max(float(low), 1.2))
+            low_modes = _subsample(ball, _MAX_MODES, rng)
+            mate_modes = _subsample(cap_mode_set(float(mate), -pole, rho), _MAX_MODES, rng)
+            high_modes = _subsample(cap_mode_set(float(high), pole, rho), _MAX_MODES, rng)
+            if min(len(low_modes), len(mate_modes), len(high_modes)) == 0:
+                continue
 
-        coeff_low = draw(len(low_modes))
-        coeff_mate = draw(len(mate_modes))
-        coeff_high = draw(len(high_modes))
+            def draw(count):
+                return (
+                    rng.standard_normal(count) + 1j * rng.standard_normal(count)
+                ) / math.sqrt(2.0)
 
-        i_low, i_mate, third = _match_interactions(low_modes, mate_modes, high_modes)
+            coeff_low = draw(len(low_modes))
+            coeff_mate = draw(len(mate_modes))
+            coeff_high = draw(len(high_modes))
+            br_low, br_mate, br_high = (
+                bracket(1.0, modes) for modes in (low_modes, mate_modes, high_modes)
+            )
+            terms = []
+            # two trials run at once from two on, whatever the cores
+            for i_low, i_mate, third in _match_interactions(
+                low_modes, mate_modes, high_modes, min(trials, 2)
+            ):
+                omega = br_low[i_low] + br_mate[i_mate] - br_high[third]
+                phase = np.where(
+                    np.abs(omega) < 1e-12,
+                    horizon,
+                    (np.exp(1j * omega * horizon) - 1.0)
+                    / (1j * np.where(omega == 0, 1.0, omega)),
+                )
+                terms.append(
+                    coeff_low[i_low] * coeff_mate[i_mate] * coeff_high[third] * phase
+                )
+            # one pairwise sum over every term, as over an unblocked array
+            total = np.sum(np.concatenate(terms))
+            norms = (
+                np.linalg.norm(coeff_low)
+                * np.linalg.norm(coeff_mate)
+                * np.linalg.norm(coeff_high)
+            )
+            denom = float(high) * max(float(low), 1.0) ** s_weight * norms
+            ratios[trial] = float(abs(total)) / denom
 
-        omega = (
-            bracket(1.0, low_modes[i_low])
-            + bracket(1.0, mate_modes[i_mate])
-            - bracket(1.0, high_modes[third])
-        )
-        phase = np.where(
-            np.abs(omega) < 1e-12,
-            horizon,
-            (np.exp(1j * omega * horizon) - 1.0) / (1j * np.where(omega == 0, 1.0, omega)),
-        )
-        total = np.sum(
-            coeff_low[i_low] * coeff_mate[i_mate] * coeff_high[third] * phase
-        )
-        norms = (
-            np.linalg.norm(coeff_low)
-            * np.linalg.norm(coeff_mate)
-            * np.linalg.norm(coeff_high)
-        )
-        denom = float(high) * max(float(low), 1.0) ** s_weight * norms
-        ratios.append(float(abs(total)) / denom)
+    _split_even_odd(fill_ratios, trials, trials, 2)
     ratios = tuple(ratios)
     return VerificationRecord(
         name="trilinear_integral",

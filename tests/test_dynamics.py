@@ -728,7 +728,7 @@ def traced_threads(monkeypatch):
 
 
 def cores(monkeypatch, n):
-    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(grid.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def pair_stepper(lat, pool):

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -574,20 +575,21 @@ def test_bilinear_never_takes_the_double_precision_fftn(monkeypatch):
 
 def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
     # both factors are balls of radius 1.2: seven modes in a 3^3 box, so the
-    # padded box holds 5^3 entries at 35 bytes each, 4375 bytes in all. The
-    # integer boxes the balls are cut from are larger, so their own check
+    # padded box holds 5^3 entries at 35 bytes each, and the 14 modes take 64
+    # bytes each on top of a fixed 16 KiB: 21655 bytes in all. The integer
+    # boxes the balls are cut from are larger, so their own check
     # (test_mode_boxes_refuse_boxes_larger_than_memory) is switched off
     def no_fft(*args, **kwargs):
         raise AssertionError("an FFT ran")
 
     fft = np.fft.fft
     monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 4374)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 21654)
     monkeypatch.setattr(np.fft, "fft", no_fft)
     with pytest.raises(MemoryError, match="bilinear padded boxes"):
         verify_bilinear(3, 4, 16, 16, trials=1, seed=0)
     monkeypatch.setattr(np.fft, "fft", fft)
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 4375)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 21655)
     assert verify_bilinear(3, 4, 16, 16, trials=1, seed=0).ratios[0] > 0
 
 
@@ -715,6 +717,50 @@ def test_bilinear_memory_estimate_covers_the_peak(monkeypatch, n):
     assert len(set(names)) == n
     assert 33**3 >= harness._SPLIT_ENTRIES
     assert peaks[0] <= harness._BOX_BYTES[True] * 33**3
+
+
+def full_cube(n, corner):
+    axis = np.arange(n) + corner
+    return np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["one-core", "split"])
+def test_bilinear_memory_estimate_covers_mode_dense_boxes(monkeypatch, n):
+    # two full cubes of modes pad to (2 side - 1)^3 entries, 0.27 modes an
+    # entry, from below the gate (17^3, 25^3) to above it (29^3, 33^3); the
+    # separated case at low scale 16 pads two 9^3 balls to 17^3
+    cores(monkeypatch, n)
+    verify_bilinear(*SPLIT_CASE, trials=1, seed=0)  # the first split imports its pool
+    estimates, peaks = [], []
+    require, real = harness._require_memory, harness._bilinear_space_time_l2
+
+    def recorded(nbytes, what):
+        if what == "the bilinear padded boxes":
+            estimates.append(nbytes)
+        return require(nbytes, what)
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            value = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return value
+
+    monkeypatch.setattr(harness, "_require_memory", recorded)
+    monkeypatch.setattr(harness, "_bilinear_space_time_l2", traced)
+    names = traced_transforms(monkeypatch)
+    rng = np.random.default_rng(0)
+    for side in range(9, 18, 2):
+        amps = rng.random(side**3)
+        harness._bilinear_space_time_l2(
+            full_cube(side, -(side // 2)), amps, full_cube(side, 30), amps, 32.0, 0.5
+        )
+    verify_bilinear(3, 16, 128, 128, trials=1, seed=0)
+    assert len(peaks) == len(estimates) == 6
+    assert (set(names) == {"MainThread"}) == (n == 1)
+    assert all(peak <= estimate for peak, estimate in zip(peaks, estimates))
 
 
 def test_bilinear_sweep_separated_small():
@@ -888,22 +934,38 @@ def interaction_sets(draw):
     return low, mate, high
 
 
+def matched_blocks(low, mate, high, sides=1):
+    """The matcher's blocks as lists of (i_low, i_mate, third)."""
+    return list(_match_interactions(low, mate, high, sides))
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(interaction_sets())
 def test_match_interactions_equals_the_sorted_code_matcher(sets):
     low, mate, high = sets
-    got = _match_interactions(low, mate, high)
     expected = reference_match(low, mate, high)
-    for g, e in zip(got, expected):
-        assert g.dtype == e.dtype
-        assert np.array_equal(g, e)
-    i_low, i_mate, third = got
-    assert not np.any(low[i_low] + mate[i_mate] + high[third])
+    # the measured block, then blocks of 1 and 3 rows of pairs, whose edges
+    # fall inside the sets
+    for rows in (None, 1, 3):
+        block = harness._BLOCK_PAIRS if rows is None else rows * len(mate)
+        with mock.patch.object(harness, "_BLOCK_PAIRS", block):
+            blocks = matched_blocks(low, mate, high)
+        per_block = rows or len(low)
+        assert len(blocks) == -(-len(low) // per_block)
+        for start, (i_low, _, _) in zip(range(0, len(low), per_block), blocks):
+            assert np.all((start <= i_low) & (i_low < start + per_block))
+        got = [np.concatenate(arrays) for arrays in zip(*blocks)]
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype
+            assert np.array_equal(g, e)
+        i_low, i_mate, third = got
+        assert not np.any(low[i_low] + mate[i_mate] + high[third])
 
 
 def test_match_interactions_refuses_tables_larger_than_memory(monkeypatch):
     # -(l + m) spans x in [-3, -2] and the high modes x in [-2, 1]: the table
-    # covers the 5 x 1 box [-3, 1] x [0, 0], and 1 x 2 pairs are coded
+    # covers the 5 x 1 box [-3, 1] x [0, 0], and one block of 1 x 2 pairs is
+    # coded
     low = np.array([[0, 0]])
     mate = np.array([[2, 0], [3, 0]])
     high = np.array([[-2, 0], [1, 0]])
@@ -915,11 +977,12 @@ def test_match_interactions_refuses_tables_larger_than_memory(monkeypatch):
     monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
     monkeypatch.setattr(np, "full", no_full)
     with pytest.raises(MemoryError, match="trilinear code table"):
-        _match_interactions(low, mate, high)
+        matched_blocks(low, mate, high)
     monkeypatch.undo()
-    # the one match adds its own bytes on top
-    monkeypatch.setattr(grid, "_physical_memory", lambda: need + harness._match_bytes(2))
-    i_low, i_mate, third = _match_interactions(low, mate, high)
+    # the one match adds its arrays and its term on top
+    one = need + harness._MATCH_BYTES + harness._TERM_BYTES
+    monkeypatch.setattr(grid, "_physical_memory", lambda: one)
+    (i_low, i_mate, third), = matched_blocks(low, mate, high)
     assert (i_low.tolist(), i_mate.tolist(), third.tolist()) == ([0], [0], [0])
 
 
@@ -930,26 +993,38 @@ def test_match_interactions_refuses_matches_larger_than_memory(monkeypatch):
     mate = np.array([[0, 1], [0, 2], [0, 3], [0, 4]])
     high = -(low[:, None] + mate[None]).reshape(-1, 2)
     table = harness._TABLE_BYTES * 12 + harness._PAIR_BYTES * 12
-    need = table + harness._match_bytes(2) * 12
+    need = table + (harness._MATCH_BYTES + harness._TERM_BYTES) * 12
 
     def no_matches(*args, **kwargs):
         raise AssertionError("the match indices were allocated")
 
-    for limit in (table, need - 1):
-        monkeypatch.setattr(grid, "_physical_memory", lambda: limit)
-        monkeypatch.setattr(np, "flatnonzero", no_matches)
-        with pytest.raises(MemoryError, match="12 trilinear matches"):
-            _match_interactions(low, mate, high)
-        monkeypatch.undo()
-    monkeypatch.setattr(grid, "_physical_memory", lambda: need)
-    i_low, i_mate, third = _match_interactions(low, mate, high)
-    assert len(third) == 12
-    assert not np.any(low[i_low] + mate[i_mate] + high[third])
+    # two trials at once count every byte twice
+    for sides in (1, 2):
+        for limit in (sides * table, sides * need - 1):
+            monkeypatch.setattr(grid, "_physical_memory", lambda: limit)
+            monkeypatch.setattr(np, "flatnonzero", no_matches)
+            with pytest.raises(MemoryError, match="12 trilinear matches"):
+                matched_blocks(low, mate, high, sides)
+            monkeypatch.undo()
+        monkeypatch.setattr(grid, "_physical_memory", lambda: sides * need)
+        (i_low, i_mate, third), = matched_blocks(low, mate, high, sides)
+        assert len(third) == 12
+        assert not np.any(low[i_low] + mate[i_mate] + high[third])
+    # in blocks of one low mode, the last block holds its own 4 pairs and
+    # matches and the terms of all 12
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 4)
+    last = harness._TABLE_BYTES * 12 + harness._PAIR_BYTES * 4 + harness._MATCH_BYTES * 4
+    last += harness._TERM_BYTES * 12
+    monkeypatch.setattr(grid, "_physical_memory", lambda: last - 1)
+    with pytest.raises(MemoryError, match="12 trilinear matches"):
+        matched_blocks(low, mate, high)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: last)
+    assert [len(third) for _, _, third in matched_blocks(low, mate, high)] == [4, 4, 4]
 
 
 def test_trilinear_peak_memory_stays_small():
-    # 1.44M (low, mate) pairs: coded and looked up they peak near 23 MiB;
-    # materialising their pair sums peaked at 145 MiB on this call
+    # 1.44M (low, mate) pairs: coded and looked up all at once they peaked
+    # near 23 MiB, and materialising their pair sums at 145 MiB on this call
     tracemalloc.start()
     try:
         verify_trilinear(64, 64, 8, trials=1, seed=0)
@@ -957,6 +1032,131 @@ def test_trilinear_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 80 * 2**20
+
+
+# ----------------------------------------------------------------------
+# the trilinear trials on a worker thread
+# ----------------------------------------------------------------------
+
+# two trials of the campaign's largest case: 1200 low, mate and high modes
+TRILINEAR_CASE = (64, 64, 8)
+
+
+def traced_matchers(monkeypatch, hook=lambda: None):
+    """Names of the threads that match a trial from now on; each first calls hook."""
+    names = []
+    real = harness._match_interactions
+
+    def traced(*args):
+        names.append(threading.current_thread().name)
+        hook()
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_match_interactions", traced)
+    return names
+
+
+def test_split_trilinear_equals_a_one_core_run(monkeypatch):
+    runs = {}
+    interval = sys.getswitchinterval()
+    # the threads hand the interpreter lock over as often as they can
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 2):
+            cores(monkeypatch, n)
+            names = traced_matchers(monkeypatch)
+            runs[n] = verify_trilinear(64, 64, 4, trials=4, seed=3).ratios
+            monkeypatch.undo()
+            assert len(names) == 4 and len(set(names)) == n
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[2]
+
+
+def test_one_trilinear_trial_starts_no_thread(monkeypatch):
+    cores(monkeypatch, 2)
+    before, counts = threading.active_count(), []
+    traced_matchers(monkeypatch, lambda: counts.append(threading.active_count()))
+    verify_trilinear(*TRILINEAR_CASE, trials=1, seed=0)
+    assert counts == [before]
+
+
+def test_no_trilinear_worker_outlives_the_call(monkeypatch):
+    cores(monkeypatch, 2)
+    before = threading.active_count()
+    names = traced_matchers(monkeypatch)
+    verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
+    assert threading.active_count() == before and len(set(names)) == 2
+
+    def fail():
+        if on_the_worker():
+            raise RuntimeError("the worker failed")
+
+    traced_matchers(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="the worker failed"):
+        verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
+    assert threading.active_count() == before
+    # the mode boxes pass and the code tables do not
+    traced_matchers(monkeypatch)
+    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)
+    with pytest.raises(MemoryError, match="trilinear code table"):
+        verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
+    assert threading.active_count() == before
+
+
+def test_the_trilinear_worker_keeps_the_callers_errstate(monkeypatch):
+    # a float overflow on the worker alone; on a worker that did not copy the
+    # caller's context, numpy would only warn
+    def overflow():
+        if on_the_worker():
+            np.float64(1e308) * np.float64(10.0)
+
+    cores(monkeypatch, 2)
+    traced_matchers(monkeypatch, overflow)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
+
+
+def dense_interactions(monkeypatch):
+    """Sets in which every (low, mate) pair matches, for verify_trilinear(64, 32, 2).
+
+    The low ball of radius 2 holds 33 modes, the mates fill the cube
+    [40, 49]^3, and the high modes are every -(l + m), the cube -[38, 51]^3:
+    33000 matches, all in one block.
+    """
+    mate, high = full_cube(10, 40), -full_cube(14, 38)
+    monkeypatch.setattr(harness, "_MAX_MODES", len(high))
+    monkeypatch.setattr(
+        harness, "cap_mode_set", lambda scale, pole, rho: mate if scale == 32 else high
+    )
+    return 64, 32, 2
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["one-core", "split"])
+@pytest.mark.parametrize("dense", [False, True], ids=["campaign", "dense"])
+def test_trilinear_memory_estimate_covers_the_peak(monkeypatch, n, dense):
+    cores(monkeypatch, n)
+    case = dense_interactions(monkeypatch) if dense else TRILINEAR_CASE
+    verify_trilinear(*case, trials=2, seed=0)  # the first split imports its pool
+    names = traced_matchers(monkeypatch)
+    estimates = []
+    real = harness._require_memory
+
+    def recorded(nbytes, what):
+        if "trilinear" in what:
+            estimates.append(nbytes)
+        return real(nbytes, what)
+
+    monkeypatch.setattr(harness, "_require_memory", recorded)
+    tracemalloc.start()
+    try:
+        ratios = verify_trilinear(*case, trials=2, seed=0).ratios
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(names)) == n and min(ratios) > 0
+    assert peak <= max(estimates)
 
 
 # ----------------------------------------------------------------------
