@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -91,6 +92,15 @@ class FrequencyLattice:
         h = n // 2 + 1
         self.band = np.ix_(*[kept] * (spec.dim - 1), kept[kept < h])
         self.band_flat = np.ravel_multi_index(self.band, spec.shape[:-1] + (h,)).ravel()
+        # per full axis a of the half layout, views of the lines along a that
+        # N's transforms cannot skip, those whose later axes lie in the band:
+        # [0, m) and [n - m + 1, n) on a full axis, [0, m) on the half axis
+        m = int(np.count_nonzero(kept < h))
+        later = [(slice(0, m), slice(n - m + 1, n))] * (spec.dim - 2) + [(slice(0, m),)]
+        self.band_lines = [
+            list(itertools.product(*[(slice(None),)] * (a + 1), *later[a:]))
+            for a in range(spec.dim - 1)
+        ]
 
     @property
     def cell_volume(self) -> float:

@@ -455,6 +455,11 @@ def ball_mode_set(center, radius: float) -> np.ndarray:
     return pts[keep]
 
 
+def _cap_halfwidth(transverse_radius: float, thickness: float) -> int:
+    """Half the side of the integer box cap_mode_set cuts its cap from."""
+    return int(math.ceil(transverse_radius + thickness / 2.0 + 1.5))
+
+
 def cap_mode_set(
     scale: float, pole: np.ndarray, transverse_radius: float, thickness: float = 2.0
 ) -> np.ndarray:
@@ -466,8 +471,7 @@ def cap_mode_set(
     pole = np.asarray(pole, dtype=float)
     pole = pole / np.linalg.norm(pole)
     center = scale * pole
-    halfwidth = int(math.ceil(transverse_radius + thickness / 2.0 + 1.5))
-    pts = _integer_box(np.round(center), halfwidth)
+    pts = _integer_box(np.round(center), _cap_halfwidth(transverse_radius, thickness))
     norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=1))
     axial = pts.astype(float) @ pole
     transverse = np.sqrt(np.maximum(norms**2 - axial**2, 0.0))
@@ -823,7 +827,7 @@ _TERM_BYTES = 32
 _BLOCK_PAIRS = 2**16
 
 
-def _match_interactions(low_modes, mate_modes, high_modes, sides: int = 1):
+def _match_interactions(low_modes, mate_modes, high_modes, sides=1, held=0):
     """Yield (i_low, i_mate, third) with low + mate + high = 0, a block at a time.
 
     A block holds the pairs of consecutive low modes, so over all blocks the
@@ -831,8 +835,8 @@ def _match_interactions(low_modes, mate_modes, high_modes, sides: int = 1):
     table and a block's pair codes are checked against physical memory
     before they are allocated, and so are each block's matches, once
     counted, with the arrays verify_trilinear builds from them, all counted
-    `sides` times for trials run at once; see verify_trilinear for the
-    method.
+    with the `held` bytes of the rest of a trial, `sides` times for trials
+    run at once; see verify_trilinear for the method.
     """
     need_lo = -(low_modes.max(axis=0) + mate_modes.max(axis=0))
     need_hi = -(low_modes.min(axis=0) + mate_modes.min(axis=0))
@@ -841,7 +845,7 @@ def _match_interactions(low_modes, mate_modes, high_modes, sides: int = 1):
     w = np.cumprod(np.concatenate([[1], spans[:-1]])).astype(np.int64)
     size = math.prod(spans.tolist())
     rows = min(len(low_modes), max(1, _BLOCK_PAIRS // len(mate_modes)))
-    fixed = _TABLE_BYTES * size + _PAIR_BYTES * rows * len(mate_modes)
+    fixed = held + _TABLE_BYTES * size + _PAIR_BYTES * rows * len(mate_modes)
     _require_memory(sides * fixed, "the trilinear code table and pair codes")
     table = np.full(size, -1, dtype=np.intp)
     table[(high_modes - mins) @ w] = np.arange(len(high_modes))
@@ -928,11 +932,12 @@ def verify_trilinear(
     A = -(low + mins) @ w and B = mate @ w: one outer difference and one
     gather match every (low, mate) pair, and the pair sums are never formed.
     The pairs are matched _BLOCK_PAIRS at a time, and the brackets are taken
-    once per mode. Trials whose records exceed physical memory raise
-    MemoryError before the first. From two trials on, with two cores, a
-    worker thread takes the odd trials; each trial draws from its own
-    generator and sums its terms in one array, so the ratios equal a
-    one-core run bit for bit.
+    once per mode. Trials whose records, mode boxes, or boxes and matching
+    exceed physical memory raise MemoryError before these are built, counted
+    twice from two trials on. From two trials on, with two cores, a worker
+    thread takes the odd trials; each trial draws from its own generator and
+    sums its terms in one array, so the ratios equal a one-core run bit for
+    bit.
     """
     high = DyadicIndex(high_scale)
     mate = DyadicIndex(mate_scale)
@@ -947,6 +952,16 @@ def verify_trilinear(
     if not horizon > 0:
         raise ValueError("the interaction horizon must be positive")
     s_weight = max(0.5, (dim - 2) / 2.0)
+    rho = max(float(high) / 4.0, 1.5)
+    radius = max(float(low), 1.2)
+    # a trial peaks below its ball's and a cap's box and its matching together;
+    # two trials run at once from two on, whatever the cores
+    sides = min(trials, 2)
+    halves = (math.ceil(radius), _cap_halfwidth(rho, 2.0))
+    points = sum((2 * half + 1) ** dim for half in halves)
+    boxes = _integer_box_bytes(dim) * points
+    what = f"the {sides * points} points of the integer mode boxes of trilinear trials"
+    _require_memory(sides * boxes, what)
     ratios = [0.0] * trials
 
     def fill_ratios(indices):
@@ -955,8 +970,7 @@ def verify_trilinear(
             rng = np.random.default_rng([seed, trial])
             pole = rng.standard_normal(dim)
             pole /= np.linalg.norm(pole)
-            rho = max(float(high) / 4.0, 1.5)
-            ball = ball_mode_set(np.zeros(dim), max(float(low), 1.2))
+            ball = ball_mode_set(np.zeros(dim), radius)
             low_modes = _subsample(ball, _MAX_MODES, rng)
             mate_modes = _subsample(cap_mode_set(float(mate), -pole, rho), _MAX_MODES, rng)
             high_modes = _subsample(cap_mode_set(float(high), pole, rho), _MAX_MODES, rng)
@@ -975,9 +989,8 @@ def verify_trilinear(
                 bracket(1.0, modes) for modes in (low_modes, mate_modes, high_modes)
             )
             terms = []
-            # two trials run at once from two on, whatever the cores
             for i_low, i_mate, third in _match_interactions(
-                low_modes, mate_modes, high_modes, min(trials, 2)
+                low_modes, mate_modes, high_modes, sides, boxes
             ):
                 omega = br_low[i_low] + br_mate[i_mate] - br_high[third]
                 phase = np.where(

@@ -84,14 +84,25 @@ def check_nonresonance(masses: Sequence[float]):
     return margin > 0, float(margin)
 
 
+def _line_passes(spectrum, lattice, transform, axes):
+    """Apply transform in place along each of axes in turn, on lattice.band_lines."""
+    for axis in axes:
+        for view in lattice.band_lines[axis]:
+            lines = spectrum[view]
+            transform(lines, axis=axis, norm="ortho", out=lines)
+
+
 def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
     """Apply every component polynomial to the real fields, fully dealiased.
 
     Each field is a full or half spectrum or its 2/3 band, lattice.band_flat,
     read from its shape.  Its band is scattered into a zero half spectrum, the
-    fields are multiplied pointwise on the physical grid through irfftn and
-    rfftn, and each product is cut to the band again, all that N writes: the
-    products come back as one (K, n_band) array in the order of band_flat.
+    fields are multiplied pointwise on the physical grid, and each product is
+    cut to the band again, all that N writes: the products come back as one
+    (K, n_band) array in the order of band_flat.  The transforms are irfftn's
+    and rfftn's axis passes in their order, so bit for bit theirs, but each
+    full axis is transformed in place and only on the lines that reach the
+    band (Orszag 1971): the others are zero going in and not kept coming out.
     """
     if len(fields) != system.size:
         raise ValueError("one field per component required")
@@ -99,10 +110,9 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
     if any(f.lattice != lattice for f in fields):
         raise ValueError("fields must share one lattice")
     shape = lattice.spec.shape
-    axes = tuple(range(len(shape)))
+    full_axes = range(len(shape) - 1)
     index = lattice.band_flat
     layout = shape[:-1] + (shape[-1] // 2 + 1,)
-    spectrum = np.zeros(layout, dtype=complex)
     # the fields some monomial reads, each transformed once
     needed = {i for poly in system.polynomials for m in poly for i in m.factors}
     physical = {}
@@ -110,9 +120,11 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
         coeffs = fields[idx].coeffs
         if coeffs.shape != index.shape:
             coeffs = coeffs[..., : layout[-1]].reshape(-1)[index]
+        spectrum = np.zeros(layout, dtype=complex)
         spectrum.reshape(-1)[index] = coeffs
-        physical[idx] = np.fft.irfftn(spectrum, shape, axes, norm="ortho")
-    del spectrum  # not held through the products
+        _line_passes(spectrum, lattice, np.fft.ifft, full_axes)
+        physical[idx] = np.fft.irfft(spectrum, shape[-1], norm="ortho")
+        del spectrum  # not held through the next field's or the products
 
     out = []
     for poly in system.polynomials:
@@ -121,7 +133,9 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
             j, k = mono.factors
             product = mono.coefficient * (physical[j] * physical[k])
             total = product if total is None else np.add(total, product, out=total)
-        out.append(np.fft.rfftn(total, norm="ortho").reshape(-1)[index])
+        half = np.fft.rfft(total, norm="ortho")
+        _line_passes(half, lattice, np.fft.fft, reversed(full_axes))
+        out.append(half.reshape(-1)[index])
     del physical  # not held while the products are stacked
     return np.stack(out)
 

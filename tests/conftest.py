@@ -5,7 +5,9 @@ form: each complex component w = a + ib becomes the two real components a and
 b of the same mass, a at index i and b at index K + i.  ComplexSystem,
 complex_products and the two whole-state solvers below are the test-local
 complex reference that the real form is checked against; complex_products is
-the package's former complex branch of N.  band cuts an oracle spectrum to
+the package's former complex branch of N, and whole_transform_products is
+its real branch as it was with whole n-D transforms, the bit-for-bit oracle
+of the band-pruned one.  band cuts an oracle spectrum to
 the band that N returns, and loop_frequency_pairs is the frequency-pair sweep
 written as a loop, one pair at a time.
 """
@@ -122,6 +124,33 @@ def complex_products(lattice, system: ComplexSystem, z) -> np.ndarray:
             zl = np.conj(values[l]) if conj_l else values[l]
             total += c * (zj * zl)
     return np.fft.fftn(totals, axes=axes, norm="ortho") * keep
+
+
+def whole_transform_products(system: MassSystem, fields) -> np.ndarray:
+    """evaluate_nonlinearity through one irfftn per field and one rfftn per product."""
+    lattice = fields[0].lattice
+    shape = lattice.spec.shape
+    axes = tuple(range(len(shape)))
+    index = lattice.band_flat
+    layout = shape[:-1] + (shape[-1] // 2 + 1,)
+    spectrum = np.zeros(layout, dtype=complex)
+    needed = {i for poly in system.polynomials for m in poly for i in m.factors}
+    physical = {}
+    for idx in needed:
+        coeffs = fields[idx].coeffs
+        if coeffs.shape != index.shape:
+            coeffs = coeffs[..., : layout[-1]].reshape(-1)[index]
+        spectrum.reshape(-1)[index] = coeffs
+        physical[idx] = np.fft.irfftn(spectrum, shape, axes, norm="ortho")
+    out = []
+    for poly in system.polynomials:
+        total = None if poly else np.zeros(shape)
+        for mono in poly:
+            j, k = mono.factors
+            product = mono.coefficient * (physical[j] * physical[k])
+            total = product if total is None else np.add(total, product, out=total)
+        out.append(np.fft.rfftn(total, norm="ortho").reshape(-1)[index])
+    return np.stack(out)
 
 
 def real_form(system: ComplexSystem) -> MassSystem:

@@ -1134,11 +1134,18 @@ def dense_interactions(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=["one-core", "split"])
-@pytest.mark.parametrize("dense", [False, True], ids=["campaign", "dense"])
-def test_trilinear_memory_estimate_covers_the_peak(monkeypatch, n, dense):
+@pytest.mark.parametrize(
+    "case, dim",
+    # the campaign's largest case; every pair matching; the 65^3 box of a low
+    # ball of radius 32; the 15^5 boxes of the caps in dimension 5
+    [(TRILINEAR_CASE, 3), ("dense", 3), ((64, 64, 32), 3), ((16, 16, 4), 5)],
+    ids=["campaign", "dense", "ball", "caps"],
+)
+def test_trilinear_memory_estimate_covers_the_peak(monkeypatch, n, case, dim):
     cores(monkeypatch, n)
-    case = dense_interactions(monkeypatch) if dense else TRILINEAR_CASE
-    verify_trilinear(*case, trials=2, seed=0)  # the first split imports its pool
+    if case == "dense":
+        case = dense_interactions(monkeypatch)
+    verify_trilinear(*case, dim, trials=2, seed=0)  # the first split imports its pool
     names = traced_matchers(monkeypatch)
     estimates = []
     real = harness._require_memory
@@ -1151,7 +1158,7 @@ def test_trilinear_memory_estimate_covers_the_peak(monkeypatch, n, dense):
     monkeypatch.setattr(harness, "_require_memory", recorded)
     tracemalloc.start()
     try:
-        ratios = verify_trilinear(*case, trials=2, seed=0).ratios
+        ratios = verify_trilinear(*case, dim, trials=2, seed=0).ratios
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     random_real_field,
     real_form,
     split,
+    whole_transform_products,
 )
 from halfwave.dynamics import _complete_hermitian
 from halfwave.grid import FrequencyLattice, GridSpec, SpectralField
@@ -28,6 +30,7 @@ from halfwave.system import (
     scalar_system,
     smallest_bracket,
 )
+from halfwave.system import _line_passes
 
 
 def make_lattice(n=16):
@@ -138,26 +141,70 @@ def test_conjugation_flag():
 
 
 def test_nonlinearity_transforms_each_field_once(monkeypatch):
-    # u u + v u reads u twice and v once: one inverse transform each
+    # u u + v u reads u twice and v once: one inverse transform each, counted
+    # by its last pass, the one irfft over the half axis
     lat = make_lattice()
     rng = np.random.default_rng(4)
     fields = tuple(random_real_field(lat, rng) for _ in range(2))
     monos = (Monomial(2.0, (0, 0)), Monomial(0.5, (1, 0)))
     system = MassSystem((1.0, 1.0), (monos, monos[:1]))
     calls = []
-    irfftn = np.fft.irfftn
+    irfft = np.fft.irfft
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return irfftn(*args, **kwargs)
+        return irfft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "irfftn", counted)
+    monkeypatch.setattr(np.fft, "irfft", counted)
     out = evaluate_nonlinearity(system, fields)
     assert len(calls) == 2
     # the same products as the complex reference
     coeffs = np.stack([f.coeffs for f in fields])
     want = band(lat, complex_products(lat, ComplexSystem.of(system), coeffs))
     assert np.max(np.abs(out - want)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_band_passes_equal_the_whole_transforms(dim, n):
+    # the pruned passes against irfftn and rfftn and N against its whole-transform
+    # body, all bit for bit, on the caller's thread and on a worker's at once
+    lat = FrequencyLattice(GridSpec(dim, 2.0 * math.pi, n))
+    rng = np.random.default_rng([dim, n])
+    shape, index = lat.spec.shape, lat.band_flat
+
+    def band_data():
+        return rng.standard_normal(index.size) + 1j * rng.standard_normal(index.size)
+
+    spectrum = np.zeros(shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spectrum.reshape(-1)[index] = band_data()
+    values = rng.standard_normal(shape)
+    fields = tuple(SpectralField(lat, band_data()) for _ in range(2))
+    monos = (Monomial(2.0, (0, 0)), Monomial(-0.5, (1, 0)))
+    system = MassSystem((1.0, 1.0), (monos, (Monomial(3.0, (1, 1)),)))
+    full_axes = range(dim - 1)
+
+    def pruned():
+        inverse = spectrum.copy()
+        _line_passes(inverse, lat, np.fft.ifft, full_axes)
+        forward = np.fft.rfft(values, norm="ortho")
+        _line_passes(forward, lat, np.fft.fft, reversed(full_axes))
+        return (
+            np.fft.irfft(inverse, n, norm="ortho"),
+            forward.reshape(-1)[index],
+            evaluate_nonlinearity(system, fields),
+        )
+
+    want = (
+        np.fft.irfftn(spectrum, shape, range(dim), norm="ortho"),
+        band(lat, np.fft.rfftn(values, norm="ortho")),
+        whole_transform_products(system, fields),
+    )
+    with ThreadPoolExecutor(1) as pool:
+        on_worker = pool.submit(pruned)
+        for got in (pruned(), on_worker.result()):
+            for ours, theirs in zip(got, want):
+                assert np.array_equal(ours, theirs)
 
 
 def test_bilinearity_cross_terms():
