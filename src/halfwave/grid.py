@@ -154,6 +154,14 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
     return np.fft.ifftn(f.coeffs, norm="ortho")
 
 
+def _axis_passes(array, transform, views, axes):
+    """Transform array in place along each of axes in turn, on its views[axis]."""
+    for axis in axes:
+        for view in views[axis]:
+            lines = array[view]
+            transform(lines, axis=axis, norm="ortho", out=lines)
+
+
 # ---------------------------------------------------------------------------
 # smooth dyadic cutoffs
 

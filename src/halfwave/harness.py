@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import DyadicIndex, _require_memory, _split_even_odd, annulus_profile
+from .grid import DyadicIndex, _axis_passes, _require_memory, _split_even_odd
+from .grid import annulus_profile
 from .system import bracket, check_nonresonance, resonance_function, smallest_bracket
 
 
@@ -504,19 +505,6 @@ _BOX_FIXED_BYTES = 2**14
 _SPLIT_ENTRIES = 2**14
 
 
-def _pruned_fftn(pad: np.ndarray, shape) -> np.ndarray:
-    """np.fft.fftn(pad, norm="ortho") in place, for pad zero outside pad[:shape].
-
-    Axes go last first, as in numpy's fftn, so the result is bit-identical to
-    it; axis d transforms only the lines whose earlier axes lie inside
-    shape[:d], the others being zero (Orszag 1971).
-    """
-    for d in reversed(range(pad.ndim)):
-        lines = pad[tuple(slice(0, s) for s in shape[:d])]
-        np.fft.fft(lines, axis=d, norm="ortho", out=lines)
-    return pad
-
-
 def _bilinear_space_time_l2(
     modes_a, amps_a, modes_b, amps_b, output_scale: float, horizon: float
 ):
@@ -538,8 +526,10 @@ def _bilinear_space_time_l2(
     selects its double-precision loop, so a complex64 np.fft.fftn computes
     in complex128 and casts back at about three times the cost. The unitary
     transforms scale the convolution by 1/sqrt(prod(conv_shape)), undone on
-    the total. From _SPLIT_ENTRIES box entries on, with two cores, a worker
-    thread takes the odd time samples in pads of its own, with the same bits.
+    the total. The forward transforms are fftn's axis passes in its order, bit
+    for bit, run in place (grid._axis_passes) on the lines that hold data only.
+    From _SPLIT_ENTRIES box entries on, with two cores, a worker thread takes
+    the odd time samples in pads of its own, with the same bits.
     """
     omega_a = bracket(1.0, modes_a)
     omega_b = bracket(1.0, modes_b)
@@ -585,6 +575,10 @@ def _bilinear_space_time_l2(
 
     flat_a = np.ravel_multi_index(local_a.T, conv_shape)
     flat_b = np.ravel_multi_index(local_b.T, conv_shape)
+    # per axis d, the lines of a pad whose earlier axes lie in its factor's corner
+    views_a = [[tuple(map(slice, shape_a[:d]))] for d in range(len(shape_a))]
+    views_b = [[tuple(map(slice, shape_b[:d]))] for d in range(len(shape_b))]
+    last_first = range(len(conv_shape) - 1, -1, -1)
     masses = np.empty(nt)
 
     def fill_masses(js):
@@ -597,13 +591,14 @@ def _bilinear_space_time_l2(
             pad_a[...] = pad_b[...] = 0
             line_a[flat_a] = (amps_a * np.exp(1j * times[j] * osc_a)).astype(np.complex64)
             line_b[flat_b] = (amps_b * np.exp(1j * times[j] * osc_b)).astype(np.complex64)
-            # in place in pad_a and pad_b; never np.fft.fftn(pad) here, which
-            # without norm="ortho" computes in complex128
-            conv = _pruned_fftn(pad_a, shape_a)
-            conv *= _pruned_fftn(pad_b, shape_b)
-            np.fft.ifftn(conv, norm="ortho", out=conv)
+            # in place, pad_a taking the convolution; never np.fft.fftn(pad)
+            # here, which without norm="ortho" computes in complex128
+            _axis_passes(pad_a, np.fft.fft, views_a, last_first)
+            _axis_passes(pad_b, np.fft.fft, views_b, last_first)
+            pad_a *= pad_b
+            np.fft.ifftn(pad_a, norm="ortho", out=pad_a)
             # weight_sq * |conv|^2 in one buffer: numpy elides no temporary < 256 KiB
-            np.square(np.abs(conv, out=power), out=power)
+            np.square(np.abs(pad_a, out=power), out=power)
             masses[j] = np.sum(np.multiply(power, weight_sq, out=power))
 
     _split_even_odd(fill_masses, nt, size, _SPLIT_ENTRIES)
@@ -954,8 +949,8 @@ def verify_trilinear(
     s_weight = max(0.5, (dim - 2) / 2.0)
     rho = max(float(high) / 4.0, 1.5)
     radius = max(float(low), 1.2)
-    # a trial peaks below its ball's and a cap's box and its matching together;
-    # two trials run at once from two on, whatever the cores
+    # a ball's and a cap's box and its matching bound a trial's peak, loosely for
+    # the ball the trials share; two trials run at once from two on, whatever the cores
     sides = min(trials, 2)
     halves = (math.ceil(radius), _cap_halfwidth(rho, 2.0))
     points = sum((2 * half + 1) ** dim for half in halves)
@@ -963,6 +958,8 @@ def verify_trilinear(
     what = f"the {sides * points} points of the integer mode boxes of trilinear trials"
     _require_memory(sides * boxes, what)
     ratios = [0.0] * trials
+    ball = ball_mode_set(np.zeros(dim), radius)  # each trial subsamples it
+    ball.flags.writeable = False
 
     def fill_ratios(indices):
         """Write the ratio of each trial in indices, each from its own generator."""
@@ -970,7 +967,6 @@ def verify_trilinear(
             rng = np.random.default_rng([seed, trial])
             pole = rng.standard_normal(dim)
             pole /= np.linalg.norm(pole)
-            ball = ball_mode_set(np.zeros(dim), radius)
             low_modes = _subsample(ball, _MAX_MODES, rng)
             mate_modes = _subsample(cap_mode_set(float(mate), -pole, rho), _MAX_MODES, rng)
             high_modes = _subsample(cap_mode_set(float(high), pole, rho), _MAX_MODES, rng)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .grid import (
     SpectralField,
+    _axis_passes,
     inverse_transform,  # noqa: F401  (a span target of the benchmark's traced run)
 )
 
@@ -84,14 +85,6 @@ def check_nonresonance(masses: Sequence[float]):
     return margin > 0, float(margin)
 
 
-def _line_passes(spectrum, lattice, transform, axes):
-    """Apply transform in place along each of axes in turn, on lattice.band_lines."""
-    for axis in axes:
-        for view in lattice.band_lines[axis]:
-            lines = spectrum[view]
-            transform(lines, axis=axis, norm="ortho", out=lines)
-
-
 def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
     """Apply every component polynomial to the real fields, fully dealiased.
 
@@ -101,8 +94,9 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
     cut to the band again, all that N writes: the products come back as one
     (K, n_band) array in the order of band_flat.  The transforms are irfftn's
     and rfftn's axis passes in their order, so bit for bit theirs, but each
-    full axis is transformed in place and only on the lines that reach the
-    band (Orszag 1971): the others are zero going in and not kept coming out.
+    full axis runs in place (grid._axis_passes) on lattice.band_lines only,
+    the lines that reach the band: the others are zero going in and not kept
+    coming out (Orszag 1971).
     """
     if len(fields) != system.size:
         raise ValueError("one field per component required")
@@ -122,7 +116,7 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
             coeffs = coeffs[..., : layout[-1]].reshape(-1)[index]
         spectrum = np.zeros(layout, dtype=complex)
         spectrum.reshape(-1)[index] = coeffs
-        _line_passes(spectrum, lattice, np.fft.ifft, full_axes)
+        _axis_passes(spectrum, np.fft.ifft, lattice.band_lines, full_axes)
         physical[idx] = np.fft.irfft(spectrum, shape[-1], norm="ortho")
         del spectrum  # not held through the next field's or the products
 
@@ -134,7 +128,7 @@ def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
             product = mono.coefficient * (physical[j] * physical[k])
             total = product if total is None else np.add(total, product, out=total)
         half = np.fft.rfft(total, norm="ortho")
-        _line_passes(half, lattice, np.fft.fft, reversed(full_axes))
+        _axis_passes(half, np.fft.fft, lattice.band_lines, reversed(full_axes))
         out.append(half.reshape(-1)[index])
     del physical  # not held while the products are stacked
     return np.stack(out)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import loop_frequency_pairs
 from halfwave import grid, harness
-from halfwave.grid import annulus_profile
+from halfwave.grid import _axis_passes, annulus_profile
 from halfwave.harness import (
     VerificationRecord,
     ball_mode_set,
@@ -38,7 +38,6 @@ from halfwave.harness import (
     _bilinear_space_time_l2,
     _coordinate_descent,
     _match_interactions,
-    _pruned_fftn,
 )
 from halfwave.system import bracket, resonance_function, smallest_bracket
 
@@ -507,12 +506,14 @@ def test_pruned_fftn_is_the_unitary_fftn(case):
     pad, shape = case
     reference = np.fft.fftn(pad.astype(np.complex128), norm="ortho")
     single = np.fft.fftn(pad, norm="ortho")
-    out = _pruned_fftn(pad, shape)
-    assert out is pad and out.dtype == np.complex64
+    # axis d only on the lines whose earlier axes lie in the corner, last axis first
+    views = [[tuple(map(slice, shape[:d]))] for d in range(pad.ndim)]
+    _axis_passes(pad, np.fft.fft, views, reversed(range(pad.ndim)))
+    assert pad.dtype == np.complex64
     scale = np.max(np.abs(reference))
-    assert np.max(np.abs(out - reference)) <= 1e-6 * scale
+    assert np.max(np.abs(pad - reference)) <= 1e-6 * scale
     # the same axis order as numpy's single-precision fftn: the same bits
-    assert np.array_equal(out, single)
+    assert np.array_equal(pad, single)
 
 
 def reference_space_time_l2(modes_a, amps_a, omega_a, modes_b, amps_b, omega_b,
@@ -564,7 +565,7 @@ def test_bilinear_product_matches_a_double_precision_reference(separated):
 
 def test_bilinear_never_takes_the_double_precision_fftn(monkeypatch):
     # a complex64 np.fft.fftn with the default norm runs in complex128; the
-    # product transforms through _pruned_fftn and norm="ortho" only
+    # product transforms through _axis_passes and norm="ortho" only
     def no_fftn(*args, **kwargs):
         raise AssertionError("np.fft.fftn ran")
 
@@ -609,14 +610,14 @@ def cores(monkeypatch, n):
 def traced_transforms(monkeypatch, hook=lambda: None):
     """Names of the threads that transform a pad from now on; each first calls hook."""
     names = []
-    real = harness._pruned_fftn
+    real = harness._axis_passes
 
-    def traced(pad, shape):
+    def traced(*args):
         names.append(threading.current_thread().name)
         hook()
-        return real(pad, shape)
+        return real(*args)
 
-    monkeypatch.setattr(harness, "_pruned_fftn", traced)
+    monkeypatch.setattr(harness, "_axis_passes", traced)
     return names
 
 
@@ -1116,6 +1117,23 @@ def test_the_trilinear_worker_keeps_the_callers_errstate(monkeypatch):
     traced_matchers(monkeypatch, overflow)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["one-core", "split"])
+def test_trilinear_trials_share_one_low_ball(monkeypatch, n):
+    # the ball draws nothing, so one build serves every trial on either thread
+    cores(monkeypatch, n)
+    calls = []
+    real = harness.ball_mode_set
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "ball_mode_set", counted)
+    names = traced_matchers(monkeypatch)
+    verify_trilinear(*TRILINEAR_CASE, trials=8, seed=0)
+    assert len(calls) == 1 and len(set(names)) == n
 
 
 def dense_interactions(monkeypatch):

@@ -1,9 +1,10 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every top-level function and class of the package has a caller.
 
 A name counts as used when it appears as a whole word, other than on its
-own def or class line, in a package module other than __init__.py, in the
-benchmark, or in the acceptance tests. Unit tests do not count: a name only
-they reach is test-only and belongs in the tests.
+own def or class line, in a package module other than __init__.py; a public
+name may also be used in the benchmark or in the acceptance tests. Unit
+tests do not count: a name only they reach is test-only and belongs in the
+tests.
 """
 
 import ast
@@ -14,27 +15,29 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "halfwave"
 
 
-def callers():
+def callers(public):
     """(path, lines) of every file whose mentions count as uses."""
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "bench").glob("*.py"))
-    paths.append(ROOT / "tests" / "test_acceptance.py")
+    if public:
+        paths += sorted((ROOT / "bench").glob("*.py"))
+        paths.append(ROOT / "tests" / "test_acceptance.py")
     return [(p, p.read_text().splitlines()) for p in paths]
 
 
-def public_definitions():
-    """(name, path, line number) of every public top-level def and class."""
+def definitions(public):
+    """(name, path, line number) of every public or private top-level def and class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            if defines and not node.name.startswith("_"):
+            if defines and node.name.startswith("_") != public:
                 yield node.name, path, node.lineno
 
 
-def test_every_public_name_has_a_caller():
-    sources = callers()
+def uncalled(public):
+    """The definitions of definitions(public) that no file of callers(public) names."""
+    sources = callers(public)
     unused = []
-    for name, home, lineno in public_definitions():
+    for name, home, lineno in definitions(public):
         word = re.compile(rf"\b{re.escape(name)}\b")
         if not any(
             word.search(line)
@@ -43,4 +46,14 @@ def test_every_public_name_has_a_caller():
             if not (path == home and number == lineno)
         ):
             unused.append(f"{home.name}:{lineno} {name}")
+    return unused
+
+
+def test_every_public_name_has_a_caller():
+    unused = uncalled(public=True)
     assert not unused, f"public names without a caller: {unused}"
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    unused = uncalled(public=False)
+    assert not unused, f"private names without a caller in src/: {unused}"

@@ -18,7 +18,7 @@ from conftest import (
     whole_transform_products,
 )
 from halfwave.dynamics import _complete_hermitian
-from halfwave.grid import FrequencyLattice, GridSpec, SpectralField
+from halfwave.grid import FrequencyLattice, GridSpec, SpectralField, _axis_passes
 from halfwave.system import (
     MassSystem,
     Monomial,
@@ -30,7 +30,6 @@ from halfwave.system import (
     scalar_system,
     smallest_bracket,
 )
-from halfwave.system import _line_passes
 
 
 def make_lattice(n=16):
@@ -186,9 +185,9 @@ def test_band_passes_equal_the_whole_transforms(dim, n):
 
     def pruned():
         inverse = spectrum.copy()
-        _line_passes(inverse, lat, np.fft.ifft, full_axes)
+        _axis_passes(inverse, np.fft.ifft, lat.band_lines, full_axes)
         forward = np.fft.rfft(values, norm="ortho")
-        _line_passes(forward, lat, np.fft.fft, reversed(full_axes))
+        _axis_passes(forward, np.fft.fft, lat.band_lines, reversed(full_axes))
         return (
             np.fft.irfft(inverse, n, norm="ortho"),
             forward.reshape(-1)[index],
