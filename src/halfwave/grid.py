@@ -75,15 +75,9 @@ class FrequencyLattice:
         self.axis_frequencies = axis
         mesh = np.meshgrid(*([axis] * spec.dim), indexing="ij", sparse=True)
         self.k2 = sum(m * m for m in mesh)
-        nyq = np.zeros(n, dtype=bool)
-        nyq[n // 2] = True
+        # the unpaired bin n//2 on any axis
+        self.nyquist_mask = sum(m == axis[n // 2] for m in mesh) > 0
         kept = np.abs(axis) <= (2.0 / 3.0) * (np.pi * n / spec.box_length) + 1e-12
-        mask = np.zeros(spec.shape, dtype=bool)
-        for d in range(spec.dim):
-            shape = [1] * spec.dim
-            shape[d] = n
-            mask |= nyq.reshape(shape)
-        self.nyquist_mask = mask
         # the sharp 2/3 band, |xi_axis| <= (2/3) * Nyquist on every axis, as
         # np.ix_ indices of the half layout of a real field, whose last axis
         # keeps h = n//2 + 1 modes, and as flat indices of that layout,
@@ -248,9 +242,9 @@ def gaussian_bump(
     not finite, as when width**2 is 0.
     """
     spec = lattice.spec
-    center = spec.box_length / 2.0
-    x = np.arange(spec.points_per_axis) * (spec.box_length / spec.points_per_axis)
-    r2 = sum((xs - center) ** 2 for xs in np.meshgrid(*([x] * spec.dim), indexing="ij"))
+    n, box = spec.points_per_axis, spec.box_length
+    x = np.arange(n) * (box / n) - box / 2.0
+    r2 = sum(xs**2 for xs in np.meshgrid(*[x] * spec.dim, indexing="ij", sparse=True))
     with np.errstate(all="ignore"):
         values = amplitude * np.exp(-r2 / width**2)
         coeffs = np.fft.fftn(values.astype(complex), norm="ortho")

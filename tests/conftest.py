@@ -9,7 +9,10 @@ the package's former complex branch of N, and whole_transform_products is
 its real branch as it was with whole n-D transforms, the bit-for-bit oracle
 of the band-pruned one.  band cuts an oracle spectrum to
 the band that N returns, and loop_frequency_pairs is the frequency-pair sweep
-written as a loop, one pair at a time.
+written as a loop, one pair at a time.  transforms_find_real and
+reconstructed_energy are the realness test and the energy computed from the
+rebuilt fields u and u_t, the oracles of the package's forms on u^±, and
+rotation is the free flow over the whole grid.
 """
 
 import math
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from halfwave import dynamics
 from halfwave.grid import FrequencyLattice, SpectralField
 from halfwave.system import MassSystem, Monomial
 
@@ -78,6 +82,37 @@ def mirror(a, dim):
     """a(-k) on the last dim axes, index 0 of each to itself and i > 0 to n - i."""
     axes = tuple(range(a.ndim - dim, a.ndim))
     return np.roll(np.flip(a, axes), 1, axes)
+
+
+def transforms_find_real(lattice: FrequencyLattice, state, masses) -> bool:
+    """The realness test through inverse transforms: u and u_t of the state on the grid.
+
+    True when every field's imaginary part is within 1e-12 of its norm, or
+    is not finite; the solvers' spectral test must decide alike.
+    """
+    fields = np.concatenate(dynamics.reconstruct(lattice, state, masses))
+    values = np.fft.ifftn(fields, axes=range(1, fields.ndim)).reshape(len(fields), -1)
+    imag, norms = np.linalg.norm(values.imag, axis=1), np.linalg.norm(values, axis=1)
+    return not np.any(imag > 1e-12 * norms)
+
+
+def reconstructed_energy(lattice: FrequencyLattice, state, system: MassSystem) -> float:
+    """conserved_energy with its quadratic part from the rebuilt u and u_t."""
+    band = dynamics._band(lattice, state[:, 0] + state[:, 1])
+    dot = np.real(dynamics._nonlinearity(lattice, system, band)[:, 0] * np.conj(band))
+    cubic = 2.0 * np.sum(dot) - np.sum(dot[..., 0])
+    u, u_t = dynamics.reconstruct(lattice, state, system.masses)
+    br = np.stack([lattice.bracket(m) for m in system.masses])
+    quad = np.sum(np.abs(u_t) ** 2) + np.sum(br**2 * np.abs(u) ** 2)
+    return float(lattice.cell_volume * (0.5 * quad - cubic / 3.0))
+
+
+def rotation(lattice: FrequencyLattice, masses, t):
+    """Free flow e^{±it<D>} over a whole (K, 2, *grid) state, zero on Nyquist modes."""
+    br = np.stack([lattice.bracket(m) for m in masses])[:, None]
+    phase = np.exp(1j * t * br)
+    phase[:, :, lattice.nyquist_mask] = 0.0
+    return np.concatenate([phase, np.conj(phase)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from conftest import (
     random_field,
     random_real_data,
     real_form,
+    rotation,
     split,
     two_buffer_picard,
 )
@@ -317,7 +318,7 @@ def test_scattering_increments_match_the_unrotated_profiles():
     traj = evolve(lat, bump_state(lat, amp=0.5), scalar_system(), T=4.0, dt=0.05,
                   sample_every=5)
     result = scattering_state(traj, 0.5)
-    w = [u * dynamics._rotation(lat, (1.0,), -t) for t, u in zip(traj.times, traj.halves)]
+    w = [u * rotation(lat, (1.0,), -t) for t, u in zip(traj.times, traj.halves)]
     reference = [pair_distance(lat, a, b) for a, b in zip(w, w[1:])]
     assert np.allclose(result.increments, reference, rtol=1e-10, atol=0.0)
     assert np.array_equal(result.final, w[-1])
@@ -371,7 +372,7 @@ def test_free_trajectory_chains_the_exact_rotation(dim, n):
     traj = free_trajectory(lat, state, (1.0,), times)
     scale = np.max(np.abs(state))
     for t, sample in zip(times, traj.halves):
-        exact = state * dynamics._rotation(lat, (1.0,), t)
+        exact = state * rotation(lat, (1.0,), t)
         assert np.max(np.abs(sample - exact)) <= 1e-12 * scale
 
 
@@ -518,6 +519,37 @@ def test_real_path_matches_complex_path():
     assert np.max(np.abs(join(traj.halves[-1]) - want)) < 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mirror_is_minus_k(dim, n):
+    # on the grid axes after the (K, 2) ones, as the realness check uses it
+    rng = np.random.default_rng(n + dim)
+    shape = (2, 2) + (n,) * dim
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    minus = dynamics._mirror(a, range(2, a.ndim))
+    assert np.array_equal(minus, mirror(a, dim))
+    neg = -np.arange(n) % n
+    assert np.array_equal(minus, a[(Ellipsis,) + np.ix_(*[neg] * dim)])
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
+def test_stepper_factors_are_the_band_of_the_whole_grid_factors(dim, n):
+    # the band holds no Nyquist mode: factors built from its own brackets are
+    # those of the whole grid with its Nyquist modes zeroed, bit for bit
+    lat = make_lattice(dim=dim, n=n)
+    masses, dt = (1.0, 1.7, 0.4), 0.05
+    stepper = dynamics._Stepper(lat, free_system(masses), dt)
+    br = np.stack([lat.bracket(m) for m in masses])
+    inv2br = ~lat.nyquist_mask / (2.0 * br)
+
+    def cut(a):
+        return a[(Ellipsis,) + lat.band]
+
+    assert np.array_equal(stepper.half_phase, cut(rotation(lat, masses, 0.5 * dt)))
+    assert np.array_equal(stepper.kick, dt * cut(inv2br) * np.sin(0.5 * dt * cut(br)))
+    assert np.array_equal(stepper.weight, cut((-1j * dt / 6.0) * inv2br[:, None]))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_real_path_samples_are_hermitian_paired(dim):
     # the half state's samples are completed by u^-(xi) = conj(u^+(-xi)):
@@ -574,7 +606,7 @@ def full_picard(lat, state, system, T, dt, iters, s=0.5):
     inv2br = ~lat.nyquist_mask / (2.0 * br)
     kick = -0.5j * dt * np.concatenate([inv2br, -inv2br], axis=1)
     root = np.sqrt(lat.cell_volume * br ** (2.0 * s))
-    step = dynamics._rotation(lat, system.masses, dt)
+    step = rotation(lat, system.masses, dt)
 
     def nonlinearity(u):
         kept = (f[..., : n // 2 + 1] * keep for f in u)

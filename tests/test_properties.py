@@ -17,7 +17,9 @@ from conftest import (
     random_field,
     random_real_field,
     real_form,
+    reconstructed_energy,
     split,
+    transforms_find_real,
     two_buffer_picard,
 )
 from halfwave.cli import load_trajectory, save_trajectory
@@ -25,6 +27,8 @@ from halfwave.dynamics import (
     Trajectory,
     _band,
     _fill_band,
+    _require_real,
+    conserved_energy,
     decompose,
     evolve,
     picard_iterate,
@@ -38,7 +42,7 @@ from halfwave.grid import (
     lp_weights,
     sobolev_norm,
 )
-from halfwave.system import free_system, scalar_system
+from halfwave.system import MassSystem, Monomial, free_system, scalar_system
 from halfwave.variation import modulation_weights
 
 dims = st.integers(1, 3)
@@ -82,6 +86,57 @@ def test_decompose_reconstruct_roundtrip(dim, mass_list, decay, seed):
     back_u, back_ut = reconstruct(lat, state, mass_list)
     assert np.max(np.abs(back_u - u)) < 1e-12
     assert np.max(np.abs(back_ut - u_t)) < 1e-12
+
+
+@properties
+@given(
+    dim=dims,
+    n=st.sampled_from([8, 16]),
+    mass_list=st.lists(masses, min_size=1, max_size=3, unique=True),
+    velocity=st.booleans(),
+    component=st.integers(0, 2),
+    seed=seeds,
+)
+def test_realness_check_decides_as_the_transforms(
+    dim, n, mass_list, velocity, component, seed
+):
+    # an imaginary part of 1e-14 of one field's norm passes, 1e-10 does not,
+    # and the spectral test decides each case as the inverse transforms do
+    lat = FrequencyLattice(GridSpec(dim, 6.0, n))
+    rng = np.random.default_rng(seed)
+    data = random_data(lat, rng, len(mass_list), field=random_real_field)
+    noise = random_real_field(lat, rng).coeffs
+    for size in (1e-14, 1e-10):
+        u, u_t = (a.copy() for a in data)
+        field = (u_t if velocity else u)[component % len(mass_list)]
+        field += (1j * size * np.linalg.norm(field) / np.linalg.norm(noise)) * noise
+        state = decompose(lat, u, u_t, mass_list)
+        real = transforms_find_real(lat, state, mass_list)
+        assert real == (size < 1e-12)
+        if real:
+            _require_real(lat, state, mass_list)
+        else:
+            with pytest.raises(ValueError, match="real fields"):
+                _require_real(lat, state, mass_list)
+
+
+@properties
+@given(
+    dim=dims,
+    mass_list=st.lists(masses, min_size=1, max_size=3, unique=True),
+    seed=seeds,
+)
+def test_energy_from_the_halves_is_the_energy_of_the_fields(dim, mass_list, seed):
+    lat = lattice(dim)
+    rng = np.random.default_rng(seed)
+    k = len(mass_list)
+    data = random_data(lat, rng, k, decay=1.0, field=random_real_field)
+    state = decompose(lat, *(0.1 * a for a in data), mass_list)
+    # component i is driven by u_i u_{i+1}, every component coupled
+    polys = tuple((Monomial(0.5 + i, (i, (i + 1) % k)),) for i in range(k))
+    system = MassSystem(tuple(mass_list), polys)
+    expected = reconstructed_energy(lat, state, system)
+    assert conserved_energy(lat, state, system) == pytest.approx(expected, rel=1e-13)
 
 
 def random_trajectory(lat, rng, n_times, mass_list):

@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package has a caller.
+"""Every top-level function and class of the package has a caller, and the
+transforms stay in the modules that own them.
 
 A name counts as used when it appears as a whole word, other than on its
 own def or class line, in a package module other than __init__.py; a public
@@ -57,3 +58,32 @@ def test_every_public_name_has_a_caller():
 def test_every_private_name_has_a_caller_in_the_package():
     unused = uncalled(public=False)
     assert not unused, f"private names without a caller in src/: {unused}"
+
+
+# the modules that run transforms: a counter of them needs hooks here only
+TRANSFORMING = {"grid.py", "system.py", "harness.py", "variation.py"}
+
+
+def fft_uses(tree):
+    """Line numbers of np.fft / numpy.fft references and imports in a module's AST."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = {alias.name for alias in node.names}
+            if node.module.startswith("numpy.fft") or (node.module == "numpy" and "fft" in names):
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.fft") for alias in node.names):
+                yield node.lineno
+
+
+def test_only_the_transforming_modules_call_np_fft():
+    stray = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in TRANSFORMING
+        for line in fft_uses(ast.parse(path.read_text()))
+    ]
+    assert not stray, f"np.fft outside {sorted(TRANSFORMING)}: {stray}"
