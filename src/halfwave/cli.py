@@ -336,6 +336,8 @@ def _run_simulate(config: RunConfig) -> RunResult:
     weights = _hs_weights(lattice, system.masses, s)
     # at coupling 0 each sample is measured against the free flow's
     free = opts["coupling"] == 0 and _free_samples(lattice, state, system.masses, times)
+    if free:
+        root, diff = np.sqrt(weights), np.empty_like(state, dtype=complex)
     rows, totals, energies, increments, gap = [], [], [], [], 0.0
     for j, (sample, increment) in enumerate(samples):
         norms = _field_norms(weights, sample)
@@ -347,8 +349,7 @@ def _run_simulate(config: RunConfig) -> RunResult:
         if keep:
             halves[j] = sample
         if free:
-            diff = np.empty_like(sample)
-            gap = max(gap, _state_distance(np.sqrt(weights), sample, next(free), diff))
+            gap = max(gap, _state_distance(root, sample, next(free), diff))
     summary = {
         "samples": int(times.size),
         "initial_norm": totals[0],

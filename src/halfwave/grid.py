@@ -125,9 +125,8 @@ class FrequencyLattice:
 class SpectralField:
     """Complex Fourier coefficients on a FrequencyLattice (FFT order).
 
-    The coefficients are either the full spectrum or, for a real field, the
-    kept half of rfftn: n//2 + 1 modes on the last axis instead of n.  The
-    half may also be cut to its 2/3 band, flattened: lattice.band_flat.
+    The coefficients are either the full spectrum or, for a real field, its
+    2/3 band, flattened in the order of lattice.band_flat.
     """
 
     lattice: FrequencyLattice
@@ -135,11 +134,10 @@ class SpectralField:
 
     def __post_init__(self):
         shape = self.lattice.spec.shape
-        half = shape[:-1] + (shape[-1] // 2 + 1,)
-        if self.coeffs.shape not in (shape, half, self.lattice.band_flat.shape):
+        if self.coeffs.shape not in (shape, self.lattice.band_flat.shape):
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} matches neither grid "
-                f"shape {shape}, its half spectrum nor its 2/3 band"
+                f"shape {shape} nor its 2/3 band"
             )
 
 
@@ -197,17 +195,13 @@ def dyadic_scales(lattice: FrequencyLattice) -> list:
 def lp_weights(lattice: FrequencyLattice, index) -> np.ndarray:
     """Littlewood-Paley multiplier for one dyadic block.
 
-    Block N >= 1 carries psi(|xi|/N); block 0 carries the exact complement
-    1 - sum_{N>=1} psi_N so the full family sums to one on the lattice.
+    Block N >= 1 carries psi(|xi|/N) and block 0 chi(2|xi|).  The blocks
+    N >= 1 telescope to chi(|xi|/N_top) - chi(2|xi|), and the top scale of
+    dyadic_scales exceeds every |xi| off Nyquist, so the family sums to one.
     """
     index = DyadicIndex(index)
     r = lattice.xi_norm
-    if index == 0:
-        w = np.ones_like(r)
-        for scale in dyadic_scales(lattice)[1:]:
-            w -= annulus_profile(r / float(scale))
-    else:
-        w = annulus_profile(r / float(index))
+    w = bump_profile(2.0 * r) if index == 0 else annulus_profile(r / float(index))
     w[lattice.nyquist_mask] = 0.0
     return w
 

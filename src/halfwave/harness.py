@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import DyadicIndex, _axis_passes, _require_memory, _split_even_odd
 from .grid import annulus_profile
-from .system import bracket, check_nonresonance, resonance_function, smallest_bracket
+from .system import _brackets, bracket, check_nonresonance, resonance_function
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,8 @@ def _require_sweep(dim: int, max_radius: float, directions: int):
 
 def _defect_statistic(masses, xi, eta) -> np.ndarray:
     """Resonance defect weighted by the smallest bracket at each sample."""
-    return resonance_function(masses, xi, eta) * smallest_bracket(masses, xi, eta)
+    a, b, c = _brackets(masses, xi, eta)
+    return (a + b - c) * np.minimum(np.minimum(a, b), c)
 
 
 def _sweep_record(name: str, triple, parameters: dict, seed: int, lead: dict):
@@ -602,11 +603,7 @@ def _bilinear_space_time_l2(
             masses[j] = np.sum(np.multiply(power, weight_sq, out=power))
 
     _split_even_odd(fill_masses, nt, size, _SPLIT_ENTRIES)
-    total = 0.0
-    for j, mass in enumerate(masses):
-        w = 0.5 if j in (0, nt - 1) else 1.0
-        total += w * dt * mass
-    return math.sqrt(total * size)
+    return math.sqrt(np.trapezoid(masses, dx=dt) * size)
 
 
 def _orthonormal_pair(dim: int, rng):
@@ -809,14 +806,12 @@ def strichartz_admissible(n: int, q, r, family: str):
 
 
 # bytes of a trilinear trial at its peak: per entry of the code table (its
-# intp index), per (low, mate) pair of a block (int64 codes and intp hits),
-# per match of a block (its indices and phase temporaries: 96 under
-# tracemalloc, less its term) and per match of the trial (its term in the
-# block list and in their concatenation)
+# intp index), per (low, mate) pair of a block (int64 codes and intp hits)
+# and per match of a block (its five index arrays, omega, phase and the
+# product of its terms: 112; 91-102 under tracemalloc at 1e4-6e4 matches)
 _TABLE_BYTES = 8
 _PAIR_BYTES = 16
-_MATCH_BYTES = 64
-_TERM_BYTES = 32
+_MATCH_BYTES = 112
 # (low, mate) pairs per block: on the campaign's cases 2^14-2^18 ran alike on
 # one core, and split, 2^16 took 0.35 s against 0.83 s at 2^12
 _BLOCK_PAIRS = 2**16
@@ -846,15 +841,12 @@ def _match_interactions(low_modes, mate_modes, high_modes, sides=1, held=0):
     table[(high_modes - mins) @ w] = np.arange(len(high_modes))
     low_codes = -(low_modes + mins) @ w
     mate_codes = mate_modes @ w
-    matches = 0
     for start in range(0, len(low_modes), rows):
         hit = table[(low_codes[start : start + rows, None] - mate_codes[None, :]).ravel()]
         found = hit >= 0
         count = np.count_nonzero(found)
-        matches += count
         _require_memory(
-            sides * (fixed + _MATCH_BYTES * count + _TERM_BYTES * matches),
-            f"the {matches} trilinear matches",
+            sides * (fixed + _MATCH_BYTES * count), f"the {count} trilinear matches"
         )
         flat_idx = np.flatnonzero(found)
         del found
@@ -930,9 +922,8 @@ def verify_trilinear(
     once per mode. Trials whose records, mode boxes, or boxes and matching
     exceed physical memory raise MemoryError before these are built, counted
     twice from two trials on. From two trials on, with two cores, a worker
-    thread takes the odd trials; each trial draws from its own generator and
-    sums its terms in one array, so the ratios equal a one-core run bit for
-    bit.
+    thread takes the odd trials; each trial runs whole on one thread from
+    its own generator, so the ratios equal a one-core run bit for bit.
     """
     high = DyadicIndex(high_scale)
     mate = DyadicIndex(mate_scale)
@@ -984,7 +975,7 @@ def verify_trilinear(
             br_low, br_mate, br_high = (
                 bracket(1.0, modes) for modes in (low_modes, mate_modes, high_modes)
             )
-            terms = []
+            total = 0.0
             for i_low, i_mate, third in _match_interactions(
                 low_modes, mate_modes, high_modes, sides, boxes
             ):
@@ -995,11 +986,9 @@ def verify_trilinear(
                     (np.exp(1j * omega * horizon) - 1.0)
                     / (1j * np.where(omega == 0, 1.0, omega)),
                 )
-                terms.append(
+                total += np.sum(
                     coeff_low[i_low] * coeff_mate[i_mate] * coeff_high[third] * phase
                 )
-            # one pairwise sum over every term, as over an unblocked array
-            total = np.sum(np.concatenate(terms))
             norms = (
                 np.linalg.norm(coeff_low)
                 * np.linalg.norm(coeff_mate)

@@ -88,8 +88,8 @@ def check_nonresonance(masses: Sequence[float]):
 def evaluate_nonlinearity(system: MassSystem, fields: Sequence[SpectralField]):
     """Apply every component polynomial to the real fields, fully dealiased.
 
-    Each field is a full or half spectrum or its 2/3 band, lattice.band_flat,
-    read from its shape.  Its band is scattered into a zero half spectrum, the
+    Each field is a full spectrum or its 2/3 band, lattice.band_flat, read
+    from its shape.  Its band is scattered into a zero half spectrum, the
     fields are multiplied pointwise on the physical grid, and each product is
     cut to the band again, all that N writes: the products come back as one
     (K, n_band) array in the order of band_flat.  The transforms are irfftn's

@@ -100,8 +100,6 @@ def xs_proxy_norm(traj: Trajectory, component: int, s: float, sign: int = 1) -> 
     total = 0.0
     for n in dyadic_scales(lattice):
         block = stack * lp_weights(lattice, n)
-        if not np.any(block):
-            continue
         total += max(int(n), 1) ** (2.0 * s) * p_variation(block, 2.0, weight) ** 2
     return math.sqrt(total)
 
@@ -126,16 +124,13 @@ def modulation_weights(traj: Trajectory, component: int, index, sign: int) -> np
     return w
 
 
-def modulation_energy(
-    traj: Trajectory, component: int, index, sign: int, window: str = "hann"
-) -> float:
+def modulation_energy(traj: Trajectory, component: int, index, sign: int) -> float:
     """Space-time L2 mass of one modulation block of one trajectory half.
 
     The half u^+ (sign +1) or u^- (sign -1) of the component is weighted by
     modulation_weights with the same sign. A Hann window (RMS-normalized)
     tapers the horizon before the temporal DFT so that off-grid tau content
-    does not leak across dyadic blocks; pass window="none" for the raw
-    periodic measurement.
+    does not leak across dyadic blocks.
     """
     J = traj.times.size
     dt = float(traj.times[1] - traj.times[0])
@@ -144,14 +139,9 @@ def modulation_energy(
             f"sampling too coarse for modulation {int(index)}: "
             f"tau-Nyquist is {np.pi / dt:.3g}"
         )
-    if window == "hann":
-        # periodic Hann, so an on-grid tone spreads over exactly three bins
-        win = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(J) / J))
-        win = win / np.sqrt(np.mean(win**2))
-    elif window == "none":
-        win = np.ones(J)
-    else:
-        raise ValueError(f"unknown window {window!r}")
+    # periodic Hann, so an on-grid tone spreads over exactly three bins
+    win = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(J) / J))
+    win = win / np.sqrt(np.mean(win**2))
     half = traj.half(component, sign)
     data = half * win.reshape((-1,) + (1,) * traj.lattice.spec.dim)
     hat = np.fft.fft(data, axis=0, norm="ortho")

@@ -11,8 +11,10 @@ of the band-pruned one.  band cuts an oracle spectrum to
 the band that N returns, and loop_frequency_pairs is the frequency-pair sweep
 written as a loop, one pair at a time.  transforms_find_real and
 reconstructed_energy are the realness test and the energy computed from the
-rebuilt fields u and u_t, the oracles of the package's forms on u^±, and
-rotation is the free flow over the whole grid.
+rebuilt fields u and u_t, the oracles of the package's forms on u^±,
+rotation is the free flow over the whole grid, and
+unwindowed_modulation_energy is the raw periodic modulation energy that the
+Hann window's leak is judged against.
 """
 
 import math
@@ -23,6 +25,7 @@ import numpy as np
 from halfwave import dynamics
 from halfwave.grid import FrequencyLattice, SpectralField
 from halfwave.system import MassSystem, Monomial
+from halfwave.variation import modulation_weights
 
 
 def dealias_mask(lattice: FrequencyLattice) -> np.ndarray:
@@ -68,6 +71,14 @@ def random_real_data(lattice, rng, k=1, decay=0.0):
         np.stack([random_real_field(lattice, rng, decay).coeffs for _ in range(k)])
         for _ in range(2)
     )
+
+
+def unwindowed_modulation_energy(traj, component, index, sign) -> float:
+    """modulation_energy without its Hann window: the raw periodic measurement."""
+    hat = np.fft.fft(traj.half(component, sign), axis=0, norm="ortho")
+    w = modulation_weights(traj, component, index, sign)
+    dt = float(traj.times[1] - traj.times[0])
+    return float(np.sqrt(dt * traj.lattice.cell_volume * np.sum(np.abs(w * hat) ** 2)))
 
 
 def band(lattice: FrequencyLattice, spectrum) -> np.ndarray:

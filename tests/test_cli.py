@@ -27,7 +27,10 @@ from halfwave.cli import (
     main,
     save_trajectory,
 )
+from halfwave.dynamics import decompose, evolve, free_trajectory
+from halfwave.grid import FrequencyLattice, GridSpec, gaussian_bump
 from halfwave.harness import strauss_exponent
+from halfwave.system import scalar_system
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -559,6 +562,24 @@ def test_simulate_free_flow_matches_linear(tmp_path):
     energies = table[:, 3]
     assert np.allclose(energies, energies[0], rtol=1e-10)
     assert table[:, 4].sum() < 1e-12
+
+
+def test_simulate_linear_match_error_is_the_free_trajectory_distance(tmp_path):
+    # the same H^s distance on the same arrays as Trajectory.distance, so the
+    # same bits; the defaults give a 32-point box of side 16 and unit mass
+    path = write_config(
+        tmp_path,
+        "[run]\ndim = 1\ncoupling = 0.0\namplitude = 0.01\n"
+        "horizon = 2.0\ndt = 0.05\nstride = 4\n",
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    lattice = FrequencyLattice(GridSpec(1, 16.0, 32))
+    bump = gaussian_bump(lattice, 0.01, 1.0).coeffs[None]
+    state = decompose(lattice, bump, np.zeros_like(bump), (1.0,))
+    traj = evolve(lattice, state, scalar_system(1.0, 0.0), 2.0, 0.05, 4, s=0.5)
+    gap = traj.distance(free_trajectory(lattice, state, traj.masses, traj.times), 0.5)
+    assert read_json(out / "summary.json")["linear_match_error"] == gap > 0.0
 
 
 def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):

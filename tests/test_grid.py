@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dealias_mask, random_field
+from conftest import dealias_mask, random_field, unwindowed_modulation_energy
 from halfwave.dynamics import Trajectory
 from halfwave.grid import (
     DyadicIndex,
@@ -197,27 +197,27 @@ def space_time_wave(lat, n_times, dt, mass, spatial_mode=(0, 0)):
 
 
 def test_free_wave_sits_at_zero_modulation():
-    # mass chosen so the wave's temporal frequency lies on the tau grid; the
-    # periodic measurement (no window) sees the whole wave in block 0
+    # mass chosen so the wave's temporal frequency lies on the tau grid: the
+    # periodic Hann window spreads it over three bins, all inside block 0
     lat = make_lattice()
     n_times, dt = 128, 0.25
     mass = 8 * 2 * np.pi / (n_times * dt)
     traj = space_time_wave(lat, n_times, dt, mass)
     total = math.sqrt(dt * lat.cell_volume * np.sum(np.abs(traj.half(0, +1)) ** 2))
-    kept = modulation_energy(traj, 0, 0, +1, window="none")
+    kept = modulation_energy(traj, 0, 0, +1)
     assert kept == pytest.approx(total, rel=1e-12)
     # blocks up to 4, the largest the tau grid resolves (pi/dt = 4 pi)
     for index in (1, 2, 4):
-        assert modulation_energy(traj, 0, index, +1, window="none") < 1e-12 * total
+        assert modulation_energy(traj, 0, index, +1) < 1e-12 * total
     # the minus half sees modulation 2*mass = pi: annulus blocks 2 and 4
     for index in (0, 1):
-        assert modulation_energy(traj, 0, index, -1, window="none") < 1e-12 * total
+        assert modulation_energy(traj, 0, index, -1) < 1e-12 * total
     # the sign picks the half: with u^- zeroed, only the plus side measures
     halves = traj.halves.copy()
     halves[:, :, 1] = 0.0
     plus_only = Trajectory(traj.times, traj.masses, lat, halves)
-    assert modulation_energy(plus_only, 0, 0, +1, window="none") == kept
-    assert modulation_energy(plus_only, 0, 0, -1, window="none") == 0.0
+    assert modulation_energy(plus_only, 0, 0, +1) == kept
+    assert modulation_energy(plus_only, 0, 0, -1) == 0.0
 
 
 def test_modulation_energy_free_wave():
@@ -238,6 +238,6 @@ def test_modulation_energy_windowed_leakage():
     # blocks, the Hann-windowed one keeps that leak three orders down
     lat = make_lattice(dim=1, box=8.0, n=16)
     traj = space_time_wave(lat, 320, 0.1, mass=1.0, spatial_mode=(0,))
-    raw = modulation_energy(traj, 0, 8, +1, window="none")
-    tapered = modulation_energy(traj, 0, 8, +1, window="hann")
+    raw = unwindowed_modulation_energy(traj, 0, 8, +1)
+    tapered = modulation_energy(traj, 0, 8, +1)
     assert tapered < 1e-3 * raw

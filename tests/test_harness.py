@@ -981,7 +981,7 @@ def test_match_interactions_refuses_tables_larger_than_memory(monkeypatch):
         matched_blocks(low, mate, high)
     monkeypatch.undo()
     # the one match adds its arrays and its term on top
-    one = need + harness._MATCH_BYTES + harness._TERM_BYTES
+    one = need + harness._MATCH_BYTES
     monkeypatch.setattr(grid, "_physical_memory", lambda: one)
     (i_low, i_mate, third), = matched_blocks(low, mate, high)
     assert (i_low.tolist(), i_mate.tolist(), third.tolist()) == ([0], [0], [0])
@@ -994,7 +994,7 @@ def test_match_interactions_refuses_matches_larger_than_memory(monkeypatch):
     mate = np.array([[0, 1], [0, 2], [0, 3], [0, 4]])
     high = -(low[:, None] + mate[None]).reshape(-1, 2)
     table = harness._TABLE_BYTES * 12 + harness._PAIR_BYTES * 12
-    need = table + (harness._MATCH_BYTES + harness._TERM_BYTES) * 12
+    need = table + harness._MATCH_BYTES * 12
 
     def no_matches(*args, **kwargs):
         raise AssertionError("the match indices were allocated")
@@ -1011,15 +1011,14 @@ def test_match_interactions_refuses_matches_larger_than_memory(monkeypatch):
         (i_low, i_mate, third), = matched_blocks(low, mate, high, sides)
         assert len(third) == 12
         assert not np.any(low[i_low] + mate[i_mate] + high[third])
-    # in blocks of one low mode, the last block holds its own 4 pairs and
-    # matches and the terms of all 12
+    # in blocks of one low mode, each block holds its own 4 pairs and 4
+    # matches with their terms, and no more
     monkeypatch.setattr(harness, "_BLOCK_PAIRS", 4)
-    last = harness._TABLE_BYTES * 12 + harness._PAIR_BYTES * 4 + harness._MATCH_BYTES * 4
-    last += harness._TERM_BYTES * 12
-    monkeypatch.setattr(grid, "_physical_memory", lambda: last - 1)
-    with pytest.raises(MemoryError, match="12 trilinear matches"):
+    block = harness._TABLE_BYTES * 12 + harness._PAIR_BYTES * 4 + harness._MATCH_BYTES * 4
+    monkeypatch.setattr(grid, "_physical_memory", lambda: block - 1)
+    with pytest.raises(MemoryError, match="4 trilinear matches"):
         matched_blocks(low, mate, high)
-    monkeypatch.setattr(grid, "_physical_memory", lambda: last)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: block)
     assert [len(third) for _, _, third in matched_blocks(low, mate, high)] == [4, 4, 4]
 
 
@@ -1136,14 +1135,14 @@ def test_trilinear_trials_share_one_low_ball(monkeypatch, n):
     assert len(calls) == 1 and len(set(names)) == n
 
 
-def dense_interactions(monkeypatch):
+def dense_interactions(monkeypatch, side=10):
     """Sets in which every (low, mate) pair matches, for verify_trilinear(64, 32, 2).
 
     The low ball of radius 2 holds 33 modes, the mates fill the cube
-    [40, 49]^3, and the high modes are every -(l + m), the cube -[38, 51]^3:
-    33000 matches, all in one block.
+    [40, 39 + side]^3, and the high modes are every -(l + m), the cube
+    -[38, 41 + side]^3: 33 side^3 matches, at side 10 all in one block.
     """
-    mate, high = full_cube(10, 40), -full_cube(14, 38)
+    mate, high = full_cube(side, 40), -full_cube(side + 4, 38)
     monkeypatch.setattr(harness, "_MAX_MODES", len(high))
     monkeypatch.setattr(
         harness, "cap_mode_set", lambda scale, pole, rho: mate if scale == 32 else high
@@ -1182,6 +1181,55 @@ def test_trilinear_memory_estimate_covers_the_peak(monkeypatch, n, case, dim):
         tracemalloc.stop()
     assert len(set(names)) == n and min(ratios) > 0
     assert peak <= max(estimates)
+
+
+@pytest.mark.parametrize("rows", [None, 1], ids=["default-block", "one-row"])
+@pytest.mark.parametrize("trials", [1, 2], ids=["one-side", "two-sides"])
+def test_trilinear_match_estimate_covers_a_trials_peak(monkeypatch, rows, trials):
+    # every pair matches: 33 rows of 22^3 mates, 6 rows to the default block;
+    # with the mode boxes counted as nothing, the estimate is the code table,
+    # one block's pair codes and its matches, terms included, for each trial
+    # that may run at once; traced on one core from the table's build to the
+    # last block's sum, each trial stays within its share and the codes of
+    # its low and mate modes, 8 bytes a mode, which the boxes cover
+    cores(monkeypatch, 1)
+    case = dense_interactions(monkeypatch, side=22)
+    if rows:
+        monkeypatch.setattr(harness, "_BLOCK_PAIRS", rows * 22**3)
+    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
+    estimates, peaks = [], []
+    require, match = harness._require_memory, harness._match_interactions
+
+    def recorded(nbytes, what):
+        if "trilinear matches" in what:
+            estimates.append(nbytes)
+        return require(nbytes, what)
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            yield from match(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(harness, "_require_memory", recorded)
+    monkeypatch.setattr(harness, "_match_interactions", traced)
+    ratios = verify_trilinear(*case, trials=trials, seed=0).ratios
+    assert len(estimates) == trials * (33 if rows else 6) and min(ratios) > 0
+    assert max(peaks) <= max(estimates) / min(trials, 2) + 8 * (33 + 22**3)
+
+
+def test_trilinear_ratios_hardly_move_with_the_block_size(monkeypatch):
+    # each block's terms are summed into the trial's total as it is matched,
+    # so the block size moves the rounding only; the caps of the case hold
+    # more than _MAX_MODES modes, so every trial keeps that many mates
+    runs = []
+    for block in (1, 3 * harness._MAX_MODES, harness._BLOCK_PAIRS):
+        monkeypatch.setattr(harness, "_BLOCK_PAIRS", block)
+        runs.append(verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0).ratios)
+    for ratios in runs[:2]:
+        assert np.allclose(ratios, runs[2], rtol=1e-13, atol=0.0)
 
 
 # ----------------------------------------------------------------------

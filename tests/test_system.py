@@ -331,22 +331,21 @@ def test_real_branch_matches_complex_products(dim, k, terms, seed):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_real_branch_takes_either_layout_and_the_complex_one_full_only(dim):
-    # N takes a real field's full or half spectrum or its band, and returns
-    # the same band of products for each; the complex reference, the former
-    # complex branch, takes full spectra only
+    # N takes a real field's full spectrum or its band, and returns the same
+    # band of products for each; a field is never its half spectrum; the
+    # complex reference, the former complex branch, takes full spectra only
     lat = FrequencyLattice(GridSpec(dim, 7.0, 8))
     values = np.random.default_rng(dim).standard_normal(lat.spec.shape)
-    half = SpectralField(lat, np.fft.rfftn(values, norm="ortho"))
-    assert half.coeffs.shape == lat.spec.shape[:-1] + (5,)
-    full_field = SpectralField(lat, full(lat, half.coeffs))
-    band_field = SpectralField(lat, band(lat, half.coeffs))
+    half = np.fft.rfftn(values, norm="ortho")
+    assert half.shape == lat.spec.shape[:-1] + (5,)
+    full_field = SpectralField(lat, full(lat, half))
+    band_field = SpectralField(lat, band(lat, half))
     system = scalar_system(1.0, 2.0)
-    products = [
-        evaluate_nonlinearity(system, (f,)) for f in (full_field, half, band_field)
-    ]
+    products = [evaluate_nonlinearity(system, (f,)) for f in (full_field, band_field)]
     assert products[0].shape == (1, lat.band_flat.size)
-    assert all(p.tobytes() == products[0].tobytes() for p in products)
+    assert products[1].tobytes() == products[0].tobytes()
     with pytest.raises(ValueError, match="full spectra"):
-        complex_products(lat, ComplexSystem.of(system), half.coeffs[None])
-    with pytest.raises(ValueError, match="half spectrum"):
-        SpectralField(lat, np.zeros(lat.spec.shape[:-1] + (4,), dtype=complex))
+        complex_products(lat, ComplexSystem.of(system), half[None])
+    for shape in (half.shape, lat.spec.shape[:-1] + (4,)):
+        with pytest.raises(ValueError, match="nor its 2/3 band"):
+            SpectralField(lat, np.zeros(shape, dtype=complex))
