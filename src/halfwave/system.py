@@ -163,8 +163,3 @@ def resonance_function(triple: Sequence[float], xi, eta):
     a, b, c = _brackets(triple, xi, eta)
     return a + b - c
 
-
-def smallest_bracket(triple: Sequence[float], xi, eta):
-    """min(<xi>_m, <eta>_n, <xi+eta>_o), the weight in the lower-bound probe."""
-    a, b, c = _brackets(triple, xi, eta)
-    return np.minimum(np.minimum(a, b), c)

@@ -24,7 +24,10 @@ def increment_table(values, weight: float = 1.0) -> np.ndarray:
     (the square root of the cell volume makes increments of spectral
     snapshots read as spatial L2 distances). Large snapshots go through a
     Gram-matrix expansion so the table costs one matrix product instead of a
-    quadratic number of array differences.
+    quadratic number of array differences. Complex samples are read as real
+    vectors of their real and imaginary parts, since Re<a, b> is the real
+    inner product of those vectors, so the Gram matrix is one real symmetric
+    product F F^T.
     """
     vals = np.asarray(values)
     k = vals.shape[0]
@@ -33,9 +36,10 @@ def increment_table(values, weight: float = 1.0) -> np.ndarray:
         column = flat[:, 0]
         dist = np.abs(column[None, :] - column[:, None])
     else:
-        sq = np.einsum("ij,ij->i", flat, flat.conj()).real
-        gram = flat @ flat.conj().T
-        d2 = sq[None, :] + sq[:, None] - 2.0 * gram.real
+        if np.iscomplexobj(flat):
+            flat = flat.view(flat.real.dtype)
+        sq = np.einsum("ij,ij->i", flat, flat)
+        d2 = sq[None, :] + sq[:, None] - 2.0 * (flat @ flat.T)
         dist = np.sqrt(np.clip(d2, 0.0, None))
     return weight * dist
 
@@ -66,13 +70,20 @@ def _unrotated_from_rest(traj: Trajectory, component: int, sign: int) -> np.ndar
     """One component's chosen half with the free rotation factored out.
 
     A zero row is prepended, encoding a path that starts from rest before the
-    first recorded time.
+    first recorded time. The phase is taken once per distinct <xi> and
+    gathered onto the grid.
     """
     half = traj.half(component, sign)
-    times = traj.times.reshape((-1,) + (1,) * traj.lattice.spec.dim)
     bracket = traj.lattice.bracket(traj.masses[component])
-    stack = np.zeros((half.shape[0] + 1,) + half.shape[1:], dtype=complex)
-    stack[1:] = half * np.exp(-sign * 1j * times * bracket)
+    values, where = np.unique(bracket, return_inverse=True)
+    phase = np.exp(-sign * 1j * traj.times[:, None] * values)
+    stack = np.empty((half.shape[0] + 1,) + half.shape[1:], dtype=complex)
+    stack[0] = 0.0
+    rows = stack[1:].reshape(half.shape[0], -1)
+    np.take(phase, where.reshape(-1), axis=1, out=rows, mode="clip")
+    # phase * half, in this order: the complex product rounds differently
+    # with its operands swapped
+    stack[1:] *= half
     return stack
 
 
@@ -92,14 +103,24 @@ def xs_proxy_norm(traj: Trajectory, component: int, s: float, sign: int = 1) -> 
 
     Each dyadic block N contributes max(N, 1)^(2s) times the squared
     2-variation of the block-projected unrotated path from rest; the zero
-    block carries unit weight.
+    block carries unit weight. A block is projected onto its support only,
+    the modes of nonzero weight, since the rest add nothing to its
+    increments; all blocks share one buffer.
     """
     stack = _unrotated_from_rest(traj, component, sign)
+    flat = stack.reshape(stack.shape[0], -1)
+    buffer = np.empty(flat.size, dtype=flat.dtype)
     lattice = traj.lattice
     weight = math.sqrt(lattice.cell_volume)
     total = 0.0
     for n in dyadic_scales(lattice):
-        block = stack * lp_weights(lattice, n)
+        w = lp_weights(lattice, n).reshape(-1)
+        support = np.flatnonzero(w)
+        block = buffer[: flat.shape[0] * support.size].reshape(flat.shape[0], -1)
+        # "clip" writes into the buffer directly, "raise" stages a copy;
+        # a fresh array per block costs more resident memory
+        np.take(flat, support, axis=1, out=block, mode="clip")
+        block *= w[support]
         total += max(int(n), 1) ** (2.0 * s) * p_variation(block, 2.0, weight) ** 2
     return math.sqrt(total)
 

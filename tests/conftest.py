@@ -14,7 +14,11 @@ reconstructed_energy are the realness test and the energy computed from the
 rebuilt fields u and u_t, the oracles of the package's forms on u^±,
 rotation is the free flow over the whole grid, and
 unwindowed_modulation_energy is the raw periodic modulation energy that the
-Hann window's leak is judged against.
+Hann window's leak is judged against.  smallest_bracket is the weight of the
+lower-bound probe; direct_unrotated_from_rest, complex_gram_table and
+full_grid_xs_proxy_norm are the variation layer written as it was with one
+phase per grid point, a complex Gram product and every block on the whole
+grid.
 """
 
 import math
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from halfwave import dynamics
-from halfwave.grid import FrequencyLattice, SpectralField
-from halfwave.system import MassSystem, Monomial
+from halfwave.grid import FrequencyLattice, SpectralField, dyadic_scales, lp_weights
+from halfwave.system import MassSystem, Monomial, bracket
 from halfwave.variation import modulation_weights
 
 
@@ -79,6 +83,53 @@ def unwindowed_modulation_energy(traj, component, index, sign) -> float:
     w = modulation_weights(traj, component, index, sign)
     dt = float(traj.times[1] - traj.times[0])
     return float(np.sqrt(dt * traj.lattice.cell_volume * np.sum(np.abs(w * hat) ** 2)))
+
+
+def smallest_bracket(triple, xi, eta):
+    """min(<xi>_m, <eta>_n, <xi+eta>_o), the weight in the lower-bound probe."""
+    m, n, o = triple
+    xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
+    return np.minimum(np.minimum(bracket(m, xi), bracket(n, eta)), bracket(o, xi + eta))
+
+
+def direct_unrotated_from_rest(traj, component, sign) -> np.ndarray:
+    """The unrotated half from rest with one complex exp per sample and grid point.
+
+    The product is taken as phase * half.  The complex multiply is not
+    commutative in the last bit, and numpy's temporary elision already ran
+    `half * np.exp(...)` in this order from 256 KiB on.
+    """
+    half = traj.half(component, sign)
+    times = traj.times.reshape((-1,) + (1,) * traj.lattice.spec.dim)
+    br = traj.lattice.bracket(traj.masses[component])
+    phase = np.exp(-sign * 1j * times * br)
+    stack = np.zeros((half.shape[0] + 1,) + half.shape[1:], dtype=complex)
+    stack[1:] = phase * half
+    return stack
+
+
+def complex_gram_table(values) -> np.ndarray:
+    """Squared increments |a_i - a_j|^2 from the complex Gram matrix of the samples."""
+    vals = np.asarray(values)
+    flat = np.ascontiguousarray(vals.reshape(vals.shape[0], -1))
+    sq = np.einsum("ij,ij->i", flat, flat.conj()).real
+    gram = flat @ flat.conj().T
+    return sq[None, :] + sq[:, None] - 2.0 * gram.real
+
+
+def full_grid_xs_proxy_norm(traj, component, s, sign=1) -> float:
+    """xs_proxy_norm with every block on the whole grid, from complex Gram tables."""
+    stack = direct_unrotated_from_rest(traj, component, sign)
+    lattice = traj.lattice
+    total = 0.0
+    for n in dyadic_scales(lattice):
+        d2 = complex_gram_table(stack * lp_weights(lattice, n))
+        table = lattice.cell_volume * np.clip(d2, 0.0, None)
+        best = np.zeros(table.shape[0])
+        for j in range(1, best.size):
+            best[j] = np.max(best[:j] + table[:j, j])
+        total += max(int(n), 1) ** (2.0 * s) * best[-1]
+    return math.sqrt(total)
 
 
 def band(lattice: FrequencyLattice, spectrum) -> np.ndarray:

@@ -13,6 +13,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import smallest_bracket
+
 from halfwave.dynamics import (
     InstabilityError,
     Trajectory,
@@ -44,7 +46,6 @@ from halfwave.system import (
     free_system,
     resonance_function,
     scalar_system,
-    smallest_bracket,
 )
 from halfwave.variation import (
     check_mod_projection_bound,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from halfwave import dynamics
+from halfwave import cli, dynamics
 from halfwave.cli import save_trajectory
 from halfwave.dynamics import decompose, evolve, picard_iterate
 from halfwave.grid import FrequencyLattice, GridSpec, gaussian_bump
@@ -89,6 +89,31 @@ def test_traced_nonlinearity_sees_the_real_path(monkeypatch):
     monkeypatch.setattr(dynamics, "evaluate_nonlinearity", traced)
     evolve(lattice, state, scalar_system(), 0.3, 0.05)
     assert [s.name for s in recorder.spans] == [name] * 4 * 6
+
+
+def test_traced_variation_records_its_layers(tmp_path, monkeypatch):
+    # the layer view of trajectory-variation reads these spans; a variation
+    # path that stopped calling one through its traced name would read 0
+    lattice = FrequencyLattice(GridSpec(2, 8.0, 16))
+    bump = gaussian_bump(lattice, 0.1).coeffs[None]
+    state = decompose(lattice, bump, np.zeros_like(bump), (1.0,))
+    save_trajectory(evolve(lattice, state, scalar_system(), 0.3, 0.05), tmp_path / "t.npz")
+    config = tmp_path / "variation.ini"
+    config.write_text(f"[run]\ncommand = variation\ntrajectory = {tmp_path / 't.npz'}\n")
+    recorder = spans.Recorder("test")
+    for module_name, attr, name, count in spans.TARGETS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, recorder.wrap(name, getattr(module, attr), count))
+    assert cli.main(["variation", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    recorded = {s.name for s in recorder.spans}
+    for name in (
+        "variation.v2_pm_norm",
+        "variation.xs_proxy_norm",
+        "variation.increment_table",
+        "variation.p_variation",
+        "grid.lp_weights",
+    ):
+        assert name in recorded
 
 
 def test_micro_probe_runs():

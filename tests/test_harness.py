@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_frequency_pairs
+from conftest import loop_frequency_pairs, smallest_bracket
 from halfwave import grid, harness
 from halfwave.grid import _axis_passes, annulus_profile
 from halfwave.harness import (
@@ -39,7 +39,7 @@ from halfwave.harness import (
     _coordinate_descent,
     _match_interactions,
 )
-from halfwave.system import bracket, resonance_function, smallest_bracket
+from halfwave.system import bracket, resonance_function
 
 
 # ----------------------------------------------------------------------

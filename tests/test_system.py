@@ -28,7 +28,6 @@ from halfwave.system import (
     free_system,
     resonance_function,
     scalar_system,
-    smallest_bracket,
 )
 
 

@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from conftest import complex_gram_table, direct_unrotated_from_rest, full_grid_xs_proxy_norm
 
 from halfwave.dynamics import (
     Trajectory,
@@ -16,11 +19,13 @@ from halfwave.grid import (
     SpectralField,
     free_propagate,
     gaussian_bump,
+    lp_weights,
     sobolev_norm,
 )
 from halfwave.system import scalar_system
 from halfwave.variation import (
     ModulationReport,
+    _unrotated_from_rest,
     check_mod_projection_bound,
     increment_table,
     p_variation,
@@ -239,3 +244,90 @@ def test_mod_projection_rejects_coarse_sampling():
     traj = jump_trajectory(lat, phi, T=40.0, dt=0.05, t_jump=20.0)
     with pytest.raises(ValueError):
         check_mod_projection_bound(traj, 0, 64, +1)
+
+
+# ---------------------------------------------------------------------------
+# the variation layer against its direct forms
+
+
+def random_trajectory(lat, k, masses, rng, t0=0.0, dt=0.1):
+    """k samples at t0 + j dt of random complex halves, one component per mass."""
+    shape = (k, len(masses), 2) + lat.spec.shape
+    halves = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Trajectory(t0 + dt * np.arange(k), masses, lat, halves)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16), (2, 64), (3, 8), (3, 32)])
+def test_unrotation_is_the_direct_exp_byte_for_byte(dim, n):
+    rng = np.random.default_rng(dim * 100 + n)
+    lat = make_lattice(dim=dim, box=10.0, n=n)
+    masses = (0.5, 1.0, 2.5)
+    for t0 in (0.0, 5.0):
+        traj = random_trajectory(lat, 3, masses, rng, t0=t0, dt=0.07)
+        for component, sign in itertools.product(range(len(masses)), (1, -1)):
+            got = _unrotated_from_rest(traj, component, sign)
+            want = direct_unrotated_from_rest(traj, component, sign)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def increment_inputs(rng):
+    complex_samples = rng.standard_normal((6, 5, 7)) + 1j * rng.standard_normal((6, 5, 7))
+    near = complex_samples[:1] + 1e-9 * complex_samples
+    wide = rng.standard_normal((7, 4, 9)) + 1j * rng.standard_normal((7, 4, 9))
+    return [
+        (complex_samples, 1e-13),
+        (near, 1e-13),
+        (complex_samples.astype(np.complex64), 1e-5),
+        (rng.standard_normal((5, 11)), 1e-13),
+        (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)), 1e-13),
+        (rng.standard_normal(5), 1e-13),
+        (np.zeros((3, 0), dtype=complex), 1e-13),
+        (wide[::2, :, ::3], 1e-13),
+    ]
+
+
+def test_increment_table_agrees_with_the_complex_gram():
+    # near-equal samples cancel in both formulas, so the bound is absolute,
+    # on the scale of the largest squared row norm
+    for values, tol in increment_inputs(np.random.default_rng(7)):
+        want = complex_gram_table(values)
+        got = increment_table(values).astype(float) ** 2
+        assert got.shape == want.shape == (len(values), len(values))
+        rows = np.abs(np.asarray(values).reshape(len(values), -1)) ** 2
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.sum(rows, axis=1))
+        assert np.array_equal(got, got.T)
+
+
+def evolved(dim, n, box):
+    lat = make_lattice(dim=dim, box=box, n=n)
+    state = resting_state(lat, gaussian_bump(lat, 0.3))
+    return evolve(lat, state, scalar_system(), T=1.0, dt=0.05, sample_every=2)
+
+
+@pytest.mark.parametrize("dim,n,box", [(1, 32, 16.0), (2, 16, 8.0), (3, 8, 8.0), (1, 16, 2.0)])
+def test_xs_proxy_equals_the_full_grid_block_loop(dim, n, box):
+    traj = evolved(dim, n, box)
+    if box == 2.0:
+        # every mode sits at |xi| = pi k, so LP block 1 (1/2 < |xi| < 2) is empty
+        assert not np.any(lp_weights(traj.lattice, 1))
+    for sign, s in itertools.product((1, -1), (0.0, 0.5, 1.5)):
+        want = full_grid_xs_proxy_norm(traj, 0, s, sign)
+        assert want > 0.0
+        assert xs_proxy_norm(traj, 0, s, sign) == pytest.approx(want, rel=1e-12)
+
+
+def test_variation_norms_stay_near_one_stack():
+    # the workload's shape: 2D, 64^2, 61 samples; a stack is the unrotated path
+    lat = make_lattice(dim=2, box=32.0, n=64)
+    traj = random_trajectory(lat, 61, (1.0,), np.random.default_rng(3), dt=0.05)
+    stack = (61 + 1) * 64 * 64 * 16
+    for fn, limit in ((lambda: v2_pm_norm(traj, 0, 1), 1.5),
+                      (lambda: xs_proxy_norm(traj, 0, 0.5, 1), 2.5)):
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * stack
