@@ -66,7 +66,7 @@ from .harness import (
     verify_trilinear,
 )
 from .system import scalar_system
-from .variation import v2_pm_norm, xs_proxy_norm
+from .variation import unrotated_from_rest, v2_pm_norm, xs_proxy_norm
 
 from . import __version__
 
@@ -570,8 +570,11 @@ def _run_variation(config: RunConfig) -> RunResult:
     total = 0.0
     for i in range(traj.n_components):
         for sign in (1, -1):
-            v2 = v2_pm_norm(traj, i, sign)
-            xs = xs_proxy_norm(traj, i, config.options["sobolev"], sign)
+            path = unrotated_from_rest(traj, i, sign)
+            v2 = v2_pm_norm(traj.lattice, path)
+            xs = xs_proxy_norm(traj.lattice, path, config.options["sobolev"])
+            # released before the next half is built: two paths would be resident
+            del path
             total += v2 * v2
             records.append(
                 {

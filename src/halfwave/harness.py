@@ -371,11 +371,12 @@ def shell_intersection_volume(
             d2 = np.sqrt((x1 - c) ** 2 + rho * rho)
             hit = (d1 >= r - w) & (d1 <= r + w) & (d2 >= r - w) & (d2 <= r + w)
             hit &= rho <= tube_radius
-            p_hat = float(np.count_nonzero(hit)) / per
+            hits = int(np.count_nonzero(hit))
+            p_hat = float(hits) / per
             box = (b_edge - a_edge) * ball_k * rho_cap ** (n - 1)
             volume += box * p_hat
             variance += box * box * p_hat * (1.0 - p_hat) / per
-            hits_total += int(np.count_nonzero(hit))
+            hits_total += hits
     std_error = math.sqrt(variance)
     bound = min(r, tube_radius) ** (n - 3) * r * r * w * w / c
     ratio = volume / bound
@@ -645,38 +646,38 @@ def verify_bilinear(
     if trials < 1:
         raise ValueError("need at least one trial")
     separated = 4 * int(low) <= int(high)
+    m, big, rho = float(low), float(high), float(output)
+    if separated:
+        bound = m ** ((dim - 1) / 2.0)
+        bound_text = "low^((n-1)/2) * |phi|_2 * |psi|_2"
+        horizon = 2.0
+    else:
+        bound = math.sqrt(big) * rho ** ((dim - 2) / 2.0)
+        bound_text = "high^(1/2) * output^((n-2)/2) * |phi|_2 * |psi|_2"
+        horizon = 6.0
     records = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         if separated:
-            m = float(low)
             radius = max(m / 4.0, 1.2)
             dir_a, dir_b = _orthonormal_pair(dim, rng)
             modes_a = ball_mode_set(m * dir_a, radius)
-            modes_b = ball_mode_set(float(high) * dir_b, radius)
-            bound = m ** ((dim - 1) / 2.0)
-            bound_text = "low^((n-1)/2) * |phi|_2 * |psi|_2"
-            horizon = 2.0
+            modes_b = ball_mode_set(big * dir_b, radius)
         else:
-            big = float(high)
-            rho = float(output)
             # radial thickness tracks the caps' curvature depth rho^2 / high,
             # keeping the family self-similar across the sweep
             thickness = max(2.0, big / 16.0)
             pole = rng.standard_normal(dim)
             pole /= np.linalg.norm(pole)
             modes_a = cap_mode_set(big, pole, rho, thickness)
-            modes_b = cap_mode_set(float(low), -pole, rho, thickness)
-            bound = math.sqrt(big) * rho ** ((dim - 2) / 2.0)
-            bound_text = "high^(1/2) * output^((n-2)/2) * |phi|_2 * |psi|_2"
-            horizon = 6.0
+            modes_b = cap_mode_set(m, -pole, rho, thickness)
         if len(modes_a) == 0 or len(modes_b) == 0:
             records.append(0.0)
             continue
         amps_a = rng.uniform(0.5, 1.0, len(modes_a))
         amps_b = rng.uniform(0.5, 1.0, len(modes_b))
         value = _bilinear_space_time_l2(
-            modes_a, amps_a, modes_b, amps_b, float(output), horizon
+            modes_a, amps_a, modes_b, amps_b, rho, horizon
         )
         rhs = bound * np.linalg.norm(amps_a) * np.linalg.norm(amps_b)
         records.append(value / rhs)

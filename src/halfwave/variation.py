@@ -2,18 +2,18 @@
 
 The p-variation of a finitely sampled path is an exact supremum over all
 partitions of the sample grid, found by dynamic programming on the table of
-pairwise increment norms. Trajectory norms first unrotate the half-wave flow,
-so a free wave costs exactly the mass of its profile: all the norm then sees
-is what the nonlinearity emitted.
+pairwise increment norms. Trajectory norms read a half with the free flow
+unrotated (unrotated_from_rest), so a free wave costs exactly the mass of its
+profile: all the norm then sees is what the nonlinearity emitted.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .grid import DyadicIndex, annulus_profile, bump_profile, dyadic_scales, lp_weights
+from .grid import DyadicIndex, FrequencyLattice, annulus_profile, bump_profile
+from .grid import dyadic_scales, lp_weights
 
 
 def increment_table(values, weight: float = 1.0) -> np.ndarray:
@@ -66,12 +66,13 @@ def p_variation(values, p: float, weight: float = 1.0) -> float:
     return float(best[-1] ** (1.0 / p))
 
 
-def _unrotated_from_rest(traj: Trajectory, component: int, sign: int) -> np.ndarray:
+def unrotated_from_rest(traj: Trajectory, component: int, sign: int) -> np.ndarray:
     """One component's chosen half with the free rotation factored out.
 
     A zero row is prepended, encoding a path that starts from rest before the
     first recorded time. The phase is taken once per distinct <xi> and
-    gathered onto the grid.
+    gathered onto the grid. The result is the path that v2_pm_norm and
+    xs_proxy_norm read.
     """
     half = traj.half(component, sign)
     bracket = traj.lattice.bracket(traj.masses[component])
@@ -87,40 +88,41 @@ def _unrotated_from_rest(traj: Trajectory, component: int, sign: int) -> np.ndar
     return stack
 
 
-def v2_pm_norm(traj: Trajectory, component: int, sign: int) -> float:
-    """2-variation of one unrotated half-wave component, from rest.
+def v2_pm_norm(lattice: FrequencyLattice, path: np.ndarray) -> float:
+    """2-variation of one unrotated half-wave path from rest.
 
     The path starts at a prepended zero, so a free wave scores exactly the
     spatial L2 norm of its profile (one jump) and anything beyond that is
     genuine Duhamel output.
     """
-    stack = _unrotated_from_rest(traj, component, sign)
-    return p_variation(stack, 2.0, math.sqrt(traj.lattice.cell_volume))
+    return p_variation(path, 2.0, math.sqrt(lattice.cell_volume))
 
 
-def xs_proxy_norm(traj: Trajectory, component: int, s: float, sign: int = 1) -> float:
+def xs_proxy_norm(lattice: FrequencyLattice, path: np.ndarray, s: float) -> float:
     """Dyadic-weighted square sum of blockwise 2-variation norms.
 
     Each dyadic block N contributes max(N, 1)^(2s) times the squared
     2-variation of the block-projected unrotated path from rest; the zero
     block carries unit weight. A block is projected onto its support only,
     the modes of nonzero weight, since the rest add nothing to its
-    increments; all blocks share one buffer.
+    increments; all blocks share one buffer, sized to the largest support.
     """
-    stack = _unrotated_from_rest(traj, component, sign)
-    flat = stack.reshape(stack.shape[0], -1)
-    buffer = np.empty(flat.size, dtype=flat.dtype)
-    lattice = traj.lattice
-    weight = math.sqrt(lattice.cell_volume)
-    total = 0.0
+    flat = path.reshape(path.shape[0], -1)
+    blocks = []
     for n in dyadic_scales(lattice):
         w = lp_weights(lattice, n).reshape(-1)
         support = np.flatnonzero(w)
+        blocks.append((n, support, w[support]))
+    widest = max(support.size for _, support, _ in blocks)
+    buffer = np.empty(flat.shape[0] * widest, dtype=flat.dtype)
+    weight = math.sqrt(lattice.cell_volume)
+    total = 0.0
+    for n, support, w in blocks:
         block = buffer[: flat.shape[0] * support.size].reshape(flat.shape[0], -1)
         # "clip" writes into the buffer directly, "raise" stages a copy;
         # a fresh array per block costs more resident memory
         np.take(flat, support, axis=1, out=block, mode="clip")
-        block *= w[support]
+        block *= w
         total += max(int(n), 1) ** (2.0 * s) * p_variation(block, 2.0, weight) ** 2
     return math.sqrt(total)
 
@@ -169,36 +171,3 @@ def modulation_energy(traj: Trajectory, component: int, index, sign: int) -> flo
     w = modulation_weights(traj, component, index, sign)
     total = np.sum(np.abs(w * hat) ** 2)
     return float(np.sqrt(dt * traj.lattice.cell_volume * total))
-
-
-@dataclass(frozen=True)
-class ModulationReport:
-    """One point of the modulation-projection sweep for a trajectory half."""
-
-    index: DyadicIndex
-    sign: int
-    band_energy: float
-    v2_norm: float
-    ratio: float
-
-
-def check_mod_projection_bound(
-    traj: Trajectory, component: int, index, sign: int
-) -> ModulationReport:
-    """Compare one modulation block against the 2-variation budget.
-
-    Returns the windowed space-time L2 mass of the block at the given dyadic
-    modulation, the trajectory's 2-variation norm, and their ratio scaled by
-    the square root of the modulation. Sweeping the index and checking the
-    ratio stays below one constant is the empirical form of the projection
-    bound; sampling too coarse for the requested modulation raises.
-    """
-    index = DyadicIndex(index)
-    band = modulation_energy(traj, component, index, sign)
-    v2 = v2_pm_norm(traj, component, sign)
-    scaled = band * math.sqrt(max(int(index), 1))
-    if v2 > 0.0:
-        ratio = scaled / v2
-    else:
-        ratio = math.inf if scaled > 0.0 else 0.0
-    return ModulationReport(index, sign, band, v2, ratio)

@@ -48,8 +48,8 @@ from halfwave.system import (
     scalar_system,
 )
 from halfwave.variation import (
-    check_mod_projection_bound,
     increment_table,
+    modulation_energy,
     p_variation,
 )
 
@@ -407,10 +407,7 @@ def test_criterion_12_jump_path_band_scaling(note):
             halves[j, 0, 0] = free_propagate(phi, t, 1.0, +1).coeffs
     traj = Trajectory(times, (1.0,), lat, halves)
     indices = (1, 2, 4, 8, 16, 32, 64)
-    energies = [
-        check_mod_projection_bound(traj, 0, index, +1).band_energy
-        for index in indices
-    ]
+    energies = [modulation_energy(traj, 0, index, +1) for index in indices]
     slope = float(np.polyfit(np.log(indices), np.log(energies), 1)[0])
     ok = -0.65 <= slope <= -0.35
     note(12, ok, f"band energy vs modulation scale (log-log slope {slope:.3f})")

@@ -97,7 +97,8 @@ def test_traced_variation_records_its_layers(tmp_path, monkeypatch):
     lattice = FrequencyLattice(GridSpec(2, 8.0, 16))
     bump = gaussian_bump(lattice, 0.1).coeffs[None]
     state = decompose(lattice, bump, np.zeros_like(bump), (1.0,))
-    save_trajectory(evolve(lattice, state, scalar_system(), 0.3, 0.05), tmp_path / "t.npz")
+    traj = evolve(lattice, state, scalar_system(), 0.3, 0.05)
+    save_trajectory(traj, tmp_path / "t.npz")
     config = tmp_path / "variation.ini"
     config.write_text(f"[run]\ncommand = variation\ntrajectory = {tmp_path / 't.npz'}\n")
     recorder = spans.Recorder("test")
@@ -114,6 +115,10 @@ def test_traced_variation_records_its_layers(tmp_path, monkeypatch):
         "grid.lp_weights",
     ):
         assert name in recorded
+    # one span per component and sign for each norm
+    names = [s.name for s in recorder.spans]
+    for name in ("variation.v2_pm_norm", "variation.xs_proxy_norm"):
+        assert names.count(name) == 2 * traj.n_components
 
 
 def test_micro_probe_runs():

@@ -9,6 +9,7 @@ import signal
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 import zipfile
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halfwave import cli, grid, harness
+from halfwave import cli, grid, harness, variation
 from halfwave.cli import (
     _COMMANDS,
     ConfigError,
@@ -27,7 +28,7 @@ from halfwave.cli import (
     main,
     save_trajectory,
 )
-from halfwave.dynamics import decompose, evolve, free_trajectory
+from halfwave.dynamics import Trajectory, decompose, evolve, free_trajectory
 from halfwave.grid import FrequencyLattice, GridSpec, gaussian_bump
 from halfwave.harness import strauss_exponent
 from halfwave.system import scalar_system
@@ -789,6 +790,50 @@ def test_simulate_then_variation(tmp_path):
     for row in rows:
         assert row["v2_norm"] > 0
         assert math.isfinite(row["xs_proxy_norm"])
+
+
+def random_store_config(tmp_path):
+    """A variation config over a stored random trajectory of three components."""
+    lattice = FrequencyLattice(GridSpec(2, 8.0, 8))
+    shape = (6, 3, 2) + lattice.spec.shape
+    rng = np.random.default_rng(5)
+    halves = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    store = tmp_path / "t.npz"
+    save_trajectory(Trajectory(0.1 * np.arange(6), (0.5, 1.0, 1.5), lattice, halves), store)
+    return write_config(tmp_path, f"[run]\ntrajectory = {store}\n", name="var.ini")
+
+
+def test_variation_unrotates_each_half_once(tmp_path, monkeypatch):
+    # both norms read one path per component and sign: 2K unrotations, not 4K
+    calls = []
+
+    def counted(traj, component, sign):
+        calls.append((component, sign))
+        return unrotate(traj, component, sign)
+
+    unrotate = variation.unrotated_from_rest
+    monkeypatch.setattr(cli, "unrotated_from_rest", counted)
+    monkeypatch.setattr(variation, "unrotated_from_rest", counted)
+    config = random_store_config(tmp_path)
+    assert main(["variation", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == [(i, sign) for i in range(3) for sign in (-1, 1)]
+
+
+def test_variation_releases_each_path_before_the_next(tmp_path, monkeypatch):
+    # a path left alive while the next is built holds two paths at once
+    paths, alive = [], []
+
+    def tracked(traj, component, sign):
+        alive.append(sum(ref() is not None for ref in paths))
+        path = unrotate(traj, component, sign)
+        paths.append(weakref.ref(path))
+        return path
+
+    unrotate = variation.unrotated_from_rest
+    monkeypatch.setattr(cli, "unrotated_from_rest", tracked)
+    config = random_store_config(tmp_path)
+    assert main(["variation", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert alive == [0] * 6
 
 
 # ----------------------------------------------------------------------

@@ -24,11 +24,10 @@ from halfwave.grid import (
 )
 from halfwave.system import scalar_system
 from halfwave.variation import (
-    ModulationReport,
-    _unrotated_from_rest,
-    check_mod_projection_bound,
     increment_table,
+    modulation_energy,
     p_variation,
+    unrotated_from_rest,
     v2_pm_norm,
     xs_proxy_norm,
 )
@@ -85,6 +84,26 @@ def jump_trajectory(lat, phi, T, dt, t_jump):
     zero = zero_field(lat)
     plus = [(free_propagate(phi, t, 1.0, +1) if t >= t_jump else zero).coeffs for t in times]
     return plus_only_trajectory(lat, times, plus)
+
+
+def v2_of(traj, sign):
+    """v2_pm_norm of component 0's unrotated half of the given sign."""
+    return v2_pm_norm(traj.lattice, unrotated_from_rest(traj, 0, sign))
+
+
+def xs_of(traj, s, sign=1):
+    """xs_proxy_norm of component 0's unrotated half of the given sign."""
+    return xs_proxy_norm(traj.lattice, unrotated_from_rest(traj, 0, sign), s)
+
+
+def projection_point(traj, index):
+    """Component 0's + half at one dyadic modulation M: (band energy, ratio).
+
+    The ratio is the energy times sqrt(max(M, 1)) over the half's 2-variation
+    norm, which the modulation-projection bound keeps below one constant.
+    """
+    band = modulation_energy(traj, 0, index, +1)
+    return band, band * math.sqrt(max(index, 1)) / v2_of(traj, +1)
 
 
 def test_path_validation():
@@ -157,15 +176,15 @@ def test_v2_free_wave_is_profile_norm():
     traj = free_trajectory(lat, state, (1.0,), np.arange(201) * 0.05)
     for sign, half in ((+1, state[0, 0]), (-1, state[0, 1])):
         expected = sobolev_norm(SpectralField(lat, half), 0.0)
-        assert v2_pm_norm(traj, 0, sign) == pytest.approx(expected, rel=1e-9)
+        assert v2_of(traj, sign) == pytest.approx(expected, rel=1e-9)
 
 
 def test_v2_zero_trajectory():
     lat = make_lattice()
     state = np.zeros((1, 2) + lat.spec.shape, dtype=complex)
     traj = free_trajectory(lat, state, (1.0,), np.arange(5) * 0.1)
-    assert v2_pm_norm(traj, 0, +1) == 0.0
-    assert xs_proxy_norm(traj, 0, 1.0) == 0.0
+    assert v2_of(traj, +1) == 0.0
+    assert xs_of(traj, 1.0) == 0.0
 
 
 def test_v2_time_shift_invariance():
@@ -174,8 +193,8 @@ def test_v2_time_shift_invariance():
     traj = evolve(lat, state, scalar_system(), T=2.0, dt=0.05, sample_every=4)
     shifted = Trajectory(traj.times + 5.0, traj.masses, traj.lattice, traj.halves)
     for sign in (+1, -1):
-        a = v2_pm_norm(traj, 0, sign)
-        b = v2_pm_norm(shifted, 0, sign)
+        a = v2_of(traj, sign)
+        b = v2_of(shifted, sign)
         assert b == pytest.approx(a, rel=1e-10)
 
 
@@ -194,7 +213,7 @@ def test_v2_two_emissions_bracketed():
             coeffs = coeffs + free_propagate(phi2, t, 1.0, +1).coeffs
         plus.append(coeffs)
     traj = plus_only_trajectory(lat, times, plus)
-    v2 = v2_pm_norm(traj, 0, +1)
+    v2 = v2_of(traj, +1)
     n1, n2 = sobolev_norm(phi1, 0.0), sobolev_norm(phi2, 0.0)
     assert max(n1, n2) <= v2 <= n1 + n2
     # disjoint modes jump orthogonally, pinning the exact value
@@ -208,9 +227,9 @@ def test_xs_proxy_single_band():
     state[0, 0] = phi.coeffs
     traj = free_trajectory(lat, state, (1.0,), np.arange(21) * 0.1)
     expected = 4.0 * sobolev_norm(phi, 0.0)
-    assert xs_proxy_norm(traj, 0, 1.0) == pytest.approx(expected, rel=1e-9)
+    assert xs_of(traj, 1.0) == pytest.approx(expected, rel=1e-9)
     # weights grow with s on a high-frequency trajectory
-    assert xs_proxy_norm(traj, 0, 1.5) > xs_proxy_norm(traj, 0, 1.0)
+    assert xs_of(traj, 1.5) > xs_of(traj, 1.0)
 
 
 def test_mod_projection_free_wave_leakage_only():
@@ -218,9 +237,8 @@ def test_mod_projection_free_wave_leakage_only():
     phi = gaussian_bump(lat, amplitude=1.0, width=1.5)
     traj = free_trajectory(lat, resting_state(lat, phi), (1.0,), np.arange(801) * 0.05)
     for index in (1, 2, 4, 8):
-        report = check_mod_projection_bound(traj, 0, index, +1)
-        assert report.ratio < 0.05
-    assert check_mod_projection_bound(traj, 0, 4, +1).ratio < 1e-3
+        assert projection_point(traj, index)[1] < 0.05
+    assert projection_point(traj, 4)[1] < 1e-3
 
 
 def test_mod_projection_jump_path_bounded():
@@ -230,10 +248,9 @@ def test_mod_projection_jump_path_bounded():
     energies = []
     indices = (1, 2, 4, 8, 16)
     for index in indices:
-        report = check_mod_projection_bound(traj, 0, index, +1)
-        assert isinstance(report, ModulationReport)
-        assert report.ratio <= 10.0
-        energies.append(report.band_energy)
+        band, ratio = projection_point(traj, index)
+        assert ratio <= 10.0
+        energies.append(band)
     slope = np.polyfit(np.log(indices), np.log(energies), 1)[0]
     assert -0.65 < slope < -0.35
 
@@ -243,7 +260,7 @@ def test_mod_projection_rejects_coarse_sampling():
     phi = gaussian_bump(lat, amplitude=1.0, width=1.5)
     traj = jump_trajectory(lat, phi, T=40.0, dt=0.05, t_jump=20.0)
     with pytest.raises(ValueError):
-        check_mod_projection_bound(traj, 0, 64, +1)
+        projection_point(traj, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +282,7 @@ def test_unrotation_is_the_direct_exp_byte_for_byte(dim, n):
     for t0 in (0.0, 5.0):
         traj = random_trajectory(lat, 3, masses, rng, t0=t0, dt=0.07)
         for component, sign in itertools.product(range(len(masses)), (1, -1)):
-            got = _unrotated_from_rest(traj, component, sign)
+            got = unrotated_from_rest(traj, component, sign)
             want = direct_unrotated_from_rest(traj, component, sign)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -314,7 +331,7 @@ def test_xs_proxy_equals_the_full_grid_block_loop(dim, n, box):
     for sign, s in itertools.product((1, -1), (0.0, 0.5, 1.5)):
         want = full_grid_xs_proxy_norm(traj, 0, s, sign)
         assert want > 0.0
-        assert xs_proxy_norm(traj, 0, s, sign) == pytest.approx(want, rel=1e-12)
+        assert xs_of(traj, s, sign) == pytest.approx(want, rel=1e-12)
 
 
 def test_variation_norms_stay_near_one_stack():
@@ -322,8 +339,7 @@ def test_variation_norms_stay_near_one_stack():
     lat = make_lattice(dim=2, box=32.0, n=64)
     traj = random_trajectory(lat, 61, (1.0,), np.random.default_rng(3), dt=0.05)
     stack = (61 + 1) * 64 * 64 * 16
-    for fn, limit in ((lambda: v2_pm_norm(traj, 0, 1), 1.5),
-                      (lambda: xs_proxy_norm(traj, 0, 0.5, 1), 2.5)):
+    for fn, limit in ((lambda: v2_of(traj, 1), 1.5), (lambda: xs_of(traj, 0.5, 1), 2.5)):
         tracemalloc.start()
         try:
             fn()
