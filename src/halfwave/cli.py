@@ -38,7 +38,9 @@ from .dynamics import (
     InstabilityError,
     Trajectory,
     _field_norms,
+    _fill,
     _free_samples,
+    _half_root,
     _hs_weights,
     _march,
     _state_distance,
@@ -333,11 +335,15 @@ def _run_simulate(config: RunConfig) -> RunResult:
         _SAMPLE_BYTES + keep * state.size * 16,
     )
     halves = np.empty((times.size,) + state.shape, dtype=complex) if keep else None
-    weights = _hs_weights(lattice, system.masses, s)
-    # at coupling 0 each sample is measured against the free flow's
+    # _march yields kept halves, whose columns but 0 count twice
+    weights = np.square(_half_root(lattice, system.masses, s))
+    # at coupling 0 each whole sample is measured against the free flow's
     free = opts["coupling"] == 0 and _free_samples(lattice, state, system.masses, times)
     if free:
-        root, diff = np.sqrt(weights), np.empty_like(state, dtype=complex)
+        root, diff = np.sqrt(_hs_weights(lattice, system.masses, s)), np.empty_like(state)
+    # sample 0 as the free flow has it: the state need not be Hermitian bit for bit
+    whole = (keep or free) and next(_free_samples(lattice, state, system.masses, times))
+    del state
     rows, totals, energies, increments, gap = [], [], [], [], 0.0
     for j, (sample, increment) in enumerate(samples):
         norms = _field_norms(weights, sample)
@@ -346,10 +352,12 @@ def _run_simulate(config: RunConfig) -> RunResult:
         totals.append(float(norms.sum()))
         for i, norm in enumerate(norms):
             rows.append((float(times[j]), i, float(norm), energies[-1], increment))
+        if j and (keep or free):
+            _fill(lattice, whole, np.s_[..., : sample.shape[-1]], sample)
         if keep:
-            halves[j] = sample
+            halves[j] = whole
         if free:
-            gap = max(gap, _state_distance(root, sample, next(free), diff))
+            gap = max(gap, _state_distance(root, whole, next(free), diff))
     summary = {
         "samples": int(times.size),
         "initial_norm": totals[0],

@@ -18,9 +18,9 @@ physical fields u and u_t are real to within 1e-12 relative, else ValueError,
 and the real coefficients of the system keep them real along the flow.  N
 reads and writes only the 2/3 band, outside which the flow is the free
 rotation, so both solvers carry the band lattice.band alone.  The halves of a
-real state are tied by u^-(xi) = conj(u^+(-xi)), so the band is cut from the
-kept half of the last axis, and each whole state the solvers return is
-completed to the full (K, 2, *grid) layout that every Trajectory holds.
+real state are tied by u^-(xi) = conj(u^+(-xi)), so the band, and evolve's
+samples while it marches, are cut from the kept half of the last axis; each
+whole state the solvers return is completed to the full (K, 2, *grid) layout.
 
 Division by 2<D> is always well-posed here because every mass is strictly
 positive; the massless case would need a low-frequency cutoff and is not
@@ -30,6 +30,7 @@ supported anywhere in this package.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -168,9 +169,9 @@ def _complete_hermitian(lattice: FrequencyLattice, out, partner):
     np.conjugate(_mirror(partner[..., h - 2 : 0 : -1], leading), out=out[..., h:])
 
 
-def _fill_band(lattice: FrequencyLattice, band, out):
-    """Write a band into the whole real state out and complete its dropped half."""
-    out[(Ellipsis,) + lattice.band] = band
+def _fill(lattice: FrequencyLattice, out, where, part):
+    """Write part into out[where], a whole real state, and complete its dropped half."""
+    out[where] = part
     _complete_hermitian(lattice, out, out[:, ::-1])
 
 
@@ -291,14 +292,12 @@ def free_trajectory(
 
 
 def _free_samples(lattice: FrequencyLattice, state: np.ndarray, masses, times):
-    """Yield free_trajectory's samples in one buffer, chained by one step factor."""
-    brackets, nyquist = _brackets(lattice, masses), lattice.nyquist_mask
+    """free_trajectory's samples in the state's layout, one buffer; the first made now."""
+    cut = (Ellipsis, slice(state.shape[-1]))
+    brackets, nyquist = _brackets(lattice, masses)[cut], lattice.nyquist_mask[cut]
     sample = state * _rotation(brackets, times[0], nyquist)
     step = _rotation(brackets, times[1] - times[0], nyquist)
-    yield sample
-    for _ in times[1:]:
-        sample *= step
-        yield sample
+    return itertools.chain([sample], (np.multiply(sample, step, sample) for _ in times[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +375,11 @@ _PAIR_POINTS = 2**16
 def _march(lattice, state, system, T, dt, sample_every, s, sample_bytes):
     """Make evolve's checks, and check sample_bytes per sample against memory.
 
-    Returns the sample times and a generator that yields each sample, in one
-    buffer, with its H^s increment ||u_j - E u_{j-1}||, E the free flow over
-    one stride (0.0 for sample 0).  Outside the band u_j is E u_{j-1}, so the
-    band of the kept half is summed, its columns but 0 twice.
+    Returns the sample times and a generator that yields each sample's kept
+    half, (K, 2, *grid[:-1], n//2 + 1) in one buffer with the band written in,
+    and its H^s increment ||u_j - E u_{j-1}||, E the free flow over one stride
+    (0.0 for sample 0).  Outside the band u_j is E u_{j-1}, so the band of the
+    kept half is summed, its columns but 0 twice.
     """
     if sample_every < 1:
         raise ValueError("sample_every must be positive")
@@ -406,9 +406,9 @@ def _march(lattice, state, system, T, dt, sample_every, s, sample_bytes):
     base = math.sqrt(rest + band_square(y))
     # without a scale, the largest float: an infinite norm still fails the test
     limit = _GROWTH_ABORT * base if base > 0 else np.finfo(float).max
+    free = _free_samples(lattice, state[..., : outside.shape[-1]], system.masses, times)
 
     def samples():
-        free = _free_samples(lattice, state, system.masses, times)
         yield next(free), 0.0
         with _worker_pool(math.prod(lattice.spec.shape), _PAIR_POINTS) as pool:
             stepper = _Stepper(lattice, system, dt, pool)
@@ -429,7 +429,7 @@ def _march(lattice, state, system, T, dt, sample_every, s, sample_bytes):
                     # the buffer holds E u_{j-1} until y is written into its band
                     sample = next(free)
                     increment = math.sqrt(band_square(y - _band(lattice, sample)))
-                    _fill_band(lattice, y, sample)
+                    sample[(Ellipsis,) + lattice.band] = y
                     yield sample, increment
 
     return times, samples()
@@ -447,11 +447,12 @@ def evolve(
     """March a (K, 2, *grid) half-wave state to time T, sampling every stride.
 
     _entry's checks apply, and the stride must divide the round(T / dt)
-    steps, else ValueError.  The stepper carries the band; each sample is
-    free_trajectory's sample with the band written in.  Aborts with
-    InstabilityError when the H^s norm of the whole state, both halves of
-    every component, exceeds 1e6 times its initial value or turns non-finite:
-    data at rest, u = 0 and u_t not, have a limit.
+    steps, else ValueError.  _march yields kept halves, which evolve completes
+    to the whole layout; sample 0 is the entry state as free_trajectory has
+    it, not completed.  Aborts with InstabilityError when the H^s norm of the
+    whole state, both halves of every component, exceeds 1e6 times its
+    initial value or turns non-finite: data at rest, u = 0 and u_t not, have
+    a limit.
 
     On a grid of 2^16 points or more, with two cores in the CPU affinity,
     each step's N pairs run on two threads, the second a worker that lives
@@ -463,8 +464,9 @@ def evolve(
     times, samples = _march(lattice, state, system, T, dt, sample_every, s, state.size * 16)
     halves = np.empty((times.size,) + state.shape, dtype=complex)
     traj = Trajectory(times, system.masses, lattice, halves)
-    for j, (sample, _) in enumerate(samples):
-        halves[j] = sample
+    for out, (sample, _) in zip(halves, samples):
+        _fill(lattice, out, np.s_[..., : sample.shape[-1]], sample)
+    halves[0] = next(_free_samples(lattice, state, traj.masses, times))
     return traj
 
 
@@ -560,7 +562,7 @@ def picard_iterate(
     def complete():
         traj = free_trajectory(lattice, state, masses, np.arange(n_levels) * dt)
         for sample, level in zip(traj.halves[1:], current[1:]):
-            _fill_band(lattice, level, sample)
+            _fill(lattice, sample, (Ellipsis,) + lattice.band, level)
         return traj
 
     return PicardReport(tuple(distances), factor, streak >= 3, complete)
@@ -611,7 +613,7 @@ def scattering_state(traj: Trajectory, s: float = 0.5) -> ScatteringResult:
 def conserved_energy(
     lattice: FrequencyLattice, state: np.ndarray, system: MassSystem
 ) -> float:
-    """Energy of a real (K, 2, *grid) half-wave state under a gradient-type coupling.
+    """Energy of a real half-wave state, whole (K, 2, *grid) or its kept half alone.
 
     E = sum_i ( ||u_t||^2 + ||grad u||^2 + m^2 ||u||^2 ) / 2
         - (1/3) sum_i Re <N_i(u), u_i>.
@@ -621,10 +623,11 @@ def conserved_energy(
     from a potential (e.g. the scalar N(u) = c u^2).
     """
     # N vanishes off the band of the kept half, whose columns but 0 count twice
-    band = _band(lattice, state[:, 0] + state[:, 1])
+    root = _half_root(lattice, system.masses, 1.0)
+    band = _band(lattice, state[:, 0]) + _band(lattice, state[:, 1])
     dot = np.real(_nonlinearity(lattice, system, band)[:, 0] * np.conj(band))
     cubic = 2.0 * np.sum(dot) - np.sum(dot[..., 0])
     # |u_t|^2 + <xi>^2 |u|^2 = 2 <xi>^2 (|u^+|^2 + |u^-|^2) at each xi
-    weighted = (_brackets(lattice, system.masses) * state).view(float)
+    weighted = (root * state[..., : root.shape[-1]]).view(float)
     quad = 2.0 * np.sum(np.square(weighted, out=weighted))
-    return float(lattice.cell_volume * (0.5 * quad - cubic / 3.0))
+    return float(0.5 * quad - lattice.cell_volume * cubic / 3.0)

@@ -255,8 +255,12 @@ def gaussian_bump(
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory of this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes of physical memory, or the lower cgroup v2 or v1 limit ("max": none)."""
+    limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
+    for name in ("memory.max", "memory/memory.limit_in_bytes"):
+        with contextlib.suppress(OSError, ValueError), open("/sys/fs/cgroup/" + name) as f:
+            limits.append(int(f.read()))
+    return min(limits)
 
 
 def _worker_pool(points: int, gate: int):

@@ -11,8 +11,9 @@ of the band-pruned one.  band cuts an oracle spectrum to
 the band that N returns, and loop_frequency_pairs is the frequency-pair sweep
 written as a loop, one pair at a time.  transforms_find_real and
 reconstructed_energy are the realness test and the energy computed from the
-rebuilt fields u and u_t, the oracles of the package's forms on u^±,
-rotation is the free flow over the whole grid, and
+rebuilt fields u and u_t over the whole grid, the oracles of the package's
+forms on u^± and on the kept half; rotation is the free flow over the whole
+grid, and
 unwindowed_modulation_energy is the raw periodic modulation energy that the
 Hann window's leak is judged against.  smallest_bracket is the weight of the
 lower-bound probe; direct_unrotated_from_rest, complex_gram_table and
@@ -159,11 +160,12 @@ def transforms_find_real(lattice: FrequencyLattice, state, masses) -> bool:
 
 
 def reconstructed_energy(lattice: FrequencyLattice, state, system: MassSystem) -> float:
-    """conserved_energy with its quadratic part from the rebuilt u and u_t."""
-    band = dynamics._band(lattice, state[:, 0] + state[:, 1])
-    dot = np.real(dynamics._nonlinearity(lattice, system, band)[:, 0] * np.conj(band))
-    cubic = 2.0 * np.sum(dot) - np.sum(dot[..., 0])
+    """conserved_energy summed over the whole grid from the rebuilt u and u_t.
+
+    The cubic part takes N from complex_products on the whole spectra.
+    """
     u, u_t = dynamics.reconstruct(lattice, state, system.masses)
+    cubic = np.sum(np.real(complex_products(lattice, ComplexSystem.of(system), u) * np.conj(u)))
     br = np.stack([lattice.bracket(m) for m in system.masses])
     quad = np.sum(np.abs(u_t) ** 2) + np.sum(br**2 * np.abs(u) ** 2)
     return float(lattice.cell_volume * (0.5 * quad - cubic / 3.0))

@@ -28,10 +28,17 @@ from halfwave.cli import (
     main,
     save_trajectory,
 )
-from halfwave.dynamics import Trajectory, decompose, evolve, free_trajectory
+from conftest import random_real_data, reconstructed_energy
+from halfwave.dynamics import (
+    Trajectory,
+    decompose,
+    evolve,
+    free_trajectory,
+    scattering_state,
+)
 from halfwave.grid import FrequencyLattice, GridSpec, gaussian_bump
 from halfwave.harness import strauss_exponent
-from halfwave.system import scalar_system
+from halfwave.system import MassSystem, Monomial, scalar_system
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -601,6 +608,77 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
             tracemalloc.stop()
         assert result.summary["samples"] == round(horizon / 0.05) + 1
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_simulate_marches_in_the_kept_half(tmp_path, monkeypatch):
+    # a 64^3 state is 8 MiB; the march holds the kept half's sample and step
+    # factor, the band's arrays and the weights, about 2.4 states, where whole
+    # samples, a whole step factor and the entry state kept alive held 4.7
+    path = write_config(
+        tmp_path,
+        "[run]\ndim = 3\nbox_length = 128\npoints_per_axis = 64\ncoupling = 100\n"
+        "amplitude = 1e-3\nwidth = 2.5\nhorizon = 0.4\ndt = 0.2\n",
+    )
+    config = load_config("simulate", path)
+    march, shapes, held = cli._march, [], []
+
+    def watched(*args):
+        times, samples = march(*args)
+
+        def each():
+            for sample, increment in samples:
+                shapes.append(sample.shape)
+                held.append(tracemalloc.get_traced_memory()[0])
+                yield sample, increment
+
+        return times, each()
+
+    monkeypatch.setattr(cli, "_march", watched)
+    tracemalloc.start()
+    try:
+        cli._run_simulate(config)
+    finally:
+        tracemalloc.stop()
+    assert shapes == [(1, 2, 64, 64, 33)] * 3
+    assert max(held) < 3 * 8 * 2**20
+
+
+@pytest.mark.parametrize("k, coupling", [(1, 0.0), (1, 30.0), (3, 0.0), (3, 30.0)])
+def test_simulate_rows_match_the_whole_trajectory(k, coupling, tmp_path, monkeypatch):
+    # simulate folds kept halves; evolve's whole samples are the oracle: the
+    # norm series, the whole-grid energy and scattering_state's increments to
+    # 1e-12, the stored halves bit for bit, and at coupling 0 the distance to
+    # the free trajectory on the same arrays as Trajectory.distance
+    lattice = FrequencyLattice(GridSpec(2, 16.0, 16))
+    masses = (1.0, 1.5, 2.0)[:k]
+    system = MassSystem(masses, tuple((Monomial(coupling, (i, (i + 1) % k)),) for i in range(k)))
+    u, u_t = random_real_data(lattice, np.random.default_rng(k), k, decay=2.0)
+    state = decompose(lattice, 0.01 * u, 0.01 * u_t, masses)
+    monkeypatch.setattr(cli, "_initial_data", lambda opts: (lattice, system, state))
+    path = write_config(
+        tmp_path,
+        f"[run]\ncoupling = {coupling}\nhorizon = 1.0\ndt = 0.05\nstride = 4\n"
+        "save_trajectory = true\n",
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    traj = evolve(lattice, state, system, 1.0, 0.05, 4)
+    rows = np.loadtxt(out / "simulate.csv", delimiter=",", skiprows=1).reshape(-1, k, 5)
+    norms = traj.norm_series(0.5)
+    assert np.allclose(rows[..., 2], norms, rtol=1e-12, atol=0.0)
+    energies = [reconstructed_energy(lattice, sample, system) for sample in traj.halves]
+    assert np.allclose(rows[:, 0, 3], energies, rtol=1e-12, atol=0.0)
+    # increments are distances between states, of rounding size at coupling 0
+    increments = scattering_state(traj, 0.5).increments
+    assert rows[0, 0, 4] == 0.0
+    assert np.allclose(rows[1:, 0, 4], increments, rtol=1e-12, atol=1e-12 * norms.max())
+    with np.load(out / "trajectory.npz") as stored:
+        assert np.array_equal(stored["halves"], traj.halves)
+    if coupling == 0:
+        gap = traj.distance(free_trajectory(lattice, state, masses, traj.times), 0.5)
+        assert read_json(out / "summary.json")["linear_match_error"] == gap
+    else:
+        assert min(increments) > 1e-9 * norms.max()
 
 
 def test_simulate_rows_cover_all_samples(tmp_path):

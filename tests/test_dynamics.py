@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -564,6 +567,30 @@ def test_real_path_samples_are_hermitian_paired(dim):
     for sample in traj.halves[1:]:
         paired = np.conj(mirror(sample[:, ::-1], dim))
         assert np.array_equal(sample[dropped], paired[dropped])
+
+
+def test_picard_set_up_keeps_n_buffers_off_mmap():
+    # glibc maps N's 0.26 MB buffers at 32^3 unless a freed block of about
+    # 1 MB has raised its mmap threshold; the set-up's realness check frees
+    # one.  A check that freed only 0.5 MB blocks made 67,500 minor faults
+    # in the picard-3d problem's sweeps, against about 2,000; a fresh
+    # process keeps the test's own allocations out of the count
+    script = """
+import resource
+from halfwave import cli
+from halfwave.dynamics import picard_iterate
+opts = {"dim": 3, "box_length": 32.0, "points_per_axis": 32, "mass": 1.0,
+        "coupling": 1.0, "amplitude": 1e-3, "width": 1.0}
+lattice, system, state = cli._initial_data(opts)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+picard_iterate(lattice, state, system, 5.0, 0.05, 6)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = os.path.dirname(os.path.dirname(dynamics.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 10_000
 
 
 def test_in_place_picard_matches_the_two_buffer_sweep():

@@ -1,9 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from conftest import dealias_mask, random_field, unwindowed_modulation_energy
+from halfwave import grid
 from halfwave.dynamics import Trajectory
 from halfwave.grid import (
     DyadicIndex,
@@ -241,3 +243,35 @@ def test_modulation_energy_windowed_leakage():
     raw = unwindowed_modulation_energy(traj, 0, 8, +1)
     tapered = modulation_energy(traj, 0, 8, +1)
     assert tapered < 1e-3 * raw
+
+
+@pytest.mark.parametrize(
+    "v2, v1, limit",
+    [
+        ("", "", None),  # neither file readable
+        ("max", "", None),  # v2 without a limit
+        ("", "9223372036854771712", None),  # v1 without a limit
+        ("1073741824", "", 2**30),
+        ("", "536870912", 2**29),
+        ("max", "536870912", 2**29),
+        ("268435456", "536870912", 2**28),
+        ("garbage", "", None),
+    ],
+)
+def test_physical_memory_is_the_lower_of_ram_and_a_cgroup_limit(monkeypatch, v2, v1, limit):
+    # a patched reader of the v2 and v1 limit files; "" stands for an unreadable one
+    texts = {"/sys/fs/cgroup/memory.max": v2, "/sys/fs/cgroup/memory/memory.limit_in_bytes": v1}
+
+    def reader(path):
+        if not texts[path]:
+            raise PermissionError(path)
+        return io.StringIO(texts[path] + "\n")
+
+    monkeypatch.setattr(grid, "open", reader, raising=False)
+    ram = grid.os.sysconf("SC_PAGE_SIZE") * grid.os.sysconf("SC_PHYS_PAGES")
+    expected = ram if limit is None else min(ram, limit)
+    assert grid._physical_memory() == expected
+    # every memory check reads the same limit
+    grid._require_memory(expected, "a run")
+    with pytest.raises(MemoryError, match=f"{expected / 2**30:.3g} GiB"):
+        grid._require_memory(expected + 1, "a run")

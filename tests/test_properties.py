@@ -26,7 +26,7 @@ from halfwave.cli import load_trajectory, save_trajectory
 from halfwave.dynamics import (
     Trajectory,
     _band,
-    _fill_band,
+    _fill,
     _require_real,
     conserved_energy,
     decompose,
@@ -218,10 +218,15 @@ def test_kept_half_of_a_real_state_completes_to_the_state(lat, mass_list, decay,
     )
     state = decompose(lat, u, u_t, mass_list)
     # the kept half outside the band stays; the band and the dropped half are rebuilt
+    h = lat.spec.points_per_axis // 2 + 1
     full = state.copy()
     full[(Ellipsis,) + lat.band] = np.nan
-    full[..., lat.spec.points_per_axis // 2 + 1 :] = np.nan
-    _fill_band(lat, _band(lat, state), full)
+    full[..., h:] = np.nan
+    _fill(lat, full, (Ellipsis,) + lat.band, _band(lat, state))
+    assert np.max(np.abs(full - state)) <= 1e-13 * np.max(np.abs(state))
+    # and from the kept half alone, as evolve completes its samples
+    full[...] = np.nan
+    _fill(lat, full, np.s_[..., :h], state[..., :h])
     assert np.max(np.abs(full - state)) <= 1e-13 * np.max(np.abs(state))
 
 
