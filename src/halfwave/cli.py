@@ -342,7 +342,7 @@ def _run_simulate(config: RunConfig) -> RunResult:
     if free:
         root, diff = np.sqrt(_hs_weights(lattice, system.masses, s)), np.empty_like(state)
     # sample 0 as the free flow has it: the state need not be Hermitian bit for bit
-    whole = (keep or free) and next(_free_samples(lattice, state, system.masses, times))
+    whole = (keep or free) and next(_free_samples(lattice, state, system.masses, times[:1]))
     del state
     rows, totals, energies, increments, gap = [], [], [], [], 0.0
     for j, (sample, increment) in enumerate(samples):

@@ -296,7 +296,8 @@ def _free_samples(lattice: FrequencyLattice, state: np.ndarray, masses, times):
     cut = (Ellipsis, slice(state.shape[-1]))
     brackets, nyquist = _brackets(lattice, masses)[cut], lattice.nyquist_mask[cut]
     sample = state * _rotation(brackets, times[0], nyquist)
-    step = _rotation(brackets, times[1] - times[0], nyquist)
+    # one time, as sample 0 alone is asked for, needs no step factor
+    step = len(times) > 1 and _rotation(brackets, times[1] - times[0], nyquist)
     return itertools.chain([sample], (np.multiply(sample, step, sample) for _ in times[1:]))
 
 
@@ -466,7 +467,7 @@ def evolve(
     traj = Trajectory(times, system.masses, lattice, halves)
     for out, (sample, _) in zip(halves, samples):
         _fill(lattice, out, np.s_[..., : sample.shape[-1]], sample)
-    halves[0] = next(_free_samples(lattice, state, traj.masses, times))
+    halves[0] = next(_free_samples(lattice, state, traj.masses, times[:1]))
     return traj
 
 

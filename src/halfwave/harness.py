@@ -494,6 +494,8 @@ _TRIAL_BYTES = 100
 _MAX_TIME_SAMPLES = 4000
 # time samples of _bilinear_space_time_l2 per period of the largest phase spread
 _OVERSAMPLE = 4.0
+# the nt from which Gauss-Legendre runs; below, bench/reference.json pins the trapezoid
+_GAUSS_FROM = 40
 # bytes per padded-box entry at the peak of _bilinear_space_time_l2 below and
 # from the gate: each side's complex64 pads and float32 |conv|^2 and the weight
 # (tracemalloc, 1e4 to 4e6 entries: 26-34 on one core, 46-56 split); then per
@@ -507,6 +509,20 @@ _BOX_FIXED_BYTES = 2**14
 _SPLIT_ENTRIES = 2**14
 
 
+def _gauss_legendre(n: int, length: float):
+    """Nodes, ascending, and weights of the n-point Gauss-Legendre rule on [0, length],
+    by Newton on the Legendre recurrence: leggauss loads code that raises the peak RSS."""
+    x, step = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5)), 1.0
+    while np.max(np.abs(step)) > 1e-15:
+        p, q = x, np.ones(n)  # P_k and P_(k-1) at the nodes
+        for k in range(2, n + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        slope = n * (x * p - q) / (x * x - 1.0)  # P_n'
+        step = p / slope
+        x = x - step
+    return 0.5 * length * (x + 1.0), length / ((1.0 - x * x) * slope**2)
+
+
 def _bilinear_space_time_l2(
     modes_a, amps_a, modes_b, amps_b, output_scale: float, horizon: float
 ):
@@ -516,12 +532,12 @@ def _bilinear_space_time_l2(
 
     The product's Fourier coefficients at each time are an exact linear
     convolution of the phased envelopes, computed by FFT on a padded joint
-    box; the output annulus weight is applied on the shifted frequencies and
-    the time integral uses the trapezoid rule, sampled finely enough for the
-    phase spread that survives after removing the mean rotation. A spread
-    that needs more than _MAX_TIME_SAMPLES samples raises ValueError, and
-    padded boxes larger than physical memory raise MemoryError before they
-    are allocated.
+    box; the output annulus weight is applied on the shifted frequencies. In
+    time the trapezoid rule takes nt samples, four per period of the phase
+    spread left after removing the mean rotation; from _GAUSS_FROM on, the
+    mass being entire and not periodic, nt // 2 + 4 Gauss-Legendre nodes do
+    as well or better. An nt above _MAX_TIME_SAMPLES raises ValueError, and
+    boxes larger than physical memory raise MemoryError before allocation.
 
     Every transform runs in complex64, and every one passes norm="ortho":
     with the default norm numpy hands pocketfft the integer factor 1, which
@@ -544,8 +560,11 @@ def _bilinear_space_time_l2(
             f"the time quadrature needs {nt} samples, at most "
             f"{_MAX_TIME_SAMPLES} are allowed (lower the horizon or the scales)"
         )
-    times = np.linspace(0.0, horizon, nt)
-    dt = times[1] - times[0]
+    if nt >= _GAUSS_FROM:
+        times, weights = _gauss_legendre(nt // 2 + 4, horizon)
+    else:
+        times = np.linspace(0.0, horizon, nt)
+        weights = np.convolve(np.diff(times), [0.5, 0.5])  # the trapezoid's
 
     corner_a = modes_a.min(axis=0)
     corner_b = modes_b.min(axis=0)
@@ -581,7 +600,7 @@ def _bilinear_space_time_l2(
     views_a = [[tuple(map(slice, shape_a[:d]))] for d in range(len(shape_a))]
     views_b = [[tuple(map(slice, shape_b[:d]))] for d in range(len(shape_b))]
     last_first = range(len(conv_shape) - 1, -1, -1)
-    masses = np.empty(nt)
+    masses = np.empty(len(times))
 
     def fill_masses(js):
         """Write the product's weighted mass at each sample of js, in pads of its own."""
@@ -603,8 +622,8 @@ def _bilinear_space_time_l2(
             np.square(np.abs(pad_a, out=power), out=power)
             masses[j] = np.sum(np.multiply(power, weight_sq, out=power))
 
-    _split_even_odd(fill_masses, nt, size, _SPLIT_ENTRIES)
-    return math.sqrt(np.trapezoid(masses, dx=dt) * size)
+    _split_even_odd(fill_masses, len(times), size, _SPLIT_ENTRIES)
+    return math.sqrt((masses @ weights) * size)
 
 
 def _orthonormal_pair(dim: int, rng):

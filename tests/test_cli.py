@@ -1211,6 +1211,23 @@ def test_verify_bilinear_refuses_boxes_larger_than_memory(tmp_path, capsys, monk
     assert not out.exists()
 
 
+def test_verify_bilinear_caps_gauss_legendre_cases_on_trapezoid_samples(
+    tmp_path, capsys, monkeypatch
+):
+    # the separated case at low scale 32 takes 24 Gauss-Legendre nodes for
+    # the trapezoid's 41 samples; the cap counts the 41
+    monkeypatch.setattr(harness, "_MAX_TIME_SAMPLES", 40)
+    cfg = write_config(
+        tmp_path,
+        "[run]\ndim = 3\nseed = 0\nmode = separated\ntrials = 1\n"
+        "high_scale = 256\n[sweep]\nscales = 32\n",
+    )
+    out = tmp_path / "out"
+    assert main(["verify-bilinear", "--config", cfg, "--out", str(out)]) == 2
+    assert "needs 41 samples, at most 40" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_trilinear_refuses_tables_larger_than_memory(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 1024)

@@ -379,6 +379,25 @@ def test_free_trajectory_chains_the_exact_rotation(dim, n):
         assert np.max(np.abs(sample - exact)) <= 1e-12 * scale
 
 
+def test_sample_0_alone_takes_one_whole_grid_rotation(monkeypatch):
+    # evolve, and simulate when it saves its samples or runs uncoupled, take
+    # sample 0 of the whole state alone; a step factor for it would be one
+    # more whole-grid exp, and 16 bytes a point held for nothing
+    lat = make_lattice(dim=2, n=16)
+    state = decompose(lat, *random_real_data(lat, np.random.default_rng(5)), (1.0,))
+    times = 0.3 + np.arange(4) * 0.05
+    shapes, real = [], dynamics._rotation
+    monkeypatch.setattr(dynamics, "_rotation", lambda *a: shapes.append(a[0].shape) or real(*a))
+    first = next(dynamics._free_samples(lat, state, (1.0,), times[:1]))
+    assert len(shapes) == 1
+    assert np.array_equal(first, free_trajectory(lat, state, (1.0,), times).halves[0])
+    shapes.clear()
+    traj = evolve(lat, state, free_system((1.0,)), T=0.3, dt=0.05, sample_every=2)
+    # the march's own rotations are on the kept half and on the band
+    assert [shape for shape in shapes if shape[-1] == 16] == [(1, 1, 16, 16)]
+    assert traj.halves.shape == (4, 1, 2, 16, 16)
+
+
 def test_free_trajectory_refuses_too_few_or_uneven_times():
     lat = make_lattice()
     state = bump_state(lat, 0.1)

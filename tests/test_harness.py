@@ -6,6 +6,8 @@ seeded runs of the independent geometric oracles in this file.
 """
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from conftest import loop_frequency_pairs, smallest_bracket
 from halfwave import grid, harness
@@ -517,13 +520,22 @@ def test_pruned_fftn_is_the_unitary_fftn(case):
 
 
 def reference_space_time_l2(modes_a, amps_a, omega_a, modes_b, amps_b, omega_b,
-                            output_scale, horizon):
-    """The product's space-time mass in complex128 over the whole padded box."""
+                            output_scale, horizon, fine=False):
+    """The product's space-time mass in complex128 over the whole padded box.
+
+    In time, the trapezoid rule on the kernel's nt samples or, if fine,
+    numpy's Gauss-Legendre rule with nt + 40 nodes."""
     osc_a = omega_a - omega_a.mean()
     osc_b = omega_b - omega_b.mean()
     spread = np.ptp(osc_a) + np.ptp(osc_b)
     nt = max(9, math.ceil(horizon * spread / (2 * math.pi) * 4.0) + 1)
-    times = np.linspace(0.0, horizon, nt)
+    if fine:
+        nodes, weights = leggauss(nt + 40)
+        times, weights = horizon * (nodes + 1) / 2, horizon * weights / 2
+    else:
+        times = np.linspace(0.0, horizon, nt)
+        weights = np.full(nt, times[1] - times[0])
+        weights[[0, -1]] /= 2
     lo_a, lo_b = modes_a.min(axis=0), modes_b.min(axis=0)
     box = tuple((modes_a - lo_a).max(axis=0) + (modes_b - lo_b).max(axis=0) + 1)
     freqs = np.indices(box) + (lo_a + lo_b).reshape((-1,) + (1,) * len(box))
@@ -536,8 +548,7 @@ def reference_space_time_l2(modes_a, amps_a, omega_a, modes_b, amps_b, omega_b,
         pad_b[tuple((modes_b - lo_b).T)] = amps_b * np.exp(1j * t * osc_b)
         conv = np.fft.ifftn(np.fft.fftn(pad_a) * np.fft.fftn(pad_b))
         masses.append(np.sum(weight**2 * np.abs(conv) ** 2))
-    inner = np.sum(masses[1:-1]) + 0.5 * (masses[0] + masses[-1])
-    return math.sqrt((times[1] - times[0]) * inner)
+    return math.sqrt(np.dot(masses, weights))
 
 
 @pytest.mark.parametrize("separated", [True, False], ids=["separated", "matched"])
@@ -561,6 +572,92 @@ def test_bilinear_product_matches_a_double_precision_reference(separated):
     assert expected > 0
     value = _bilinear_space_time_l2(modes_a, amps_a, modes_b, amps_b, output, horizon)
     assert value == pytest.approx(expected, rel=1e-5, abs=0.0)
+
+
+def gauss_rules(monkeypatch):
+    """The node counts of the Gauss-Legendre rules taken from now on."""
+    counts, real = [], harness._gauss_legendre
+    monkeypatch.setattr(harness, "_gauss_legendre", lambda n, T: counts.append(n) or real(n, T))
+    return counts
+
+
+def test_gauss_legendre_nodes_match_leggauss():
+    # the cap of 4000 trapezoid samples allows at most 2004 nodes; from about
+    # 1600 nodes on leggauss's own edge weights are off by up to 1.4e-13
+    # (against 40-digit mpmath), while these stay within 2e-16
+    for n in list(range(1, 65)) + [harness._MAX_TIME_SAMPLES // 2 + 4]:
+        nodes, weights = harness._gauss_legendre(n, 2.0)
+        expected_nodes, expected_weights = leggauss(n)
+        assert np.max(np.abs(nodes - 1.0 - expected_nodes)) <= 1e-13
+        assert np.max(np.abs(weights - expected_weights)) <= 1e-13
+
+
+def long_separated_case():
+    """Balls of radius 1.2 at 4 and 16, over a window of 24: 56 trapezoid samples."""
+    modes_a = ball_mode_set(4.0 * np.array([0.6, 0.8, 0.0]), 1.2)
+    modes_b = ball_mode_set(16.0 * np.array([0.0, 0.0, 1.0]), 1.2)
+    return modes_a, modes_b, 16.0, 24.0
+
+
+def long_matched_case():
+    """Antipodal caps at 16 through the annulus at 4, over a window of 18: 47 samples."""
+    pole = np.array([2.0, 1.0, 2.0]) / 3.0
+    return cap_mode_set(16.0, pole, 4.0, 2.0), cap_mode_set(16.0, -pole, 4.0, 2.0), 4.0, 18.0
+
+
+@pytest.mark.parametrize("case", [long_separated_case, long_matched_case],
+                         ids=["separated", "matched"])
+def test_gauss_legendre_cases_match_a_fine_reference(monkeypatch, case):
+    # the trapezoid misses these by 1.3e-5 and 6.7e-5; nt // 3 nodes miss the
+    # matched case by 2.6e-6, and nt // 4 both, by 9.7e-5 and 6.3e-3
+    modes_a, modes_b, output, horizon = case()
+    rng = np.random.default_rng(7)
+    amps_a = rng.uniform(0.5, 1.0, len(modes_a))
+    amps_b = rng.uniform(0.5, 1.0, len(modes_b))
+    expected = reference_space_time_l2(modes_a, amps_a, bracket(1.0, modes_a),
+                                       modes_b, amps_b, bracket(1.0, modes_b),
+                                       output, horizon, fine=True)
+    rules = gauss_rules(monkeypatch)
+    value = _bilinear_space_time_l2(modes_a, amps_a, modes_b, amps_b, output, horizon)
+    assert len(rules) == 1
+    assert value == pytest.approx(expected, rel=1e-6, abs=0.0)
+
+
+def test_a_gauss_legendre_case_is_capped_on_its_trapezoid_samples(monkeypatch):
+    # SPLIT_CASE would take 41 trapezoid samples and takes 24 nodes; the cap
+    # counts the 41, so a configuration is refused where it was before
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran")
+
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(harness, "_MAX_TIME_SAMPLES", 40)
+    with pytest.raises(ValueError, match="needs 41 samples, at most 40 are allowed"):
+        verify_bilinear(*SPLIT_CASE, trials=1, seed=0)
+    monkeypatch.setattr(np.fft, "fft", fft)
+    monkeypatch.setattr(harness, "_MAX_TIME_SAMPLES", 41)
+    rules = gauss_rules(monkeypatch)
+    assert verify_bilinear(*SPLIT_CASE, trials=1, seed=0).ratios[0] > 0
+    assert rules == [24]
+
+
+def test_a_gauss_legendre_case_loads_no_numpy_polynomial():
+    # leggauss, through numpy.polynomial and numpy.linalg's eigensolver,
+    # raised the bilinear command's peak RSS by 1.75 MiB; a fresh process
+    # keeps the test's own imports out of sys.modules
+    script = """
+import sys
+from halfwave import harness
+counts, real = [], harness._gauss_legendre
+harness._gauss_legendre = lambda n, T: counts.append(n) or real(n, T)
+harness.verify_bilinear(3, 32, 128, 128, 1, 0)
+print(len(counts), sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+"""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "[]"]
 
 
 def test_bilinear_never_takes_the_double_precision_fftn(monkeypatch):
@@ -599,8 +696,12 @@ def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
 # ----------------------------------------------------------------------
 
 # the separated case at low scale 32: two balls of radius 8, 17^3 boxes, so
-# the padded box holds 33^3 entries, twice the gate
+# the padded box holds 33^3 entries, twice the gate; 41 trapezoid samples, so
+# the time integral takes 24 Gauss-Legendre nodes
 SPLIT_CASE = (3, 32, 256, 256)
+# the matched case at scale 32, on the trapezoid's 17 samples; at seed 0 its
+# second trial pads to 19,251 entries, above the gate
+MATCHED_SPLIT_CASE = (3, 32, 32, 8)
 
 
 def cores(monkeypatch, n):
@@ -626,20 +727,22 @@ def on_the_worker():
 
 
 def test_split_bilinear_equals_a_one_core_run(monkeypatch):
-    runs = {}
     interval = sys.getswitchinterval()
     # the threads hand the interpreter lock over as often as they can
     sys.setswitchinterval(1e-6)
     try:
-        for n in (1, 2):
-            cores(monkeypatch, n)
-            names = traced_transforms(monkeypatch)
-            runs[n] = verify_bilinear(*SPLIT_CASE, trials=1, seed=0).ratios
-            monkeypatch.undo()
-            assert len(set(names)) == n
+        for case, trials, nodes in ((SPLIT_CASE, 1, [24]), (MATCHED_SPLIT_CASE, 2, [])):
+            runs = {}
+            for n in (1, 2):
+                cores(monkeypatch, n)
+                names = traced_transforms(monkeypatch)
+                rules = gauss_rules(monkeypatch)
+                runs[n] = verify_bilinear(*case, trials=trials, seed=0).ratios
+                monkeypatch.undo()
+                assert len(set(names)) == n and rules == nodes
+            assert runs[1] == runs[2]
     finally:
         sys.setswitchinterval(interval)
-    assert runs[1] == runs[2]
 
 
 def test_bilinear_below_the_gate_starts_no_thread(monkeypatch):
