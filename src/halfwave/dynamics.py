@@ -520,7 +520,12 @@ def picard_iterate(
     steps, half_root = _entry(lattice, state, system, T, dt, s)
     n_levels = steps + 1
     band = _band(lattice, state)
-    _require_memory(n_levels * band.size * 16, f"{n_levels} levels")
+    # a sweep adds 8 bands' worth (the entry band, the step, the kick, the carry,
+    # two h, a level's sum with its N, the brackets, 1/2<D> and the root) and N's
+    # buffers, at most K + 2 whole complex grids (35-70 bytes a point at K = 1-3)
+    grids = (system.size + 2) * math.prod(lattice.spec.shape)
+    need = 16 * ((n_levels + 8) * band.size + grids)
+    _require_memory(need, f"{n_levels} levels and a sweep")
     masses = system.masses
     brackets = _band(lattice, _brackets(lattice, masses))
     step = _rotation(brackets, dt)

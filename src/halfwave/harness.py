@@ -826,50 +826,38 @@ def strichartz_admissible(n: int, q, r, family: str):
 
 
 # bytes of a trilinear trial at its peak: per entry of the code table (its
-# intp index), per (low, mate) pair of a block (int64 codes and intp hits)
-# and per match of a block (its five index arrays, omega, phase and the
-# product of its terms: 112; 91-102 under tracemalloc at 1e4-6e4 matches)
+# intp index), and per (low, mate) pair of a block its int64 code and intp hit
+# plus, as a block holds no more matches than pairs, a match's five index
+# arrays, omega, phase and the product of its terms (16 + 112; the match's 112
+# read 91-102 under tracemalloc at 1e4-6e4 matches)
 _TABLE_BYTES = 8
-_PAIR_BYTES = 16
-_MATCH_BYTES = 112
+_PAIR_BYTES = 128
 # (low, mate) pairs per block: on the campaign's cases 2^14-2^18 ran alike on
 # one core, and split, 2^16 took 0.35 s against 0.83 s at 2^12
 _BLOCK_PAIRS = 2**16
 
 
-def _match_interactions(low_modes, mate_modes, high_modes, sides=1, held=0):
+def _match_interactions(low_modes, mate_modes, high_modes):
     """Yield (i_low, i_mate, third) with low + mate + high = 0, a block at a time.
 
     A block holds the pairs of consecutive low modes, so over all blocks the
-    matches come in (low, mate) order. High modes must be distinct. The code
-    table and a block's pair codes are checked against physical memory
-    before they are allocated, and so are each block's matches, once
-    counted, with the arrays verify_trilinear builds from them, all counted
-    with the `held` bytes of the rest of a trial, `sides` times for trials
-    run at once; see verify_trilinear for the method.
+    matches come in (low, mate) order. High modes must be distinct. The
+    caller checks the code table and a block against memory; see
+    verify_trilinear for the method and the bound.
     """
     need_lo = -(low_modes.max(axis=0) + mate_modes.max(axis=0))
     need_hi = -(low_modes.min(axis=0) + mate_modes.min(axis=0))
     mins = np.minimum(high_modes.min(axis=0), need_lo)
     spans = np.maximum(high_modes.max(axis=0), need_hi) - mins + 1
     w = np.cumprod(np.concatenate([[1], spans[:-1]])).astype(np.int64)
-    size = math.prod(spans.tolist())
-    rows = min(len(low_modes), max(1, _BLOCK_PAIRS // len(mate_modes)))
-    fixed = held + _TABLE_BYTES * size + _PAIR_BYTES * rows * len(mate_modes)
-    _require_memory(sides * fixed, "the trilinear code table and pair codes")
-    table = np.full(size, -1, dtype=np.intp)
+    table = np.full(math.prod(spans.tolist()), -1, dtype=np.intp)
     table[(high_modes - mins) @ w] = np.arange(len(high_modes))
     low_codes = -(low_modes + mins) @ w
     mate_codes = mate_modes @ w
+    rows = min(len(low_modes), max(1, _BLOCK_PAIRS // len(mate_modes)))
     for start in range(0, len(low_modes), rows):
         hit = table[(low_codes[start : start + rows, None] - mate_codes[None, :]).ravel()]
-        found = hit >= 0
-        count = np.count_nonzero(found)
-        _require_memory(
-            sides * (fixed + _MATCH_BYTES * count), f"the {count} trilinear matches"
-        )
-        flat_idx = np.flatnonzero(found)
-        del found
+        flat_idx = np.flatnonzero(hit >= 0)
         third = hit[flat_idx]
         del hit
         i_low, i_mate = np.divmod(flat_idx, len(mate_modes))
@@ -938,12 +926,19 @@ def verify_trilinear(
     test. As the code is linear, the code of -(l + m) is A[i] - B[j] with
     A = -(low + mins) @ w and B = mate @ w: one outer difference and one
     gather match every (low, mate) pair, and the pair sums are never formed.
-    The pairs are matched _BLOCK_PAIRS at a time, and the brackets are taken
-    once per mode. Trials whose records, mode boxes, or boxes and matching
-    exceed physical memory raise MemoryError before these are built, counted
-    twice from two trials on. From two trials on, with two cores, a worker
-    thread takes the odd trials; each trial runs whole on one thread from
-    its own generator, so the ratios equal a one-core run bit for bit.
+    The pairs are matched _BLOCK_PAIRS at a time, at least _MAX_MODES, so no
+    block holds more, and the brackets are taken once per mode. One estimate,
+    from the arguments alone, is checked against physical memory before
+    anything is built, else MemoryError: the records, and for each trial that
+    may run at once (two from two trials on, whatever the cores) a ball's and
+    a cap's integer box, the code table and one block's pairs with their
+    matches. Each set sits in a box of half-width hb (the ball's) or hc (a
+    cap's) around its rounded center, low at 0, mate at -mate·pole and high
+    at high·pole, so on each axis the table spans at most
+    |high - mate| + 2(hb + hc) + 2 points, for any pole. From two trials on,
+    with two cores, a worker thread takes the odd trials; each trial runs
+    whole on one thread from its own generator, so the ratios equal a
+    one-core run bit for bit.
     """
     high = DyadicIndex(high_scale)
     mate = DyadicIndex(mate_scale)
@@ -954,20 +949,19 @@ def verify_trilinear(
         raise ValueError("dimension must be at least 2")
     if trials < 1:
         raise ValueError("need at least one trial")
-    _require_memory(_TRIAL_BYTES * trials, f"{trials} trials")
     if not horizon > 0:
         raise ValueError("the interaction horizon must be positive")
     s_weight = max(0.5, (dim - 2) / 2.0)
     rho = max(float(high) / 4.0, 1.5)
     radius = max(float(low), 1.2)
-    # a ball's and a cap's box and its matching bound a trial's peak, loosely for
-    # the ball the trials share; two trials run at once from two on, whatever the cores
-    sides = min(trials, 2)
-    halves = (math.ceil(radius), _cap_halfwidth(rho, 2.0))
-    points = sum((2 * half + 1) ** dim for half in halves)
-    boxes = _integer_box_bytes(dim) * points
-    what = f"the {sides * points} points of the integer mode boxes of trilinear trials"
-    _require_memory(sides * boxes, what)
+    # in floats, so that a huge dim overflows at once; the ball's box, which
+    # the trials share, is counted per trial
+    hb, hc = math.ceil(radius), _cap_halfwidth(rho, 2.0)
+    points = float(2 * hb + 1) ** dim + float(2 * hc + 1) ** dim
+    table = float(abs(high - mate) + 2 * (hb + hc) + 2) ** dim
+    per_trial = _integer_box_bytes(dim) * points + _TABLE_BYTES * table
+    need = _TRIAL_BYTES * trials + min(trials, 2) * (per_trial + _PAIR_BYTES * _BLOCK_PAIRS)
+    _require_memory(need, f"{trials} trilinear trials, their mode boxes and code tables")
     ratios = [0.0] * trials
     ball = ball_mode_set(np.zeros(dim), radius)  # each trial subsamples it
     ball.flags.writeable = False
@@ -996,9 +990,8 @@ def verify_trilinear(
                 bracket(1.0, modes) for modes in (low_modes, mate_modes, high_modes)
             )
             total = 0.0
-            for i_low, i_mate, third in _match_interactions(
-                low_modes, mate_modes, high_modes, sides, boxes
-            ):
+            matches = _match_interactions(low_modes, mate_modes, high_modes)
+            for i_low, i_mate, third in matches:
                 omega = br_low[i_low] + br_mate[i_mate] - br_high[third]
                 phase = np.where(
                     np.abs(omega) < 1e-12,

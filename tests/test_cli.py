@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halfwave import cli, grid, harness, variation
+from halfwave import cli, dynamics, grid, harness, variation
 from halfwave.cli import (
     _COMMANDS,
     ConfigError,
@@ -34,6 +34,7 @@ from halfwave.dynamics import (
     decompose,
     evolve,
     free_trajectory,
+    picard_iterate,
     scattering_state,
 )
 from halfwave.grid import FrequencyLattice, GridSpec, gaussian_bump
@@ -365,6 +366,44 @@ def test_grids_larger_than_memory_exit_2_before_the_set_up(
     assert not out.exists()
 
 
+def test_picard_memory_estimate_covers_its_peak(tmp_path, capsys, monkeypatch):
+    # the picard-3d problem: the tracemalloc peak of picard_iterate above its
+    # entry, 16.9 MiB, is within its one estimate, 17.6 MiB; one byte below
+    # that, the command exits 2 before it allocates the 101 levels, each the
+    # 21 x 21 x 11 band of u^+ and u^-, 15 MiB
+    path = write_config(
+        tmp_path, "[run]\ndim = 3\nbox_length = 32\npoints_per_axis = 32\nhorizon = 5\n"
+    )
+    opts = load_config("picard", config_path=path).options
+    lattice, system, state = cli._initial_data(opts)
+    T, dt, iters = (opts[key] for key in ("horizon", "dt", "iterations"))
+    estimates, require = [], dynamics._require_memory
+
+    def recorded(nbytes, what):
+        estimates.append(nbytes)
+        return require(nbytes, what)
+
+    monkeypatch.setattr(dynamics, "_require_memory", recorded)
+    tracemalloc.start()
+    try:
+        picard_iterate(lattice, state, system, T, dt, iters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (need,) = estimates
+    assert peak <= need
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["picard", "--config", path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 101 * 2 * 21 * 21 * 11 * 16
+    assert "101 levels" in capsys.readouterr().err and not out.exists()
+
+
 def test_a_stride_that_does_not_divide_the_steps_exits_2(tmp_path, capsys):
     # horizon 1 at dt 0.1 is 10 steps, which a stride of 50 does not divide
     path = write_config(tmp_path, "[run]\nhorizon = 1\ndt = 0.1\nstride = 50\n")
@@ -420,16 +459,18 @@ def test_hs_weights_that_overflow_exit_2(command, config, tmp_path, capsys):
         ("verify-shell", "[run]\nseed = 0\nsamples = 2048\n[sweep]\nwidth = 1e-300\n"),
         ("simulate", "[run]\nhorizon = 0.2\nwidth = 1e-300\n"),
         ("picard", "[run]\nhorizon = 0.2\niterations = 2\nwidth = 1e-300\n"),
+        ("verify-trilinear", "[run]\nseed = 0\ndim = 100000000000000000000\n"),
     ],
     ids=[
         "simulate-width", "picard-width", "shell-dim", "shell-radius", "shell-width",
-        "simulate-width-squared-0", "picard-width-squared-0",
+        "simulate-width-squared-0", "picard-width-squared-0", "trilinear-dim",
     ],
 )
 def test_float_arithmetic_out_of_range_exits_2(command, config, tmp_path, capsys):
-    # width ** 2, the unit ball volume of dimension 1e20 and (r + w) ** 2
-    # overflow; a width that squares to 0 divides by zero, and in the
-    # Gaussian bump it leaves coefficients that are not finite
+    # width ** 2, the unit ball volume of dimension 1e20, (r + w) ** 2 and
+    # the trilinear mode boxes of dimension 1e20 overflow; a width that
+    # squares to 0 divides by zero, and in the Gaussian bump it leaves
+    # coefficients that are not finite
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 2
@@ -1069,12 +1110,22 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-# the ten breaches of the contract that this test was written to catch
+# the ten breaches of the contract that this test was written to catch, the
+# eleventh (verify-trilinear's dim = 10^20 ran without end) and the same dim
+# for every other command that reads one
 @settings(derandomize=True, database=None, max_examples=200, deadline=10_000)
 @given(case=hostile_runs())
 @example(case=("simulate", (("width", "1e300"),)))
 @example(case=("picard", (("width", "1e300"),)))
 @example(case=("verify-shell", (("dim", str(10**20)),)))
+@example(case=("verify-trilinear", (("dim", str(10**20)),)))
+@example(case=("verify-trilinear", (("dim", str(10**20)), ("trials", str(10**20)))))
+@example(case=("verify-bilinear", (("dim", str(10**20)),)))
+@example(case=("verify-modulation", (("dim", str(10**20)),)))
+@example(case=("verify-nonresonance", (("dim", str(10**20)),)))
+@example(case=("simulate", (("dim", str(10**20)),)))
+@example(case=("picard", (("dim", str(10**20)),)))
+@example(case=("strichartz", (("dim", str(10**20)),)))
 @example(case=("verify-shell", (("radius", "1e300"),)))
 @example(case=("verify-shell", (("width", "1e-300"),)))
 @example(case=("picard", (("iterations", str(10**20)),)))
@@ -1229,8 +1280,15 @@ def test_verify_bilinear_caps_gauss_legendre_cases_on_trapezoid_samples(
 
 
 def test_verify_trilinear_refuses_tables_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # with the mode boxes counted as nothing, the code table's bound and a
+    # block of pairs are refused before any mode set or table is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mode set or the code table was built")
+
     monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 1024)
+    monkeypatch.setattr(harness, "ball_mode_set", refuse)
+    monkeypatch.setattr(np, "full", refuse)
     cfg = write_config(
         tmp_path,
         "[run]\ndim = 3\nseed = 0\nhigh_scale = 32\ntrials = 1\n"
@@ -1239,7 +1297,7 @@ def test_verify_trilinear_refuses_tables_larger_than_memory(tmp_path, capsys, mo
     out = tmp_path / "out"
     assert main(["verify-trilinear", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "trilinear code table" in err and err.rstrip().endswith("out of memory")
+    assert "1 trilinear trials" in err and err.rstrip().endswith("out of memory")
     assert not out.exists()
 
 
@@ -1247,15 +1305,12 @@ def test_verify_trilinear_refuses_mode_boxes_larger_than_memory(
     tmp_path, capsys, monkeypatch
 ):
     # in dimension 5 at high scale 64 each cap is cut from a 39^5 box, 8.7 GB
-    # at 96 bytes a point; only the low ball's 5^5 box may be built
-    meshgrid = np.meshgrid
-
-    def small_meshgrid(*axes, **kwargs):
-        assert math.prod(len(a) for a in axes) <= 5**5, "a large box was built"
-        return meshgrid(*axes, **kwargs)
+    # at 96 bytes a point; no box is built, not even the low ball's 5^5
+    def refuse(*args, **kwargs):
+        raise AssertionError("a box was built")
 
     monkeypatch.setattr(grid, "_physical_memory", lambda: 2**30)
-    monkeypatch.setattr(np, "meshgrid", small_meshgrid)
+    monkeypatch.setattr(np, "meshgrid", refuse)
     cfg = write_config(
         tmp_path,
         "[run]\ndim = 5\nseed = 0\nhigh_scale = 64\ntrials = 1\n"
@@ -1264,7 +1319,7 @@ def test_verify_trilinear_refuses_mode_boxes_larger_than_memory(
     out = tmp_path / "out"
     assert main(["verify-trilinear", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "points of the integer mode box" in err and err.rstrip().endswith("out of memory")
+    assert "mode boxes and code tables" in err and err.rstrip().endswith("out of memory")
     assert not out.exists()
 
 

@@ -1038,9 +1038,9 @@ def interaction_sets(draw):
     return low, mate, high
 
 
-def matched_blocks(low, mate, high, sides=1):
+def matched_blocks(low, mate, high):
     """The matcher's blocks as lists of (i_low, i_mate, third)."""
-    return list(_match_interactions(low, mate, high, sides))
+    return list(_match_interactions(low, mate, high))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -1064,65 +1064,6 @@ def test_match_interactions_equals_the_sorted_code_matcher(sets):
             assert np.array_equal(g, e)
         i_low, i_mate, third = got
         assert not np.any(low[i_low] + mate[i_mate] + high[third])
-
-
-def test_match_interactions_refuses_tables_larger_than_memory(monkeypatch):
-    # -(l + m) spans x in [-3, -2] and the high modes x in [-2, 1]: the table
-    # covers the 5 x 1 box [-3, 1] x [0, 0], and one block of 1 x 2 pairs is
-    # coded
-    low = np.array([[0, 0]])
-    mate = np.array([[2, 0], [3, 0]])
-    high = np.array([[-2, 0], [1, 0]])
-    need = harness._TABLE_BYTES * 5 + harness._PAIR_BYTES * 2
-
-    def no_full(*args, **kwargs):
-        raise AssertionError("the table was allocated")
-
-    monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
-    monkeypatch.setattr(np, "full", no_full)
-    with pytest.raises(MemoryError, match="trilinear code table"):
-        matched_blocks(low, mate, high)
-    monkeypatch.undo()
-    # the one match adds its arrays and its term on top
-    one = need + harness._MATCH_BYTES
-    monkeypatch.setattr(grid, "_physical_memory", lambda: one)
-    (i_low, i_mate, third), = matched_blocks(low, mate, high)
-    assert (i_low.tolist(), i_mate.tolist(), third.tolist()) == ([0], [0], [0])
-
-
-def test_match_interactions_refuses_matches_larger_than_memory(monkeypatch):
-    # all 3 x 4 (low, mate) pairs match: the high modes are their -(l + m),
-    # which fill the 3 x 4 box [-2, 0] x [-4, -1] the table covers
-    low = np.array([[0, 0], [1, 0], [2, 0]])
-    mate = np.array([[0, 1], [0, 2], [0, 3], [0, 4]])
-    high = -(low[:, None] + mate[None]).reshape(-1, 2)
-    table = harness._TABLE_BYTES * 12 + harness._PAIR_BYTES * 12
-    need = table + harness._MATCH_BYTES * 12
-
-    def no_matches(*args, **kwargs):
-        raise AssertionError("the match indices were allocated")
-
-    # two trials at once count every byte twice
-    for sides in (1, 2):
-        for limit in (sides * table, sides * need - 1):
-            monkeypatch.setattr(grid, "_physical_memory", lambda: limit)
-            monkeypatch.setattr(np, "flatnonzero", no_matches)
-            with pytest.raises(MemoryError, match="12 trilinear matches"):
-                matched_blocks(low, mate, high, sides)
-            monkeypatch.undo()
-        monkeypatch.setattr(grid, "_physical_memory", lambda: sides * need)
-        (i_low, i_mate, third), = matched_blocks(low, mate, high, sides)
-        assert len(third) == 12
-        assert not np.any(low[i_low] + mate[i_mate] + high[third])
-    # in blocks of one low mode, each block holds its own 4 pairs and 4
-    # matches with their terms, and no more
-    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 4)
-    block = harness._TABLE_BYTES * 12 + harness._PAIR_BYTES * 4 + harness._MATCH_BYTES * 4
-    monkeypatch.setattr(grid, "_physical_memory", lambda: block - 1)
-    with pytest.raises(MemoryError, match="4 trilinear matches"):
-        matched_blocks(low, mate, high)
-    monkeypatch.setattr(grid, "_physical_memory", lambda: block)
-    assert [len(third) for _, _, third in matched_blocks(low, mate, high)] == [4, 4, 4]
 
 
 def test_trilinear_peak_memory_stays_small():
@@ -1191,21 +1132,18 @@ def test_no_trilinear_worker_outlives_the_call(monkeypatch):
     verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
     assert threading.active_count() == before and len(set(names)) == 2
 
-    def fail():
-        if on_the_worker():
-            raise RuntimeError("the worker failed")
+    # a failure on either thread, the other one still matching; a refusal of
+    # memory starts no thread at all (test_verify_trilinear_checks_one_estimate_first)
+    for thread, worker in (("the worker", True), ("the caller", False)):
 
-    traced_matchers(monkeypatch, fail)
-    with pytest.raises(RuntimeError, match="the worker failed"):
-        verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
-    assert threading.active_count() == before
-    # the mode boxes pass and the code tables do not
-    traced_matchers(monkeypatch)
-    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)
-    with pytest.raises(MemoryError, match="trilinear code table"):
-        verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
-    assert threading.active_count() == before
+        def fail():
+            if on_the_worker() == worker:
+                raise RuntimeError(f"{thread} failed")
+
+        traced_matchers(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match=f"{thread} failed"):
+            verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
+        assert threading.active_count() == before
 
 
 def test_the_trilinear_worker_keeps_the_callers_errstate(monkeypatch):
@@ -1286,27 +1224,36 @@ def test_trilinear_memory_estimate_covers_the_peak(monkeypatch, n, case, dim):
     assert peak <= max(estimates)
 
 
+def recorded_estimates(monkeypatch):
+    """The bytes of each memory check of a trilinear run from now on."""
+    estimates = []
+    real = harness._require_memory
+
+    def recorded(nbytes, what):
+        if "trilinear" in what:
+            estimates.append(nbytes)
+        return real(nbytes, what)
+
+    monkeypatch.setattr(harness, "_require_memory", recorded)
+    return estimates
+
+
 @pytest.mark.parametrize("rows", [None, 1], ids=["default-block", "one-row"])
 @pytest.mark.parametrize("trials", [1, 2], ids=["one-side", "two-sides"])
 def test_trilinear_match_estimate_covers_a_trials_peak(monkeypatch, rows, trials):
     # every pair matches: 33 rows of 22^3 mates, 6 rows to the default block;
-    # with the mode boxes counted as nothing, the estimate is the code table,
-    # one block's pair codes and its matches, terms included, for each trial
-    # that may run at once; traced on one core from the table's build to the
-    # last block's sum, each trial stays within its share and the codes of
-    # its low and mate modes, 8 bytes a mode, which the boxes cover
+    # with the mode boxes counted as nothing, the estimate is the records and,
+    # for each trial that may run at once, the table's bound and one block's
+    # pairs, each with its match; traced on one core from the table's build
+    # to the last block's sum, each trial stays within its share and the codes
+    # of its low and mate modes, 8 bytes a mode, which the boxes cover
     cores(monkeypatch, 1)
     case = dense_interactions(monkeypatch, side=22)
     if rows:
         monkeypatch.setattr(harness, "_BLOCK_PAIRS", rows * 22**3)
     monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
-    estimates, peaks = [], []
-    require, match = harness._require_memory, harness._match_interactions
-
-    def recorded(nbytes, what):
-        if "trilinear matches" in what:
-            estimates.append(nbytes)
-        return require(nbytes, what)
+    estimates, peaks = recorded_estimates(monkeypatch), []
+    match = harness._match_interactions
 
     def traced(*args):
         tracemalloc.start()
@@ -1316,11 +1263,79 @@ def test_trilinear_match_estimate_covers_a_trials_peak(monkeypatch, rows, trials
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(harness, "_require_memory", recorded)
     monkeypatch.setattr(harness, "_match_interactions", traced)
     ratios = verify_trilinear(*case, trials=trials, seed=0).ratios
-    assert len(estimates) == trials * (33 if rows else 6) and min(ratios) > 0
-    assert max(peaks) <= max(estimates) / min(trials, 2) + 8 * (33 + 22**3)
+    (need,) = estimates
+    share = (need - harness._TRIAL_BYTES * trials) / min(trials, 2)
+    assert len(peaks) == trials and min(ratios) > 0
+    assert max(peaks) <= share + 8 * (33 + 22**3)
+
+
+def test_verify_trilinear_checks_one_estimate_first(monkeypatch):
+    # two trials of the campaign's largest case: the records, and for each
+    # trial a ball's 17^3 box and a cap's 39^3 box at 64 bytes a point, a code
+    # table of (0 + 2 (8 + 19) + 2)^3 entries and one block of 2^16 pairs
+    need = 100 * 2 + 2 * (64 * (17**3 + 39**3) + 8 * 56**3 + 128 * 2**16)
+    cores(monkeypatch, 2)
+    before = threading.active_count()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mode set, a code table or a worker was made")
+
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
+    for module, name in ((harness, "ball_mode_set"), (np, "full"), (grid, "_worker_pool")):
+        monkeypatch.setattr(module, name, refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="2 trilinear trials"):
+            verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and threading.active_count() == before
+    monkeypatch.undo()
+    cores(monkeypatch, 2)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need)
+    estimates, names = recorded_estimates(monkeypatch), traced_matchers(monkeypatch)
+    ratios = verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0).ratios
+    assert estimates == [need] and len(set(names)) == 2 and min(ratios) > 0
+
+
+@pytest.mark.parametrize("trials", [1, 2, 8])
+def test_verify_trilinear_reads_physical_memory_once(monkeypatch, trials):
+    # besides the reads of _integer_box, which checks the shared ball's box and
+    # each trial's two caps' boxes on its own
+    reads, boxes = [], []
+    physical, box = grid._physical_memory, harness._integer_box
+    monkeypatch.setattr(grid, "_physical_memory", lambda: reads.append(1) or physical())
+    monkeypatch.setattr(harness, "_integer_box", lambda *a: boxes.append(1) or box(*a))
+    verify_trilinear(16, 16, 2, trials=trials, seed=0)
+    assert len(boxes) == 1 + 2 * trials and len(reads) == 1 + len(boxes)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    dim=st.integers(2, 5),
+    scales=st.sampled_from([(4, 2), (4, 8), (8, 4), (8, 16)]),
+    low=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**16),
+)
+def test_the_table_bound_covers_the_matchers_table(dim, scales, low, seed):
+    # the bound in verify_trilinear's estimate, for the mate at half and at
+    # twice the high scale: hb and hc are the ball's and the caps' half-widths
+    high, mate = scales
+    hb, hc = math.ceil(max(low, 1.2)), harness._cap_halfwidth(max(high / 4, 1.5), 2.0)
+    bound = (abs(high - mate) + 2 * (hb + hc) + 2) ** dim
+    sizes, full = [], np.full
+
+    def recorded(size, *args, **kwargs):
+        if kwargs.get("dtype") is np.intp:  # the table; subsampling fills too
+            sizes.append(size)
+        return full(size, *args, **kwargs)
+
+    with mock.patch.object(np, "full", recorded):
+        verify_trilinear(high, mate, low, dim, trials=2, seed=seed)
+    assert len(sizes) == 2 and max(sizes) <= bound
 
 
 def test_trilinear_ratios_hardly_move_with_the_block_size(monkeypatch):
