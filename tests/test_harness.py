@@ -1066,6 +1066,70 @@ def test_match_interactions_equals_the_sorted_code_matcher(sets):
         assert not np.any(low[i_low] + mate[i_mate] + high[third])
 
 
+def test_match_interactions_refuses_tables_larger_than_memory(monkeypatch):
+    # the matcher checks nothing itself: verify_trilinear's one estimate
+    # refuses its code tables before any is built. With only the table term
+    # counted, two trials of the campaign's largest case reserve 8 bytes for
+    # each of the (0 + 2 (8 + 19) + 2)^3 entries of a trial's bound, and the
+    # table each trial builds fits in its share
+    need = 2 * harness._TABLE_BYTES * 56**3
+    for name in ("_TRIAL_BYTES", "_PAIR_BYTES"):
+        monkeypatch.setattr(harness, name, 0)
+    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
+    cores(monkeypatch, 1)
+    sizes, full = [], np.full
+
+    def recorded(size, *args, **kwargs):
+        if kwargs.get("dtype") is np.intp:  # the table; subsampling fills too
+            sizes.append(size)
+        return full(size, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", recorded)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match="2 trilinear trials"):
+        verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0)
+    assert sizes == []
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need)
+    ratios = verify_trilinear(*TRILINEAR_CASE, trials=2, seed=0).ratios
+    assert len(sizes) == 2 and min(ratios) > 0
+    assert 2 * harness._TABLE_BYTES * max(sizes) <= need
+
+
+def test_match_interactions_refuses_matches_larger_than_memory(monkeypatch):
+    # the matcher checks nothing itself: verify_trilinear's one estimate
+    # refuses its matches before any is made. Every (low, mate) pair matches
+    # here, so a block holds as many matches as pairs; with only the block
+    # term counted, each trial that may run at once reserves _PAIR_BYTES for
+    # each of _BLOCK_PAIRS pairs, and no block the matcher yields holds more
+    case = dense_interactions(monkeypatch)
+    cores(monkeypatch, 1)
+    for name in ("_TRIAL_BYTES", "_TABLE_BYTES"):
+        monkeypatch.setattr(harness, name, 0)
+    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
+    blocks, match = [], harness._match_interactions
+
+    def recorded(*args):
+        for block in match(*args):
+            blocks.append(len(block[2]))
+            yield block
+
+    monkeypatch.setattr(harness, "_match_interactions", recorded)
+    # 33 rows of 10^3 mates: in one default block, or in blocks of one row;
+    # two trials at once count every byte twice
+    for pairs, sizes in ((harness._BLOCK_PAIRS, [33_000]), (1000, [1000] * 33)):
+        monkeypatch.setattr(harness, "_BLOCK_PAIRS", pairs)
+        for trials in (1, 2):
+            need = trials * harness._PAIR_BYTES * pairs
+            monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
+            with pytest.raises(MemoryError, match=f"{trials} trilinear trials"):
+                verify_trilinear(*case, trials=trials, seed=0)
+            assert blocks == []
+            monkeypatch.setattr(grid, "_physical_memory", lambda: need)
+            ratios = verify_trilinear(*case, trials=trials, seed=0).ratios
+            assert blocks == sizes * trials and min(ratios) > 0
+            blocks.clear()
+
+
 def test_trilinear_peak_memory_stays_small():
     # 1.44M (low, mate) pairs: coded and looked up all at once they peaked
     # near 23 MiB, and materialising their pair sums at 145 MiB on this call
