@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .dynamics import (
     InstabilityError,
@@ -243,60 +244,89 @@ _TRAJECTORY_KEYS = ("times", "halves", "masses", "dim", "box_length", "points_pe
 
 
 def save_trajectory(traj: Trajectory, path):
-    """Store a sampled trajectory: its (n_times, K, 2, *grid) halves and the grid."""
-    spec = traj.lattice.spec
-    np.savez(
-        path,
-        times=traj.times,
-        halves=traj.halves,
-        masses=np.array(traj.masses, dtype=float),
-        dim=np.array(spec.dim),
-        box_length=np.array(spec.box_length),
-        points_per_axis=np.array(spec.points_per_axis),
-    )
+    """Store a sampled trajectory: its (n_times, K, 2, *grid) halves and the grid.
+
+    The file is np.savez's, byte for byte, but halves go out one sample per
+    write from the array's memory, where savez first copies them whole."""
+    spec, halves = traj.lattice.spec, np.ascontiguousarray(traj.halves)
+    arrays = (np.array(traj.times), halves, np.array(traj.masses, dtype=float),
+              np.array(spec.dim), np.array(spec.box_length), np.array(spec.points_per_axis))
+    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
+        for key, array in zip(_TRAJECTORY_KEYS, arrays):
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(array))
+                for part in halves if array is halves else (array,):
+                    member.write(part)
 
 
-def load_trajectory(path) -> Trajectory:
-    """Rebuild a trajectory stored by save_trajectory; a bad file is a ConfigError.
+@dataclass(frozen=True)
+class StoredTrajectory:
+    """A trajectory file's times, masses and lattice; half() reads its halves, and a
+    sample that is missing or not finite is a ConfigError."""
 
-    Halves larger than physical memory raise MemoryError before any is read.
+    path: Path
+    offset: int  # where the data of halves.npy starts
+    dtype: np.dtype
+    times: np.ndarray
+    masses: tuple
+    lattice: FrequencyLattice
+
+    n_components = property(lambda self: len(self.masses))
+
+    def half(self, component: int, sign: int):
+        """Yield u^+ (sign +1) or u^- (sign -1) of one component as each sample is read."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        shape, column = (self.n_components, 2) + self.lattice.spec.shape, (1 - sign) // 2
+        try:
+            with zipfile.ZipFile(self.path) as archive, archive.open("halves.npy") as member:
+                member.seek(self.offset)
+                for _ in self.times:
+                    sample = member.read(math.prod(shape) * self.dtype.itemsize)
+                    half = np.frombuffer(sample, self.dtype).reshape(shape)[component, column]
+                    if not np.all(np.isfinite(half)):
+                        raise ConfigError(f"trajectory file {self.path}: halves must be finite")
+                    yield half
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"cannot read trajectory file {self.path}: {exc}") from exc
+
+
+def load_trajectory(path) -> StoredTrajectory:
+    """Open a trajectory stored by save_trajectory; a bad file is a ConfigError.
+
+    Before any half is read, what variation will hold is estimated from the
+    header of halves: MemoryError when it exceeds physical memory.
     """
     try:
         with np.load(path) as data:
-            missing = [key for key in _TRAJECTORY_KEYS if key not in data.files]
-            if missing:
+            if missing := [key for key in _TRAJECTORY_KEYS if key not in data.files]:
                 raise ConfigError(f"trajectory file {path} lacks {', '.join(missing)}")
             with data.zip.open("halves.npy") as member:
-                version = np.lib.format.read_magic(member)
-                read_header = (
-                    np.lib.format.read_array_header_1_0
-                    if version == (1, 0)
-                    else np.lib.format.read_array_header_2_0
-                )
-                shape, _, dtype = read_header(member)
-            _require_memory(math.prod(shape) * dtype.itemsize, f"the halves of {path}")
-            stored = {key: data[key] for key in _TRAJECTORY_KEYS}
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"cannot read trajectory file {path}: {exc}") from exc
-    halves = stored["halves"]
-    if not np.iscomplexobj(halves) or not np.all(np.isfinite(halves)):
-        raise ConfigError(f"trajectory file {path}: halves must be finite and complex")
-    try:
-        spec = GridSpec(
-            int(stored["dim"]),
-            float(stored["box_length"]),
-            int(stored["points_per_axis"]),
-        )
+                first = npy.read_magic(member) == (1, 0)
+                read = npy.read_array_header_1_0 if first else npy.read_array_header_2_0
+                shape, fortran_order, dtype = read(member)
+                offset = member.tell()
+            # a path from rest, as much again for its phases or LP blocks, 3 tables, 2 samples
+            n, sample = shape[0] + 1, math.prod(shape[1:]) * dtype.itemsize
+            need = 32 * n * math.prod(shape[3:]) + 24 * n * n + 2 * sample
+            _require_memory(need, f"the unrotated paths of {path}")
+            stored = {key: data[key] for key in _TRAJECTORY_KEYS if key != "halves"}
+        if dtype.kind != "c" or fortran_order:
+            raise ConfigError(f"trajectory file {path}: halves must be complex, in C order")
+        dim, box, points = (stored[key] for key in _TRAJECTORY_KEYS[3:])
+        spec = GridSpec(int(dim), float(box), int(points))
         # before the lattice, which takes 19 bytes or more per grid entry
-        if halves.shape[3:] != spec.shape:
+        if shape[3:] != spec.shape:
             raise ConfigError(
-                f"trajectory file {path}: halves of shape {halves.shape} "
+                f"trajectory file {path}: halves of shape {shape} "
                 f"do not hold samples on the {spec.shape} grid"
             )
-        masses = tuple(stored["masses"])
-        return Trajectory(stored["times"], masses, FrequencyLattice(spec), halves)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"trajectory file {path}: {exc}") from exc
+        # Trajectory's checks of times, masses and shape, on a zero-stride stand-in for halves
+        halves = np.broadcast_to(np.zeros((), dtype), shape)
+        traj = Trajectory(stored["times"], tuple(stored["masses"]), FrequencyLattice(spec), halves)
+    except (LookupError, OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read trajectory file {path}: {exc}") from exc
+    return StoredTrajectory(Path(path), offset, dtype, traj.times, traj.masses, traj.lattice)
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,17 @@ def _state_distance(root: np.ndarray, a: np.ndarray, b: np.ndarray, out) -> floa
     """H^s distance of two states, square-summed over components and halves.
 
     root is the square root of _hs_weights.  The weighted difference goes to
-    out, which may be b itself: a difference, a scaling and one vdot make
-    three passes.
+    out, which may be b itself, and is squared there: a difference, a
+    scaling, a square and a sum make four passes.
     """
     np.subtract(a, b, out=out)
     out *= root
-    return math.sqrt(np.vdot(out, out).real)
+    return math.sqrt(_square_sum(out.view(float)))
+
+
+def _square_sum(a: np.ndarray) -> float:
+    """Squared norm of a real contiguous array, squared in place: a BLAS dot rounds by threads."""
+    return float(np.sum(np.square(a, out=a)))
 
 
 def _band(lattice: FrequencyLattice, a: np.ndarray) -> np.ndarray:
@@ -187,8 +192,8 @@ def _require_real(lattice: FrequencyLattice, state: np.ndarray, masses):
     gaps = _mirror(fields, range(1, fields.ndim))
     np.subtract(np.conjugate(gaps, out=gaps), fields, out=gaps)
     for f, gap in zip(fields, gaps):
-        imag = math.sqrt(np.vdot(gap, gap).real) / 2
-        if imag > 1e-12 * math.sqrt(np.vdot(f, f).real):
+        imag = math.sqrt(_square_sum(gap.view(float))) / 2
+        if imag > 1e-12 * math.sqrt(_square_sum(f.view(float))):
             raise ValueError("the solvers take real fields: u and u_t are not real")
 
 
@@ -401,8 +406,7 @@ def _march(lattice, state, system, T, dt, sample_every, s, sample_bytes):
     scratch = np.empty_like(y).view(float)
 
     def band_square(v):
-        np.multiply(v.view(float), root, out=scratch)
-        return np.vdot(scratch, scratch)
+        return _square_sum(np.multiply(v.view(float), root, out=scratch))
 
     base = math.sqrt(rest + band_square(y))
     # without a scale, the largest float: an infinite norm still fails the test
@@ -521,10 +525,10 @@ def picard_iterate(
     n_levels = steps + 1
     band = _band(lattice, state)
     # a sweep adds 8 bands' worth (the entry band, the step, the kick, the carry,
-    # two h, a level's sum with its N, the brackets, 1/2<D> and the root) and N's
-    # buffers, at most K + 2 whole complex grids (35-70 bytes a point at K = 1-3)
+    # two h, a level's sum with its N, the brackets, 1/2<D> and the root), N's
+    # buffers (K + 2 whole complex grids at most) and the entry state its caller holds
     grids = (system.size + 2) * math.prod(lattice.spec.shape)
-    need = 16 * ((n_levels + 8) * band.size + grids)
+    need = 16 * ((n_levels + 8) * band.size + grids + state.size)
     _require_memory(need, f"{n_levels} levels and a sweep")
     masses = system.masses
     brackets = _band(lattice, _brackets(lattice, masses))

@@ -71,20 +71,20 @@ def unrotated_from_rest(traj: Trajectory, component: int, sign: int) -> np.ndarr
 
     A zero row is prepended, encoding a path that starts from rest before the
     first recorded time. The phase is taken once per distinct <xi> and
-    gathered onto the grid. The result is the path that v2_pm_norm and
-    xs_proxy_norm read.
+    gathered onto the grid, one row per sample that traj.half yields. The
+    result is the path that v2_pm_norm and xs_proxy_norm read.
     """
-    half = traj.half(component, sign)
     bracket = traj.lattice.bracket(traj.masses[component])
     values, where = np.unique(bracket, return_inverse=True)
     phase = np.exp(-sign * 1j * traj.times[:, None] * values)
-    stack = np.empty((half.shape[0] + 1,) + half.shape[1:], dtype=complex)
+    stack = np.empty((traj.times.size + 1,) + bracket.shape, dtype=complex)
     stack[0] = 0.0
-    rows = stack[1:].reshape(half.shape[0], -1)
-    np.take(phase, where.reshape(-1), axis=1, out=rows, mode="clip")
-    # phase * half, in this order: the complex product rounds differently
-    # with its operands swapped
-    stack[1:] *= half
+    rows = stack[1:].reshape(traj.times.size, -1)
+    for row, angle, sample in zip(rows, phase, traj.half(component, sign)):
+        np.take(angle, where.reshape(-1), out=row, mode="clip")
+        # phase * half, in this order: the complex product rounds differently
+        # with its operands swapped
+        row *= sample.reshape(-1)
     return stack
 
 

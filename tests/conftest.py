@@ -86,6 +86,17 @@ def unwindowed_modulation_energy(traj, component, index, sign) -> float:
     return float(np.sqrt(dt * traj.lattice.cell_volume * np.sum(np.abs(w * hat) ** 2)))
 
 
+def read_halves(traj) -> np.ndarray:
+    """The (n_times, K, 2, *grid) halves of a trajectory, each sample as half() yields it."""
+    return np.stack(
+        [
+            np.stack([np.stack(list(traj.half(i, sign))) for sign in (1, -1)], axis=1)
+            for i in range(traj.n_components)
+        ],
+        axis=1,
+    )
+
+
 def smallest_bracket(triple, xi, eta):
     """min(<xi>_m, <eta>_n, <xi+eta>_o), the weight in the lower-bound probe."""
     m, n, o = triple

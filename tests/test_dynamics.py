@@ -748,7 +748,7 @@ def test_solvers_refuse_what_memory_cannot_hold(monkeypatch):
     # one 16 x 16 component: a state is 8 KiB, and so is a sample of evolve
     # or free_trajectory; a Picard level is the band of the kept half, the
     # 11 x 6 modes with |k| <= 5 on each axis and k >= 0 on the last, and a
-    # sweep adds 8 bands' worth and 3 whole complex grids
+    # sweep adds 8 bands' worth, 3 whole complex grids and the entry state
     lat = make_lattice(n=16)
     state = bump_state(lat, amp=0.1)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 2 * 8192)
@@ -758,7 +758,7 @@ def test_solvers_refuse_what_memory_cannot_hold(monkeypatch):
     with pytest.raises(MemoryError, match="3 samples"):
         free_trajectory(lat, state, (1.0,), np.arange(3) * 0.1)
     free_trajectory(lat, state, (1.0,), np.arange(2) * 0.1)
-    two_levels = (2 + 8) * (2 * 11 * 6 * 16) + 3 * 16 * 256
+    two_levels = (2 + 8) * (2 * 11 * 6 * 16) + 3 * 16 * 256 + 8192
     monkeypatch.setattr(grid, "_physical_memory", lambda: two_levels)
     with pytest.raises(MemoryError, match="3 levels"):
         picard_iterate(lat, state, scalar_system(), T=0.2, dt=0.1, iters=2)
