@@ -134,7 +134,8 @@ def _state_distance(root: np.ndarray, a: np.ndarray, b: np.ndarray, out) -> floa
 
 
 def _square_sum(a: np.ndarray) -> float:
-    """Squared norm of a real contiguous array, squared in place: a BLAS dot rounds by threads."""
+    """Squared norm of a real contiguous array, squared in place and summed by numpy:
+    a BLAS dot product splits a long vector across threads and rounds by their number."""
     return float(np.sum(np.square(a, out=a)))
 
 
