@@ -425,42 +425,59 @@ def _integer_box_bytes(dim: int) -> int:
     """Bytes per point of an integer box at the peak of ball_mode_set or cap_mode_set.
 
     Under tracemalloc, boxes of 6e4-5e7 points in dimensions 3-6 peaked at
-    16 * (dim + 1) bytes a point, to 0.2%, in cap_mode_set (the box, its
-    float copy and their squares) and below that in ball_mode_set; small
+    16 * (dim + 1) bytes a point, to 0.2%, while the mode sets were cut from
+    the whole box of points; cut by a mask on its axes, they take less. Small
     boxes add a fixed few tens of KiB.
     """
     return 16 * (dim + 1)
 
 
-def _integer_box(center: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Every integer point within `halfwidth` of `center` in the max norm.
-
-    The box and what its callers build from it are checked against physical
-    memory before they are allocated.
-    """
-    points = (2 * halfwidth + 1) ** len(center)
-    _require_memory(
-        _integer_box_bytes(len(center)) * points,
-        f"the {points} points of the integer mode box",
-    )
+def _box_cut(center, halfwidth: int, origin, keep, check: bool = True) -> np.ndarray:
+    """The integer points p within `halfwidth` of `center` in the max norm where
+    keep(|p - origin|^2) holds, in C order; the exact integer |p - origin|^2 is
+    summed on the box's broadcast axes. With check, the box is first checked
+    against physical memory."""
+    dim, points = len(center), (2 * halfwidth + 1) ** len(center)
+    if check:
+        _require_memory(
+            _integer_box_bytes(dim) * points, f"the {points} points of the integer mode box"
+        )
     axes = [
-        np.arange(int(c) - halfwidth, int(c) + halfwidth + 1) for c in center
+        np.arange(c - halfwidth, c + halfwidth + 1).reshape((-1,) + (1,) * (dim - 1 - d))
+        for d, c in enumerate(map(int, center))
     ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    mask = keep(sum((a - o) ** 2 for a, o in zip(axes, origin)))
+    return np.stack([a.ravel()[i] for a, i in zip(axes, np.nonzero(mask))], axis=1)
 
 
 def ball_mode_set(center, radius: float) -> np.ndarray:
     """Integer frequencies within Euclidean `radius` of the rounded center."""
     center = np.round(np.asarray(center, dtype=float)).astype(np.int64)
-    pts = _integer_box(center, int(math.ceil(radius)))
-    keep = np.sum((pts - center) ** 2, axis=1) <= radius * radius
-    return pts[keep]
+    return _box_cut(center, int(math.ceil(radius)), center, lambda sq: sq <= radius * radius)
 
 
 def _cap_halfwidth(transverse_radius: float, thickness: float) -> int:
     """Half the side of the integer box cap_mode_set cuts its cap from."""
     return int(math.ceil(transverse_radius + thickness / 2.0 + 1.5))
+
+
+def _cap_set(scale, pole, transverse_radius, thickness=2.0, check=False) -> np.ndarray:
+    """cap_mode_set, with its memory check only if check: the radial shell is cut
+    first, by the exact integer |p|^2 on the box's axes, and the axial and
+    transverse tests run on its points only."""
+    pole = np.asarray(pole, dtype=float)
+    pole = pole / np.linalg.norm(pole)
+    pts = _box_cut(
+        np.round(scale * pole),
+        _cap_halfwidth(transverse_radius, thickness),
+        np.zeros(len(pole), dtype=np.int64),
+        lambda sq: np.abs(np.sqrt(sq) - scale) <= thickness / 2.0,
+        check,
+    )
+    norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=1))
+    axial = pts.astype(float) @ pole
+    transverse = np.sqrt(np.maximum(norms**2 - axial**2, 0.0))
+    return pts[(transverse <= transverse_radius) & (axial > 0)]
 
 
 def cap_mode_set(
@@ -471,19 +488,7 @@ def cap_mode_set(
     Points lie within `thickness/2` of the sphere of the given scale and
     within `transverse_radius` of the axis through `pole` on the pole's side.
     """
-    pole = np.asarray(pole, dtype=float)
-    pole = pole / np.linalg.norm(pole)
-    center = scale * pole
-    pts = _integer_box(np.round(center), _cap_halfwidth(transverse_radius, thickness))
-    norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=1))
-    axial = pts.astype(float) @ pole
-    transverse = np.sqrt(np.maximum(norms**2 - axial**2, 0.0))
-    keep = (
-        (np.abs(norms - scale) <= thickness / 2.0)
-        & (transverse <= transverse_radius)
-        & (axial > 0)
-    )
-    return pts[keep]
+    return _cap_set(scale, pole, transverse_radius, thickness, check=True)
 
 
 # bytes per trial of a bilinear or trilinear case: its ratio, the record's
@@ -497,16 +502,25 @@ _OVERSAMPLE = 4.0
 # the nt from which Gauss-Legendre runs; below, bench/reference.json pins the trapezoid
 _GAUSS_FROM = 40
 # bytes per padded-box entry at the peak of _bilinear_space_time_l2 below and
-# from the gate: each side's complex64 pads and float32 |conv|^2 and the weight
-# (tracemalloc, 1e4 to 4e6 entries: 26-34 on one core, 46-56 split); then per
-# mode, its coordinates, flat index, brackets and phases, and a fixed part
+# from the gate: each side's two complex64 pads, |conv|^2 in the second, and the
+# weight (tracemalloc, 1e4-1.4e6 entries: 22-28 on one core, 38-48 split); then
+# per mode, its coordinates, flat index, brackets and phases, and a fixed part
 # (full cubes of modes, 9^3 to 17^3 a side: at most 42 a mode and 8 KiB)
-_BOX_BYTES = (35, 60)
+_BOX_BYTES = (30, 52)
 _BOX_MODE_BYTES = 64
 _BOX_FIXED_BYTES = 2**14
 # box entries from which the samples split across two cores: a 33^3 box took
 # 0.63-1.01x the one-core time, 31x19x31 0.61-0.73x, 5e3-1.6e4 entries 0.73-1.18x
 _SPLIT_ENTRIES = 2**14
+
+
+def _smooth_length(n: int) -> int:
+    """The least length >= n with no prime factor above 11: pocketfft has kernels for
+    those radices and takes 3-5x as long per point on a prime length. Such an m, and
+    no other, divides 2310^k (2310 = 2*3*5*7*11) once 2^k > m."""
+    while pow(2310, n.bit_length(), n):
+        n += 1
+    return n
 
 
 def _gauss_legendre(n: int, length: float):
@@ -531,19 +545,21 @@ def _bilinear_space_time_l2(
     Both waves have mass 1: mode k rotates at <k> = sqrt(1 + |k|^2).
 
     The product's Fourier coefficients at each time are an exact linear
-    convolution of the phased envelopes, computed by FFT on a padded joint
-    box; the output annulus weight is applied on the shifted frequencies. In
-    time the trapezoid rule takes nt samples, four per period of the phase
-    spread left after removing the mean rotation; from _GAUSS_FROM on, the
-    mass being entire and not periodic, nt // 2 + 4 Gauss-Legendre nodes do
-    as well or better. An nt above _MAX_TIME_SAMPLES raises ValueError, and
-    boxes larger than physical memory raise MemoryError before allocation.
+    convolution of the phased envelopes, computed by FFT on a joint box whose
+    sides are padded to _smooth_length(sa + sb - 1): no wrap-around and no
+    prime length. The output annulus weight is applied on the shifted
+    frequencies. In time the trapezoid rule takes nt samples, four per period
+    of the phase spread left after removing the mean rotation; from
+    _GAUSS_FROM on, the mass being entire and not periodic, nt // 2 + 4
+    Gauss-Legendre nodes do as well or better. An nt above _MAX_TIME_SAMPLES
+    raises ValueError, and boxes larger than physical memory raise
+    MemoryError before allocation.
 
     Every transform runs in complex64, and every one passes norm="ortho":
     with the default norm numpy hands pocketfft the integer factor 1, which
     selects its double-precision loop, so a complex64 np.fft.fftn computes
     in complex128 and casts back at about three times the cost. The unitary
-    transforms scale the convolution by 1/sqrt(prod(conv_shape)), undone on
+    transforms scale the convolution by 1/sqrt(size), the padded box's, undone on
     the total. The forward transforms are fftn's axis passes in its order, bit
     for bit, run in place (grid._axis_passes) on the lines that hold data only.
     From _SPLIT_ENTRIES box entries on, with two cores, a worker thread takes
@@ -572,7 +588,7 @@ def _bilinear_space_time_l2(
     local_b = modes_b - corner_b
     shape_a = tuple(int(x) for x in local_a.max(axis=0) + 1)
     shape_b = tuple(int(x) for x in local_b.max(axis=0) + 1)
-    conv_shape = tuple(sa + sb - 1 for sa, sb in zip(shape_a, shape_b))
+    conv_shape = tuple(_smooth_length(sa + sb - 1) for sa, sb in zip(shape_a, shape_b))
     size = math.prod(conv_shape)  # from the gate on as if split, whatever the cores
     need = _BOX_BYTES[size >= _SPLIT_ENTRIES] * size + _BOX_FIXED_BYTES
     need += _BOX_MODE_BYTES * (len(modes_a) + len(modes_b))
@@ -607,7 +623,8 @@ def _bilinear_space_time_l2(
         pad_a = np.zeros(conv_shape, dtype=np.complex64)
         pad_b = np.zeros(conv_shape, dtype=np.complex64)
         line_a, line_b = pad_a.reshape(-1), pad_b.reshape(-1)
-        power = np.empty(conv_shape, dtype=np.float32)
+        # |conv|^2 in pad_b's first `size` float32s, free once pad_a holds the product
+        power = line_b.view(np.float32)[:size].reshape(conv_shape)
         for j in js:
             pad_a[...] = pad_b[...] = 0
             line_a[flat_a] = (amps_a * np.exp(1j * times[j] * osc_a)).astype(np.complex64)
@@ -973,8 +990,8 @@ def verify_trilinear(
             pole = rng.standard_normal(dim)
             pole /= np.linalg.norm(pole)
             low_modes = _subsample(ball, _MAX_MODES, rng)
-            mate_modes = _subsample(cap_mode_set(float(mate), -pole, rho), _MAX_MODES, rng)
-            high_modes = _subsample(cap_mode_set(float(high), pole, rho), _MAX_MODES, rng)
+            mate_modes = _subsample(_cap_set(float(mate), -pole, rho), _MAX_MODES, rng)
+            high_modes = _subsample(_cap_set(float(high), pole, rho), _MAX_MODES, rng)
             if min(len(low_modes), len(mate_modes), len(high_modes)) == 0:
                 continue
 
@@ -989,6 +1006,8 @@ def verify_trilinear(
             br_low, br_mate, br_high = (
                 bracket(1.0, modes) for modes in (low_modes, mate_modes, high_modes)
             )
+            # e^{i omega T} of a match is the product of its modes' rotations
+            turns = [np.exp(1j * horizon * br) for br in (br_low, br_mate, -br_high)]
             total = 0.0
             matches = _match_interactions(low_modes, mate_modes, high_modes)
             for i_low, i_mate, third in matches:
@@ -996,7 +1015,7 @@ def verify_trilinear(
                 phase = np.where(
                     np.abs(omega) < 1e-12,
                     horizon,
-                    (np.exp(1j * omega * horizon) - 1.0)
+                    (turns[0][i_low] * turns[1][i_mate] * turns[2][third] - 1.0)
                     / (1j * np.where(omega == 0, 1.0, omega)),
                 )
                 total += np.sum(

@@ -19,7 +19,8 @@ Hann window's leak is judged against.  smallest_bracket is the weight of the
 lower-bound probe; direct_unrotated_from_rest, complex_gram_table and
 full_grid_xs_proxy_norm are the variation layer written as it was with one
 phase per grid point, a complex Gram product and every block on the whole
-grid.
+grid.  whole_box_cap_mode_set is cap_mode_set as it was, every test on
+every point of the integer box.
 """
 
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from halfwave import dynamics
+from halfwave import dynamics, harness
 from halfwave.grid import FrequencyLattice, SpectralField, dyadic_scales, lp_weights
 from halfwave.system import MassSystem, Monomial, bracket
 from halfwave.variation import modulation_weights
@@ -102,6 +103,25 @@ def smallest_bracket(triple, xi, eta):
     m, n, o = triple
     xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
     return np.minimum(np.minimum(bracket(m, xi), bracket(n, eta)), bracket(o, xi + eta))
+
+
+def whole_box_cap_mode_set(scale, pole, transverse_radius, thickness=2.0):
+    """harness.cap_mode_set as it was: norms, axial and transverse parts of every
+    point of the integer box, then the three tests at once."""
+    pole = np.asarray(pole, dtype=float)
+    pole = pole / np.linalg.norm(pole)
+    halfwidth = harness._cap_halfwidth(transverse_radius, thickness)
+    axes = [np.arange(int(c) - halfwidth, int(c) + halfwidth + 1) for c in np.round(scale * pole)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=1))
+    axial = pts.astype(float) @ pole
+    transverse = np.sqrt(np.maximum(norms**2 - axial**2, 0.0))
+    keep = (
+        (np.abs(norms - scale) <= thickness / 2.0)
+        & (transverse <= transverse_radius)
+        & (axial > 0)
+    )
+    return pts[keep]
 
 
 def direct_unrotated_from_rest(traj, component, sign) -> np.ndarray:

@@ -16,11 +16,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from conftest import loop_frequency_pairs, smallest_bracket
+from conftest import loop_frequency_pairs, smallest_bracket, whole_box_cap_mode_set
 from halfwave import grid, harness
 from halfwave.grid import _axis_passes, annulus_profile
 from halfwave.harness import (
@@ -402,6 +402,35 @@ def test_cap_mode_set_can_be_empty():
     assert len(pts) == 0
 
 
+@st.composite
+def caps(draw):
+    """A cap in dimension 2-5 of integer scale 4-256, or one float step either side
+    of it, which puts lattice points of integer norm exactly one step outside the
+    shell of thickness 2; thickness 2 or scale / 16, a random pole, and a
+    transverse radius up to the scale, where the box reaches points on the far
+    side of the origin, that keeps the box within 1e5 points."""
+    dim = draw(st.integers(2, 5))
+    scale = float(draw(st.integers(4, 256)))
+    scale = float(np.nextafter(scale, scale + draw(st.sampled_from([-1, 0, 1]))))
+    thickness = draw(st.sampled_from([2.0, scale / 16]))
+    pole = draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim))
+    assume(np.linalg.norm(pole) > 0.1)
+    halfwidth = (int(1e5 ** (1 / dim)) - 1) // 2
+    top = min(scale, halfwidth - thickness / 2 - 1.5)
+    assume(top >= 0.5)
+    return scale, pole, draw(st.floats(0.5, top)), thickness
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(caps())
+def test_cap_mode_set_equals_the_whole_box_oracle(case):
+    # the shell is cut first, on the box's integer |p|^2; the same points in
+    # the same order must remain
+    expected = whole_box_cap_mode_set(*case)
+    got = cap_mode_set(*case)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
 def test_mode_boxes_refuse_boxes_larger_than_memory(monkeypatch):
     # a ball of radius 2 in dimension 3 is cut from the 5^3 box, 125 points
     # at 64 bytes each; the cap of transverse radius 4 from the 15^3 box
@@ -521,7 +550,8 @@ def test_pruned_fftn_is_the_unitary_fftn(case):
 
 def reference_space_time_l2(modes_a, amps_a, omega_a, modes_b, amps_b, omega_b,
                             output_scale, horizon, fine=False):
-    """The product's space-time mass in complex128 over the whole padded box.
+    """The product's space-time mass in complex128 over the whole unpadded
+    convolution box, (sa + sb - 1) a side.
 
     In time, the trapezoid rule on the kernel's nt samples or, if fine,
     numpy's Gauss-Legendre rule with nt + 40 nodes."""
@@ -572,6 +602,46 @@ def test_bilinear_product_matches_a_double_precision_reference(separated):
     assert expected > 0
     value = _bilinear_space_time_l2(modes_a, amps_a, modes_b, amps_b, output, horizon)
     assert value == pytest.approx(expected, rel=1e-5, abs=0.0)
+
+
+def test_a_prime_sided_matched_box_is_padded_to_a_smooth_one(monkeypatch):
+    # antipodal caps at 32 through the annulus at 8, like the campaign's
+    # matched case: unpadded, the box is 17 x 31 x 31, every side prime, and
+    # the kernel pads it to 18 x 32 x 32; the reference runs unpadded
+    pole = np.array([3.0, 1.0, 1.0]) / math.sqrt(11.0)
+    modes_a, modes_b = cap_mode_set(32.0, pole, 8.0), cap_mode_set(32.0, -pole, 8.0)
+    rng = np.random.default_rng(5)
+    amps_a = rng.uniform(0.5, 1.0, len(modes_a))
+    amps_b = rng.uniform(0.5, 1.0, len(modes_b))
+    shapes, zeros = [], np.zeros
+
+    def recorded(shape, *args, **kwargs):
+        shapes.append(tuple(shape))
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recorded)
+    value = _bilinear_space_time_l2(modes_a, amps_a, modes_b, amps_b, 8.0, 6.0)
+    monkeypatch.undo()
+    assert set(shapes) == {(18, 32, 32)}
+    expected = reference_space_time_l2(modes_a, amps_a, bracket(1.0, modes_a),
+                                       modes_b, amps_b, bracket(1.0, modes_b),
+                                       8.0, 6.0)
+    assert value == pytest.approx(expected, rel=1e-5, abs=0.0)
+
+
+def is_11_smooth(m):
+    for p in (2, 3, 5, 7, 11):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(1, 5000))
+def test_smooth_length_is_the_least_11_smooth_length(n):
+    m = harness._smooth_length(n)
+    assert m >= n and is_11_smooth(m)
+    assert not any(is_11_smooth(k) for k in range(n, m))
 
 
 def gauss_rules(monkeypatch):
@@ -673,8 +743,8 @@ def test_bilinear_never_takes_the_double_precision_fftn(monkeypatch):
 
 def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
     # both factors are balls of radius 1.2: seven modes in a 3^3 box, so the
-    # padded box holds 5^3 entries at 35 bytes each, and the 14 modes take 64
-    # bytes each on top of a fixed 16 KiB: 21655 bytes in all. The integer
+    # padded box holds 5^3 entries at 30 bytes each, and the 14 modes take 64
+    # bytes each on top of a fixed 16 KiB: 21030 bytes in all. The integer
     # boxes the balls are cut from are larger, so their own check
     # (test_mode_boxes_refuse_boxes_larger_than_memory) is switched off
     def no_fft(*args, **kwargs):
@@ -682,12 +752,12 @@ def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
 
     fft = np.fft.fft
     monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 21654)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 21029)
     monkeypatch.setattr(np.fft, "fft", no_fft)
     with pytest.raises(MemoryError, match="bilinear padded boxes"):
         verify_bilinear(3, 4, 16, 16, trials=1, seed=0)
     monkeypatch.setattr(np.fft, "fft", fft)
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 21655)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 21030)
     assert verify_bilinear(3, 4, 16, 16, trials=1, seed=0).ratios[0] > 0
 
 
@@ -700,7 +770,7 @@ def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
 # the time integral takes 24 Gauss-Legendre nodes
 SPLIT_CASE = (3, 32, 256, 256)
 # the matched case at scale 32, on the trapezoid's 17 samples; at seed 0 its
-# second trial pads to 19,251 entries, above the gate
+# second trial pads 31 x 23 x 27 to 32 x 24 x 27, 20,736 entries, above the gate
 MATCHED_SPLIT_CASE = (3, 32, 32, 8)
 
 
@@ -830,9 +900,9 @@ def full_cube(n, corner):
 
 @pytest.mark.parametrize("n", [1, 2], ids=["one-core", "split"])
 def test_bilinear_memory_estimate_covers_mode_dense_boxes(monkeypatch, n):
-    # two full cubes of modes pad to (2 side - 1)^3 entries, 0.27 modes an
-    # entry, from below the gate (17^3, 25^3) to above it (29^3, 33^3); the
-    # separated case at low scale 16 pads two 9^3 balls to 17^3
+    # two full cubes of modes pad 2 side - 1 to 18, 21, 25, 30 and 33 a side,
+    # 0.2-0.27 modes an entry, from below the gate (18^3, 25^3) to above it
+    # (30^3, 33^3); the separated case at low scale 16 pads two 9^3 balls to 18^3
     cores(monkeypatch, n)
     verify_bilinear(*SPLIT_CASE, trials=1, seed=0)  # the first split imports its pool
     estimates, peaks = [], []
@@ -1250,7 +1320,7 @@ def dense_interactions(monkeypatch, side=10):
     mate, high = full_cube(side, 40), -full_cube(side + 4, 38)
     monkeypatch.setattr(harness, "_MAX_MODES", len(high))
     monkeypatch.setattr(
-        harness, "cap_mode_set", lambda scale, pole, rho: mate if scale == 32 else high
+        harness, "_cap_set", lambda scale, pole, rho: mate if scale == 32 else high
     )
     return 64, 32, 2
 
@@ -1367,14 +1437,14 @@ def test_verify_trilinear_checks_one_estimate_first(monkeypatch):
 
 @pytest.mark.parametrize("trials", [1, 2, 8])
 def test_verify_trilinear_reads_physical_memory_once(monkeypatch, trials):
-    # besides the reads of _integer_box, which checks the shared ball's box and
-    # each trial's two caps' boxes on its own
-    reads, boxes = [], []
-    physical, box = grid._physical_memory, harness._integer_box
+    # once for the one estimate and once for the shared ball, which
+    # ball_mode_set checks itself; the trials cut their caps unchecked, since
+    # the estimate covers their boxes
+    reads = []
+    physical = grid._physical_memory
     monkeypatch.setattr(grid, "_physical_memory", lambda: reads.append(1) or physical())
-    monkeypatch.setattr(harness, "_integer_box", lambda *a: boxes.append(1) or box(*a))
     verify_trilinear(16, 16, 2, trials=trials, seed=0)
-    assert len(boxes) == 1 + 2 * trials and len(reads) == 1 + len(boxes)
+    assert len(reads) == 2
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
