@@ -426,8 +426,8 @@ def _integer_box_bytes(dim: int) -> int:
 
     Under tracemalloc, boxes of 6e4-5e7 points in dimensions 3-6 peaked at
     16 * (dim + 1) bytes a point, to 0.2%, while the mode sets were cut from
-    the whole box of points; cut by a mask on its axes, they take less. Small
-    boxes add a fixed few tens of KiB.
+    the whole box of points; cut by a mask on its axes, 39^3 to 135^3 and 39^4
+    boxes peak at 18-26. Small boxes add a fixed few tens of KiB.
     """
     return 16 * (dim + 1)
 

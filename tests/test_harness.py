@@ -404,11 +404,12 @@ def test_cap_mode_set_can_be_empty():
 
 @st.composite
 def caps(draw):
-    """A cap in dimension 2-5 of integer scale 4-256, or one float step either side
-    of it, which puts lattice points of integer norm exactly one step outside the
-    shell of thickness 2; thickness 2 or scale / 16, a random pole, and a
-    transverse radius up to the scale, where the box reaches points on the far
-    side of the origin, that keeps the box within 1e5 points."""
+    """A cap in dimension 2-5 and its box of at most 1e5 points.
+
+    The scale is an integer 4-256 or one float step either side of one, which
+    puts lattice points of integer norm one step outside a shell of thickness
+    2; the thickness is 2 or scale / 16, the pole random, and the transverse
+    radius goes up to the scale, where the box reaches past the origin."""
     dim = draw(st.integers(2, 5))
     scale = float(draw(st.integers(4, 256)))
     scale = float(np.nextafter(scale, scale + draw(st.sampled_from([-1, 0, 1]))))
@@ -901,7 +902,7 @@ def full_cube(n, corner):
 @pytest.mark.parametrize("n", [1, 2], ids=["one-core", "split"])
 def test_bilinear_memory_estimate_covers_mode_dense_boxes(monkeypatch, n):
     # two full cubes of modes pad 2 side - 1 to 18, 21, 25, 30 and 33 a side,
-    # 0.2-0.27 modes an entry, from below the gate (18^3, 25^3) to above it
+    # 0.25-0.29 modes an entry, from below the gate (18^3, 25^3) to above it
     # (30^3, 33^3); the separated case at low scale 16 pads two 9^3 balls to 18^3
     cores(monkeypatch, n)
     verify_bilinear(*SPLIT_CASE, trials=1, seed=0)  # the first split imports its pool
