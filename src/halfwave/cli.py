@@ -306,9 +306,9 @@ def load_trajectory(path) -> StoredTrajectory:
                 read = npy.read_array_header_1_0 if first else npy.read_array_header_2_0
                 shape, fortran_order, dtype = read(member)
                 offset = member.tell()
-            # a path from rest, as much again for its phases or LP blocks, 3 tables, 2 samples
+            # a path from rest, as much again for its phases or LP blocks, a table, 2 samples
             n, sample = shape[0] + 1, math.prod(shape[1:]) * dtype.itemsize
-            need = 32 * n * math.prod(shape[3:]) + 24 * n * n + 2 * sample
+            need = 32 * n * math.prod(shape[3:]) + 8 * n * n + 2 * sample
             _require_memory(need, f"the unrotated paths of {path}")
             stored = {key: data[key] for key in _TRAJECTORY_KEYS if key != "halves"}
         if dtype.kind != "c" or fortran_order:

@@ -421,27 +421,19 @@ def shell_intersection_volume(
 # bilinear free-wave products on mode sets
 
 
-def _integer_box_bytes(dim: int) -> int:
-    """Bytes per point of an integer box at the peak of ball_mode_set or cap_mode_set.
-
-    Under tracemalloc, boxes of 6e4-5e7 points in dimensions 3-6 peaked at
-    16 * (dim + 1) bytes a point, to 0.2%, while the mode sets were cut from
-    the whole box of points; cut by a mask on its axes, 39^3 to 135^3 and 39^4
-    boxes peak at 18-26. Small boxes add a fixed few tens of KiB.
-    """
-    return 16 * (dim + 1)
+# bytes per point of the integer box that ball_mode_set or cap_mode_set cuts from, and a
+# fixed part, for their callers' checks: under tracemalloc, balls and caps whose shell is
+# thin against the box peaked at 24-25.7 a point on 3,375 to 2.5e6 points (dims 3-5) and
+# at 15 KiB on 125; a shell that fills most of its box keeps its points, up to 60 a point
+_MODE_BOX_BYTES = 26
+_MODE_BOX_FIXED_BYTES = 2**14
 
 
-def _box_cut(center, halfwidth: int, origin, keep, check: bool = True) -> np.ndarray:
+def _box_cut(center, halfwidth: int, origin, keep) -> np.ndarray:
     """The integer points p within `halfwidth` of `center` in the max norm where
     keep(|p - origin|^2) holds, in C order; the exact integer |p - origin|^2 is
-    summed on the box's broadcast axes. With check, the box is first checked
-    against physical memory."""
-    dim, points = len(center), (2 * halfwidth + 1) ** len(center)
-    if check:
-        _require_memory(
-            _integer_box_bytes(dim) * points, f"the {points} points of the integer mode box"
-        )
+    summed on the box's broadcast axes."""
+    dim = len(center)
     axes = [
         np.arange(c - halfwidth, c + halfwidth + 1).reshape((-1,) + (1,) * (dim - 1 - d))
         for d, c in enumerate(map(int, center))
@@ -461,25 +453,6 @@ def _cap_halfwidth(transverse_radius: float, thickness: float) -> int:
     return int(math.ceil(transverse_radius + thickness / 2.0 + 1.5))
 
 
-def _cap_set(scale, pole, transverse_radius, thickness=2.0, check=False) -> np.ndarray:
-    """cap_mode_set, with its memory check only if check: the radial shell is cut
-    first, by the exact integer |p|^2 on the box's axes, and the axial and
-    transverse tests run on its points only."""
-    pole = np.asarray(pole, dtype=float)
-    pole = pole / np.linalg.norm(pole)
-    pts = _box_cut(
-        np.round(scale * pole),
-        _cap_halfwidth(transverse_radius, thickness),
-        np.zeros(len(pole), dtype=np.int64),
-        lambda sq: np.abs(np.sqrt(sq) - scale) <= thickness / 2.0,
-        check,
-    )
-    norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=1))
-    axial = pts.astype(float) @ pole
-    transverse = np.sqrt(np.maximum(norms**2 - axial**2, 0.0))
-    return pts[(transverse <= transverse_radius) & (axial > 0)]
-
-
 def cap_mode_set(
     scale: float, pole: np.ndarray, transverse_radius: float, thickness: float = 2.0
 ) -> np.ndarray:
@@ -487,8 +460,21 @@ def cap_mode_set(
 
     Points lie within `thickness/2` of the sphere of the given scale and
     within `transverse_radius` of the axis through `pole` on the pole's side.
+    The radial shell is cut first, by the exact integer |p|^2 on the box's
+    axes, and the axial and transverse tests run on its points only.
     """
-    return _cap_set(scale, pole, transverse_radius, thickness, check=True)
+    pole = np.asarray(pole, dtype=float)
+    pole = pole / np.linalg.norm(pole)
+    pts = _box_cut(
+        np.round(scale * pole),
+        _cap_halfwidth(transverse_radius, thickness),
+        np.zeros(len(pole), dtype=np.int64),
+        lambda sq: np.abs(np.sqrt(sq) - scale) <= thickness / 2.0,
+    )
+    norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=1))
+    axial = pts.astype(float) @ pole
+    transverse = np.sqrt(np.maximum(norms**2 - axial**2, 0.0))
+    return pts[(transverse <= transverse_radius) & (axial > 0)]
 
 
 # bytes per trial of a bilinear or trilinear case: its ratio, the record's
@@ -669,6 +655,10 @@ def verify_bilinear(
     common phase matters: it realizes the concentrated wave packets that
     saturate the estimate, which uniformly random phases destroy by
     square-root cancellation, leaving nothing to measure sharpness against.
+
+    The two integer mode boxes are checked against physical memory, from the
+    arguments, before the first trial; _bilinear_space_time_l2 checks each
+    trial's padded box, which its geometry sets.
     """
     low = DyadicIndex(low_scale)
     high = DyadicIndex(high_scale)
@@ -687,22 +677,26 @@ def verify_bilinear(
         bound = m ** ((dim - 1) / 2.0)
         bound_text = "low^((n-1)/2) * |phi|_2 * |psi|_2"
         horizon = 2.0
+        radius = max(m / 4.0, 1.2)
     else:
         bound = math.sqrt(big) * rho ** ((dim - 2) / 2.0)
         bound_text = "high^(1/2) * output^((n-2)/2) * |phi|_2 * |psi|_2"
         horizon = 6.0
+        # radial thickness tracks the caps' curvature depth rho^2 / high,
+        # keeping the family self-similar across the sweep
+        thickness = max(2.0, big / 16.0)
+    half = math.ceil(radius) if separated else _cap_halfwidth(rho, thickness)
+    # in floats, so that a huge dim overflows at once
+    box = _MODE_BOX_BYTES * float(2 * half + 1) ** dim + _MODE_BOX_FIXED_BYTES
+    _require_memory(2 * box, "the two integer mode boxes")
     records = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         if separated:
-            radius = max(m / 4.0, 1.2)
             dir_a, dir_b = _orthonormal_pair(dim, rng)
             modes_a = ball_mode_set(m * dir_a, radius)
             modes_b = ball_mode_set(big * dir_b, radius)
         else:
-            # radial thickness tracks the caps' curvature depth rho^2 / high,
-            # keeping the family self-similar across the sweep
-            thickness = max(2.0, big / 16.0)
             pole = rng.standard_normal(dim)
             pole /= np.linalg.norm(pole)
             modes_a = cap_mode_set(big, pole, rho, thickness)
@@ -976,7 +970,7 @@ def verify_trilinear(
     hb, hc = math.ceil(radius), _cap_halfwidth(rho, 2.0)
     points = float(2 * hb + 1) ** dim + float(2 * hc + 1) ** dim
     table = float(abs(high - mate) + 2 * (hb + hc) + 2) ** dim
-    per_trial = _integer_box_bytes(dim) * points + _TABLE_BYTES * table
+    per_trial = _MODE_BOX_BYTES * points + 2 * _MODE_BOX_FIXED_BYTES + _TABLE_BYTES * table
     need = _TRIAL_BYTES * trials + min(trials, 2) * (per_trial + _PAIR_BYTES * _BLOCK_PAIRS)
     _require_memory(need, f"{trials} trilinear trials, their mode boxes and code tables")
     ratios = [0.0] * trials
@@ -990,8 +984,8 @@ def verify_trilinear(
             pole = rng.standard_normal(dim)
             pole /= np.linalg.norm(pole)
             low_modes = _subsample(ball, _MAX_MODES, rng)
-            mate_modes = _subsample(_cap_set(float(mate), -pole, rho), _MAX_MODES, rng)
-            high_modes = _subsample(_cap_set(float(high), pole, rho), _MAX_MODES, rng)
+            mate_modes = _subsample(cap_mode_set(float(mate), -pole, rho), _MAX_MODES, rng)
+            high_modes = _subsample(cap_mode_set(float(high), pole, rho), _MAX_MODES, rng)
             if min(len(low_modes), len(mate_modes), len(high_modes)) == 0:
                 continue
 

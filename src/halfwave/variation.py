@@ -27,21 +27,24 @@ def increment_table(values, weight: float = 1.0) -> np.ndarray:
     quadratic number of array differences. Complex samples are read as real
     vectors of their real and imaginary parts, since Re<a, b> is the real
     inner product of those vectors, so the Gram matrix is one real symmetric
-    product F F^T.
+    product F F^T, which becomes the table of distances in place, row by row.
     """
     vals = np.asarray(values)
     k = vals.shape[0]
-    flat = np.ascontiguousarray(vals.reshape(k, -1))
+    flat = np.ascontiguousarray(vals.reshape(k, -1), dtype=np.result_type(vals, 1.0))
     if flat.shape[1] == 1:
         column = flat[:, 0]
-        dist = np.abs(column[None, :] - column[:, None])
+        table = np.abs(column[None, :] - column[:, None])
     else:
         if np.iscomplexobj(flat):
             flat = flat.view(flat.real.dtype)
         sq = np.einsum("ij,ij->i", flat, flat)
-        d2 = sq[None, :] + sq[:, None] - 2.0 * (flat @ flat.T)
-        dist = np.sqrt(np.clip(d2, 0.0, None))
-    return weight * dist
+        table = flat @ flat.T
+        table *= 2.0
+        for i, row in enumerate(table):
+            np.subtract(sq + sq[i], row, out=row)
+        np.sqrt(np.maximum(table, 0.0, out=table), out=table)
+    return np.multiply(table, weight, out=table)
 
 
 def p_variation(values, p: float, weight: float = 1.0) -> float:
@@ -59,7 +62,8 @@ def p_variation(values, p: float, weight: float = 1.0) -> float:
         raise ValueError("need at least two samples")
     if not weight > 0:
         raise ValueError("weight must be positive")
-    powered = increment_table(values, weight) ** p
+    powered = increment_table(values, weight)
+    powered **= p
     best = np.zeros(powered.shape[0])
     for j in range(1, best.size):
         best[j] = np.max(best[:j] + powered[:j, j])

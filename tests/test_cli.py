@@ -896,9 +896,9 @@ def test_load_trajectory_rejects_non_archive(tmp_path):
 def test_variation_refuses_a_trajectory_larger_than_memory(tmp_path, capsys, monkeypatch):
     # the estimate comes from the .npy header of halves, before any data is
     # read: for 41 samples on a 1D grid of 1024 points, a path from rest of
-    # 42 rows and as much again (1,376,256 bytes), three 42 x 42 tables
-    # (42,336) and two samples (65,536)
-    need = 32 * 42 * 1024 + 24 * 42**2 + 2 * 16 * 2 * 1024
+    # 42 rows and as much again (1,376,256 bytes), one 42 x 42 table (14,112)
+    # and two samples (65,536)
+    need = 32 * 42 * 1024 + 8 * 42**2 + 2 * 16 * 2 * 1024
     store = write_trajectory_file(
         tmp_path / "ok.npz", times=0.5 * np.arange(41),
         halves=np.zeros((41, 1, 2, 1024), complex), points_per_axis=np.array(1024),
@@ -1377,8 +1377,9 @@ def test_verify_bilinear_command_small(tmp_path):
 
 def test_verify_bilinear_refuses_boxes_larger_than_memory(tmp_path, capsys, monkeypatch):
     # the integer mode boxes are refused on their own in
-    # test_verify_trilinear_refuses_mode_boxes_larger_than_memory
-    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
+    # test_verify_bilinear_refuses_mode_boxes_larger_than_memory
+    for name in ("_MODE_BOX_BYTES", "_MODE_BOX_FIXED_BYTES"):
+        monkeypatch.setattr(harness, name, 0)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 1024)
     cfg = write_config(
         tmp_path,
@@ -1389,6 +1390,32 @@ def test_verify_bilinear_refuses_boxes_larger_than_memory(tmp_path, capsys, monk
     assert main(["verify-bilinear", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "bilinear padded boxes" in err and err.rstrip().endswith("out of memory")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, scale, side", [("separated", 4, 5), ("matched", 16, 15)], ids=["separated", "matched"]
+)
+def test_verify_bilinear_refuses_mode_boxes_larger_than_memory(
+    mode, scale, side, tmp_path, capsys, monkeypatch
+):
+    # scale 4 against 16 cuts balls from 5^3 boxes, scale 16 caps from 15^3
+    # boxes; one byte short of the two boxes, none is cut and nothing is written
+    def refuse(*args, **kwargs):
+        raise AssertionError("a box was cut")
+
+    need = 2 * (harness._MODE_BOX_BYTES * side**3 + harness._MODE_BOX_FIXED_BYTES)
+    monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(harness, "_box_cut", refuse)
+    cfg = write_config(
+        tmp_path,
+        f"[run]\ndim = 3\nseed = 0\nmode = {mode}\ntrials = 1\n"
+        f"high_scale = 16\n[sweep]\nscales = {scale}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["verify-bilinear", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "two integer mode boxes" in err and err.rstrip().endswith("out of memory")
     assert not out.exists()
 
 
@@ -1415,7 +1442,8 @@ def test_verify_trilinear_refuses_tables_larger_than_memory(tmp_path, capsys, mo
     def refuse(*args, **kwargs):
         raise AssertionError("a mode set or the code table was built")
 
-    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
+    for name in ("_MODE_BOX_BYTES", "_MODE_BOX_FIXED_BYTES"):
+        monkeypatch.setattr(harness, name, 0)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 1024)
     monkeypatch.setattr(harness, "ball_mode_set", refuse)
     monkeypatch.setattr(np, "full", refuse)
@@ -1434,13 +1462,13 @@ def test_verify_trilinear_refuses_tables_larger_than_memory(tmp_path, capsys, mo
 def test_verify_trilinear_refuses_mode_boxes_larger_than_memory(
     tmp_path, capsys, monkeypatch
 ):
-    # in dimension 5 at high scale 64 each cap is cut from a 39^5 box, 8.7 GB
-    # at 96 bytes a point; no box is built, not even the low ball's 5^5
+    # in dimension 5 at high scale 64 each cap is cut from a 39^5 box, 2.3 GB
+    # at 26 bytes a point; no box is cut, not even the low ball's 5^5
     def refuse(*args, **kwargs):
-        raise AssertionError("a box was built")
+        raise AssertionError("a box was cut")
 
     monkeypatch.setattr(grid, "_physical_memory", lambda: 2**30)
-    monkeypatch.setattr(np, "meshgrid", refuse)
+    monkeypatch.setattr(harness, "_box_cut", refuse)
     cfg = write_config(
         tmp_path,
         "[run]\ndim = 5\nseed = 0\nhigh_scale = 64\ntrials = 1\n"

@@ -433,34 +433,56 @@ def test_cap_mode_set_equals_the_whole_box_oracle(case):
 
 
 def test_mode_boxes_refuse_boxes_larger_than_memory(monkeypatch):
-    # a ball of radius 2 in dimension 3 is cut from the 5^3 box, 125 points
-    # at 64 bytes each; the cap of transverse radius 4 from the 15^3 box
-    need = 125 * harness._integer_box_bytes(3)
+    # verify_bilinear checks its two integer mode boxes once, from its
+    # arguments, before it cuts either: balls of radius 1.2 from 5^3 boxes in
+    # the separated case, caps of transverse radius 4 and thickness 2 from
+    # 15^3 boxes in the matched one
+    def no_box(*args):
+        raise AssertionError("a box was cut")
 
-    def no_meshgrid(*args, **kwargs):
-        raise AssertionError("the box was allocated")
-
-    monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
-    monkeypatch.setattr(np, "meshgrid", no_meshgrid)
-    with pytest.raises(MemoryError, match="125 points of the integer mode box"):
-        ball_mode_set(np.zeros(3), 2.0)
-    with pytest.raises(MemoryError, match="3375 points"):
-        cap_mode_set(16.0, np.array([1.0, 0.0, 0.0]), 4.0)
-    monkeypatch.undo()
-    monkeypatch.setattr(grid, "_physical_memory", lambda: need)
-    assert len(ball_mode_set(np.zeros(3), 2.0)) == 33
+    box_cut = harness._box_cut
+    for scales, side in (((4, 16, 16), 5), ((16, 16, 4), 15)):
+        need = 2 * (harness._MODE_BOX_BYTES * side**3 + harness._MODE_BOX_FIXED_BYTES)
+        monkeypatch.setattr(harness, "_box_cut", no_box)
+        monkeypatch.setattr(grid, "_physical_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="the two integer mode boxes"):
+                verify_bilinear(3, *scales, trials=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        monkeypatch.setattr(harness, "_box_cut", box_cut)
+        monkeypatch.setattr(grid, "_physical_memory", lambda: need)
+        assert min(verify_bilinear(3, *scales, trials=2, seed=0).ratios) > 0
 
 
 def test_mode_box_estimate_covers_the_peak():
-    # a cap cut from the 39^3 box: the estimate holds to 0.2% at this size
-    pole = np.array([1.0, 2.0, 2.0]) / 3.0
-    tracemalloc.start()
-    try:
-        cap_mode_set(64.0, pole, 16.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.05 * 39**3 * harness._integer_box_bytes(3)
+    # balls and caps as the verify commands draw them, on boxes of 5^3 to
+    # 2.5e6 points in dimensions 3-5: the caps of verify_trilinear (thickness
+    # 2) and of the matched sweep (output a quarter of the scale, thickness
+    # scale / 16), each box at the constant and its fixed part
+    rng = np.random.default_rng(0)
+    for dim, halfwidth, build in [
+        (3, 2, lambda pole: ball_mode_set(np.zeros(3), 1.2)),
+        (3, 67, lambda pole: ball_mode_set(np.zeros(3), 67.0)),
+        (3, 19, lambda pole: cap_mode_set(64.0, pole, 16.0)),
+        (3, 38, lambda pole: cap_mode_set(128.0, pole, 32.0, 8.0)),
+        (4, 19, lambda pole: ball_mode_set(9.0 * pole, 19.0)),
+        (4, 11, lambda pole: cap_mode_set(32.0, pole, 8.0)),
+        (5, 9, lambda pole: ball_mode_set(np.zeros(5), 9.0)),
+        (5, 7, lambda pole: cap_mode_set(16.0, pole, 4.0)),
+    ]:
+        pole = rng.standard_normal(dim)
+        tracemalloc.start()
+        try:
+            build(pole)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points = (2 * halfwidth + 1) ** dim
+        assert peak <= harness._MODE_BOX_BYTES * points + harness._MODE_BOX_FIXED_BYTES
 
 
 # ----------------------------------------------------------------------
@@ -752,7 +774,8 @@ def test_bilinear_refuses_boxes_larger_than_memory(monkeypatch):
         raise AssertionError("an FFT ran")
 
     fft = np.fft.fft
-    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
+    for name in ("_MODE_BOX_BYTES", "_MODE_BOX_FIXED_BYTES"):
+        monkeypatch.setattr(harness, name, 0)
     monkeypatch.setattr(grid, "_physical_memory", lambda: 21029)
     monkeypatch.setattr(np.fft, "fft", no_fft)
     with pytest.raises(MemoryError, match="bilinear padded boxes"):
@@ -1144,9 +1167,8 @@ def test_match_interactions_refuses_tables_larger_than_memory(monkeypatch):
     # each of the (0 + 2 (8 + 19) + 2)^3 entries of a trial's bound, and the
     # table each trial builds fits in its share
     need = 2 * harness._TABLE_BYTES * 56**3
-    for name in ("_TRIAL_BYTES", "_PAIR_BYTES"):
+    for name in ("_TRIAL_BYTES", "_PAIR_BYTES", "_MODE_BOX_BYTES", "_MODE_BOX_FIXED_BYTES"):
         monkeypatch.setattr(harness, name, 0)
-    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
     cores(monkeypatch, 1)
     sizes, full = [], np.full
 
@@ -1174,9 +1196,8 @@ def test_match_interactions_refuses_matches_larger_than_memory(monkeypatch):
     # each of _BLOCK_PAIRS pairs, and no block the matcher yields holds more
     case = dense_interactions(monkeypatch)
     cores(monkeypatch, 1)
-    for name in ("_TRIAL_BYTES", "_TABLE_BYTES"):
+    for name in ("_TRIAL_BYTES", "_TABLE_BYTES", "_MODE_BOX_BYTES", "_MODE_BOX_FIXED_BYTES"):
         monkeypatch.setattr(harness, name, 0)
-    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
     blocks, match = [], harness._match_interactions
 
     def recorded(*args):
@@ -1321,7 +1342,7 @@ def dense_interactions(monkeypatch, side=10):
     mate, high = full_cube(side, 40), -full_cube(side + 4, 38)
     monkeypatch.setattr(harness, "_MAX_MODES", len(high))
     monkeypatch.setattr(
-        harness, "_cap_set", lambda scale, pole, rho: mate if scale == 32 else high
+        harness, "cap_mode_set", lambda scale, pole, rho: mate if scale == 32 else high
     )
     return 64, 32, 2
 
@@ -1386,7 +1407,8 @@ def test_trilinear_match_estimate_covers_a_trials_peak(monkeypatch, rows, trials
     case = dense_interactions(monkeypatch, side=22)
     if rows:
         monkeypatch.setattr(harness, "_BLOCK_PAIRS", rows * 22**3)
-    monkeypatch.setattr(harness, "_integer_box_bytes", lambda dim: 0)
+    for name in ("_MODE_BOX_BYTES", "_MODE_BOX_FIXED_BYTES"):
+        monkeypatch.setattr(harness, name, 0)
     estimates, peaks = recorded_estimates(monkeypatch), []
     match = harness._match_interactions
 
@@ -1408,9 +1430,11 @@ def test_trilinear_match_estimate_covers_a_trials_peak(monkeypatch, rows, trials
 
 def test_verify_trilinear_checks_one_estimate_first(monkeypatch):
     # two trials of the campaign's largest case: the records, and for each
-    # trial a ball's 17^3 box and a cap's 39^3 box at 64 bytes a point, a code
-    # table of (0 + 2 (8 + 19) + 2)^3 entries and one block of 2^16 pairs
-    need = 100 * 2 + 2 * (64 * (17**3 + 39**3) + 8 * 56**3 + 128 * 2**16)
+    # trial a ball's 17^3 box and a cap's 39^3 box at 26 bytes a point and
+    # 16 KiB each, a code table of (0 + 2 (8 + 19) + 2)^3 entries and one
+    # block of 2^16 pairs
+    boxes = 26 * (17**3 + 39**3) + 2 * 2**14
+    need = 100 * 2 + 2 * (boxes + 8 * 56**3 + 128 * 2**16)
     cores(monkeypatch, 2)
     before = threading.active_count()
 
@@ -1438,14 +1462,24 @@ def test_verify_trilinear_checks_one_estimate_first(monkeypatch):
 
 @pytest.mark.parametrize("trials", [1, 2, 8])
 def test_verify_trilinear_reads_physical_memory_once(monkeypatch, trials):
-    # once for the one estimate and once for the shared ball, which
-    # ball_mode_set checks itself; the trials cut their caps unchecked, since
-    # the estimate covers their boxes
+    # for the one estimate only: it covers the shared ball's box and every
+    # trial's caps, which the box builders cut unchecked
     reads = []
     physical = grid._physical_memory
     monkeypatch.setattr(grid, "_physical_memory", lambda: reads.append(1) or physical())
     verify_trilinear(16, 16, 2, trials=trials, seed=0)
-    assert len(reads) == 2
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("mode", ["separated", "matched"])
+def test_bilinear_sweep_reads_physical_memory_once_per_case_and_trial(monkeypatch, mode):
+    # once for the sweep's records, then per case once for its two mode boxes
+    # and once per trial for the padded box its geometry sets
+    reads = []
+    physical = grid._physical_memory
+    monkeypatch.setattr(grid, "_physical_memory", lambda: reads.append(1) or physical())
+    bilinear_sweep(3, mode, trials=2, seed=0, high_scale=256, scales=(8, 16))
+    assert len(reads) == 1 + 2 * (1 + 2)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

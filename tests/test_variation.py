@@ -110,6 +110,8 @@ def test_path_validation():
     # samples run along axis 0, whatever the shape of one sample
     assert increment_table(np.zeros((3, 2, 2))).shape == (3, 3)
     assert increment_table([0.0, 3.0], weight=2.0)[0, 1] == 6.0
+    # integer samples are read as floats
+    assert increment_table(np.array([[0, 1], [3, 4]]), 2.0)[0, 1] == 2.0 * math.sqrt(18.0)
     with pytest.raises(ValueError):
         p_variation(np.array([1.0, 2.0]), 2.0, weight=0.0)
     with pytest.raises(ValueError):
@@ -314,6 +316,21 @@ def test_increment_table_agrees_with_the_complex_gram():
         rows = np.abs(np.asarray(values).reshape(len(values), -1)) ** 2
         assert np.max(np.abs(got - want)) <= tol * np.max(np.sum(rows, axis=1))
         assert np.array_equal(got, got.T)
+
+
+def test_p_variation_holds_one_table():
+    # a long path over few modes: 2001 samples of 8 complex modes hold 0.24 MiB,
+    # the 2001 x 2001 float table 30.5 MiB, and the table is built and powered
+    # in place, not copied
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((2001, 8)) + 1j * rng.standard_normal((2001, 8))
+    tracemalloc.start()
+    try:
+        p_variation(values, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2001**2 + 2**18
 
 
 def evolved(dim, n, box):
